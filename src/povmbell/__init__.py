@@ -35,10 +35,12 @@ from .errors import (
 )
 from .infometrics import (
     HeisenbergCheck,
+    MartensCurve,
     MartensReport,
     heisenberg_check,
     martens_bound,
     martens_check,
+    martens_sweep,
     row_entropy,
 )
 from .measurement import (
@@ -48,6 +50,7 @@ from .measurement import (
     Pvm,
     born_probabilities,
     polarization_pvm,
+    validate_effect_stack,
     validate_povm,
 )
 from .qcore import (
@@ -83,9 +86,13 @@ from .whichway import (
     WhichWayConfig,
     build_whichway,
     certainty_check,
+    column_stochastic,
     joint_distribution,
     marginals_and_nonideality,
+    marginals_from_distribution,
     measured_marginals,
+    nonideality_stack,
+    whichway_effects,
 )
 
 __version__ = "0.1.0"

@@ -35,12 +35,12 @@ from .bell import (
     QuadrivariateBell,
     build_bell,
     chsh_aspect,
-    chsh_single_run,
+    chsh_report_from_distribution,
     quad_distribution,
     singlet_state,
 )
 from .errors import ConfigError, PovmBellError
-from .infometrics import martens_bound, martens_check, row_entropy
+from .infometrics import martens_check, martens_sweep
 from .measurement import born_probabilities
 from .qcore import DEFAULT_POLICY, StateDescriptor
 from .sampler import EventLog, empirical_chsh, empirical_frequencies, sample
@@ -50,7 +50,7 @@ from .whichway import (
     build_whichway,
     joint_distribution,
     marginals_and_nonideality,
-    measured_marginals,
+    marginals_from_distribution,
 )
 
 __all__ = [
@@ -328,11 +328,22 @@ def resolve_state(
     state: str | tuple[tuple[float, float], ...],
     expected_dim: int,
 ) -> StateDescriptor:
-    """Turn a config state payload into a normalized StateDescriptor."""
+    """Turn a config state payload into a normalized StateDescriptor.
+
+    Amplitude lists are first scaled by the power of two that brings their
+    largest component into [0.5, 1), so normalization neither underflows
+    nor overflows for any finite input. A power-of-two scale is exact, so
+    it leaves the normalized state of every list that normalized before
+    unchanged, bit for bit.
+    """
     if isinstance(state, str):
         descriptor = singlet_state() if state == "singlet" else StateDescriptor.pure(_NAMED_STATES[state])
     else:
-        amps = np.array([complex(re, im) for re, im in state])
+        peak = max(max(abs(re), abs(im)) for re, im in state)
+        exponent = math.frexp(peak)[1]
+        amps = np.array(
+            [complex(math.ldexp(re, -exponent), math.ldexp(im, -exponent)) for re, im in state]
+        )
         norm = float(np.linalg.norm(amps))
         descriptor = StateDescriptor.pure(amps / norm)
     if descriptor.dim != expected_dim:
@@ -382,7 +393,7 @@ def _bell_from_spec(spec: ExperimentSpec) -> QuadrivariateBell:
 def run_whichway(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     whichway, state = _whichway_from_spec(spec)
     dist = joint_distribution(whichway, state)
-    marg_d, marg_dprime = measured_marginals(whichway, state)
+    marg_d, marg_dprime = marginals_from_distribution(dist)
     lam, mu = marginals_and_nonideality(whichway)
     report = martens_check(whichway)
     row: dict = {
@@ -410,27 +421,20 @@ def run_whichway(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
 
 
 def run_martens_sweep(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
-    delta = math.radians(spec.delta_deg)
-    rows = []
-    for gamma in spec.gamma_grid:
-        whichway = build_whichway(WhichWayConfig(gamma=gamma, theta=delta, theta_prime=0.0))
-        report = martens_check(whichway)
-        rows.append(
-            {
-                "gamma": gamma,
-                "j_lambda": report.j_lambda,
-                "j_mu": report.j_mu,
-                "bound": report.bound,
-                "slack": report.slack,
-            }
+    curve = martens_sweep(spec.gamma_grid, math.radians(spec.delta_deg), 0.0)
+    rows = [
+        {"gamma": gamma, "j_lambda": j_lambda, "j_mu": j_mu, "bound": curve.bound, "slack": slack}
+        for gamma, j_lambda, j_mu, slack in zip(
+            spec.gamma_grid, curve.j_lambda.tolist(), curve.j_mu.tolist(), curve.slack.tolist()
         )
+    ]
     return ["gamma", "j_lambda", "j_mu", "bound", "slack"], rows
 
 
 def run_bell(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     bell = _bell_from_spec(spec)
     dist = quad_distribution(bell)
-    report = chsh_single_run(bell)
+    report = chsh_report_from_distribution(dist)
     row: dict = {
         "gamma1": spec.gamma1,
         "gamma2": spec.gamma2,
@@ -477,7 +481,6 @@ def run_aspect(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
 def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     if spec.out is None:
         raise ConfigError("out", "sample needs an output path for the event log")
-    bell = None
     if spec.experiment == "whichway":
         whichway, state = _whichway_from_spec(spec)
         povm = whichway.povm
@@ -510,8 +513,7 @@ def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     else:
         row["max_abs_deviation"] = None
     if spec.experiment == "bell":
-        assert bell is not None
-        row["s_analytic"] = chsh_single_run(bell).s_value
+        row["s_analytic"] = chsh_report_from_distribution(analytic).s_value
         row["s_empirical"] = empirical_chsh(log).s_value if log.count else None
     return list(row.keys()), [row]
 
@@ -525,11 +527,14 @@ _RUNNERS = {
 }
 
 
+_LOG_VERSION_LINE = "# povmbell event log v1"
+
+
 def write_event_log(log: EventLog, path: str | Path) -> None:
     """Write an event log: '#'-prefixed metadata header, one label per line."""
     sha = hashlib.sha256(log.config.encode("utf-8")).hexdigest()
     lines = [
-        "# povmbell event log v1",
+        _LOG_VERSION_LINE,
         f"# config={log.config}",
         f"# config_sha256={sha}",
         f"# generator={log.generator}",
@@ -544,32 +549,58 @@ def write_event_log(log: EventLog, path: str | Path) -> None:
             fh.write(event + "\n")
 
 
+def _header_int(header: dict[str, str], key: str) -> int:
+    try:
+        return int(header[key])
+    except ValueError:
+        raise ConfigError("log", f"header field {key!r} must be an integer, got {header[key]!r}") from None
+
+
 def read_event_log(path: str | Path) -> EventLog:
-    """Parse a file written by write_event_log back into an EventLog."""
+    """Parse a file written by write_event_log back into an EventLog.
+
+    Raises ConfigError for a file that is not UTF-8 text or not a v1 event
+    log, lacks a header field, has a non-integer seed or count, a count that
+    disagrees with its events, or a stored config_sha256 that does not match
+    its config.
+    """
     header: dict[str, str] = {}
     events: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value
-                continue
-            if line:
-                events.append(line)
-    for key in ("config", "generator", "seed", "labels", "count"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            version = fh.readline().rstrip("\n")
+            if version != _LOG_VERSION_LINE:
+                raise ConfigError(
+                    "log", f"first line must be {_LOG_VERSION_LINE!r}, got {version!r}"
+                )
+            for raw in fh:
+                line = raw.rstrip("\n")
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        key, _, value = body.partition("=")
+                        header[key.strip()] = value
+                    continue
+                if line:
+                    events.append(line)
+    except UnicodeDecodeError as exc:
+        raise ConfigError("log", f"event log is not UTF-8 text: {exc}") from None
+    for key in ("config", "config_sha256", "generator", "seed", "labels", "count"):
         if key not in header:
             raise ConfigError("log", f"event log is missing header field {key!r}")
-    if int(header["count"]) != len(events):
+    sha = hashlib.sha256(header["config"].encode("utf-8")).hexdigest()
+    if header["config_sha256"] != sha:
+        raise ConfigError(
+            "log", f"stored config_sha256 {header['config_sha256']} does not match the config ({sha})"
+        )
+    if _header_int(header, "count") != len(events):
         raise ConfigError(
             "log", f"header count {header['count']} does not match {len(events)} events"
         )
     return EventLog(
         config=header["config"],
         generator=header["generator"],
-        seed=int(header["seed"]),
+        seed=_header_int(header, "seed"),
         label_set=tuple(header["labels"].split(" ")),
         events=tuple(events),
     )

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError
-from .measurement import born_probabilities, polarization_pvm
+from .errors import DomainError, InvariantViolationError, ShapeMismatchError
+from .measurement import validate_effect_stack
 from .qcore import (
     DEFAULT_POLICY,
     NumericPolicy,
@@ -31,14 +31,23 @@ from .qcore import (
     hermiticity_defect,
     matmul,
 )
-from .whichway import BivariateWhichWay, NonidealityMatrix, marginals_and_nonideality
+from .whichway import (
+    WW_LABELS,
+    BivariateWhichWay,
+    NonidealityMatrix,
+    column_stochastic,
+    nonideality_stack,
+    whichway_effects,
+)
 
 __all__ = [
     "MartensReport",
+    "MartensCurve",
     "HeisenbergCheck",
     "row_entropy",
     "martens_bound",
     "martens_check",
+    "martens_sweep",
     "heisenberg_check",
 ]
 
@@ -47,7 +56,7 @@ def row_entropy(
     matrix: NonidealityMatrix | object,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+) -> float | np.ndarray:
     """Average row entropy of a column-stochastic matrix, in nats.
 
     J = -(1/N) * sum_{m,k} L[m,k] * ln(L[m,k] / r_m)  with r_m the m-th row
@@ -55,31 +64,33 @@ def row_entropy(
     exactly when every row has at most one nonzero entry (the measured
     marginal reproduces the ideal distribution up to relabeling) and reaches
     ln N when all columns are identical.
+
+    Accepts one matrix (returns a float) or a stack of shape
+    (..., n_measured, n_ideal) (returns an array of the stack's leading
+    shape). Every J is checked against [0, ln N]: rounding dust within
+    atol_positivity outside the range is clamped, anything further raises
+    InvariantViolationError.
     """
-    if not isinstance(matrix, NonidealityMatrix):
-        matrix = NonidealityMatrix(matrix)
-    entries = matrix.entries
-    n_ideal = matrix.n_ideal
-    total = 0.0
-    for row in entries:
-        row_sum = float(row.sum())
-        for value in row:
-            v = float(value)
-            if v > 0.0:
-                total += v * math.log(v / row_sum)
-    result = -total / n_ideal + 0.0  # never hand back -0.0
+    if isinstance(matrix, NonidealityMatrix):
+        entries = matrix.entries
+    else:
+        entries = column_stochastic(matrix)
+    n_ideal = entries.shape[-1]
+    row_sums = entries.sum(axis=-1, keepdims=True)
+    # zero entries contribute 0 ln 0 = 0: their ratio is left at 1, whose log is 0
+    ratio = np.divide(entries, row_sums, out=np.ones_like(entries), where=entries > 0.0)
+    result = -(entries * np.log(ratio)).sum(axis=(-2, -1)) / n_ideal + 0.0  # never -0.0
     upper = math.log(n_ideal)
-    if result < 0.0:
-        if result < -policy.atol_positivity:
-            raise InvariantViolationError(f"row entropy came out negative: {result!r}")
-        result = 0.0
-    if result > upper:
-        if result > upper + policy.atol_positivity:
+    lowest, highest = float(result.min()), float(result.max())
+    if lowest < 0.0 or highest > upper:
+        if lowest < -policy.atol_positivity:
+            raise InvariantViolationError(f"row entropy came out negative: {lowest!r}")
+        if highest > upper + policy.atol_positivity:
             raise InvariantViolationError(
-                f"row entropy {result!r} exceeds ln(N) = {upper!r}"
+                f"row entropy {highest!r} exceeds ln(N) = {upper!r}"
             )
-        result = upper
-    return result
+        result = result.clip(0.0, upper)
+    return float(result) if entries.ndim == 2 else result
 
 
 def martens_bound(
@@ -90,19 +101,16 @@ def martens_bound(
 ) -> float:
     """Lower bound on the summed row entropies of a joint measurement.
 
-    Computed as -ln of the largest trace overlap between effects of the two
-    ideal polarization measurements. For axes separated by delta this equals
-    -ln(max(cos^2 delta, sin^2 delta)): zero for parallel or perpendicular
-    axes, maximal (ln 2) at 45 degrees where the measurements are mutually
-    unbiased.
+    -ln of the largest trace overlap Tr(E_a E_b) between effects of the two
+    ideal polarization measurements. For axes separated by delta the
+    overlaps are cos^2 delta and sin^2 delta, so the bound is
+    -ln(max(cos^2 delta, sin^2 delta)), evaluated in that closed form: zero
+    for parallel or perpendicular axes, maximal (ln 2) at 45 degrees where
+    the measurements are mutually unbiased. The overlap is checked to lie in
+    (0, 1] within atol_positivity.
     """
-    pvm_a = polarization_pvm(as_angle(theta), policy=policy)
-    pvm_b = polarization_pvm(as_angle(theta_prime), policy=policy)
-    overlap = max(
-        float(np.real(np.trace(ea.matrix @ eb.matrix)))
-        for ea in pvm_a.effects
-        for eb in pvm_b.effects
-    )
+    delta = as_angle(theta).theta - as_angle(theta_prime).theta
+    overlap = max(math.cos(delta) ** 2, math.sin(delta) ** 2)
     if overlap > 1.0 + policy.atol_positivity:
         raise InvariantViolationError(f"effect overlap {overlap!r} exceeds 1")
     overlap = min(overlap, 1.0)
@@ -122,25 +130,75 @@ class MartensReport:
     satisfied: bool
 
 
-def martens_check(
-    whichway: BivariateWhichWay,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> MartensReport:
-    """Evaluate j_lambda + j_mu >= bound for one which-way configuration."""
-    lam, mu = marginals_and_nonideality(whichway, policy=policy)
-    j_lambda = row_entropy(lam, policy=policy)
-    j_mu = row_entropy(mu, policy=policy)
-    bound = martens_bound(
-        whichway.config.theta, whichway.config.theta_prime, policy=policy
-    )
+class MartensCurve(NamedTuple):
+    """Entropic tradeoff over a grid of transmissivities; arrays follow the grid."""
+
+    j_lambda: np.ndarray
+    j_mu: np.ndarray
+    bound: float
+    slack: np.ndarray
+    satisfied: np.ndarray
+
+
+# grid points whose which-way effects martens_sweep checks in one batch; the
+# check's pairwise effect products take 1 KiB per point, 4 MiB per batch
+SWEEP_CHUNK = 4096
+
+
+def _tradeoff(gammas: np.ndarray, bound: float, policy: NumericPolicy) -> MartensCurve:
+    j_lambda, j_mu = row_entropy(nonideality_stack(gammas), policy=policy)
     slack = j_lambda + j_mu - bound
-    return MartensReport(
+    return MartensCurve(
         j_lambda=j_lambda,
         j_mu=j_mu,
         bound=bound,
         slack=slack,
         satisfied=slack >= -policy.atol_positivity,
+    )
+
+
+def martens_sweep(
+    gammas: object,
+    theta: float | PolarizationAngle,
+    theta_prime: float | PolarizationAngle,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> MartensCurve:
+    """Evaluate j_lambda + j_mu >= bound over a 1-D grid of transmissivities.
+
+    The which-way effects of every grid point first pass the POVM axiom
+    checks, in batches of SWEEP_CHUNK points so the check's memory stays
+    bounded; the entropies and slacks are then computed as arrays over the
+    whole grid, by the same code `martens_check` runs for one point.
+    """
+    grid = np.asarray(gammas, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
+    for start in range(0, grid.size, SWEEP_CHUNK):
+        effects = whichway_effects(grid[start : start + SWEEP_CHUNK], theta, theta_prime)
+        validate_effect_stack(effects, WW_LABELS, policy=policy)
+    return _tradeoff(grid, martens_bound(theta, theta_prime, policy=policy), policy)
+
+
+def martens_check(
+    whichway: BivariateWhichWay,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> MartensReport:
+    """Evaluate j_lambda + j_mu >= bound for one which-way configuration.
+
+    The one-point case of the sweep's tradeoff evaluation; the which-way
+    POVM was validated when it was built.
+    """
+    config = whichway.config
+    bound = martens_bound(config.theta, config.theta_prime, policy=policy)
+    curve = _tradeoff(np.array([config.gamma]), bound, policy)
+    return MartensReport(
+        j_lambda=float(curve.j_lambda[0]),
+        j_mu=float(curve.j_mu[0]),
+        bound=bound,
+        slack=float(curve.slack[0]),
+        satisfied=bool(curve.satisfied[0]),
     )
 
 

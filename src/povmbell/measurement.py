@@ -3,12 +3,15 @@
 A measurement is a labeled collection of positive operators (effects) summing
 to the identity. `validate_povm` is the single gate every measurement object
 passes through; it returns the sharper `Pvm` type when the effects turn out
-to be mutually orthogonal projectors.
+to be mutually orthogonal projectors. It checks the axioms with
+`validate_effect_stack`, which also checks whole batches of measurements
+(an effect stack of shape (..., k, d, d)) without building objects for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .qcore import (
     StateDescriptor,
     as_matrix,
     expectation,
-    hermiticity_defect,
     identity,
     projector_from_angle,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "Pvm",
     "OutcomeDistribution",
     "validate_povm",
+    "validate_effect_stack",
     "born_probabilities",
     "polarization_pvm",
 ]
@@ -95,6 +98,89 @@ class Pvm(Povm):
     """A POVM whose effects are mutually orthogonal projectors (a sharp measurement)."""
 
 
+def validate_effect_stack(
+    stack: object,
+    labels: Sequence[str],
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> np.ndarray:
+    """Check the POVM axioms on every measurement of an effect stack at once.
+
+    `stack` has shape (..., k, d, d): any number of leading batch axes, then
+    the k effects of one measurement, labeled by `labels` in that order. The
+    checks run as whole-stack array operations, in this order: hermiticity,
+    eigenvalues in [0, 1], completeness. The first failing check raises
+    NotHermitianError, NotPositiveError or NotCompleteError; it names the
+    first offending effect (batch entries and effects in input order) and
+    carries that effect's deviation, or the failing measurement's
+    completeness defect.
+
+    Returns a boolean array of the batch shape: True where the measurement
+    is sharp, i.e. every effect is idempotent and distinct effects are
+    mutually orthogonal, all within atol_algebra.
+    """
+    effects = np.asarray(stack, dtype=np.complex128)
+    if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
+        raise ShapeMismatchError(f"effect stack must have shape (..., k, d, d), got {effects.shape}")
+    k, dim = effects.shape[-3], effects.shape[-1]
+    if k == 0 or len(labels) != k:
+        raise ShapeMismatchError(f"got {len(labels)} labels for {k} effects")
+
+    batch = effects.shape[:-3]
+
+    def first(failing: np.ndarray) -> tuple[int, ...]:
+        # index of the first True of `failing`, in C order over its axes
+        return np.unravel_index(int(np.argmax(failing)), failing.shape)
+
+    # each check first reduces the whole stack at once; the per-effect
+    # reductions that name the culprit run only once a check has failed
+    herm = np.abs(effects - effects.swapaxes(-1, -2).conj())
+    if herm.max(initial=0.0) > policy.atol_algebra:
+        herm_defects = herm.max(axis=(-2, -1))
+        at = first(herm_defects > policy.atol_algebra)
+        defect = float(herm_defects[at])
+        raise NotHermitianError(
+            f"effect {labels[at[-1]]!r} is not Hermitian (max deviation {defect:.3e})",
+            deviation=defect,
+        )
+
+    eigs = np.linalg.eigvalsh(effects)
+    if eigs.min() < -policy.atol_positivity or eigs.max() > 1.0 + policy.atol_positivity:
+        low, high = eigs[..., 0], eigs[..., -1]
+        out_of_range = (low < -policy.atol_positivity) | (high > 1.0 + policy.atol_positivity)
+        at = first(out_of_range)
+        lo, hi = float(low[at]), float(high[at])
+        worst = max(-lo, hi - 1.0)
+        raise NotPositiveError(
+            f"effect {labels[at[-1]]!r} has eigenvalues in [{lo:.6e}, {hi:.6e}], "
+            f"outside [0, 1] (deviation {worst:.3e})",
+            deviation=worst,
+        )
+
+    incomplete = np.abs(effects.sum(axis=-3) - np.eye(dim))
+    if incomplete.max(initial=0.0) > policy.atol_algebra:
+        complete_defects = incomplete.max(axis=(-2, -1))
+        defect = float(complete_defects[first(complete_defects > policy.atol_algebra)])
+        raise NotCompleteError(
+            f"effects sum to identity only within {defect:.3e} "
+            f"(allowed {policy.atol_algebra:.1e})",
+            deviation=defect,
+        )
+
+    # one product holds every E_i E_j: rows stacks the effects vertically,
+    # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
+    # means E_i E_i - E_i = 0 (diagonal blocks) and E_i E_j = 0 for i < j.
+    rows = effects.reshape(batch + (k * dim, dim))
+    products = rows @ effects.swapaxes(-3, -2).reshape(batch + (dim, k * dim))
+    # blocks[..., i, j, :, :] is a view of block (i, j): writes reach products
+    blocks = products.reshape(batch + (k, dim, k, dim)).swapaxes(-3, -2)
+    diagonal = np.arange(k)
+    blocks[..., diagonal, diagonal, :, :] -= effects
+    block_of = np.arange(k * dim) // dim
+    residue = np.abs(products[..., block_of[:, None] <= block_of])
+    return residue.max(axis=-1) <= policy.atol_algebra
+
+
 def validate_povm(
     effects: object,
     *,
@@ -102,10 +188,12 @@ def validate_povm(
 ) -> Povm:
     """Check the POVM axioms and classify the result.
 
-    Accepts Effect objects or (matrix, label) pairs. Raises NotHermitianError,
-    NotPositiveError, or NotCompleteError with the worst deviation in the
-    message; returns a Pvm when every effect is an idempotent projector and
-    distinct effects are orthogonal, otherwise a plain Povm.
+    Accepts Effect objects or (matrix, label) pairs. The axioms are checked
+    by `validate_effect_stack` on the stacked effect matrices, which raises
+    NotHermitianError, NotPositiveError or NotCompleteError naming the first
+    offending effect and carrying its deviation. Returns a Pvm when every
+    effect is an idempotent projector and distinct effects are orthogonal,
+    otherwise a plain Povm.
     """
     items: list[Effect] = []
     for entry in effects:
@@ -127,50 +215,8 @@ def validate_povm(
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {labels}")
 
-    for e in items:
-        defect = hermiticity_defect(e.matrix)
-        if defect > policy.atol_algebra:
-            raise NotHermitianError(
-                f"effect {e.label!r} is not Hermitian (max deviation {defect:.3e})",
-                deviation=defect,
-            )
-    for e in items:
-        eigs = np.linalg.eigvalsh(e.matrix)
-        low, high = float(eigs[0]), float(eigs[-1])
-        if low < -policy.atol_positivity or high > 1.0 + policy.atol_positivity:
-            worst = max(-low, high - 1.0)
-            raise NotPositiveError(
-                f"effect {e.label!r} has eigenvalues in [{low:.6e}, {high:.6e}], "
-                f"outside [0, 1] (deviation {worst:.3e})",
-                deviation=worst,
-            )
-
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for e in items:
-        total = total + e.matrix
-    completeness_defect = float(np.max(np.abs(total - np.eye(dim))))
-    if completeness_defect > policy.atol_algebra:
-        raise NotCompleteError(
-            f"effects sum to identity only within {completeness_defect:.3e} "
-            f"(allowed {policy.atol_algebra:.1e})",
-            deviation=completeness_defect,
-        )
-
-    sharp = True
-    for e in items:
-        if float(np.max(np.abs(e.matrix @ e.matrix - e.matrix))) > policy.atol_algebra:
-            sharp = False
-            break
-    if sharp:
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
-                if float(np.max(np.abs(a.matrix @ b.matrix))) > policy.atol_algebra:
-                    sharp = False
-                    break
-            if not sharp:
-                break
-
-    cls = Pvm if sharp else Povm
+    sharp = validate_effect_stack(np.array([e.matrix for e in items]), labels, policy=policy)
+    cls = Pvm if bool(sharp) else Povm
     return cls(effects=tuple(items))
 
 

@@ -10,19 +10,21 @@ together and the "++" effect is the zero operator.
 
 The measured marginal in each branch is a column-stochastic smearing of the
 ideal sharp measurement along that branch's axis; `marginals_and_nonideality`
-returns those smearing matrices.
+returns those smearing matrices. The effects and the smearing matrices have
+array builders (`whichway_effects`, `nonideality_stack`) that take a whole
+array of transmissivities at once; the single-configuration functions are
+their one-point case.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, ShapeMismatchError
-from .measurement import OutcomeDistribution, Povm, born_probabilities, polarization_pvm, validate_povm
+from .errors import DomainError, ShapeMismatchError
+from .measurement import OutcomeDistribution, Povm, born_probabilities, validate_povm
 from .qcore import (
     DEFAULT_POLICY,
     NumericPolicy,
@@ -38,9 +40,13 @@ __all__ = [
     "WhichWayConfig",
     "BivariateWhichWay",
     "NonidealityMatrix",
+    "whichway_effects",
     "build_whichway",
     "joint_distribution",
+    "marginals_from_distribution",
     "measured_marginals",
+    "column_stochastic",
+    "nonideality_stack",
     "marginals_and_nonideality",
     "certainty_check",
 ]
@@ -74,31 +80,47 @@ class BivariateWhichWay:
     povm: Povm
 
 
-def build_whichway(
-    config: WhichWayConfig,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> BivariateWhichWay:
-    """Construct and validate the 4-effect which-way POVM.
+def whichway_effects(
+    gammas: object,
+    theta: float | PolarizationAngle,
+    theta_prime: float | PolarizationAngle,
+) -> np.ndarray:
+    """Which-way effect matrices for an array of transmissivities.
 
-    Effects, in WW_LABELS order:
+    Returns shape gammas.shape + (4, 2, 2): for every gamma, the four
+    effects in WW_LABELS order,
       ++ : 0                            (both branches firing is impossible)
       +- : gamma * E+(theta)            (transmitted, analyzer passes)
       -+ : (1-gamma) * E+(theta')       (reflected, analyzer passes)
       -- : rest of the identity         (no detector fires)
     The last effect equals gamma*E-(theta) + (1-gamma)*E-(theta'), a convex
-    combination of projectors, so positivity holds for every valid config.
+    combination of projectors, so positivity holds for every gamma in [0, 1].
+    The stack is not validated; `build_whichway` and the Martens sweep pass
+    it through the POVM axiom checks.
     """
-    gamma = config.gamma
-    e_theta = projector_from_angle(config.theta)
-    e_prime = projector_from_angle(config.theta_prime)
-    effects = [
-        (np.zeros((2, 2), dtype=np.complex128), "++"),
-        (gamma * e_theta, "+-"),
-        ((1.0 - gamma) * e_prime, "-+"),
-        (identity(2) - gamma * e_theta - (1.0 - gamma) * e_prime, "--"),
-    ]
-    return BivariateWhichWay(config=config, povm=validate_povm(effects, policy=policy))
+    g = np.asarray(gammas, dtype=np.float64)
+    inside = (g >= 0.0) & (g <= 1.0)  # False for NaN
+    if not inside.all():
+        raise DomainError(f"gamma must lie in [0, 1], got {float(g[~inside].flat[0])!r}")
+    g = g[..., None, None]
+    transmitted = g * projector_from_angle(theta)
+    reflected = (1.0 - g) * projector_from_angle(theta_prime)
+    stack = np.zeros(transmitted.shape[:-2] + (4, 2, 2), dtype=np.complex128)
+    stack[..., 1, :, :] = transmitted
+    stack[..., 2, :, :] = reflected
+    stack[..., 3, :, :] = identity(2) - transmitted - reflected
+    return stack
+
+
+def build_whichway(
+    config: WhichWayConfig,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> BivariateWhichWay:
+    """Construct and validate the 4-effect which-way POVM (see `whichway_effects`)."""
+    effects = whichway_effects(config.gamma, config.theta, config.theta_prime)
+    povm = validate_povm(zip(effects, WW_LABELS), policy=policy)
+    return BivariateWhichWay(config=config, povm=povm)
 
 
 def joint_distribution(
@@ -111,6 +133,14 @@ def joint_distribution(
     return born_probabilities(state, whichway.povm, policy=policy)
 
 
+def marginals_from_distribution(dist: OutcomeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal (+, -) distributions of the D branch and the D' branch of a joint distribution."""
+    p = dist.as_dict()
+    transmitted = np.array([p["++"] + p["+-"], p["-+"] + p["--"]])
+    reflected = np.array([p["++"] + p["-+"], p["+-"] + p["--"]])
+    return transmitted, reflected
+
+
 def measured_marginals(
     whichway: BivariateWhichWay,
     state: StateDescriptor,
@@ -118,10 +148,28 @@ def measured_marginals(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal (+, -) distributions of the D branch and the D' branch."""
-    p = joint_distribution(whichway, state, policy=policy).as_dict()
-    transmitted = np.array([p["++"] + p["+-"], p["-+"] + p["--"]])
-    reflected = np.array([p["++"] + p["-+"], p["+-"] + p["--"]])
-    return transmitted, reflected
+    return marginals_from_distribution(joint_distribution(whichway, state, policy=policy))
+
+
+def column_stochastic(entries: object) -> np.ndarray:
+    """Check a stack of column-stochastic matrices, shape (..., n_measured, n_ideal).
+
+    Every entry must be nonnegative and every column must sum to 1 within
+    atol_algebra. Returns the entries as a read-only float64 array.
+    """
+    entries = np.array(entries, dtype=np.float64)
+    if entries.ndim < 2:
+        raise ShapeMismatchError(f"nonideality matrices need ndim >= 2, got ndim={entries.ndim}")
+    if float(entries.min()) < 0.0:
+        raise DomainError(f"nonideality entries must be nonnegative, got min {entries.min()!r}")
+    col_sums = entries.sum(axis=-2)
+    worst = float(np.max(np.abs(col_sums - 1.0)))
+    if worst > DEFAULT_POLICY.atol_algebra:
+        raise DomainError(
+            f"columns must each sum to 1, worst deviation {worst:.3e}"
+        )
+    entries.setflags(write=False)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -131,19 +179,11 @@ class NonidealityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise ShapeMismatchError(f"nonideality matrix must be 2-D, got ndim={entries.ndim}")
-        if float(entries.min()) < 0.0:
-            raise DomainError(f"nonideality entries must be nonnegative, got min {entries.min()!r}")
-        col_sums = entries.sum(axis=0)
-        worst = float(np.max(np.abs(col_sums - 1.0)))
-        if worst > DEFAULT_POLICY.atol_algebra:
-            raise DomainError(
-                f"columns must each sum to 1, worst deviation {worst:.3e}"
+        if np.ndim(self.entries) != 2:
+            raise ShapeMismatchError(
+                f"nonideality matrix must be 2-D, got ndim={np.ndim(self.entries)}"
             )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", column_stochastic(self.entries))
 
     @property
     def n_measured(self) -> int:
@@ -162,16 +202,19 @@ class NonidealityMatrix:
         return self.entries @ probs
 
 
-def _probe_states() -> tuple[StateDescriptor, ...]:
-    # fixed grid of pure states, real and complex, used for self-checks
-    states = []
-    for k in range(8):
-        t = k * math.pi / 8.0
-        for phase in (0.0, math.pi / 2.0):
-            states.append(
-                StateDescriptor.pure([math.cos(t), cmath.exp(1j * phase) * math.sin(t)])
-            )
-    return tuple(states)
+def nonideality_stack(gammas: object) -> np.ndarray:
+    """Entries of the nonideality matrices of an array of transmissivities.
+
+    Shape (2,) + gammas.shape + (2, 2): index 0 holds the lambda matrices,
+    index 1 the mu matrices, in closed form
+      lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
+    """
+    g = np.asarray(gammas, dtype=np.float64)
+    stack = np.zeros((2,) + g.shape + (2, 2))
+    stack[0, ..., 0, 0] = stack[1, ..., 1, 0] = g
+    stack[0, ..., 1, 0] = stack[1, ..., 0, 0] = 1.0 - g
+    stack[..., 1, 1] = 1.0
+    return stack
 
 
 def marginals_and_nonideality(
@@ -183,27 +226,13 @@ def marginals_and_nonideality(
 
     lambda maps ideal probabilities along theta to the measured D marginal;
     mu maps ideal probabilities along theta_prime to the measured D' marginal.
-    Both are verified numerically against the built POVM on a fixed grid of
-    probe states before being returned.
+    Both follow from the effects in closed form (see `nonideality_stack`):
+    the D marginal's "+" effect is gamma * E+(theta), the D' marginal's is
+    (1 - gamma) * E+(theta'). The test suite checks this reconstruction
+    against Born probabilities of random states.
     """
-    gamma = whichway.config.gamma
-    lam = NonidealityMatrix(np.array([[gamma, 0.0], [1.0 - gamma, 1.0]]))
-    mu = NonidealityMatrix(np.array([[1.0 - gamma, 0.0], [gamma, 1.0]]))
-
-    pvm_theta = polarization_pvm(whichway.config.theta, policy=policy)
-    pvm_prime = polarization_pvm(whichway.config.theta_prime, policy=policy)
-    for state in _probe_states():
-        measured_t, measured_r = measured_marginals(whichway, state, policy=policy)
-        ideal_t = born_probabilities(state, pvm_theta, policy=policy).probs
-        ideal_r = born_probabilities(state, pvm_prime, policy=policy).probs
-        dev_lam = float(np.max(np.abs(measured_t - lam.apply(ideal_t))))
-        dev_mu = float(np.max(np.abs(measured_r - mu.apply(ideal_r))))
-        if dev_lam > policy.atol_algebra or dev_mu > policy.atol_algebra:
-            raise InvariantViolationError(
-                f"marginal reconstruction failed: lambda deviation {dev_lam:.3e}, "
-                f"mu deviation {dev_mu:.3e}"
-            )
-    return lam, mu
+    lam, mu = nonideality_stack(whichway.config.gamma)
+    return NonidealityMatrix(lam), NonidealityMatrix(mu)
 
 
 def certainty_check(

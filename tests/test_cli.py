@@ -196,6 +196,30 @@ class TestResolveState:
         state = resolve_state(((3.0, 0.0), (0.0, 4.0)), 2)
         assert np.allclose(state.vector, [0.6, 0.8j])
 
+    def test_power_of_two_rescale_is_exact(self):
+        # scaling by a power of two before normalizing changes no bit
+        rng = np.random.default_rng(511)
+        for _ in range(50):
+            pairs = tuple((float(re), float(im)) for re, im in rng.normal(size=(2, 2)))
+            amps = np.array([complex(re, im) for re, im in pairs])
+            want = amps / float(np.linalg.norm(amps))
+            got = resolve_state(pairs, 2).vector
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        ("extreme", "reference"),
+        [([1e-200, 0], [1, 0]), ([1e300, 1e300], [1, 1])],
+    )
+    def test_extreme_amplitudes_normalize(self, tmp_path, capsys, extreme, reference):
+        rows = {}
+        for name, state in (("extreme", extreme), ("reference", reference)):
+            config = write_config(tmp_path, dict(WW_PAYLOAD, state=state), name=f"{name}.json")
+            assert main(["whichway", "--config", config]) == 0
+            rows[name] = parse_csv(capsys.readouterr().out)[0]
+        for row in rows.values():
+            row.pop("state")
+        assert rows["extreme"] == rows["reference"]
+
 
 class TestWhichwayCommand:
     def test_csv_row_values(self, tmp_path, capsys):
@@ -411,6 +435,34 @@ class TestEventLogFile:
         write_event_log(log, path)
         text = path.read_text(encoding="utf-8").replace("# count=3", "# count=4")
         path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            read_event_log(path)
+
+    @pytest.mark.parametrize(
+        ("old", "new"),
+        [
+            ("# count=3", "# count=three"),
+            ("# seed=5", "# seed=5.0"),
+            ("# povmbell event log v1\n", ""),
+            ("# povmbell event log v1", "# povmbell event log v2"),
+            ("# config=", "# config= "),
+        ],
+        ids=["count-not-integer", "seed-not-integer", "version-missing", "version-wrong", "sha256-mismatch"],
+    )
+    def test_malformed_header_is_config_error(self, tmp_path, old, new):
+        log = sample(polarization_pvm(0.0), StateDescriptor.pure([1.0, 0.0]), 3, 5)
+        path = tmp_path / "events.log"
+        write_event_log(log, path)
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            read_event_log(path)
+        assert info.value.field == "log"
+
+    def test_non_utf8_log_is_config_error(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_bytes(b"# povmbell event log v1\n\xff\xfe\n")
         with pytest.raises(ConfigError):
             read_event_log(path)
 

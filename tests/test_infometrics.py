@@ -20,8 +20,11 @@ from povmbell import (
     heisenberg_check,
     martens_bound,
     martens_check,
+    polarization_pvm,
     row_entropy,
 )
+from povmbell import infometrics
+from povmbell.infometrics import martens_sweep
 
 LN2 = math.log(2.0)
 
@@ -30,6 +33,23 @@ def bound_closed_form(delta: float) -> float:
     """-ln(max(cos^2 delta, sin^2 delta)), the two-outcome polarization case."""
     c2 = math.cos(delta) ** 2
     return -math.log(max(c2, 1.0 - c2))
+
+
+def overlap_bound(theta: float, theta_prime: float) -> float:
+    """Reference: -ln of the largest trace overlap of the two polarization PVMs' effects."""
+    overlap = max(
+        float(np.real(np.trace(ea.matrix @ eb.matrix)))
+        for ea in polarization_pvm(theta).effects
+        for eb in polarization_pvm(theta_prime).effects
+    )
+    return -math.log(min(overlap, 1.0))
+
+
+def random_stochastic(rng, shape):
+    cols = rng.uniform(0.0, 1.0, size=shape)
+    cols[rng.uniform(size=shape) < 0.2] = 0.0
+    cols[..., 0, :] += 1e-3  # no all-zero column
+    return cols / cols.sum(axis=-2, keepdims=True)
 
 
 class TestRowEntropy:
@@ -76,6 +96,20 @@ class TestRowEntropy:
     def test_accepts_raw_arrays(self):
         assert row_entropy(np.eye(2)) == 0.0
 
+    def test_stack_equals_per_matrix_values(self):
+        rng = np.random.default_rng(405)
+        for shape in ((7, 2, 2), (3, 4, 3, 2), (5, 4, 3)):
+            stack = random_stochastic(rng, shape)
+            got = row_entropy(stack)
+            assert got.shape == shape[:-2]
+            for index in np.ndindex(*shape[:-2]):
+                assert got[index] == row_entropy(NonidealityMatrix(stack[index]))
+
+    def test_stack_entries_validated(self):
+        stack = np.stack([np.eye(2), np.array([[0.5, 0.0], [0.4, 1.0]])])
+        with pytest.raises(DomainError):
+            row_entropy(stack)
+
 
 class TestMartensBound:
     def test_mutually_unbiased_is_ln2(self):
@@ -98,6 +132,12 @@ class TestMartensBound:
             delta = k * math.pi / 64
             got = martens_bound(0.7, 0.7 + delta)
             assert got == pytest.approx(bound_closed_form(delta), abs=1e-12)
+
+    def test_matches_trace_overlap_form_on_random_angles(self):
+        rng = np.random.default_rng(406)
+        for _ in range(500):
+            theta, theta_prime = rng.uniform(-2 * math.pi, 2 * math.pi, size=2)
+            assert abs(martens_bound(theta, theta_prime) - overlap_bound(theta, theta_prime)) <= 1e-15
 
 
 class TestMartensCheck:
@@ -135,6 +175,45 @@ class TestMartensCheck:
         for earlier, later in zip(js, js[1:]):
             assert later.j_lambda <= earlier.j_lambda + 1e-12
             assert later.j_mu >= earlier.j_mu - 1e-12
+
+
+class TestMartensSweep:
+    def test_rows_equal_per_point_check(self):
+        rng = np.random.default_rng(407)
+        for _ in range(5):
+            grid = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, size=40)])
+            theta, theta_prime = rng.uniform(0.0, math.pi, size=2)
+            curve = martens_sweep(grid, theta, theta_prime)
+            for i, gamma in enumerate(grid):
+                report = martens_check(build_whichway(WhichWayConfig(float(gamma), theta, theta_prime)))
+                assert curve.j_lambda[i] == report.j_lambda
+                assert curve.j_mu[i] == report.j_mu
+                assert curve.bound == report.bound
+                assert curve.slack[i] == report.slack
+                assert bool(curve.satisfied[i]) == report.satisfied
+
+    def test_chunked_validation_covers_whole_grid(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 23)
+        whole = martens_sweep(grid, math.pi / 5, 0.0)
+        monkeypatch.setattr(infometrics, "SWEEP_CHUNK", 4)
+        chunked = martens_sweep(grid, math.pi / 5, 0.0)
+        assert np.array_equal(whole.slack, chunked.slack)
+        checked = []
+        real = infometrics.validate_effect_stack
+
+        def spy(stack, labels, **kwargs):
+            checked.append(stack.shape[0])
+            return real(stack, labels, **kwargs)
+
+        monkeypatch.setattr(infometrics, "validate_effect_stack", spy)
+        martens_sweep(grid, math.pi / 5, 0.0)
+        assert checked == [4, 4, 4, 4, 4, 3]
+
+    def test_rejects_out_of_range_gamma(self):
+        with pytest.raises(DomainError):
+            martens_sweep([0.2, 1.5], 0.3, 0.0)
+        with pytest.raises(DomainError):
+            martens_sweep([0.2, math.nan], 0.3, 0.0)
 
 
 class TestHeisenbergCheck:

@@ -26,6 +26,7 @@ from povmbell import (
     projector_from_angle,
     validate_povm,
 )
+from povmbell.measurement import validate_effect_stack
 
 
 class TestEffect:
@@ -109,6 +110,102 @@ class TestValidatePovm:
         assert np.allclose(povm.effect("+").matrix, np.diag([1.0, 0.0]), atol=0)
         with pytest.raises(DomainError):
             povm.effect("nope")
+
+
+def per_effect_validate(pairs, atol_algebra=1e-12, atol_positivity=1e-10):
+    """Reference: the POVM axiom checks one effect (and one pair) at a time.
+
+    Returns ("Pvm" | "Povm", None) or (error class name, label, deviation).
+    """
+    mats = [np.asarray(m, dtype=complex) for m, _ in pairs]
+    labels = [label for _, label in pairs]
+    for m, label in zip(mats, labels):
+        defect = float(np.max(np.abs(m - m.conj().T)))
+        if defect > atol_algebra:
+            return ("NotHermitianError", label, defect)
+    for m, label in zip(mats, labels):
+        eigs = np.linalg.eigvalsh(m)
+        low, high = float(eigs[0]), float(eigs[-1])
+        if low < -atol_positivity or high > 1.0 + atol_positivity:
+            return ("NotPositiveError", label, max(-low, high - 1.0))
+    total = np.zeros_like(mats[0])
+    for m in mats:
+        total = total + m
+    defect = float(np.max(np.abs(total - np.eye(len(total)))))
+    if defect > atol_algebra:
+        return ("NotCompleteError", None, defect)
+    sharp = all(float(np.max(np.abs(m @ m - m))) <= atol_algebra for m in mats) and all(
+        float(np.max(np.abs(a @ b))) <= atol_algebra
+        for i, a in enumerate(mats)
+        for b in mats[i + 1 :]
+    )
+    return ("Pvm" if sharp else "Povm", None, None)
+
+
+def stacked_outcome(pairs):
+    try:
+        povm = validate_povm(pairs)
+    except (NotHermitianError, NotPositiveError, NotCompleteError) as exc:
+        quoted = str(exc).split("'")
+        label = quoted[1] if type(exc) is not NotCompleteError else None
+        return (type(exc).__name__, label, exc.deviation)
+    return (type(povm).__name__, None, None)
+
+
+class TestStackedValidation:
+    def test_several_failing_effects_match_per_effect_reference(self):
+        rng = np.random.default_rng(205)
+        upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+        cases = [
+            # two non-Hermitian effects of different defects: the first one is named
+            [(0.3 * upper, "a"), (np.eye(2) - 0.3 * upper, "b"), (0.9 * upper.T, "c")],
+            [(np.diag([0.5, 0.5]), "a"), (0.2 * upper, "b"), (0.7 * upper, "c")],
+            # several effects outside [0, 1]: the first one in input order is named
+            [(np.diag([1.0, 0.5]), "a"), (np.diag([-0.3, 0.2]), "b"), (np.diag([0.3, 0.3]), "c")],
+            [(np.diag([1.4, 0.0]), "a"), (np.diag([-0.2, 1.3]), "b"), (np.diag([-0.2, -0.3]), "c")],
+            # incomplete and sharp-looking
+            [(np.diag([1.0, 0.0]), "a"), (np.diag([1.0, 0.0]), "b")],
+            [(0.4 * np.eye(2), "a"), (0.4 * np.eye(2), "b")],
+        ]
+        for _ in range(20):
+            povm = random_povm(rng, 3, 4)
+            cases.append([(e.matrix, e.label) for e in povm.effects])
+            noisy = [(e.matrix + 1e-6 * rng.normal(size=(3, 3)), e.label) for e in povm.effects]
+            cases.append(noisy)
+        for t in range(8):
+            plus = projector_from_angle(t * math.pi / 8)
+            cases.append([(plus, "+"), (identity(2) - plus, "-")])
+            cases.append([(plus, "+"), (0.5 * (identity(2) - plus), "-a"), (0.5 * (identity(2) - plus), "-b")])
+        for pairs in cases:
+            assert stacked_outcome(pairs) == per_effect_validate(pairs)
+
+    def test_batch_names_first_failing_measurement(self):
+        good = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        bad = np.stack([np.diag([1.2, 0.0]), np.diag([-0.2, 1.0])])
+        worse = np.stack([np.diag([1.0, -0.5]), np.diag([0.0, 1.5])])
+        stack = np.stack([good, good, bad, worse])
+        with pytest.raises(NotPositiveError) as info:
+            validate_effect_stack(stack, ("x", "y"))
+        assert "'x'" in str(info.value)
+        assert info.value.deviation == pytest.approx(0.2, abs=1e-15)
+
+    def test_batch_sharpness_matches_per_measurement_classification(self):
+        rng = np.random.default_rng(206)
+        stacks = []
+        for t in range(6):
+            plus = projector_from_angle(t * math.pi / 6)
+            stacks.append(np.stack([plus, np.eye(2) - plus]))
+            stacks.append(np.stack([0.5 * plus + 0.25 * np.eye(2), 0.75 * np.eye(2) - 0.5 * plus]))
+        for _ in range(4):
+            stacks.append(np.stack([e.matrix for e in random_povm(rng, 2, 2).effects]))
+        got = validate_effect_stack(np.stack(stacks), ("0", "1"))
+        want = [isinstance(validate_povm(zip(s, ("0", "1"))), Pvm) for s in stacks]
+        assert got.shape == (len(stacks),)
+        assert got.tolist() == want
+
+    def test_label_count_checked(self):
+        with pytest.raises(ShapeMismatchError):
+            validate_effect_stack(np.stack([np.eye(2)]), ("a", "b"))
 
 
 class TestPolarizationPvm:

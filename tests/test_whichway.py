@@ -27,6 +27,7 @@ from povmbell import (
     polarization_pvm,
     projector_from_angle,
 )
+from povmbell.whichway import nonideality_stack, whichway_effects
 
 
 class TestWhichWayConfig:
@@ -81,6 +82,21 @@ class TestBuildWhichway:
         want = cfg.gamma * e_minus_theta + (1 - cfg.gamma) * e_minus_prime
         got = ww.povm.effect("--").matrix
         assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_effect_stack_matches_single_builds(self):
+        rng = np.random.default_rng(305)
+        gammas = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=10)])
+        theta, theta_prime = 0.4, 2.3
+        stack = whichway_effects(gammas, theta, theta_prime)
+        assert stack.shape == (12, 4, 2, 2)
+        for gamma, effects in zip(gammas, stack):
+            ww = build_whichway(WhichWayConfig(float(gamma), theta, theta_prime))
+            for effect, matrix in zip(ww.povm.effects, effects):
+                assert effect.matrix.tobytes() == matrix.tobytes()
+
+    def test_effect_stack_rejects_out_of_range_gamma(self):
+        with pytest.raises(DomainError):
+            whichway_effects([0.5, -0.1], 0.0, 1.0)
 
     def test_validity_over_grid(self):
         for gamma in np.linspace(0.0, 1.0, 11):
@@ -167,6 +183,14 @@ class TestMarginalsAndNonideality:
         lam0, mu0 = marginals_and_nonideality(build_whichway(WhichWayConfig(0.0, 0.2, 0.9)))
         assert np.allclose(lam0.entries, [[0.0, 0.0], [1.0, 1.0]], atol=0)
         assert np.allclose(mu0.entries, np.eye(2), atol=0)
+
+    def test_stack_matches_single_matrices(self):
+        gammas = np.linspace(0.0, 1.0, 9)
+        lam_stack, mu_stack = nonideality_stack(gammas)
+        for gamma, lam_entries, mu_entries in zip(gammas, lam_stack, mu_stack):
+            lam, mu = marginals_and_nonideality(build_whichway(WhichWayConfig(float(gamma), 0.1, 0.7)))
+            assert np.array_equal(lam.entries, lam_entries)
+            assert np.array_equal(mu.entries, mu_entries)
 
     def test_reconstruction_on_random_states(self):
         rng = np.random.default_rng(303)
