@@ -9,6 +9,7 @@ always) from what pooling four incompatible runs can show (up to 2*sqrt(2)).
 
 from .bell import (
     CHSH_PAIRS,
+    CHSH_SIGNS,
     QUAD_LABELS,
     BellConfig,
     ChshReport,
@@ -49,7 +50,9 @@ from .measurement import (
     Povm,
     Pvm,
     born_probabilities,
+    born_values,
     polarization_pvm,
+    povm_from_stack,
     validate_effect_stack,
     validate_povm,
 )
@@ -67,8 +70,6 @@ from .qcore import (
     expectation,
     hermiticity_defect,
     identity,
-    is_hermitian,
-    kron,
     matmul,
     projector_from_angle,
 )

@@ -25,20 +25,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ShapeMismatchError
-from .measurement import OutcomeDistribution, Povm, born_probabilities, validate_povm
+from .measurement import (
+    OutcomeDistribution,
+    Povm,
+    born_probabilities,
+    born_values,
+    povm_from_stack,
+    validate_effect_stack,
+)
 from .qcore import (
     DEFAULT_POLICY,
     NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
-    kron,
 )
-from .whichway import WW_LABELS, WhichWayConfig, build_whichway
+from .whichway import WW_LABELS, WhichWayConfig, whichway_effects
 
 __all__ = [
     "QUAD_LABELS",
     "CHSH_PAIRS",
+    "CHSH_SIGNS",
     "BellConfig",
     "QuadrivariateBell",
     "ChshReport",
@@ -54,12 +63,23 @@ __all__ = [
 
 QUAD_LABELS = tuple(f"{m1n1},{m2n2}" for m1n1 in WW_LABELS for m2n2 in WW_LABELS)
 
-# position of each detector's +/- character inside a "m1n1,m2n2" label
-_DETECTOR_CHAR = {"D1": 0, "D1'": 1, "D2": 3, "D2'": 4}
 _ARM1_DETECTORS = ("D1", "D1'")
 _ARM2_DETECTORS = ("D2", "D2'")
 
 CHSH_PAIRS = (("D1", "D2"), ("D1", "D2'"), ("D1'", "D2"), ("D1'", "D2'"))
+
+# click signs (+1 fired, -1 silent) of an arm's unprimed and primed detector
+# over its WW_LABELS outcomes "++", "+-", "-+", "--"
+_ARM_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+
+# CHSH_SIGNS[q, c]: product of the two detector signs of CHSH_PAIRS[c] in
+# outcome QUAD_LABELS[q], so the four correlations of a distribution are
+# one mat-vec, probs @ CHSH_SIGNS
+CHSH_SIGNS = np.stack(
+    [np.outer(_ARM_SIGNS[a], _ARM_SIGNS[b]).ravel() for a in (0, 1) for b in (0, 1)], axis=1
+)
+CHSH_SIGNS.setflags(write=False)
+_QUAD_INDEX = {label: q for q, label in enumerate(QUAD_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -85,20 +105,50 @@ class QuadrivariateBell:
     povm: Povm
 
 
+def _arm_stacks(arm1: tuple, arm2: tuple, *, policy: NumericPolicy) -> np.ndarray:
+    """Which-way effect stacks of both arms, checked by one call.
+
+    Each arm is (gammas, theta, theta_prime) as `whichway_effects` takes
+    them, with the same number of gammas on both arms. Returns shape
+    (2, n_gammas, 4, 2, 2).
+    """
+    arms = np.stack([whichway_effects(*arm1), whichway_effects(*arm2)])
+    validate_effect_stack(arms, WW_LABELS, policy=policy)
+    return arms
+
+
+def _joint_effects(arm1: np.ndarray, arm2: np.ndarray) -> np.ndarray:
+    """Tensor products of every arm-1 setting's effects with every arm-2 setting's.
+
+    arm1 and arm2 have shape (n, 4, 2, 2); the result has shape
+    (n * n, 16, 4, 4), settings and effects in row-major (arm 1, arm 2)
+    order. It is one broadcast outer product, element for element the
+    product np.kron forms, so every effect equals np.kron of its arm effects
+    bit for bit (an einsum would add each product to a zero, which turns
+    negative zeros positive).
+    """
+    joint = arm1[:, None, :, None, :, None, :, None] * arm2[None, :, None, :, None, :, None, :]
+    return joint.reshape(arm1.shape[0] * arm2.shape[0], 16, 4, 4)
+
+
 def build_bell(
     config: BellConfig,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> QuadrivariateBell:
-    """Tensor the two arm POVMs into one 16-effect POVM and validate it."""
-    arm1 = build_whichway(config.arm1, policy=policy)
-    arm2 = build_whichway(config.arm2, policy=policy)
-    effects = [
-        (kron(e1.matrix, e2.matrix), f"{e1.label},{e2.label}")
-        for e1 in arm1.povm.effects
-        for e2 in arm2.povm.effects
-    ]
-    return QuadrivariateBell(config=config, povm=validate_povm(effects, policy=policy))
+    """Tensor the two arm POVMs into one 16-effect POVM and validate it.
+
+    The arm effect stacks are checked by one `validate_effect_stack` call and
+    the joint stack by `povm_from_stack`.
+    """
+    arm1, arm2 = config.arm1, config.arm2
+    arms = _arm_stacks(
+        ([arm1.gamma], arm1.theta, arm1.theta_prime),
+        ([arm2.gamma], arm2.theta, arm2.theta_prime),
+        policy=policy,
+    )
+    joint = _joint_effects(arms[0], arms[1])[0]
+    return QuadrivariateBell(config=config, povm=povm_from_stack(joint, QUAD_LABELS, policy=policy))
 
 
 def quad_distribution(
@@ -110,13 +160,22 @@ def quad_distribution(
     return born_probabilities(bell.config.state, bell.povm, policy=policy)
 
 
-def _validate_pair(pair: tuple[str, str]) -> tuple[int, int]:
+def _pair_column(pair: tuple[str, str]) -> int:
     if len(pair) != 2 or pair[0] not in _ARM1_DETECTORS or pair[1] not in _ARM2_DETECTORS:
         raise DomainError(
             f"detector pair must combine one of {_ARM1_DETECTORS} with one of "
             f"{_ARM2_DETECTORS}, got {pair!r}"
         )
-    return _DETECTOR_CHAR[pair[0]], _DETECTOR_CHAR[pair[1]]
+    return CHSH_PAIRS.index(tuple(pair))
+
+
+def _sign_rows(dist: OutcomeDistribution) -> np.ndarray:
+    """Rows of CHSH_SIGNS in the order of the distribution's labels."""
+    if dist.labels == QUAD_LABELS:
+        return CHSH_SIGNS
+    if set(dist.labels) != set(QUAD_LABELS):
+        raise DomainError("distribution does not carry quadrivariate outcome labels")
+    return CHSH_SIGNS[[_QUAD_INDEX[label] for label in dist.labels]]
 
 
 def correlation_from_distribution(
@@ -124,15 +183,8 @@ def correlation_from_distribution(
     pair: tuple[str, str],
 ) -> float:
     """Expected product of two detectors' +-1 click signs under `dist`."""
-    pos_a, pos_b = _validate_pair(pair)
-    if set(dist.labels) != set(QUAD_LABELS):
-        raise DomainError("distribution does not carry quadrivariate outcome labels")
-    total = 0.0
-    for label, p in zip(dist.labels, dist.probs):
-        sign_a = 1.0 if label[pos_a] == "+" else -1.0
-        sign_b = 1.0 if label[pos_b] == "+" else -1.0
-        total += float(p) * sign_a * sign_b
-    return total
+    column = _pair_column(pair)
+    return float(dist.probs @ _sign_rows(dist)[:, column])
 
 
 def detector_correlation(
@@ -176,8 +228,7 @@ def chsh_report_from_distribution(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ChshReport:
     """CHSH statistics of one quadrivariate distribution (single-run form)."""
-    values = [correlation_from_distribution(dist, pair) for pair in CHSH_PAIRS]
-    return _combine(values, policy=policy)
+    return _combine((dist.probs @ _sign_rows(dist)).tolist(), policy=policy)
 
 
 def chsh_single_run(
@@ -211,21 +262,21 @@ def chsh_aspect(
     the single-run bound of 2 does not apply; a singlet state at analyzer
     angles (0, 45, 22.5, 67.5 degrees) reaches |s_value| = 2*sqrt(2).
     """
-    corners = (
-        (1.0, 1.0, ("D1", "D2")),
-        (1.0, 0.0, ("D1", "D2'")),
-        (0.0, 1.0, ("D1'", "D2")),
-        (0.0, 0.0, ("D1'", "D2'")),
+    if state.dim != 4:
+        raise ShapeMismatchError(f"two-photon state must have dimension 4, got {state.dim}")
+    # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
+    # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
+    arms = _arm_stacks(
+        ([1.0, 0.0], theta1, theta1_prime), ([1.0, 0.0], theta2, theta2_prime), policy=policy
     )
-    values = []
-    for gamma1, gamma2, pair in corners:
-        config = BellConfig(
-            arm1=WhichWayConfig(gamma1, theta1, theta1_prime),
-            arm2=WhichWayConfig(gamma2, theta2, theta2_prime),
-            state=state,
-        )
-        values.append(detector_correlation(build_bell(config, policy=policy), pair, policy=policy))
-    return _combine(values, policy=policy)
+    corners = _joint_effects(arms[0], arms[1])
+    validate_effect_stack(corners, QUAD_LABELS, policy=policy)
+    values = born_values(state, corners, QUAD_LABELS, policy=policy)
+    correlations = []
+    for c, row in enumerate(values):
+        dist = OutcomeDistribution.from_values(QUAD_LABELS, row, policy=policy)
+        correlations.append(float(dist.probs @ CHSH_SIGNS[:, c]))
+    return _combine(correlations, policy=policy)
 
 
 def singlet_state() -> StateDescriptor:

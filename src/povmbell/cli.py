@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -41,9 +42,9 @@ from .bell import (
 )
 from .errors import ConfigError, PovmBellError
 from .infometrics import martens_check, martens_sweep
-from .measurement import born_probabilities
+from .measurement import OutcomeDistribution, born_probabilities
 from .qcore import DEFAULT_POLICY, StateDescriptor
-from .sampler import EventLog, empirical_chsh, empirical_frequencies, sample
+from .sampler import EventLog, empirical_frequencies, sample
 from .whichway import (
     BivariateWhichWay,
     WhichWayConfig,
@@ -492,9 +493,11 @@ def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     payload.pop("out", None)  # presentation only, must not change log bytes
     payload.pop("format", None)
     descriptor = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    log = sample(povm, state, spec.n_events, spec.seed, config_descriptor=descriptor)
-    write_event_log(log, spec.out)
     analytic = born_probabilities(state, povm)
+    log = sample(
+        povm, state, spec.n_events, spec.seed, config_descriptor=descriptor, distribution=analytic
+    )
+    write_event_log(log, spec.out)
     freqs = empirical_frequencies(log)
     row: dict = {
         "experiment": spec.experiment,
@@ -514,7 +517,13 @@ def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
         row["max_abs_deviation"] = None
     if spec.experiment == "bell":
         row["s_analytic"] = chsh_report_from_distribution(analytic).s_value
-        row["s_empirical"] = empirical_chsh(log).s_value if log.count else None
+        row["s_empirical"] = None
+        if log.count:
+            # the frequencies as a distribution, as empirical_chsh forms them
+            empirical = OutcomeDistribution.from_values(
+                povm.labels, [freqs[label] for label in povm.labels]
+            )
+            row["s_empirical"] = chsh_report_from_distribution(empirical).s_value
     return list(row.keys()), [row]
 
 
@@ -684,6 +693,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds its parser on its first call and reuses it: parse_args leaves a
+# parser unchanged, and building one costs about a millisecond per call
+_main_parser = functools.cache(build_parser)
+
+
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -713,7 +727,7 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
         columns, rows = _RUNNERS[spec.kind](spec)

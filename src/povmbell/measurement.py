@@ -1,11 +1,14 @@
 """Generalized measurements: effects, POVM/PVM validation, Born-rule distributions.
 
 A measurement is a labeled collection of positive operators (effects) summing
-to the identity. `validate_povm` is the single gate every measurement object
-passes through; it returns the sharper `Pvm` type when the effects turn out
-to be mutually orthogonal projectors. It checks the axioms with
+to the identity. Every measurement object passes through `validate_povm`
+(effects given one by one) or `povm_from_stack` (one (k, d, d) effect
+stack); both return the sharper `Pvm` type when the effects turn out to be
+mutually orthogonal projectors. They check the axioms with
 `validate_effect_stack`, which also checks whole batches of measurements
 (an effect stack of shape (..., k, d, d)) without building objects for them.
+A `Povm` keeps its effects as one frozen stack, so the Born rule
+(`born_values`) is one einsum over it, or over a whole batch of stacks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .qcore import (
     PolarizationAngle,
     StateDescriptor,
     as_matrix,
-    expectation,
     identity,
     projector_from_angle,
 )
@@ -42,6 +44,8 @@ __all__ = [
     "OutcomeDistribution",
     "validate_povm",
     "validate_effect_stack",
+    "povm_from_stack",
+    "born_values",
     "born_probabilities",
     "polarization_pvm",
 ]
@@ -68,26 +72,43 @@ class Effect:
 
 @dataclass(frozen=True)
 class Povm:
-    """A validated positive-operator-valued measure. Build via validate_povm()."""
+    """A validated positive-operator-valued measure.
 
-    effects: tuple[Effect, ...]
+    Build via validate_povm() or povm_from_stack(). The effects are held as
+    one frozen (k, d, d) complex `stack`, in the order of `labels`;
+    `effects`, `effect(label)`, `len` and iteration present it as Effect
+    objects.
+    """
+
+    stack: np.ndarray
+    labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        stack = np.array(self.stack, dtype=np.complex128)
+        labels = tuple(str(label) for label in self.labels)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] != len(labels):
+            raise ShapeMismatchError(
+                f"effect stack of shape {stack.shape} does not fit {len(labels)} labels"
+            )
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return int(self.stack.shape[-1])
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.effects)
+    def effects(self) -> tuple[Effect, ...]:
+        return tuple(Effect(matrix, label) for matrix, label in zip(self.stack, self.labels))
 
     def effect(self, label: str) -> Effect:
-        for e in self.effects:
-            if e.label == label:
-                return e
-        raise DomainError(f"no effect labeled {label!r}")
+        if label not in self.labels:
+            raise DomainError(f"no effect labeled {label!r}")
+        return Effect(self.stack[self.labels.index(label)], label)
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.effects)
@@ -177,8 +198,8 @@ def validate_effect_stack(
     diagonal = np.arange(k)
     blocks[..., diagonal, diagonal, :, :] -= effects
     block_of = np.arange(k * dim) // dim
-    residue = np.abs(products[..., block_of[:, None] <= block_of])
-    return residue.max(axis=-1) <= policy.atol_algebra
+    residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
+    return residue.max(axis=(-2, -1)) <= policy.atol_algebra
 
 
 def validate_povm(
@@ -211,13 +232,33 @@ def validate_povm(
             raise ShapeMismatchError(
                 f"effect {e.label!r} has dimension {e.dim}, expected {dim}"
             )
-    labels = [e.label for e in items]
-    if len(set(labels)) != len(labels):
-        raise DomainError(f"outcome labels must be unique, got {labels}")
+    return povm_from_stack(
+        np.array([e.matrix for e in items]), [e.label for e in items], policy=policy
+    )
 
-    sharp = validate_effect_stack(np.array([e.matrix for e in items]), labels, policy=policy)
+
+def povm_from_stack(
+    stack: object,
+    labels: Sequence[str],
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> Povm:
+    """Check the POVM axioms on one (k, d, d) effect stack and classify it.
+
+    The labels must be unique. The axioms are checked by one
+    `validate_effect_stack` call; returns a Pvm when the measurement is
+    sharp, otherwise a plain Povm.
+    """
+    if np.ndim(stack) != 3:
+        raise ShapeMismatchError(
+            f"one measurement needs a (k, d, d) stack, got ndim={np.ndim(stack)}"
+        )
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"outcome labels must be unique, got {list(labels)}")
+    sharp = validate_effect_stack(stack, labels, policy=policy)
     cls = Pvm if bool(sharp) else Povm
-    return cls(effects=tuple(items))
+    return cls(stack=stack, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -275,26 +316,51 @@ class OutcomeDistribution:
         return {lbl: float(p) for lbl, p in zip(self.labels, self.probs)}
 
 
+def born_values(
+    state: StateDescriptor,
+    stack: object,
+    labels: Sequence[str],
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> np.ndarray:
+    """Born-rule values of every effect of an effect stack, by one einsum.
+
+    `stack` has shape (..., k, d, d), its effects labeled by `labels`; the
+    result has shape (..., k): <psi|E|psi> for a pure state, Tr(rho E)
+    otherwise. Values of validated effects are real up to rounding; an
+    imaginary part beyond atol_positivity means the inputs broke contract,
+    and raises InvariantViolationError naming the first such effect (batch
+    entries and effects in input order).
+    """
+    effects = np.asarray(stack, dtype=np.complex128)
+    dim = state.dim
+    if effects.ndim < 3 or effects.shape[-2:] != (dim, dim):
+        raise ShapeMismatchError(
+            f"effect shape {effects.shape[-2:]} does not match state dimension {dim}"
+        )
+    if state.is_pure:
+        vec = state.vector
+        values = np.einsum("i,...ij,j->...", vec.conj(), effects, vec)
+    else:
+        values = np.einsum("ji,...ij->...", state.matrix, effects)
+    residue = np.abs(values.imag)
+    if residue.max() > policy.atol_positivity:
+        at = np.unravel_index(int(np.argmax(residue > policy.atol_positivity)), residue.shape)
+        raise InvariantViolationError(
+            f"effect {labels[at[-1]]!r} produced non-real probability {complex(values[at])!r}"
+        )
+    return values.real
+
+
 def born_probabilities(
     state: StateDescriptor,
     povm: Povm,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> OutcomeDistribution:
-    """Outcome distribution of `povm` in `state` via the Born rule.
-
-    Expectation values of validated effects are real up to rounding; a
-    residual imaginary part beyond tolerance means the inputs broke contract.
-    """
-    raw: list[float] = []
-    for e in povm.effects:
-        value = expectation(state, e.matrix)
-        if abs(value.imag) > policy.atol_positivity:
-            raise InvariantViolationError(
-                f"effect {e.label!r} produced non-real probability {value!r}"
-            )
-        raw.append(value.real)
-    return OutcomeDistribution.from_values(povm.labels, raw, policy=policy)
+    """Outcome distribution of `povm` in `state` via the Born rule (see `born_values`)."""
+    values = born_values(state, povm.stack, povm.labels, policy=policy)
+    return OutcomeDistribution.from_values(povm.labels, values, policy=policy)
 
 
 def polarization_pvm(

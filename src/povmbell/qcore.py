@@ -30,8 +30,6 @@ __all__ = [
     "expectation",
     "hermiticity_defect",
     "identity",
-    "is_hermitian",
-    "kron",
     "matmul",
     "projector_from_angle",
     "PAULI_X",
@@ -83,23 +81,12 @@ def matmul(a: object, b: object) -> ComplexMatrix:
     return out
 
 
-def kron(a: object, b: object) -> ComplexMatrix:
-    """Tensor (Kronecker) product; row-major composite index order."""
-    out = np.kron(as_matrix(a), as_matrix(b))
-    out.setflags(write=False)
-    return out
-
-
 def hermiticity_defect(mat: object) -> float:
     """Largest entry-wise deviation of a square matrix from its adjoint."""
     m = as_matrix(mat)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"hermiticity is defined for square matrices, got {m.shape}")
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def is_hermitian(mat: object, atol: float = DEFAULT_POLICY.atol_algebra) -> bool:
-    return hermiticity_defect(mat) <= atol
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ def sample(
     seed: int,
     *,
     config_descriptor: str = "",
+    distribution: OutcomeDistribution | None = None,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> EventLog:
     """Draw `n` outcomes of `povm` in `state`.
@@ -72,20 +73,27 @@ def sample(
     Sampling inverts the cumulative distribution over the POVM's label order;
     the uniform variates come from numpy's Philox generator seeded with
     `seed` (a 64-bit unsigned integer). n = 0 is allowed and yields an empty
-    log.
+    log. A caller that already holds the Born distribution of `povm` in
+    `state` passes it as `distribution`; it must carry the POVM's labels in
+    the POVM's order.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"event count must be a nonnegative integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed <= _MAX_SEED:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
-    dist = born_probabilities(state, povm, policy=policy)
-    cdf = np.cumsum(dist.probs)
+    if distribution is None:
+        distribution = born_probabilities(state, povm, policy=policy)
+    elif distribution.labels != povm.labels:
+        raise DomainError(
+            f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
+        )
+    cdf = np.cumsum(distribution.probs)
     cdf[-1] = max(float(cdf[-1]), 1.0)  # guard the searchsorted upper edge
     rng = np.random.Generator(np.random.Philox(int(seed)))
     draws = rng.random(int(n))
     indices = np.searchsorted(cdf, draws, side="right")
-    labels = dist.labels
+    labels = distribution.labels
     events = tuple(labels[int(i)] for i in indices)
     descriptor = config_descriptor or f"povm(dim={povm.dim},labels={','.join(labels)})"
     return EventLog(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .measurement import OutcomeDistribution, Povm, born_probabilities, validate_povm
+from .measurement import OutcomeDistribution, Povm, born_probabilities, povm_from_stack
 from .qcore import (
     DEFAULT_POLICY,
     NumericPolicy,
@@ -119,8 +119,7 @@ def build_whichway(
 ) -> BivariateWhichWay:
     """Construct and validate the 4-effect which-way POVM (see `whichway_effects`)."""
     effects = whichway_effects(config.gamma, config.theta, config.theta_prime)
-    povm = validate_povm(zip(effects, WW_LABELS), policy=policy)
-    return BivariateWhichWay(config=config, povm=povm)
+    return BivariateWhichWay(config=config, povm=povm_from_stack(effects, WW_LABELS, policy=policy))
 
 
 def joint_distribution(

@@ -7,19 +7,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_bell_config, random_pure, random_whichway_config
+from helpers import random_bell_config, random_density, random_pure, random_whichway_config
 from povmbell import (
     CHSH_PAIRS,
+    CHSH_SIGNS,
     QUAD_LABELS,
     BellConfig,
     DomainError,
+    NotCompleteError,
+    NotHermitianError,
+    NotPositiveError,
+    OutcomeDistribution,
     ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
     build_bell,
     build_whichway,
     chsh_aspect,
+    chsh_report_from_distribution,
     chsh_single_run,
     correlation_from_distribution,
     detector_correlation,
@@ -28,6 +36,13 @@ from povmbell import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# property tests stay deterministic and small enough for the tier-1 run
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+# transmissivities with the corner values 0 and 1 drawn often
+GAMMAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+ANGLES = st.floats(0.0, math.pi)
 
 
 def quad_probs_oracle(config: BellConfig) -> dict[str, float]:
@@ -58,6 +73,43 @@ def quad_probs_oracle(config: BellConfig) -> dict[str, float]:
         for l2, m2 in arm2.items():
             probs[f"{l1},{l2}"] = float(np.real(np.trace(rho @ np.kron(m1, m2))))
     return probs
+
+
+def aspect_oracle(state, theta1, theta1_prime, theta2, theta2_prime) -> list[float]:
+    """The four pooled correlations, one build_bell and one detector_correlation per corner."""
+    corners = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    values = []
+    for (gamma1, gamma2), pair in zip(corners, CHSH_PAIRS):
+        config = BellConfig(
+            arm1=WhichWayConfig(gamma1, theta1, theta1_prime),
+            arm2=WhichWayConfig(gamma2, theta2, theta2_prime),
+            state=state,
+        )
+        values.append(detector_correlation(build_bell(config), pair))
+    return values
+
+
+def detector_sign(label: str, detector: str) -> float:
+    """+1 if `detector` fired in quadrivariate outcome `label`, else -1."""
+    arm1, arm2 = label.split(",")
+    record = {"D1": arm1[0], "D1'": arm1[1], "D2": arm2[0], "D2'": arm2[1]}[detector]
+    return 1.0 if record == "+" else -1.0
+
+
+def negate_reflected(stack: np.ndarray) -> np.ndarray:
+    """Which-way effects -E(-+) and E(--) + 2 E(-+): still complete, no longer positive."""
+    out = stack.copy()
+    out[..., 3, :, :] += 2.0 * stack[..., 2, :, :]
+    out[..., 2, :, :] *= -1.0
+    return out
+
+
+# corruptions of a which-way effect stack, by the error the axiom checks raise
+ARM_CORRUPTIONS = {
+    NotHermitianError: lambda stack: stack + np.array([[0.0, 1e-3], [0.0, 0.0]]),
+    NotPositiveError: negate_reflected,
+    NotCompleteError: lambda stack: stack * 0.9,
+}
 
 
 def singlet_corr(a: float, b: float) -> float:
@@ -95,6 +147,21 @@ class TestBuildBell:
                     got = bell.povm.effect(f"{e1.label},{e2.label}").matrix
                     want = np.kron(e1.matrix, e2.matrix)
                     assert np.max(np.abs(got - want)) <= 1e-12
+
+    @PROPERTY
+    @given(GAMMAS, ANGLES, ANGLES, GAMMAS, ANGLES, ANGLES)
+    def test_effects_equal_kron_of_arm_effects_bitwise(self, g1, t1, t1p, g2, t2, t2p):
+        config = BellConfig(
+            arm1=WhichWayConfig(g1, t1, t1p),
+            arm2=WhichWayConfig(g2, t2, t2p),
+            state=singlet_state(),
+        )
+        bell = build_bell(config)
+        arm1 = build_whichway(config.arm1).povm
+        arm2 = build_whichway(config.arm2).povm
+        want = np.array([np.kron(e1.matrix, e2.matrix) for e1 in arm1 for e2 in arm2])
+        assert bell.povm.stack.tobytes() == want.tobytes()
+        assert bell.povm.labels == tuple(f"{a},{b}" for a in arm1.labels for b in arm2.labels)
 
     def test_completeness(self):
         rng = np.random.default_rng(503)
@@ -192,6 +259,31 @@ class TestDetectorCorrelation:
             correlation_from_distribution(dist, ("D1", "D2"))
 
 
+class TestSignTable:
+    def test_matches_label_parsing(self):
+        assert CHSH_SIGNS.shape == (16, 4)
+        for q, label in enumerate(QUAD_LABELS):
+            for c, (a, b) in enumerate(CHSH_PAIRS):
+                assert CHSH_SIGNS[q, c] == detector_sign(label, a) * detector_sign(label, b)
+
+    def test_permuted_labels_give_same_correlations(self):
+        rng = np.random.default_rng(513)
+        dist = quad_distribution(build_bell(random_bell_config(rng)))
+        order = rng.permutation(16)
+        permuted = OutcomeDistribution(
+            tuple(dist.labels[i] for i in order), dist.probs[order]
+        )
+        for pair in CHSH_PAIRS:
+            assert correlation_from_distribution(permuted, pair) == pytest.approx(
+                correlation_from_distribution(dist, pair), abs=1e-15
+            )
+        got = chsh_report_from_distribution(permuted)
+        want = chsh_report_from_distribution(dist)
+        for key, value in want.correlations.items():
+            assert got.correlations[key] == pytest.approx(value, abs=1e-15)
+        assert got.s_value == pytest.approx(want.s_value, abs=1e-15)
+
+
 class TestChshSingleRun:
     def test_never_violates(self):
         rng = np.random.default_rng(507)
@@ -284,6 +376,40 @@ class TestChshAspect:
             single = chsh_single_run(build_bell(config))
             assert abs(single.s_value) <= 2.0 + 1e-10
             assert abs(single.s_value - pooled.s_value) > 0.5
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.booleans(), ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_matches_per_corner_oracle(self, seed, pure, t1, t1p, t2, t2p):
+        rng = np.random.default_rng(seed)
+        state = random_pure(rng, 4) if pure else random_density(rng, 4)
+        report = chsh_aspect(state, t1, t1p, t2, t2p)
+        want = aspect_oracle(state, t1, t1p, t2, t2p)
+        got = [report.correlations[f"{a},{b}"] for a, b in CHSH_PAIRS]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+        assert abs(report.s_value - (want[0] - want[1] + want[2] + want[3])) <= 1e-15
+
+
+class TestInvalidArmStacks:
+    """A broken arm effect stack is refused by the batched paths as by build_whichway."""
+
+    @pytest.mark.parametrize("error", list(ARM_CORRUPTIONS))
+    def test_same_error_type_as_build_whichway(self, monkeypatch, error):
+        from povmbell import bell, whichway
+
+        original = whichway.whichway_effects
+
+        def broken(gammas, theta, theta_prime):
+            return ARM_CORRUPTIONS[error](original(gammas, theta, theta_prime))
+
+        monkeypatch.setattr(whichway, "whichway_effects", broken)
+        monkeypatch.setattr(bell, "whichway_effects", broken)
+        arm = WhichWayConfig(0.6, 0.2, 1.1)
+        with pytest.raises(error):
+            build_whichway(arm)
+        with pytest.raises(error):
+            build_bell(BellConfig(arm1=arm, arm2=arm, state=singlet_state()))
+        with pytest.raises(error):
+            chsh_aspect(singlet_state(), 0.2, 1.1, 0.4, 1.3)
 
 
 class TestNoSignaling:

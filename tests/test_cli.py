@@ -394,6 +394,38 @@ class TestSampleCommand:
         log = read_event_log(out)
         assert log.count == 0
 
+    @pytest.mark.parametrize("experiment", ["bell", "whichway"])
+    def test_born_rule_and_frequencies_run_once(self, tmp_path, capsys, monkeypatch, experiment):
+        from povmbell import bell, cli, measurement, sampler, whichway
+        from povmbell.sampler import empirical_chsh
+
+        calls = {"born_probabilities": 0, "empirical_frequencies": 0}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            for holder in (measurement, sampler, whichway, bell, cli):
+                if getattr(holder, name, None) is original:
+                    monkeypatch.setattr(holder, name, counted)
+
+        spy(measurement, "born_probabilities")
+        spy(sampler, "empirical_frequencies")
+        fields = BELL_PAYLOAD if experiment == "bell" else WW_PAYLOAD
+        config = write_config(
+            tmp_path, {"experiment": experiment, **fields, "n_events": 3000, "seed": 5}
+        )
+        out = tmp_path / "events.log"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        assert calls == {"born_probabilities": 1, "empirical_frequencies": 1}
+        row = parse_csv(capsys.readouterr().out)[0]
+        if experiment == "bell":
+            s_empirical = empirical_chsh(read_event_log(out)).s_value
+            assert row["s_empirical"] == format(s_empirical, ".17g")
+
     def test_missing_out_is_config_error(self, tmp_path, capsys):
         payload = {
             "experiment": "whichway",
@@ -514,6 +546,17 @@ class TestParser:
         for command in ("whichway", "martens-sweep", "bell", "aspect", "sample"):
             args = parser.parse_args([command, "--config", "x.json"])
             assert args.command == command
+
+    def test_main_reuses_its_parser_across_calls(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"kind": "bell", **BELL_PAYLOAD})
+        assert main(["bell", "--config", config]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["bell"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert main(["bell", "--config", config]) == 0
+        assert capsys.readouterr().out == first
 
     def test_spec_dataclass_defaults(self):
         spec = ExperimentSpec(kind="whichway")

@@ -23,8 +23,6 @@ from povmbell import (
     expectation,
     hermiticity_defect,
     identity,
-    is_hermitian,
-    kron,
     matmul,
     projector_from_angle,
 )
@@ -41,18 +39,6 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for k in range(inner):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
-    return out
-
-
-def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index-formula tensor product: out[i*rb+k, j*cb+l] = a[i,j] * b[k,l]."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
     return out
 
 
@@ -117,53 +103,15 @@ class TestMatmul:
         assert np.allclose(xy_minus_yx, 2j * np.asarray(PAULI_Z), atol=1e-15)
 
 
-class TestKron:
-    def test_identity_composition(self):
-        assert np.allclose(kron(identity(2), identity(2)), identity(4), atol=0)
-
-    def test_known_entries(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[0, 5], [6, 7]], dtype=complex)
-        got = kron(a, b)
-        assert got.shape == (4, 4)
-        assert got[0, 1] == 5.0  # a[0,0] * b[0,1]
-        assert got[2, 3] == 20.0  # a[1,1] * b[0,1]
-        assert np.max(np.abs(got - kron_oracle(a, b))) == 0.0
-
-    def test_against_index_oracle(self):
-        rng = np.random.default_rng(103)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert np.max(np.abs(kron(a, b) - kron_oracle(a, b))) <= 1e-12
-
-    def test_mixed_shapes(self):
-        rng = np.random.default_rng(104)
-        a = rng.normal(size=(3, 2))
-        b = rng.normal(size=(2, 4))
-        got = kron(a, b)
-        assert got.shape == (6, 8)
-        assert np.max(np.abs(got - kron_oracle(a + 0j, b + 0j))) <= 1e-12
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(105)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        lhs = kron(a, b + c)
-        rhs = kron(a, b) + kron(a, c)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
 class TestHermiticity:
     def test_defect_zero_for_hermitian(self):
         rng = np.random.default_rng(106)
         h = random_hermitian(rng, 3)
         assert hermiticity_defect(h) == 0.0
-        assert is_hermitian(h)
 
     def test_detects_non_hermitian(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         assert hermiticity_defect(m) == 1.0
-        assert not is_hermitian(m)
 
     def test_rejects_rectangular(self):
         with pytest.raises(ShapeMismatchError):
