@@ -75,6 +75,7 @@ from .qcore import (
 )
 from .sampler import (
     GENERATOR_NAME,
+    LOG_CHUNK,
     EventLog,
     empirical_chsh,
     empirical_frequencies,

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .qcore import (
     DEFAULT_POLICY,
+    ArrayRecord,
     ComplexMatrix,
     NumericPolicy,
     PolarizationAngle,
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Effect:
+@dataclass(frozen=True, eq=False)
+class Effect(ArrayRecord):
     """One positive operator of a measurement, tagged with its outcome label."""
 
     matrix: ComplexMatrix
@@ -70,8 +71,8 @@ class Effect:
         return int(self.matrix.shape[0])
 
 
-@dataclass(frozen=True)
-class Povm:
+@dataclass(frozen=True, eq=False)
+class Povm(ArrayRecord):
     """A validated positive-operator-valued measure.
 
     Build via validate_povm() or povm_from_stack(). The effects are held as
@@ -114,7 +115,7 @@ class Povm:
         return iter(self.effects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pvm(Povm):
     """A POVM whose effects are mutually orthogonal projectors (a sharp measurement)."""
 
@@ -134,7 +135,8 @@ def validate_effect_stack(
     NotHermitianError, NotPositiveError or NotCompleteError; it names the
     first offending effect (batch entries and effects in input order) and
     carries that effect's deviation, or the failing measurement's
-    completeness defect.
+    completeness defect. An effect with a NaN or infinite entry fails the
+    hermiticity check.
 
     Returns a boolean array of the batch shape: True where the measurement
     is sharp, i.e. every effect is idempotent and distinct effects are
@@ -154,11 +156,13 @@ def validate_effect_stack(
         return np.unravel_index(int(np.argmax(failing)), failing.shape)
 
     # each check first reduces the whole stack at once; the per-effect
-    # reductions that name the culprit run only once a check has failed
+    # reductions that name the culprit run only once a check has failed.
+    # Any NaN or infinite entry gives a NaN or infinite hermiticity defect,
+    # and the test is phrased so that a NaN defect fails it.
     herm = np.abs(effects - effects.swapaxes(-1, -2).conj())
-    if herm.max(initial=0.0) > policy.atol_algebra:
+    if not herm.max(initial=0.0) <= policy.atol_algebra:
         herm_defects = herm.max(axis=(-2, -1))
-        at = first(herm_defects > policy.atol_algebra)
+        at = first(~(herm_defects <= policy.atol_algebra))
         defect = float(herm_defects[at])
         raise NotHermitianError(
             f"effect {labels[at[-1]]!r} is not Hermitian (max deviation {defect:.3e})",
@@ -261,8 +265,8 @@ def povm_from_stack(
     return cls(stack=stack, labels=labels)
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+@dataclass(frozen=True, eq=False)
+class OutcomeDistribution(ArrayRecord):
     """Probabilities over a fixed ordered label set; sums to one."""
 
     labels: tuple[str, ...]
@@ -289,7 +293,8 @@ class OutcomeDistribution:
         """Clamp floating-point dust, renormalize, and validate.
 
         Values below -atol_positivity or a total off from 1 by more than
-        atol_positivity are treated as genuine contract violations, not noise.
+        atol_positivity are treated as genuine contract violations, not noise;
+        so is any NaN or infinite value, which makes the total NaN or infinite.
         """
         probs = np.array(values, dtype=np.float64)
         lowest = float(probs.min())
@@ -298,7 +303,7 @@ class OutcomeDistribution:
                 f"probability {lowest!r} is negative beyond tolerance {policy.atol_positivity}"
             )
         total = float(probs.sum())
-        if abs(total - 1.0) > policy.atol_positivity:
+        if not abs(total - 1.0) <= policy.atol_positivity:  # a NaN total fails too
             raise InvariantViolationError(
                 f"probabilities sum to {total!r}; must equal 1 within {policy.atol_positivity}"
             )

@@ -9,6 +9,7 @@ so shared references cannot be mutated behind a caller's back.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,33 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+class ArrayRecord:
+    """Value equality for frozen dataclasses that hold numpy arrays.
+
+    A dataclass-generated __eq__ compares field tuples, which raises on array
+    fields (the truth value of an elementwise comparison is ambiguous). Two
+    records are equal when they have the same class, their array fields are
+    equal per `np.array_equal` (same shape and values) and their other fields
+    compare equal. Records stay unhashable, as their arrays are. Subclasses
+    are declared with `@dataclass(eq=False)` so they inherit this __eq__.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for field in dataclasses.fields(self):  # type: ignore[arg-type]
+            mine, theirs = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
 
 def as_matrix(values: object) -> ComplexMatrix:

@@ -3,23 +3,30 @@
 Events are drawn by inverse-CDF lookup over the POVM's fixed label order
 using a Philox counter-based generator, so a (povm, state, seed) triple
 always reproduces the identical event sequence, across runs and platforms.
+An event log holds its events as one read-only array of indices into its
+label set, one byte per event for up to 256 labels; the uniform variates
+are drawn LOG_CHUNK at a time, so sampling needs the index array plus one
+chunk of working memory.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
 from .errors import DomainError
 from .measurement import OutcomeDistribution, Povm, born_probabilities
-from .qcore import DEFAULT_POLICY, NumericPolicy, StateDescriptor
+from .qcore import DEFAULT_POLICY, ArrayRecord, NumericPolicy, StateDescriptor
 
 __all__ = [
     "GENERATOR_NAME",
+    "LOG_CHUNK",
     "EventLog",
+    "check_label_set",
+    "index_dtype",
     "sample",
     "empirical_frequencies",
     "empirical_chsh",
@@ -28,34 +35,111 @@ __all__ = [
 GENERATOR_NAME = "philox"
 _MAX_SEED = 2**64 - 1
 
+# Events per chunk of drawing, counting, writing and reading. Philox draws in
+# chunks continue one stream, so chunking never changes a log's events; the
+# chunk bounds working memory (here about 1 MB of float64 variates and their
+# searchsorted positions) independently of the event count.
+LOG_CHUNK = 1 << 16
 
-@dataclass(frozen=True)
-class EventLog:
-    """An ordered record of sampled outcome labels plus the settings behind it.
+
+def check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
+    """Return `label_set` as a tuple, or raise DomainError if the v1 log format
+    cannot round-trip it.
+
+    The format stores the labels space-separated on one header line and one
+    event label per line, and reads '#' lines as header, so the labels must be
+    nonempty, unique, free of whitespace and must not start with '#'; the set
+    must hold at least one label.
+    """
+    labels = tuple(label_set)
+    if not labels:
+        raise DomainError("an event log needs at least one label")
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise DomainError(f"event labels must be nonempty strings, got {label!r}")
+        if any(char.isspace() for char in label):
+            raise DomainError(f"event label {label!r} contains whitespace")
+        if label.startswith("#"):
+            raise DomainError(f"event label {label!r} starts with '#'")
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"event labels must be unique, got {list(labels)}")
+    return labels
+
+
+def index_dtype(n_labels: int) -> np.dtype:
+    """Smallest unsigned integer dtype that indexes `n_labels` labels (uint8 up to 256)."""
+    return np.min_scalar_type(max(n_labels - 1, 0))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class EventLog(ArrayRecord):
+    """An ordered record of sampled outcomes plus the settings behind it.
 
     `config` is an opaque descriptor of the experiment that produced the log
     (the CLI stores canonical config JSON there); `label_set` is the POVM's
     full outcome alphabet in effect order, which may include labels that
-    never occurred.
+    never occurred. The events are held as `indices`, a read-only array of
+    positions in `label_set` with dtype `index_dtype(len(label_set))`;
+    `events` derives the tuple of labels from it.
+
+    Construct with the events either as labels (`events=`) or as indices
+    (`indices=`); a writable or differently typed index array is copied.
+    Raises DomainError for an event outside the label set, or for a label set
+    the log format cannot round-trip (see `check_label_set`).
     """
 
     config: str
     generator: str
     seed: int
     label_set: tuple[str, ...]
-    events: tuple[str, ...]
+    indices: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label_set", tuple(self.label_set))
-        object.__setattr__(self, "events", tuple(self.events))
-        allowed = set(self.label_set)
-        for event in self.events:
-            if event not in allowed:
-                raise DomainError(f"event label {event!r} is not in the log's label set")
+    def __init__(
+        self,
+        config: str,
+        generator: str,
+        seed: int,
+        label_set: Sequence[str],
+        events: Sequence[str] | None = None,
+        *,
+        indices: object | None = None,
+    ) -> None:
+        label_set = check_label_set(label_set)
+        dtype = index_dtype(len(label_set))
+        if (events is None) == (indices is None):
+            raise TypeError("give the events either as labels (events=) or as indices (indices=)")
+        if events is not None:
+            position = {label: i for i, label in enumerate(label_set)}
+            try:
+                found = [position[event] for event in events]
+            except KeyError as exc:
+                raise DomainError(
+                    f"event label {exc.args[0]!r} is not in the log's label set"
+                ) from None
+            array = np.array(found, dtype=dtype)
+        else:
+            array = np.asarray(indices)
+            if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+                raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
+            if array.size and not 0 <= array.min() <= array.max() < len(label_set):
+                raise DomainError(f"event indices must lie in [0, {len(label_set)})")
+            if array.flags.writeable or array.dtype != dtype:
+                array = array.astype(dtype)
+        array.setflags(write=False)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "indices", array)
 
     @property
     def count(self) -> int:
-        return len(self.events)
+        return int(self.indices.shape[0])
+
+    @property
+    def events(self) -> tuple[str, ...]:
+        """The events as labels (builds one Python reference per event)."""
+        return tuple(map(self.label_set.__getitem__, self.indices.tolist()))
 
 
 def sample(
@@ -72,10 +156,11 @@ def sample(
 
     Sampling inverts the cumulative distribution over the POVM's label order;
     the uniform variates come from numpy's Philox generator seeded with
-    `seed` (a 64-bit unsigned integer). n = 0 is allowed and yields an empty
-    log. A caller that already holds the Born distribution of `povm` in
-    `state` passes it as `distribution`; it must carry the POVM's labels in
-    the POVM's order.
+    `seed` (a 64-bit unsigned integer), drawn LOG_CHUNK at a time into a
+    preallocated index array. n = 0 is allowed and yields an empty log. A
+    caller that already holds the Born distribution of `povm` in `state`
+    passes it as `distribution`; it must carry the POVM's labels in the
+    POVM's order and finite probabilities.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"event count must be a nonnegative integer, got {n!r}")
@@ -88,30 +173,38 @@ def sample(
         raise DomainError(
             f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
         )
+    labels = distribution.labels
     cdf = np.cumsum(distribution.probs)
+    if not np.isfinite(cdf[-1]):
+        raise DomainError(f"outcome probabilities must be finite, got {distribution.probs.tolist()}")
     cdf[-1] = max(float(cdf[-1]), 1.0)  # guard the searchsorted upper edge
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    draws = rng.random(int(n))
-    indices = np.searchsorted(cdf, draws, side="right")
-    labels = distribution.labels
-    events = tuple(labels[int(i)] for i in indices)
+    n = int(n)
+    indices = np.empty(n, dtype=index_dtype(len(labels)))
+    for start in range(0, n, LOG_CHUNK):
+        stop = min(start + LOG_CHUNK, n)
+        indices[start:stop] = np.searchsorted(cdf, rng.random(stop - start), side="right")
+    indices.setflags(write=False)
     descriptor = config_descriptor or f"povm(dim={povm.dim},labels={','.join(labels)})"
     return EventLog(
         config=descriptor,
         generator=GENERATOR_NAME,
         seed=int(seed),
         label_set=labels,
-        events=events,
+        indices=indices,
     )
 
 
 def empirical_frequencies(log: EventLog) -> dict[str, float]:
     """Relative frequency of every label in the log's alphabet (0 when absent)."""
-    counts = Counter(log.events)
     n = log.count
     if n == 0:
         return {label: 0.0 for label in log.label_set}
-    return {label: counts.get(label, 0) / n for label in log.label_set}
+    counts = np.zeros(len(log.label_set), dtype=np.int64)
+    # bincount casts its input to intp (8 bytes an event), so count by chunks
+    for start in range(0, n, LOG_CHUNK):
+        counts += np.bincount(log.indices[start : start + LOG_CHUNK], minlength=len(counts))
+    return {label: count / n for label, count in zip(log.label_set, counts.tolist())}
 
 
 def empirical_chsh(

@@ -6,6 +6,8 @@ own seed and stays deterministic.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from povmbell import Povm, StateDescriptor, validate_povm
@@ -74,3 +76,26 @@ def random_bell_config(
         arm2=random_whichway_config(rng),
         state=state,
     )
+
+
+def write_event_log_per_line(log, path) -> None:
+    """Reference event-log writer: the header, then one write per event.
+
+    This is the line-by-line writer that `povmbell.cli.write_event_log`
+    replaced; the chunked writer must produce the same bytes.
+    """
+    sha = hashlib.sha256(log.config.encode("utf-8")).hexdigest()
+    lines = [
+        "# povmbell event log v1",
+        f"# config={log.config}",
+        f"# config_sha256={sha}",
+        f"# generator={log.generator}",
+        f"# seed={log.seed}",
+        f"# labels={' '.join(log.label_set)}",
+        f"# count={log.count}",
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+        for event in log.events:
+            fh.write(event + "\n")

@@ -6,11 +6,17 @@ import csv
 import io
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from povmbell import ConfigError, InvariantViolationError
+from helpers import write_event_log_per_line
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError
 from povmbell.cli import (
     ExperimentSpec,
     build_parser,
@@ -21,8 +27,10 @@ from povmbell.cli import (
     spec_to_dict,
     write_event_log,
 )
-from povmbell.sampler import sample
+from povmbell.bell import BellConfig, build_bell, singlet_state
 from povmbell.measurement import polarization_pvm
+from povmbell.sampler import sample
+from povmbell.whichway import WhichWayConfig
 from povmbell.qcore import StateDescriptor
 
 LN2 = math.log(2.0)
@@ -562,3 +570,141 @@ class TestParser:
         spec = ExperimentSpec(kind="whichway")
         assert spec.format == "csv"
         assert spec.out is None
+
+
+def _small_log_text(tmp_path):
+    log = sample(polarization_pvm(0.0), StateDescriptor.pure([0.6, 0.8]), 6, 5)
+    path = tmp_path / "events.log"
+    write_event_log(log, path)
+    return path, path.read_text(encoding="utf-8")
+
+
+class TestMalformedLogBody:
+    def read_error(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            read_event_log(path)
+        assert info.value.field == "log"
+        return str(info.value)
+
+    def test_event_outside_label_set(self, tmp_path):
+        path, text = _small_log_text(tmp_path)
+        message = self.read_error(path, text[: -len("+\n")] + "zzz\n")
+        assert "'zzz'" in message and "event line 6" in message
+
+    def test_header_line_after_first_event(self, tmp_path):
+        path, text = _small_log_text(tmp_path)
+        head, _, body = text.partition("# count=6\n")
+        lines = body.splitlines(keepends=True)
+        # a '# count=' line in the body must not replace the header count
+        tampered = head + "# count=6\n" + lines[0] + "# count=9\n" + "".join(lines[1:])
+        assert "is a header line" in self.read_error(path, tampered)
+
+    def test_count_the_body_cannot_hold(self, tmp_path, monkeypatch):
+        path, text = _small_log_text(tmp_path)
+        allocated = []
+        real_empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *a, **k: allocated.append(a) or real_empty(*a, **k))
+        # a count of 10^15 events would need a petabyte of indices
+        message = self.read_error(path, text.replace("# count=6", "# count=1000000000000000"))
+        assert "bytes" in message
+        assert allocated == []
+        # 7 events need at least 14 bytes, one more than the 6 events hold
+        self.read_error(path, text.replace("# count=6", "# count=7"))
+
+    @pytest.mark.parametrize(
+        ("old", "new"),
+        [
+            ("# count=6", "# count=-1"),
+            ("# count=6", "# count=5"),
+            ("# labels=+ -", "# labels=+ +"),
+            ("# labels=+ -", "# labels=+  -"),
+        ],
+        ids=["negative-count", "fewer-than-events", "duplicate-labels", "empty-label"],
+    )
+    def test_header_disagreeing_with_body(self, tmp_path, old, new):
+        path, text = _small_log_text(tmp_path)
+        assert old in text
+        self.read_error(path, text.replace(old, new, 1))
+
+    def test_blank_and_crlf_lines_are_not_events(self, tmp_path):
+        path, text = _small_log_text(tmp_path)
+        self.read_error(path, text + "\n")
+        self.read_error(path, text.replace("+\n", "+\r\n"))
+
+    def test_missing_final_line_break_is_rejected(self, tmp_path):
+        # cut short mid-line, the last event "ab" would read as the label "a"
+        path = tmp_path / "events.log"
+        write_event_log(EventLog("c", "philox", 0, ("a", "ab"), ("ab", "ab")), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("ab\nab\n")
+        assert "cut short" in self.read_error(path, text[:-2])
+        self.read_error(path, text[:-1])
+
+
+LABEL = st.text(
+    st.characters(codec="utf-8", exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+    min_size=1,
+    max_size=6,
+).filter(lambda label: not label.startswith("#") and not any(c.isspace() for c in label))
+
+
+class TestEventLogRoundTrip:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.lists(LABEL, min_size=1, max_size=12, unique=True),
+        st.sampled_from([0, 1, LOG_CHUNK - 1, LOG_CHUNK + 1, 2 * LOG_CHUNK + 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_write_read_round_trip_and_bytes(self, labels, n, seed):
+        indices = np.random.default_rng(seed).integers(0, len(labels), n)
+        log = EventLog('{"kind":"test"}', "philox", seed, labels, indices=indices)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = Path(tmp) / "events.log", Path(tmp) / "oracle.log"
+            write_event_log(log, path)
+            write_event_log_per_line(log, oracle)
+            assert path.read_bytes() == oracle.read_bytes()
+            assert read_event_log(path) == log
+
+    def test_two_byte_indices_round_trip(self, tmp_path):
+        labels = tuple(f"l{i}" for i in range(300))
+        indices = np.random.default_rng(3).integers(0, 300, LOG_CHUNK + 7)
+        log = EventLog("c", "philox", 3, labels, indices=indices)
+        path = tmp_path / "events.log"
+        write_event_log(log, path)
+        back = read_event_log(path)
+        assert back.indices.dtype == np.uint16
+        assert back == log
+
+
+class TestEventLogMemory:
+    def test_peak_is_the_index_array_plus_a_chunk(self, tmp_path):
+        # tracemalloc counts bytes allocated, so this is deterministic; it
+        # checks memory, not time
+        n = 10**6
+        bell = build_bell(
+            BellConfig(
+                arm1=WhichWayConfig(0.4, 0.0, math.pi / 4),
+                arm2=WhichWayConfig(0.7, math.pi / 8, 3 * math.pi / 8),
+                state=singlet_state(),
+            )
+        )
+        path = tmp_path / "events.log"
+        sample(bell.povm, bell.config.state, 10, 7)  # one-off set-up outside the measurement
+        tracemalloc.start()
+        try:
+            log = sample(bell.povm, bell.config.state, n, 7)
+            sample_peak = tracemalloc.get_traced_memory()[1]
+            write_event_log(log, path)
+            del log
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_event_log(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.count == n and back.indices.itemsize == 1
+        # one byte an event, plus working memory set by the chunk: sample's
+        # float64 variates and searchsorted positions, read's block of lines
+        assert sample_peak <= n + 24 * LOG_CHUNK
+        assert read_peak <= n + 80 * LOG_CHUNK

@@ -318,3 +318,65 @@ class TestOutcomeDistribution:
     def test_as_dict_preserves_order(self):
         dist = OutcomeDistribution.from_values(("x", "y"), [0.25, 0.75])
         assert list(dist.as_dict()) == ["x", "y"]
+
+
+class TestNonFinite:
+    # inf - inf in the hermiticity defect warns before the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_effect_with_non_finite_entry_rejected(self, bad):
+        effect = np.diag([1.0, 0.0]).astype(complex)
+        effect[0, 1] = effect[1, 0] = bad
+        pairs = [(effect, "a"), (np.eye(2) - np.diag([1.0, 0.0]), "b")]
+        with pytest.raises(NotHermitianError, match="'a'"):
+            validate_povm(pairs)
+        with pytest.raises(NotHermitianError):
+            validate_effect_stack(np.array([m for m, _ in pairs]), ["a", "b"])
+
+    def test_all_nan_effect_rejected(self):
+        with pytest.raises(NotHermitianError) as info:
+            validate_povm([(np.full((2, 2), np.nan), "a"), (np.eye(2), "b")])
+        assert math.isnan(info.value.deviation)
+
+    def test_nan_in_batch_names_first_offender(self):
+        stack = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]] * 3, dtype=complex)
+        stack[1, 1, 0, 0] = np.nan
+        with pytest.raises(NotHermitianError, match="'b'"):
+            validate_effect_stack(stack, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "values", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0], [np.inf, -np.inf], [-np.inf, 1.0]]
+    )
+    def test_distribution_with_non_finite_value_rejected(self, values):
+        with pytest.raises(InvariantViolationError):
+            OutcomeDistribution.from_values(("a", "b"), values)
+
+
+class TestArrayEquality:
+    def test_equal_measurements_compare_equal(self):
+        assert polarization_pvm(0.0) == polarization_pvm(0.0)
+        assert polarization_pvm(0.0) != polarization_pvm(0.3)
+        assert Effect(np.eye(2), "x") == Effect(np.eye(2), "x")
+        assert Effect(np.eye(2), "x") != Effect(np.eye(2), "y")
+        assert Effect(np.eye(2), "x") != Effect(np.eye(3), "x")
+
+    def test_class_is_part_of_equality(self):
+        pvm = polarization_pvm(0.0)
+        assert Povm(stack=pvm.stack, labels=pvm.labels) != pvm
+        assert Povm(stack=pvm.stack, labels=pvm.labels) == Povm(stack=pvm.stack, labels=pvm.labels)
+        assert pvm != "not a measurement"
+
+    def test_distributions(self):
+        a = OutcomeDistribution.from_values(("a", "b"), [0.25, 0.75])
+        assert a == OutcomeDistribution.from_values(("a", "b"), [0.25, 0.75])
+        assert a != OutcomeDistribution.from_values(("a", "b"), [0.75, 0.25])
+        assert a != OutcomeDistribution.from_values(("b", "a"), [0.25, 0.75])
+
+    def test_records_stay_unhashable(self):
+        for record in (
+            polarization_pvm(0.0),
+            Effect(np.eye(2), "x"),
+            OutcomeDistribution.from_values(("a",), [1.0]),
+        ):
+            with pytest.raises(TypeError):
+                hash(record)

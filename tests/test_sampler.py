@@ -11,11 +11,14 @@ import pytest
 from helpers import random_pure
 from povmbell import (
     GENERATOR_NAME,
+    LOG_CHUNK,
     BellConfig,
     DomainError,
     EventLog,
+    OutcomeDistribution,
     StateDescriptor,
     WhichWayConfig,
+    born_probabilities,
     build_bell,
     build_whichway,
     chsh_single_run,
@@ -48,6 +51,62 @@ class TestEventLog:
     def test_count(self):
         log = EventLog(config="c", generator="g", seed=0, label_set=("a",), events=("a", "a"))
         assert log.count == 2
+
+    def test_events_held_as_read_only_indices(self):
+        log = EventLog("c", "g", 0, ("a", "bb", "c"), ("c", "a", "c", "bb"))
+        assert log.indices.dtype == np.uint8
+        assert log.indices.tolist() == [2, 0, 2, 1]
+        assert log.events == ("c", "a", "c", "bb")
+        with pytest.raises(ValueError):
+            log.indices[0] = 1
+
+    def test_indices_and_events_build_equal_logs(self):
+        by_events = EventLog("c", "g", 0, ("a", "b"), ("b", "a", "b"))
+        source = np.array([1, 0, 1], dtype=np.int64)
+        by_indices = EventLog("c", "g", 0, ("a", "b"), indices=source)
+        assert by_events == by_indices
+        assert by_indices.indices.dtype == np.uint8
+        source[0] = 0  # the log holds its own copy of a writable array
+        assert by_indices.events == ("b", "a", "b")
+
+    def test_index_dtype_grows_with_the_alphabet(self):
+        labels = tuple(f"l{i}" for i in range(257))
+        log = EventLog("c", "g", 0, labels, ("l256", "l0"))
+        assert log.indices.dtype == np.uint16
+        assert log.events == ("l256", "l0")
+        assert EventLog("c", "g", 0, labels[:256], ("l255",)).indices.dtype == np.uint8
+
+    @pytest.mark.parametrize("indices", [[0, 2], [-1], [0.0, 1.0], [[0, 1]]])
+    def test_rejects_bad_indices(self, indices):
+        with pytest.raises(DomainError):
+            EventLog("c", "g", 0, ("a", "b"), indices=np.array(indices))
+
+    def test_needs_events_or_indices(self):
+        with pytest.raises(TypeError):
+            EventLog("c", "g", 0, ("a",))
+        with pytest.raises(TypeError):
+            EventLog("c", "g", 0, ("a",), ("a",), indices=np.zeros(1, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "label_set",
+        [("a", "a"), ("a", ""), ("a", "b c"), ("a", "b\tc"), ("a", "b\n"), ("#a", "b"), ()],
+        ids=["duplicate", "empty-label", "space", "tab", "newline", "hash", "no-labels"],
+    )
+    def test_rejects_label_sets_the_format_cannot_hold(self, label_set):
+        with pytest.raises(DomainError):
+            EventLog("c", "g", 0, label_set, ())
+
+    def test_label_with_inner_hash_is_allowed(self):
+        assert EventLog("c", "g", 0, ("a#b",), ("a#b",)).count == 1
+
+    def test_equality(self):
+        log = EventLog("c", "g", 0, ("a", "b"), ("a", "b"))
+        assert log == EventLog("c", "g", 0, ("a", "b"), ("a", "b"))
+        assert log != EventLog("c", "g", 0, ("a", "b"), ("b", "a"))
+        assert log != EventLog("c", "g", 1, ("a", "b"), ("a", "b"))
+        assert log != EventLog("c", "g", 0, ("a", "b"), ("a",))
+        with pytest.raises(TypeError):
+            hash(log)
 
 
 class TestSample:
@@ -122,6 +181,12 @@ class TestSample:
                     inside += 1
         assert inside / total >= 0.99
 
+    def test_rejects_non_finite_distribution(self):
+        pvm = polarization_pvm(0.0)
+        bad = OutcomeDistribution(pvm.labels, np.array([np.nan, 1.0]))
+        with pytest.raises(DomainError):
+            sample(pvm, StateDescriptor.pure([1.0, 0.0]), 10, 0, distribution=bad)
+
     def test_default_descriptor_mentions_labels(self):
         log = sample(polarization_pvm(0.0), StateDescriptor.pure([1.0, 0.0]), 1, 0)
         assert "+" in log.config
@@ -183,3 +248,25 @@ class TestEmpiricalChsh:
         log = sample(bell.povm, STANDARD_BELL.state, 0, 0)
         with pytest.raises(DomainError):
             empirical_chsh(log)
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_chunked_philox_equals_one_shot_stream(self, seed):
+        n = 2 * LOG_CHUNK + 3
+        one_shot = np.random.Generator(np.random.Philox(seed)).random(n)
+        rng = np.random.Generator(np.random.Philox(seed))
+        chunked = np.concatenate(
+            [rng.random(min(LOG_CHUNK, n - start)) for start in range(0, n, LOG_CHUNK)]
+        )
+        assert np.array_equal(chunked, one_shot)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_sample_equals_one_shot_inverse_cdf(self, seed):
+        bell = build_bell(STANDARD_BELL)
+        n = 2 * LOG_CHUNK + 3
+        log = sample(bell.povm, STANDARD_BELL.state, n, seed)
+        cdf = np.cumsum(born_probabilities(STANDARD_BELL.state, bell.povm).probs)
+        cdf[-1] = max(cdf[-1], 1.0)
+        draws = np.random.Generator(np.random.Philox(seed)).random(n)
+        assert np.array_equal(log.indices, np.searchsorted(cdf, draws, side="right"))
