@@ -73,7 +73,6 @@ __all__ = [
     "main",
 ]
 
-KINDS = ("whichway", "sweep-martens", "bell", "aspect", "sample")
 _SAMPLE_EXPERIMENTS = ("whichway", "bell")
 _FORMATS = ("csv", "json")
 _MAX_SEED = 2**64 - 1
@@ -110,62 +109,48 @@ class ExperimentSpec:
 
 
 _ALL_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
-_COMMON_FIELDS = {"kind", "out", "format", "seed", "n_events"}
-_WHICHWAY_FIELDS = {"gamma", "theta_deg", "theta_prime_deg", "state"}
-_BELL_FIELDS = {
-    "gamma1",
-    "gamma2",
-    "theta1_deg",
-    "theta1_prime_deg",
-    "theta2_deg",
-    "theta2_prime_deg",
-    "state",
-}
-_FIELDS_BY_KIND = {
-    "whichway": _COMMON_FIELDS | _WHICHWAY_FIELDS,
-    "sweep-martens": _COMMON_FIELDS | {"delta_deg", "gamma_grid"},
-    "bell": _COMMON_FIELDS | _BELL_FIELDS,
-    "aspect": _COMMON_FIELDS | (_BELL_FIELDS - {"gamma1", "gamma2"}),
-    "sample": _COMMON_FIELDS | {"experiment"} | _WHICHWAY_FIELDS | _BELL_FIELDS,
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+# fields every kind accepts; a sample needs its seed and n_events
+_OPTIONAL_FIELDS = ("out", "format", "n_events", "seed")
+_BELL_ANGLES = ("theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg")
+# experiment -> (its required fields in the order they are checked, its
+# state dimension); a sample config uses the row of its experiment
+_EXPERIMENTS: dict[str, tuple[tuple[str, ...], int | None]] = {
+    "whichway": (("gamma", "theta_deg", "theta_prime_deg", "state"), 2),
+    "sweep-martens": (("delta_deg", "gamma_grid"), None),
+    "bell": (("gamma1", "gamma2", *_BELL_ANGLES, "state"), 4),
+    "aspect": ((*_BELL_ANGLES, "state"), 4),
 }
 
 
 def _float_field(
-    payload: dict,
     name: str,
+    value: object,
+    dim: int | None = None,
     *,
-    required: bool,
     lo: float | None = None,
     hi: float | None = None,
-) -> float | None:
-    if payload.get(name) is None:
-        if required:
-            raise ConfigError(name, "required for this experiment kind")
-        return None
-    value = payload[name]
+    entry: int | None = None,
+) -> float:
+    """The one number check: a JSON number that is finite as a float, in [lo, hi] if given.
+
+    `entry`, the index of the value in a list field, prefixes the message.
+    """
+    where = "" if entry is None else f"entry {entry} "
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(name, f"must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(name, "must be finite")
-    if lo is not None and not lo <= value <= hi:
-        raise ConfigError(name, f"must lie in [{lo}, {hi}], got {value!r}")
-    return value
+        raise ConfigError(name, f"{where}must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(name, f"{where}is an integer too large in magnitude for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(name, f"{where}must be finite")
+    if lo is not None and not lo <= number <= hi:
+        raise ConfigError(name, f"{where}must lie in [{lo}, {hi}], got {number!r}")
+    return number
 
 
-def _int_field(
-    payload: dict,
-    name: str,
-    *,
-    required: bool,
-    lo: int,
-    hi: int,
-) -> int | None:
-    if payload.get(name) is None:
-        if required:
-            raise ConfigError(name, "required for this experiment kind")
-        return None
-    value = payload[name]
+def _int_field(name: str, value: object, dim: int | None = None, *, lo: int, hi: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(name, f"must be an integer, got {value!r}")
     if not lo <= value <= hi:
@@ -173,10 +158,23 @@ def _int_field(
     return value
 
 
-def _state_field(payload: dict, *, dim: int) -> str | tuple[tuple[float, float], ...]:
-    if payload.get("state") is None:
-        raise ConfigError("state", "required for this experiment kind")
-    value = payload["state"]
+def _out_field(name: str, value: object, dim: int | None = None) -> str:
+    # a path the operating system cannot take would fail as a ValueError at open
+    try:
+        if isinstance(value, str) and b"\0" not in os.fsencode(value):
+            return value
+    except UnicodeEncodeError:
+        pass
+    raise ConfigError(name, f"must be a string path, got {value!r}")
+
+
+def _choice_field(name: str, value: object, dim: int | None = None, *, choices: tuple) -> str:
+    if value not in choices:
+        raise ConfigError(name, f"must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _state_field(name: str, value: object, dim: int) -> str | tuple[tuple[float, float], ...]:
     if isinstance(value, str):
         if value == "singlet":
             known_dim = 4
@@ -184,137 +182,88 @@ def _state_field(payload: dict, *, dim: int) -> str | tuple[tuple[float, float],
             known_dim = 2
         else:
             names = sorted(_NAMED_STATES) + ["singlet"]
-            raise ConfigError("state", f"unknown state name {value!r}; known names: {names}")
+            raise ConfigError(name, f"unknown state name {value!r}; known names: {names}")
         if known_dim != dim:
             raise ConfigError(
-                "state", f"state {value!r} has dimension {known_dim}, this experiment needs {dim}"
+                name, f"state {value!r} has dimension {known_dim}, this experiment needs {dim}"
             )
         return value
     if isinstance(value, list):
         if len(value) != dim:
-            raise ConfigError("state", f"amplitude list must have length {dim}, got {len(value)}")
+            raise ConfigError(name, f"amplitude list must have length {dim}, got {len(value)}")
         amplitudes: list[tuple[float, float]] = []
         for i, item in enumerate(value):
-            if isinstance(item, (int, float)) and not isinstance(item, bool):
-                pair = (float(item), 0.0)
-            elif (
-                isinstance(item, list)
-                and len(item) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-            ):
-                pair = (float(item[0]), float(item[1]))
-            else:
-                raise ConfigError("state", f"entry {i} must be a number or a [re, im] pair")
-            if not all(math.isfinite(x) for x in pair):
-                raise ConfigError("state", f"entry {i} must be finite")
-            amplitudes.append(pair)
+            parts = item if isinstance(item, list) else (item, 0.0)
+            if len(parts) != 2:
+                raise ConfigError(name, f"entry {i} must be a number or a [re, im] pair")
+            amplitudes.append(tuple(_float_field(name, x, entry=i) for x in parts))
         if not any(re != 0.0 or im != 0.0 for re, im in amplitudes):
-            raise ConfigError("state", "amplitude list must not be the zero vector")
+            raise ConfigError(name, "amplitude list must not be the zero vector")
         return tuple(amplitudes)
-    raise ConfigError("state", "must be a state name or an amplitude list")
+    raise ConfigError(name, "must be a state name or an amplitude list")
 
 
-def _grid_field(payload: dict) -> tuple[float, ...]:
-    if payload.get("gamma_grid") is None:
-        raise ConfigError("gamma_grid", "required for this experiment kind")
-    value = payload["gamma_grid"]
+def _grid_field(name: str, value: object, dim: int | None = None) -> tuple[float, ...]:
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "count"}:
-            raise ConfigError("gamma_grid", 'range form needs exactly "start", "stop", "count"')
-        start = _float_field(value, "start", required=True, lo=0.0, hi=1.0)
-        stop = _float_field(value, "stop", required=True, lo=0.0, hi=1.0)
-        count = _int_field(value, "count", required=True, lo=1, hi=10**7)
+            raise ConfigError(name, 'range form needs exactly "start", "stop", "count"')
+        start = _float_field("start", value["start"], lo=0.0, hi=1.0)
+        stop = _float_field("stop", value["stop"], lo=0.0, hi=1.0)
+        count = _int_field("count", value["count"], lo=1, hi=10**7)
         return tuple(float(g) for g in np.linspace(start, stop, count))
     if isinstance(value, list):
         if not value:
-            raise ConfigError("gamma_grid", "grid must not be empty")
-        grid = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError("gamma_grid", f"entry {i} must be a number")
-            g = float(item)
-            if not 0.0 <= g <= 1.0:
-                raise ConfigError("gamma_grid", f"entry {i} must lie in [0, 1], got {g!r}")
-            grid.append(g)
-        return tuple(grid)
-    raise ConfigError("gamma_grid", "must be a list of values or a start/stop/count object")
+            raise ConfigError(name, "grid must not be empty")
+        return tuple(_float_field(name, g, lo=0.0, hi=1.0, entry=i) for i, g in enumerate(value))
+    raise ConfigError(name, "must be a list of values or a start/stop/count object")
+
+
+# field name -> its check, called as check(name, value, state dimension)
+_CHECKS = {
+    "out": _out_field,
+    "format": functools.partial(_choice_field, choices=_FORMATS),
+    "n_events": functools.partial(_int_field, lo=0, hi=10**9),
+    "seed": functools.partial(_int_field, lo=0, hi=_MAX_SEED),
+    "gamma_grid": _grid_field,
+    "state": _state_field,
+    **dict.fromkeys(("gamma", "gamma1", "gamma2"), functools.partial(_float_field, lo=0.0, hi=1.0)),
+    **dict.fromkeys(("theta_deg", "theta_prime_deg", *_BELL_ANGLES, "delta_deg"), _float_field),
+}
 
 
 def spec_from_dict(payload: object) -> ExperimentSpec:
     """Validate a parsed JSON config into an ExperimentSpec.
 
-    Every error is a ConfigError naming the offending field.
+    The fields are checked in the order of _OPTIONAL_FIELDS and then of the
+    experiment's row in _EXPERIMENTS. A null field counts as absent where
+    its default is null. Every error is a ConfigError naming the offending
+    field.
     """
     if not isinstance(payload, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise ConfigError("kind", f"must be one of {list(KINDS)}, got {kind!r}")
+    kind = _choice_field("kind", payload.get("kind"), choices=KINDS)
     unknown = sorted(set(payload) - _ALL_FIELDS)
     if unknown:
         raise ConfigError(unknown[0], "unknown field")
-    misplaced = sorted(set(payload) - _FIELDS_BY_KIND[kind])
-    if misplaced:
-        raise ConfigError(misplaced[0], f"not a field of experiment kind {kind!r}")
-
-    out = payload.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", f"must be a string path, got {out!r}")
-    fmt = payload.get("format", "csv")
-    if fmt not in _FORMATS:
-        raise ConfigError("format", f"must be one of {list(_FORMATS)}, got {fmt!r}")
-    kwargs: dict = {
-        "kind": kind,
-        "out": out,
-        "format": fmt,
-        "n_events": _int_field(payload, "n_events", required=False, lo=0, hi=10**9),
-        "seed": _int_field(payload, "seed", required=False, lo=0, hi=_MAX_SEED),
-    }
-
-    def want_whichway(required: bool) -> None:
-        kwargs["gamma"] = _float_field(payload, "gamma", required=required, lo=0.0, hi=1.0)
-        kwargs["theta_deg"] = _float_field(payload, "theta_deg", required=required)
-        kwargs["theta_prime_deg"] = _float_field(payload, "theta_prime_deg", required=required)
-        if required or payload.get("state") is not None:
-            kwargs["state"] = _state_field(payload, dim=2)
-
-    def want_bell(required: bool, with_gammas: bool) -> None:
-        if with_gammas:
-            kwargs["gamma1"] = _float_field(payload, "gamma1", required=required, lo=0.0, hi=1.0)
-            kwargs["gamma2"] = _float_field(payload, "gamma2", required=required, lo=0.0, hi=1.0)
-        for name in ("theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg"):
-            kwargs[name] = _float_field(payload, name, required=required)
-        if required or payload.get("state") is not None:
-            kwargs["state"] = _state_field(payload, dim=4)
-
-    if kind == "whichway":
-        want_whichway(required=True)
-    elif kind == "sweep-martens":
-        kwargs["delta_deg"] = _float_field(payload, "delta_deg", required=True)
-        kwargs["gamma_grid"] = _grid_field(payload)
-    elif kind == "bell":
-        want_bell(required=True, with_gammas=True)
-    elif kind == "aspect":
-        want_bell(required=True, with_gammas=False)
-    else:  # sample
-        experiment = payload.get("experiment")
-        if experiment not in _SAMPLE_EXPERIMENTS:
-            raise ConfigError(
-                "experiment", f"must be one of {list(_SAMPLE_EXPERIMENTS)}, got {experiment!r}"
-            )
+    kwargs: dict = {"kind": kind}
+    experiment, required = kind, ()
+    if kind == "sample":
+        experiment = _choice_field("experiment", payload.get("experiment"), choices=_SAMPLE_EXPERIMENTS)
         kwargs["experiment"] = experiment
-        kwargs["n_events"] = _int_field(payload, "n_events", required=True, lo=0, hi=10**9)
-        kwargs["seed"] = _int_field(payload, "seed", required=True, lo=0, hi=_MAX_SEED)
-        if experiment == "whichway":
-            stray = sorted(set(payload) & (_BELL_FIELDS - {"state"}))
-            if stray:
-                raise ConfigError(stray[0], "not a field of a whichway sample")
-            want_whichway(required=True)
-        else:
-            stray = sorted(set(payload) & (_WHICHWAY_FIELDS - {"state"}))
-            if stray:
-                raise ConfigError(stray[0], "not a field of a bell sample")
-            want_bell(required=True, with_gammas=True)
+        required = ("n_events", "seed")
+    fields, dim = _EXPERIMENTS[experiment]
+    misplaced = sorted(set(payload) - {*kwargs, *_OPTIONAL_FIELDS, *fields})
+    if misplaced:
+        name = misplaced[0]
+        if kind == "sample" and any(name in _EXPERIMENTS[e][0] for e in _SAMPLE_EXPERIMENTS):
+            raise ConfigError(name, f"not a field of a {experiment} sample")
+        raise ConfigError(name, f"not a field of experiment kind {kind!r}")
+    for name in _OPTIONAL_FIELDS + fields:
+        value = payload.get(name, _DEFAULTS[name])
+        if value is not None or _DEFAULTS[name] is not None:
+            kwargs[name] = _CHECKS[name](name, value, dim)
+        elif name in fields or name in required:
+            raise ConfigError(name, "required for this experiment kind")
     return ExperimentSpec(**kwargs)
 
 
@@ -535,13 +484,21 @@ def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     return list(row.keys()), [row]
 
 
-_RUNNERS = {
-    "whichway": run_whichway,
-    "sweep-martens": run_martens_sweep,
-    "bell": run_bell,
-    "aspect": run_aspect,
-    "sample": run_sample,
+# subcommand -> (the experiment kind it runs, its help text, its runner)
+_COMMANDS = {
+    "whichway": ("whichway", "evaluate one which-way measurement", run_whichway),
+    "martens-sweep": (
+        "sweep-martens",
+        "sweep the entropic tradeoff curve over transmissivities",
+        run_martens_sweep,
+    ),
+    "bell": ("bell", "evaluate one joint four-detector run and its CHSH statistics", run_bell),
+    "aspect": ("aspect", "evaluate the four-corner pooled CHSH statistics", run_aspect),
+    "sample": ("sample", "generate seeded Monte Carlo events into a log file", run_sample),
 }
+KINDS = tuple(kind for kind, _, _ in _COMMANDS.values())
+# main dispatches on the kind of the validated spec
+_RUNNERS = {kind: runner for kind, _, runner in _COMMANDS.values()}
 
 
 _LOG_VERSION_LINE = "# povmbell event log v1"
@@ -726,29 +683,13 @@ def _emit(spec: ExperimentSpec, columns: list[str], rows: list[dict]) -> None:
         Path(destination).write_text(text, encoding="utf-8")
 
 
-_COMMAND_TO_KIND = {
-    "whichway": "whichway",
-    "martens-sweep": "sweep-martens",
-    "bell": "bell",
-    "aspect": "aspect",
-    "sample": "sample",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="povmbell",
         description="Nonideal joint polarization measurements and generalized Bell experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "whichway": "evaluate one which-way measurement",
-        "martens-sweep": "sweep the entropic tradeoff curve over transmissivities",
-        "bell": "evaluate one joint four-detector run and its CHSH statistics",
-        "aspect": "evaluate the four-corner pooled CHSH statistics",
-        "sample": "generate seeded Monte Carlo events into a log file",
-    }
-    for command, help_text in helps.items():
+    for command, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", help="output path (event log for sample, table otherwise)")
@@ -769,26 +710,20 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {args.config!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides malformed JSON: text that is not UTF-8, an integer literal
+        # longer than int() converts, or nesting deeper than the parser recurses
         raise ConfigError("config", f"{args.config!r} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    kind = _COMMAND_TO_KIND[args.command]
+    kind = _COMMANDS[args.command][0]
     if "kind" in payload and payload["kind"] != kind:
         raise ConfigError(
             "kind", f"config says {payload['kind']!r} but the subcommand expects {kind!r}"
         )
-    payload = dict(payload)
-    payload["kind"] = kind
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.n is not None:
-        payload["n_events"] = args.n
-    if args.out is not None:
-        payload["out"] = args.out
-    if args.format is not None:
-        payload["format"] = args.format
-    return spec_from_dict(payload)
+    flags = {"seed": args.seed, "n_events": args.n, "out": args.out, "format": args.format}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    return spec_from_dict({**payload, "kind": kind, **overrides})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

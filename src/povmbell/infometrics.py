@@ -22,6 +22,7 @@ from .errors import DomainError, InvariantViolationError, ShapeMismatchError
 from .measurement import validate_effect_stack
 from .qcore import (
     DEFAULT_POLICY,
+    ArrayRecord,
     NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
@@ -130,7 +131,8 @@ class MartensReport:
     satisfied: bool
 
 
-class MartensCurve(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class MartensCurve(ArrayRecord):
     """Entropic tradeoff over a grid of transmissivities; arrays follow the grid."""
 
     j_lambda: np.ndarray

@@ -84,8 +84,10 @@ class EventLog(ArrayRecord):
 
     Construct with the events either as labels (`events=`) or as indices
     (`indices=`); a writable or differently typed index array is copied.
-    Raises DomainError for an event outside the label set, or for a label set
-    the log format cannot round-trip (see `check_label_set`).
+    Raises DomainError for an event outside the label set, for a label set
+    the log format cannot round-trip (see `check_label_set`), or for a
+    `config` or `generator` with a line break or trailing whitespace, which
+    its one header line cannot round-trip.
     """
 
     config: str
@@ -105,6 +107,10 @@ class EventLog(ArrayRecord):
         indices: object | None = None,
     ) -> None:
         label_set = check_label_set(label_set)
+        for name, text in (("config", config), ("generator", generator)):
+            # one header line each, read back with trailing whitespace stripped
+            if "\n" in text or text != text.rstrip():
+                raise DomainError(f"event log {name} {text!r} has a line break or trailing whitespace")
         dtype = index_dtype(len(label_set))
         if (events is None) == (indices is None):
             raise TypeError("give the events either as labels (events=) or as indices (indices=)")

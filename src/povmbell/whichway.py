@@ -27,6 +27,7 @@ from .errors import DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, born_probabilities, povm_from_stack
 from .qcore import (
     DEFAULT_POLICY,
+    ArrayRecord,
     NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
@@ -171,8 +172,8 @@ def column_stochastic(entries: object) -> np.ndarray:
     return entries
 
 
-@dataclass(frozen=True)
-class NonidealityMatrix:
+@dataclass(frozen=True, eq=False)
+class NonidealityMatrix(ArrayRecord):
     """Column-stochastic map from ideal sharp probabilities to measured marginals."""
 
     entries: np.ndarray

@@ -209,6 +209,13 @@ class TestMartensSweep:
         martens_sweep(grid, math.pi / 5, 0.0)
         assert checked == [4, 4, 4, 4, 4, 3]
 
+    def test_equality_compares_arrays(self):
+        curve = martens_sweep([0.0, 0.25, 1.0], math.pi / 5, 0.0)
+        assert curve == martens_sweep([0.0, 0.25, 1.0], math.pi / 5, 0.0)
+        assert curve != martens_sweep([0.0, 0.5, 1.0], math.pi / 5, 0.0)
+        assert curve != martens_sweep([0.0, 0.25], math.pi / 5, 0.0)
+        assert curve != martens_sweep([0.0, 0.25, 1.0], math.pi / 7, 0.0)
+
     def test_rejects_out_of_range_gamma(self):
         with pytest.raises(DomainError):
             martens_sweep([0.2, 1.5], 0.3, 0.0)

@@ -96,6 +96,22 @@ class TestEventLog:
         with pytest.raises(DomainError):
             EventLog("c", "g", 0, label_set, ())
 
+    @pytest.mark.parametrize(
+        ("config", "generator"),
+        [("a\nb", "philox"), ("x ", "philox"), ("x\r", "philox"), ("c", "philox "), ("c", "phi\nlox")],
+        ids=[
+            "config-newline",
+            "config-trailing-space",
+            "config-trailing-cr",
+            "generator-trailing-space",
+            "generator-newline",
+        ],
+    )
+    def test_rejects_header_fields_the_format_cannot_hold(self, config, generator):
+        # the header holds each on one line and reads it back right-stripped
+        with pytest.raises(DomainError):
+            EventLog(config, generator, 0, ("x",), ("x",))
+
     def test_label_with_inner_hash_is_allowed(self):
         assert EventLog("c", "g", 0, ("a#b",), ("a#b",)).count == 1
 

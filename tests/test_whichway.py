@@ -163,6 +163,15 @@ class TestNonidealityMatrix:
         with pytest.raises(ShapeMismatchError):
             m.apply([1.0, 0.0, 0.0])
 
+    def test_equality_compares_entries(self):
+        ww = build_whichway(WhichWayConfig(0.3, 0.0, math.pi / 4))
+        lam, mu = marginals_and_nonideality(ww)
+        assert lam == marginals_and_nonideality(ww)[0]
+        assert lam != mu
+        assert NonidealityMatrix(np.eye(2)) != NonidealityMatrix(np.eye(3)[:, :2])
+        with pytest.raises(TypeError):
+            hash(lam)
+
     def test_entries_frozen(self):
         m = NonidealityMatrix(np.eye(2))
         with pytest.raises(ValueError):
