@@ -70,15 +70,16 @@ from .qcore import (
     expectation,
     hermiticity_defect,
     identity,
-    matmul,
     projector_from_angle,
 )
 from .sampler import (
     GENERATOR_NAME,
     LOG_CHUNK,
     EventLog,
+    check_label_set,
     empirical_chsh,
     empirical_frequencies,
+    index_dtype,
     sample,
 )
 from .whichway import (
@@ -95,6 +96,7 @@ from .whichway import (
     measured_marginals,
     nonideality_stack,
     whichway_effects,
+    whichway_endpoints,
 )
 
 __version__ = "0.1.0"

@@ -28,21 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .measurement import (
-    OutcomeDistribution,
-    Povm,
-    born_probabilities,
-    born_values,
-    povm_from_stack,
-    validate_effect_stack,
-)
+from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
 from .qcore import (
     DEFAULT_POLICY,
     NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
 )
-from .whichway import WW_LABELS, WhichWayConfig, whichway_effects
+from .whichway import WW_LABELS, WhichWayConfig, build_whichway, whichway_endpoints
 
 __all__ = [
     "QUAD_LABELS",
@@ -105,18 +98,6 @@ class QuadrivariateBell:
     povm: Povm
 
 
-def _arm_stacks(arm1: tuple, arm2: tuple, *, policy: NumericPolicy) -> np.ndarray:
-    """Which-way effect stacks of both arms, checked by one call.
-
-    Each arm is (gammas, theta, theta_prime) as `whichway_effects` takes
-    them, with the same number of gammas on both arms. Returns shape
-    (2, n_gammas, 4, 2, 2).
-    """
-    arms = np.stack([whichway_effects(*arm1), whichway_effects(*arm2)])
-    validate_effect_stack(arms, WW_LABELS, policy=policy)
-    return arms
-
-
 def _joint_effects(arm1: np.ndarray, arm2: np.ndarray) -> np.ndarray:
     """Tensor products of every arm-1 setting's effects with every arm-2 setting's.
 
@@ -136,19 +117,17 @@ def build_bell(
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> QuadrivariateBell:
-    """Tensor the two arm POVMs into one 16-effect POVM and validate it.
+    """Tensor the two arm POVMs into one 16-effect POVM.
 
-    The arm effect stacks are checked by one `validate_effect_stack` call and
-    the joint stack by `povm_from_stack`.
+    Each arm is validated by `build_whichway`. A tensor product of POVMs is
+    a POVM, sharp exactly when both factors are, so the joint stack is not
+    checked again (the tests prove it): it is a Pvm when both arms are.
     """
-    arm1, arm2 = config.arm1, config.arm2
-    arms = _arm_stacks(
-        ([arm1.gamma], arm1.theta, arm1.theta_prime),
-        ([arm2.gamma], arm2.theta, arm2.theta_prime),
-        policy=policy,
-    )
-    joint = _joint_effects(arms[0], arms[1])[0]
-    return QuadrivariateBell(config=config, povm=povm_from_stack(joint, QUAD_LABELS, policy=policy))
+    arm1 = build_whichway(config.arm1, policy=policy).povm
+    arm2 = build_whichway(config.arm2, policy=policy).povm
+    joint = _joint_effects(arm1.stack[None], arm2.stack[None])[0]
+    cls = Pvm if isinstance(arm1, Pvm) and isinstance(arm2, Pvm) else Povm
+    return QuadrivariateBell(config=config, povm=cls(stack=joint, labels=QUAD_LABELS))
 
 
 def quad_distribution(
@@ -261,16 +240,18 @@ def chsh_aspect(
     pairs. Each correlation comes from a DIFFERENT measurement context, so
     the single-run bound of 2 does not apply; a singlet state at analyzer
     angles (0, 45, 22.5, 67.5 degrees) reaches |s_value| = 2*sqrt(2).
+
+    The corners tensor the arms' validated `whichway_endpoints` and are not
+    checked again (see `build_bell`).
     """
     if state.dim != 4:
         raise ShapeMismatchError(f"two-photon state must have dimension 4, got {state.dim}")
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
-    arms = _arm_stacks(
-        ([1.0, 0.0], theta1, theta1_prime), ([1.0, 0.0], theta2, theta2_prime), policy=policy
+    corners = _joint_effects(
+        whichway_endpoints(theta1, theta1_prime, policy=policy),
+        whichway_endpoints(theta2, theta2_prime, policy=policy),
     )
-    corners = _joint_effects(arms[0], arms[1])
-    validate_effect_stack(corners, QUAD_LABELS, policy=policy)
     values = born_values(state, corners, QUAD_LABELS, policy=policy)
     correlations = []
     for c, row in enumerate(values):

@@ -7,6 +7,18 @@ violated numeric contract (exit 3). Plain OSError stays an I/O error (exit 4).
 
 from __future__ import annotations
 
+__all__ = [
+    "PovmBellError",
+    "ShapeMismatchError",
+    "DomainError",
+    "PovmValidationError",
+    "NotHermitianError",
+    "NotPositiveError",
+    "NotCompleteError",
+    "InvariantViolationError",
+    "ConfigError",
+]
+
 
 class PovmBellError(Exception):
     """Base class for every error raised by this package."""

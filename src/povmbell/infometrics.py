@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InvariantViolationError, ShapeMismatchError
-from .measurement import validate_effect_stack
 from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
@@ -30,15 +29,13 @@ from .qcore import (
     as_matrix,
     expectation,
     hermiticity_defect,
-    matmul,
 )
 from .whichway import (
-    WW_LABELS,
     BivariateWhichWay,
     NonidealityMatrix,
     column_stochastic,
     nonideality_stack,
-    whichway_effects,
+    whichway_endpoints,
 )
 
 __all__ = [
@@ -107,17 +104,11 @@ def martens_bound(
     overlaps are cos^2 delta and sin^2 delta, so the bound is
     -ln(max(cos^2 delta, sin^2 delta)), evaluated in that closed form: zero
     for parallel or perpendicular axes, maximal (ln 2) at 45 degrees where
-    the measurements are mutually unbiased. The overlap is checked to lie in
-    (0, 1] within atol_positivity.
+    the measurements are mutually unbiased. The overlap lies in [1/2, 1] by
+    construction, so the bound lies in [0, ln 2]; the tests prove it.
     """
     delta = as_angle(theta).theta - as_angle(theta_prime).theta
-    overlap = max(math.cos(delta) ** 2, math.sin(delta) ** 2)
-    if overlap > 1.0 + policy.atol_positivity:
-        raise InvariantViolationError(f"effect overlap {overlap!r} exceeds 1")
-    overlap = min(overlap, 1.0)
-    if overlap <= 0.0:
-        raise InvariantViolationError(f"maximal effect overlap {overlap!r} is not positive")
-    return -math.log(overlap) + 0.0
+    return -math.log(max(math.cos(delta) ** 2, math.sin(delta) ** 2)) + 0.0
 
 
 @dataclass(frozen=True)
@@ -142,13 +133,8 @@ class MartensCurve(ArrayRecord):
     satisfied: np.ndarray
 
 
-# grid points whose which-way effects martens_sweep checks in one batch; the
-# check's pairwise effect products take 1 KiB per point, 4 MiB per batch
-SWEEP_CHUNK = 4096
-
-
-def _tradeoff(gammas: np.ndarray, bound: float, policy: NumericPolicy) -> MartensCurve:
-    j_lambda, j_mu = row_entropy(nonideality_stack(gammas), policy=policy)
+def _tradeoff(nonideality: np.ndarray, bound: float, policy: NumericPolicy) -> MartensCurve:
+    j_lambda, j_mu = row_entropy(nonideality, policy=policy)
     slack = j_lambda + j_mu - bound
     return MartensCurve(
         j_lambda=j_lambda,
@@ -168,18 +154,18 @@ def martens_sweep(
 ) -> MartensCurve:
     """Evaluate j_lambda + j_mu >= bound over a 1-D grid of transmissivities.
 
-    The which-way effects of every grid point first pass the POVM axiom
-    checks, in batches of SWEEP_CHUNK points so the check's memory stays
-    bounded; the entropies and slacks are then computed as arrays over the
-    whole grid, by the same code `martens_check` runs for one point.
+    Every grid point must lie in [0, 1] (DomainError names the first that
+    does not). The which-way effects are affine in gamma, so one check of
+    the two endpoint measurements (`whichway_endpoints`) covers the whole
+    grid; the entropies and slacks are then computed as arrays over it, by
+    the same code `martens_check` runs for one point.
     """
     grid = np.asarray(gammas, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
-    for start in range(0, grid.size, SWEEP_CHUNK):
-        effects = whichway_effects(grid[start : start + SWEEP_CHUNK], theta, theta_prime)
-        validate_effect_stack(effects, WW_LABELS, policy=policy)
-    return _tradeoff(grid, martens_bound(theta, theta_prime, policy=policy), policy)
+    nonideality = nonideality_stack(grid)
+    whichway_endpoints(theta, theta_prime, policy=policy)
+    return _tradeoff(nonideality, martens_bound(theta, theta_prime, policy=policy), policy)
 
 
 def martens_check(
@@ -194,7 +180,7 @@ def martens_check(
     """
     config = whichway.config
     bound = martens_bound(config.theta, config.theta_prime, policy=policy)
-    curve = _tradeoff(np.array([config.gamma]), bound, policy)
+    curve = _tradeoff(nonideality_stack([config.gamma]), bound, policy)
     return MartensReport(
         j_lambda=float(curve.j_lambda[0]),
         j_mu=float(curve.j_mu[0]),
@@ -219,9 +205,10 @@ def heisenberg_check(
 ) -> HeisenbergCheck:
     """Preparation uncertainty: std(A) * std(B) >= |<[A, B]>| / 2.
 
-    Both operators must be Hermitian. Variances are clamped at zero before
-    the square root; eigenstates make <A^2> - <A>^2 a difference of nearly
-    equal doubles that can round slightly negative.
+    Both operators must be Hermitian and of the state's dimension. Variances
+    are clamped at zero before the square root; eigenstates make
+    <A^2> - <A>^2 a difference of nearly equal doubles that can round
+    slightly negative.
     """
     mat_a = as_matrix(op_a)
     mat_b = as_matrix(op_b)
@@ -231,13 +218,16 @@ def heisenberg_check(
             raise DomainError(
                 f"{name} operator is not Hermitian (max deviation {defect:.3e})"
             )
+    # both are square now; `expectation` checks them against the state
+    if mat_a.shape != mat_b.shape:
+        raise ShapeMismatchError(f"cannot multiply {mat_a.shape} by {mat_b.shape}")
 
     def std(mat: np.ndarray) -> float:
         mean = expectation(state, mat).real
-        mean_sq = expectation(state, matmul(mat, mat)).real
+        mean_sq = expectation(state, mat @ mat).real
         return math.sqrt(max(mean_sq - mean * mean, 0.0))
 
-    commutator = matmul(mat_a, mat_b) - matmul(mat_b, mat_a)
+    commutator = mat_a @ mat_b - mat_b @ mat_a
     lhs = std(mat_a) * std(mat_b)
     rhs = 0.5 * abs(expectation(state, commutator))
     return HeisenbergCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - policy.atol_positivity)

@@ -1,14 +1,14 @@
 """Generalized measurements: effects, POVM/PVM validation, Born-rule distributions.
 
 A measurement is a labeled collection of positive operators (effects) summing
-to the identity. Every measurement object passes through `validate_povm`
-(effects given one by one) or `povm_from_stack` (one (k, d, d) effect
-stack); both return the sharper `Pvm` type when the effects turn out to be
-mutually orthogonal projectors. They check the axioms with
-`validate_effect_stack`, which also checks whole batches of measurements
-(an effect stack of shape (..., k, d, d)) without building objects for them.
-A `Povm` keeps its effects as one frozen stack, so the Born rule
-(`born_values`) is one einsum over it, or over a whole batch of stacks.
+to the identity. Every measurement built from caller input passes through
+`validate_povm` (effects one by one) or `povm_from_stack` (one (k, d, d)
+stack), which return the sharper `Pvm` type for mutually orthogonal
+projectors; `validate_effect_stack` checks the axioms, on whole batches of
+shape (..., k, d, d) too. Measurements derived from checked ones by an
+axiom-preserving operation (tensor product, convex combination) are proved
+in tests, not re-checked. A `Povm` keeps its effects as one frozen stack, so
+the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def validate_effect_stack(
     labels: Sequence[str],
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+) -> None:
     """Check the POVM axioms on every measurement of an effect stack at once.
 
     `stack` has shape (..., k, d, d): any number of leading batch axes, then
@@ -136,11 +136,7 @@ def validate_effect_stack(
     first offending effect (batch entries and effects in input order) and
     carries that effect's deviation, or the failing measurement's
     completeness defect. An effect with a NaN or infinite entry fails the
-    hermiticity check.
-
-    Returns a boolean array of the batch shape: True where the measurement
-    is sharp, i.e. every effect is idempotent and distinct effects are
-    mutually orthogonal, all within atol_algebra.
+    hermiticity check. Returns None when every measurement passes.
     """
     effects = np.asarray(stack, dtype=np.complex128)
     if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
@@ -148,8 +144,6 @@ def validate_effect_stack(
     k, dim = effects.shape[-3], effects.shape[-1]
     if k == 0 or len(labels) != k:
         raise ShapeMismatchError(f"got {len(labels)} labels for {k} effects")
-
-    batch = effects.shape[:-3]
 
     def first(failing: np.ndarray) -> tuple[int, ...]:
         # index of the first True of `failing`, in C order over its axes
@@ -192,33 +186,15 @@ def validate_effect_stack(
             deviation=defect,
         )
 
-    # one product holds every E_i E_j: rows stacks the effects vertically,
-    # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
-    # means E_i E_i - E_i = 0 (diagonal blocks) and E_i E_j = 0 for i < j.
-    rows = effects.reshape(batch + (k * dim, dim))
-    products = rows @ effects.swapaxes(-3, -2).reshape(batch + (dim, k * dim))
-    # blocks[..., i, j, :, :] is a view of block (i, j): writes reach products
-    blocks = products.reshape(batch + (k, dim, k, dim)).swapaxes(-3, -2)
-    diagonal = np.arange(k)
-    blocks[..., diagonal, diagonal, :, :] -= effects
-    block_of = np.arange(k * dim) // dim
-    residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
-    return residue.max(axis=(-2, -1)) <= policy.atol_algebra
-
 
 def validate_povm(
     effects: object,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Povm:
-    """Check the POVM axioms and classify the result.
+    """Check the POVM axioms and classify the result, as `povm_from_stack` does.
 
-    Accepts Effect objects or (matrix, label) pairs. The axioms are checked
-    by `validate_effect_stack` on the stacked effect matrices, which raises
-    NotHermitianError, NotPositiveError or NotCompleteError naming the first
-    offending effect and carrying its deviation. Returns a Pvm when every
-    effect is an idempotent projector and distinct effects are orthogonal,
-    otherwise a plain Povm.
+    Accepts Effect objects or (matrix, label) pairs, all of one dimension.
     """
     items: list[Effect] = []
     for entry in effects:
@@ -251,7 +227,8 @@ def povm_from_stack(
 
     The labels must be unique. The axioms are checked by one
     `validate_effect_stack` call; returns a Pvm when the measurement is
-    sharp, otherwise a plain Povm.
+    sharp (every effect idempotent, distinct effects mutually orthogonal,
+    all within atol_algebra), otherwise a plain Povm.
     """
     if np.ndim(stack) != 3:
         raise ShapeMismatchError(
@@ -260,9 +237,20 @@ def povm_from_stack(
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
-    sharp = validate_effect_stack(stack, labels, policy=policy)
-    cls = Pvm if bool(sharp) else Povm
-    return cls(stack=stack, labels=labels)
+    effects = np.asarray(stack, dtype=np.complex128)
+    validate_effect_stack(effects, labels, policy=policy)
+    # one product holds every E_i E_j: rows stacks the effects vertically,
+    # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
+    # means E_i E_i - E_i = 0 (diagonal blocks) and E_i E_j = 0 for i < j.
+    k, dim, _ = effects.shape
+    products = effects.reshape(k * dim, dim) @ effects.swapaxes(0, 1).reshape(dim, k * dim)
+    # blocks[i, j] is a view of block (i, j): writes reach products
+    blocks = products.reshape(k, dim, k, dim).swapaxes(1, 2)
+    blocks[np.arange(k), np.arange(k)] -= effects
+    block_of = np.arange(k * dim) // dim
+    residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
+    cls = Pvm if residue.max() <= policy.atol_algebra else Povm
+    return cls(stack=effects, labels=labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,6 @@ __all__ = [
     "expectation",
     "hermiticity_defect",
     "identity",
-    "matmul",
     "projector_from_angle",
     "PAULI_X",
     "PAULI_Y",
@@ -98,17 +97,6 @@ def identity(dim: int) -> ComplexMatrix:
     return as_matrix(np.eye(dim))
 
 
-def matmul(a: object, b: object) -> ComplexMatrix:
-    """Matrix product with explicit shape checking."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeMismatchError(f"cannot multiply {am.shape} by {bm.shape}")
-    out = am @ bm
-    out.setflags(write=False)
-    return out
-
-
 def hermiticity_defect(mat: object) -> float:
     """Largest entry-wise deviation of a square matrix from its adjoint."""
     m = as_matrix(mat)
@@ -149,9 +137,12 @@ class StateDescriptor:
     Build with :meth:`pure` (amplitude vector, unit norm) or :meth:`density`
     (Hermitian, unit trace, positive semidefinite). Both representations are
     kept as frozen numpy arrays; `expectation` dispatches on which one is set.
+    Two states are equal when they have the same representation and equal
+    arrays per `np.array_equal`; like `ArrayRecord`s they are unhashable.
     """
 
     __slots__ = ("_vector", "_matrix")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -232,6 +223,13 @@ class StateDescriptor:
         rho = np.outer(self._vector, self._vector.conj())
         rho.setflags(write=False)
         return rho
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = self._vector if self.is_pure else self._matrix
+        theirs = other._vector if other.is_pure else other._matrix
+        return self.is_pure == other.is_pure and np.array_equal(mine, theirs)
 
     def __repr__(self) -> str:
         kind = "pure" if self.is_pure else "density"

@@ -18,13 +18,18 @@ their one-point case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .measurement import OutcomeDistribution, Povm, born_probabilities, povm_from_stack
+from .measurement import (
+    OutcomeDistribution,
+    Povm,
+    born_probabilities,
+    povm_from_stack,
+    validate_effect_stack,
+)
 from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
@@ -42,6 +47,7 @@ __all__ = [
     "BivariateWhichWay",
     "NonidealityMatrix",
     "whichway_effects",
+    "whichway_endpoints",
     "build_whichway",
     "joint_distribution",
     "marginals_from_distribution",
@@ -56,6 +62,15 @@ __all__ = [
 WW_LABELS = ("++", "+-", "-+", "--")
 
 
+def _checked_gammas(gammas: object) -> np.ndarray:
+    """`gammas` as a float64 array; DomainError names the first one outside [0, 1]."""
+    g = np.asarray(gammas, dtype=np.float64)
+    inside = (g >= 0.0) & (g <= 1.0)  # False for NaN
+    if not inside.all():
+        raise DomainError(f"gamma must lie in [0, 1], got {float(g[~inside].flat[0])!r}")
+    return g
+
+
 @dataclass(frozen=True)
 class WhichWayConfig:
     """Beam-splitter transmissivity and the two analyzer orientations."""
@@ -65,10 +80,7 @@ class WhichWayConfig:
     theta_prime: PolarizationAngle
 
     def __post_init__(self) -> None:
-        gamma = float(self.gamma)
-        if not math.isfinite(gamma) or not 0.0 <= gamma <= 1.0:
-            raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", float(_checked_gammas(float(self.gamma))))
         object.__setattr__(self, "theta", as_angle(self.theta))
         object.__setattr__(self, "theta_prime", as_angle(self.theta_prime))
 
@@ -96,14 +108,10 @@ def whichway_effects(
       -- : rest of the identity         (no detector fires)
     The last effect equals gamma*E-(theta) + (1-gamma)*E-(theta'), a convex
     combination of projectors, so positivity holds for every gamma in [0, 1].
-    The stack is not validated; `build_whichway` and the Martens sweep pass
-    it through the POVM axiom checks.
+    Every effect is affine in gamma, E(gamma) = gamma E(1) + (1-gamma) E(0).
+    The stack is not validated; see `build_whichway`, `whichway_endpoints`.
     """
-    g = np.asarray(gammas, dtype=np.float64)
-    inside = (g >= 0.0) & (g <= 1.0)  # False for NaN
-    if not inside.all():
-        raise DomainError(f"gamma must lie in [0, 1], got {float(g[~inside].flat[0])!r}")
-    g = g[..., None, None]
+    g = _checked_gammas(gammas)[..., None, None]
     transmitted = g * projector_from_angle(theta)
     reflected = (1.0 - g) * projector_from_angle(theta_prime)
     stack = np.zeros(transmitted.shape[:-2] + (4, 2, 2), dtype=np.complex128)
@@ -111,6 +119,22 @@ def whichway_effects(
     stack[..., 2, :, :] = reflected
     stack[..., 3, :, :] = identity(2) - transmitted - reflected
     return stack
+
+
+def whichway_endpoints(
+    theta: float | PolarizationAngle,
+    theta_prime: float | PolarizationAngle,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> np.ndarray:
+    """Which-way effects at gamma = 1 and gamma = 0, shape (2, 4, 2, 2), validated.
+
+    E(gamma) = gamma E(1) + (1-gamma) E(0), and the POVM axioms survive
+    convex combination, so these two measurements prove every gamma in [0, 1].
+    """
+    endpoints = whichway_effects([1.0, 0.0], theta, theta_prime)
+    validate_effect_stack(endpoints, WW_LABELS, policy=policy)
+    return endpoints
 
 
 def build_whichway(
@@ -208,8 +232,9 @@ def nonideality_stack(gammas: object) -> np.ndarray:
     Shape (2,) + gammas.shape + (2, 2): index 0 holds the lambda matrices,
     index 1 the mu matrices, in closed form
       lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
+    A gamma outside [0, 1], NaN included, raises DomainError.
     """
-    g = np.asarray(gammas, dtype=np.float64)
+    g = _checked_gammas(gammas)
     stack = np.zeros((2,) + g.shape + (2, 2))
     stack[0, ..., 0, 0] = stack[1, ..., 1, 0] = g
     stack[0, ..., 1, 0] = stack[1, ..., 0, 0] = 1.0 - g

@@ -31,6 +31,7 @@ from povmbell import (
     chsh_single_run,
     correlation_from_distribution,
     detector_correlation,
+    martens_sweep,
     quad_distribution,
     singlet_state,
 )
@@ -125,6 +126,15 @@ class TestBellConfig:
                 arm2=WhichWayConfig(1.0, 0.0, 0.1),
                 state=StateDescriptor.pure([1.0, 0.0]),
             )
+
+    def test_value_equality(self):
+        arm = WhichWayConfig(0.5, 0.0, 0.3)
+        config = BellConfig(arm1=arm, arm2=arm, state=singlet_state())
+        # equal configs built from separate, equal states
+        assert config == BellConfig(arm1=arm, arm2=arm, state=singlet_state())
+        assert config != BellConfig(arm1=arm, arm2=WhichWayConfig(0.5, 0.0, 0.4), state=singlet_state())
+        product = StateDescriptor.pure([1.0, 0.0, 0.0, 0.0])
+        assert config != BellConfig(arm1=arm, arm2=arm, state=product)
 
 
 class TestBuildBell:
@@ -394,15 +404,15 @@ class TestInvalidArmStacks:
 
     @pytest.mark.parametrize("error", list(ARM_CORRUPTIONS))
     def test_same_error_type_as_build_whichway(self, monkeypatch, error):
-        from povmbell import bell, whichway
+        from povmbell import whichway
 
         original = whichway.whichway_effects
 
         def broken(gammas, theta, theta_prime):
             return ARM_CORRUPTIONS[error](original(gammas, theta, theta_prime))
 
+        # build_whichway and whichway_endpoints, so every arm, build their effects here
         monkeypatch.setattr(whichway, "whichway_effects", broken)
-        monkeypatch.setattr(bell, "whichway_effects", broken)
         arm = WhichWayConfig(0.6, 0.2, 1.1)
         with pytest.raises(error):
             build_whichway(arm)
@@ -410,6 +420,8 @@ class TestInvalidArmStacks:
             build_bell(BellConfig(arm1=arm, arm2=arm, state=singlet_state()))
         with pytest.raises(error):
             chsh_aspect(singlet_state(), 0.2, 1.1, 0.4, 1.3)
+        with pytest.raises(error):
+            martens_sweep([0.0, 0.6, 1.0], 0.2, 1.1)
 
 
 class TestNoSignaling:

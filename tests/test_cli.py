@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import write_event_log_per_line
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli
 from povmbell.cli import (
     ExperimentSpec,
     build_parser,
@@ -367,6 +368,102 @@ def test_fuzzed_config_is_accepted_or_config_error_and_main_exits_cleanly(name, 
         argv = [command, "--config", str(config), "--out", str(Path(tmp) / "out")]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3, 4)
+
+
+HUGE = sys.float_info.max
+# valid field values, edges drawn often: angles in degrees from the largest
+# finite float down to the smallest subnormal, gammas at and one ulp inside
+# the corners, amplitudes subnormal or huge
+VALID_ANGLES = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 45.0, -90.0, 1e20, HUGE, -HUGE]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+VALID_GAMMAS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-16, 0.5, 1.0 - 1e-16, 1.0]), st.floats(0.0, 1.0)
+)
+AMPLITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-200, 1e300, HUGE, -HUGE]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+VALID_FIELDS = {
+    **dict.fromkeys(("gamma", "gamma1", "gamma2"), VALID_GAMMAS),
+    **dict.fromkeys(("theta_deg", "theta_prime_deg", "delta_deg", *cli._BELL_ANGLES), VALID_ANGLES),
+    "gamma_grid": st.one_of(
+        st.lists(VALID_GAMMAS, min_size=1, max_size=20),
+        st.fixed_dictionaries(
+            {
+                "start": VALID_GAMMAS,
+                "stop": VALID_GAMMAS,
+                "count": st.one_of(st.integers(1, 100), st.just(FUZZ_CAP)),
+            }
+        ),
+    ),
+}
+
+
+def valid_states(dim):
+    names = ["singlet"] if dim == 4 else sorted(cli._NAMED_STATES)
+    entry = st.one_of(AMPLITUDES, st.lists(AMPLITUDES, min_size=2, max_size=2))
+    amplitudes = st.lists(entry, min_size=dim, max_size=dim).filter(
+        lambda amps: any(x != 0.0 for a in amps for x in (a if isinstance(a, list) else [a]))
+    )
+    return st.one_of(st.sampled_from(names), amplitudes)
+
+
+@st.composite
+def valid_configs(draw, command):
+    """A config `spec_from_dict` accepts, built from the field table `cli._EXPERIMENTS`."""
+    kind = cli._COMMANDS[command][0]
+    payload = {"kind": kind, "format": draw(st.sampled_from(["csv", "json"]))}
+    experiment = kind
+    if kind == "sample":
+        experiment = draw(st.sampled_from(cli._SAMPLE_EXPERIMENTS))
+        payload["experiment"] = experiment
+        payload["n_events"] = draw(st.one_of(st.integers(0, 100), st.just(FUZZ_CAP)))
+        payload["seed"] = draw(st.integers(0, 2**64 - 1))
+    fields, dim = cli._EXPERIMENTS[experiment]
+    for name in fields:
+        payload[name] = draw(valid_states(dim) if name == "state" else VALID_FIELDS[name])
+    return payload
+
+
+# summary columns that hold text, not numbers
+TEXT_COLUMNS = {"state", "experiment", "generator", "config_sha256", "log_path"}
+
+
+def numeric_cells(text, fmt):
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+        return [v for row in rows for v in row.values() if isinstance(v, float)]
+    rows = csv.DictReader(io.StringIO(text))
+    return [
+        float(v)
+        for row in rows
+        for k, v in row.items()
+        if k not in TEXT_COLUMNS and v not in ("", "true", "false")
+    ]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_valid_config_exits_0_with_finite_cells(command, data):
+    payload = data.draw(valid_configs(command))
+    spec = spec_from_dict(payload)
+    assert spec_from_dict(spec_to_dict(spec)) == spec
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        argv = [command, "--config", str(config)]
+        if command == "sample":
+            argv += ["--out", str(Path(tmp) / "events.log")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code == 0, err.getvalue()
+    cells = numeric_cells(out.getvalue(), payload["format"])
+    assert cells
+    assert all(math.isfinite(x) for x in cells)
 
 
 class TestResolveState:

@@ -14,6 +14,7 @@ from povmbell import (
     PAULI_Z,
     DomainError,
     NonidealityMatrix,
+    ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
     build_whichway,
@@ -23,7 +24,6 @@ from povmbell import (
     polarization_pvm,
     row_entropy,
 )
-from povmbell import infometrics
 from povmbell.infometrics import martens_sweep
 
 LN2 = math.log(2.0)
@@ -192,23 +192,6 @@ class TestMartensSweep:
                 assert curve.slack[i] == report.slack
                 assert bool(curve.satisfied[i]) == report.satisfied
 
-    def test_chunked_validation_covers_whole_grid(self, monkeypatch):
-        grid = np.linspace(0.0, 1.0, 23)
-        whole = martens_sweep(grid, math.pi / 5, 0.0)
-        monkeypatch.setattr(infometrics, "SWEEP_CHUNK", 4)
-        chunked = martens_sweep(grid, math.pi / 5, 0.0)
-        assert np.array_equal(whole.slack, chunked.slack)
-        checked = []
-        real = infometrics.validate_effect_stack
-
-        def spy(stack, labels, **kwargs):
-            checked.append(stack.shape[0])
-            return real(stack, labels, **kwargs)
-
-        monkeypatch.setattr(infometrics, "validate_effect_stack", spy)
-        martens_sweep(grid, math.pi / 5, 0.0)
-        assert checked == [4, 4, 4, 4, 4, 3]
-
     def test_equality_compares_arrays(self):
         curve = martens_sweep([0.0, 0.25, 1.0], math.pi / 5, 0.0)
         assert curve == martens_sweep([0.0, 0.25, 1.0], math.pi / 5, 0.0)
@@ -217,10 +200,13 @@ class TestMartensSweep:
         assert curve != martens_sweep([0.0, 0.25, 1.0], math.pi / 7, 0.0)
 
     def test_rejects_out_of_range_gamma(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^gamma must lie in \[0, 1\], got 1\.5$"):
             martens_sweep([0.2, 1.5], 0.3, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^gamma must lie in \[0, 1\], got nan$"):
             martens_sweep([0.2, math.nan], 0.3, 0.0)
+        # the first offender in grid order is named
+        with pytest.raises(DomainError, match=r"got -0\.5$"):
+            martens_sweep(np.concatenate([np.full(5000, 0.5), [-0.5, 2.0]]), 0.3, 0.0)
 
 
 class TestHeisenbergCheck:
@@ -256,6 +242,13 @@ class TestHeisenbergCheck:
                 check = heisenberg_check(state, a, b)
                 assert check.satisfied
                 assert check.lhs >= check.rhs - 1e-10
+
+    def test_operators_of_different_dimensions_rejected(self):
+        state = StateDescriptor.pure([1.0, 0.0])
+        with pytest.raises(ShapeMismatchError):
+            heisenberg_check(state, PAULI_X, np.eye(3))
+        with pytest.raises(ShapeMismatchError):
+            heisenberg_check(state, np.eye(3), PAULI_X)
 
     def test_rejects_non_hermitian(self):
         state = StateDescriptor.pure([1.0, 0.0])

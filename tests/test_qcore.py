@@ -23,23 +23,8 @@ from povmbell import (
     expectation,
     hermiticity_defect,
     identity,
-    matmul,
     projector_from_angle,
 )
-
-
-def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry-wise triple loop, independent of any BLAS path."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 class TestNumericPolicy:
@@ -73,33 +58,9 @@ class TestAsMatrix:
 
 
 class TestMatmul:
-    def test_identity(self):
-        a = as_matrix([[1, 2j], [3, 4]])
-        assert np.allclose(matmul(identity(2), a), a, atol=0)
-        assert np.allclose(matmul(a, identity(2)), a, atol=0)
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(101)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            got = matmul(a, b)
-            want = matmul_oracle(a, b)
-            assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_rectangular_against_oracle(self):
-        rng = np.random.default_rng(102)
-        a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        assert np.max(np.abs(matmul(a, b) - matmul_oracle(a, b))) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_pauli_algebra(self):
-        assert np.allclose(matmul(PAULI_X, PAULI_X), identity(2), atol=1e-15)
-        xy_minus_yx = matmul(PAULI_X, PAULI_Y) - matmul(PAULI_Y, PAULI_X)
+        assert np.allclose(PAULI_X @ PAULI_X, identity(2), atol=1e-15)
+        xy_minus_yx = PAULI_X @ PAULI_Y - PAULI_Y @ PAULI_X
         assert np.allclose(xy_minus_yx, 2j * np.asarray(PAULI_Z), atol=1e-15)
 
 
@@ -156,7 +117,7 @@ class TestProjector:
             t = k * math.pi / 16
             e = projector_from_angle(t)
             assert hermiticity_defect(e) == 0.0
-            assert np.max(np.abs(matmul(e, e) - e)) <= 1e-15
+            assert np.max(np.abs(e @ e - e)) <= 1e-15
             assert abs(np.trace(e) - 1.0) <= 1e-15
 
     def test_pi_periodic(self):
@@ -167,7 +128,7 @@ class TestProjector:
     def test_overlap_mutually_unbiased(self):
         e0 = projector_from_angle(0.0)
         e45 = projector_from_angle(math.pi / 4)
-        assert float(np.real(np.trace(matmul(e0, e45)))) == pytest.approx(0.5, abs=1e-15)
+        assert float(np.real(np.trace(e0 @ e45))) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestStateDescriptor:
@@ -234,6 +195,21 @@ class TestStateDescriptor:
         loose = NumericPolicy(atol_algebra=1e-2, atol_positivity=1e-2)
         state = StateDescriptor.pure([1.0, 0.001], policy=loose)
         assert state.dim == 2
+
+    def test_value_equality(self):
+        assert StateDescriptor.pure([1, 0]) == StateDescriptor.pure([1, 0])
+        assert StateDescriptor.pure([1, 0]) != StateDescriptor.pure([0, 1])
+        assert StateDescriptor.pure([1, 0]) != StateDescriptor.pure([1, 0, 0])
+        half = np.eye(2) / 2
+        assert StateDescriptor.density(half) == StateDescriptor.density(half)
+        assert StateDescriptor.density(half) != StateDescriptor.density(np.diag([1.0, 0.0]))
+        # the same state in the other representation is a different descriptor
+        assert StateDescriptor.pure([1, 0]) != StateDescriptor.density(np.diag([1.0, 0.0]))
+        assert StateDescriptor.pure([1, 0]) != "not a state"
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(StateDescriptor.pure([1, 0]))
 
 
 class TestExpectation:
