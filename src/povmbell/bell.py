@@ -29,12 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
-from .qcore import (
-    DEFAULT_POLICY,
-    NumericPolicy,
-    PolarizationAngle,
-    StateDescriptor,
-)
+from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor
 from .whichway import WW_LABELS, WhichWayConfig, build_whichway, whichway_endpoints
 
 __all__ = [
@@ -112,31 +107,23 @@ def _joint_effects(arm1: np.ndarray, arm2: np.ndarray) -> np.ndarray:
     return joint.reshape(arm1.shape[0] * arm2.shape[0], 16, 4, 4)
 
 
-def build_bell(
-    config: BellConfig,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> QuadrivariateBell:
+def build_bell(config: BellConfig) -> QuadrivariateBell:
     """Tensor the two arm POVMs into one 16-effect POVM.
 
     Each arm is validated by `build_whichway`. A tensor product of POVMs is
     a POVM, sharp exactly when both factors are, so the joint stack is not
     checked again (the tests prove it): it is a Pvm when both arms are.
     """
-    arm1 = build_whichway(config.arm1, policy=policy).povm
-    arm2 = build_whichway(config.arm2, policy=policy).povm
+    arm1 = build_whichway(config.arm1).povm
+    arm2 = build_whichway(config.arm2).povm
     joint = _joint_effects(arm1.stack[None], arm2.stack[None])[0]
     cls = Pvm if isinstance(arm1, Pvm) and isinstance(arm2, Pvm) else Povm
     return QuadrivariateBell(config=config, povm=cls(stack=joint, labels=QUAD_LABELS))
 
 
-def quad_distribution(
-    bell: QuadrivariateBell,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> OutcomeDistribution:
+def quad_distribution(bell: QuadrivariateBell) -> OutcomeDistribution:
     """Joint 16-outcome probabilities of the configured state."""
-    return born_probabilities(bell.config.state, bell.povm, policy=policy)
+    return born_probabilities(bell.config.state, bell.povm)
 
 
 def _pair_column(pair: tuple[str, str]) -> int:
@@ -166,13 +153,8 @@ def correlation_from_distribution(
     return float(dist.probs @ _sign_rows(dist)[:, column])
 
 
-def detector_correlation(
-    bell: QuadrivariateBell,
-    pair: tuple[str, str],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
-    return correlation_from_distribution(quad_distribution(bell, policy=policy), pair)
+def detector_correlation(bell: QuadrivariateBell, pair: tuple[str, str]) -> float:
+    return correlation_from_distribution(quad_distribution(bell), pair)
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,7 @@ class ChshReport:
     s_symmetric_max: float
 
 
-def _combine(values: list[float], *, policy: NumericPolicy) -> ChshReport:
+def _combine(values: list[float]) -> ChshReport:
     # canonical combination puts the minus on the (D1, D2') term
     s_value = values[0] - values[1] + values[2] + values[3]
     s_symmetric_max = 0.0
@@ -196,32 +178,24 @@ def _combine(values: list[float], *, policy: NumericPolicy) -> ChshReport:
     return ChshReport(
         correlations=correlations,
         s_value=s_value,
-        violates=abs(s_value) > 2.0 + policy.atol_positivity,
+        violates=abs(s_value) > 2.0 + DEFAULT_POLICY.atol_positivity,
         s_symmetric_max=s_symmetric_max,
     )
 
 
-def chsh_report_from_distribution(
-    dist: OutcomeDistribution,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> ChshReport:
+def chsh_report_from_distribution(dist: OutcomeDistribution) -> ChshReport:
     """CHSH statistics of one quadrivariate distribution (single-run form)."""
-    return _combine((dist.probs @ _sign_rows(dist)).tolist(), policy=policy)
+    return _combine((dist.probs @ _sign_rows(dist)).tolist())
 
 
-def chsh_single_run(
-    bell: QuadrivariateBell,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> ChshReport:
+def chsh_single_run(bell: QuadrivariateBell) -> ChshReport:
     """CHSH combination of the four correlations of one joint measurement.
 
     |s_value| <= 2 for every configuration and state; see the module
     docstring for why. `s_symmetric_max` additionally maximizes over the
     eight sign-symmetric CHSH forms, and obeys the same bound here.
     """
-    return chsh_report_from_distribution(quad_distribution(bell, policy=policy), policy=policy)
+    return chsh_report_from_distribution(quad_distribution(bell))
 
 
 def chsh_aspect(
@@ -230,8 +204,6 @@ def chsh_aspect(
     theta1_prime: float | PolarizationAngle,
     theta2: float | PolarizationAngle,
     theta2_prime: float | PolarizationAngle,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ChshReport:
     """CHSH combination pooled from four extreme-transmissivity runs.
 
@@ -249,15 +221,14 @@ def chsh_aspect(
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
     corners = _joint_effects(
-        whichway_endpoints(theta1, theta1_prime, policy=policy),
-        whichway_endpoints(theta2, theta2_prime, policy=policy),
+        whichway_endpoints(theta1, theta1_prime), whichway_endpoints(theta2, theta2_prime)
     )
-    values = born_values(state, corners, QUAD_LABELS, policy=policy)
+    values = born_values(state, corners, QUAD_LABELS)
     correlations = []
     for c, row in enumerate(values):
-        dist = OutcomeDistribution.from_values(QUAD_LABELS, row, policy=policy)
+        dist = OutcomeDistribution.from_values(QUAD_LABELS, row)
         correlations.append(float(dist.probs @ CHSH_SIGNS[:, c]))
-    return _combine(correlations, policy=policy)
+    return _combine(correlations)
 
 
 def singlet_state() -> StateDescriptor:

@@ -44,7 +44,7 @@ from .bell import (
 from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import martens_check, martens_sweep
 from .measurement import OutcomeDistribution, born_probabilities
-from .qcore import DEFAULT_POLICY, StateDescriptor
+from .qcore import StateDescriptor
 from .sampler import (
     LOG_CHUNK,
     EventLog,

@@ -22,7 +22,6 @@ from .errors import DomainError, InvariantViolationError, ShapeMismatchError
 from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
-    NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
     as_angle,
@@ -50,11 +49,7 @@ __all__ = [
 ]
 
 
-def row_entropy(
-    matrix: NonidealityMatrix | object,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float | np.ndarray:
+def row_entropy(matrix: NonidealityMatrix | object) -> float | np.ndarray:
     """Average row entropy of a column-stochastic matrix, in nats.
 
     J = -(1/N) * sum_{m,k} L[m,k] * ln(L[m,k] / r_m)  with r_m the m-th row
@@ -81,9 +76,9 @@ def row_entropy(
     upper = math.log(n_ideal)
     lowest, highest = float(result.min()), float(result.max())
     if lowest < 0.0 or highest > upper:
-        if lowest < -policy.atol_positivity:
+        if lowest < -DEFAULT_POLICY.atol_positivity:
             raise InvariantViolationError(f"row entropy came out negative: {lowest!r}")
-        if highest > upper + policy.atol_positivity:
+        if highest > upper + DEFAULT_POLICY.atol_positivity:
             raise InvariantViolationError(
                 f"row entropy {highest!r} exceeds ln(N) = {upper!r}"
             )
@@ -94,8 +89,6 @@ def row_entropy(
 def martens_bound(
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """Lower bound on the summed row entropies of a joint measurement.
 
@@ -133,15 +126,15 @@ class MartensCurve(ArrayRecord):
     satisfied: np.ndarray
 
 
-def _tradeoff(nonideality: np.ndarray, bound: float, policy: NumericPolicy) -> MartensCurve:
-    j_lambda, j_mu = row_entropy(nonideality, policy=policy)
+def _tradeoff(nonideality: np.ndarray, bound: float) -> MartensCurve:
+    j_lambda, j_mu = row_entropy(nonideality)
     slack = j_lambda + j_mu - bound
     return MartensCurve(
         j_lambda=j_lambda,
         j_mu=j_mu,
         bound=bound,
         slack=slack,
-        satisfied=slack >= -policy.atol_positivity,
+        satisfied=slack >= -DEFAULT_POLICY.atol_positivity,
     )
 
 
@@ -149,8 +142,6 @@ def martens_sweep(
     gammas: object,
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> MartensCurve:
     """Evaluate j_lambda + j_mu >= bound over a 1-D grid of transmissivities.
 
@@ -164,23 +155,19 @@ def martens_sweep(
     if grid.ndim != 1 or grid.size == 0:
         raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
     nonideality = nonideality_stack(grid)
-    whichway_endpoints(theta, theta_prime, policy=policy)
-    return _tradeoff(nonideality, martens_bound(theta, theta_prime, policy=policy), policy)
+    whichway_endpoints(theta, theta_prime)
+    return _tradeoff(nonideality, martens_bound(theta, theta_prime))
 
 
-def martens_check(
-    whichway: BivariateWhichWay,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> MartensReport:
+def martens_check(whichway: BivariateWhichWay) -> MartensReport:
     """Evaluate j_lambda + j_mu >= bound for one which-way configuration.
 
     The one-point case of the sweep's tradeoff evaluation; the which-way
     POVM was validated when it was built.
     """
     config = whichway.config
-    bound = martens_bound(config.theta, config.theta_prime, policy=policy)
-    curve = _tradeoff(nonideality_stack([config.gamma]), bound, policy)
+    bound = martens_bound(config.theta, config.theta_prime)
+    curve = _tradeoff(nonideality_stack([config.gamma]), bound)
     return MartensReport(
         j_lambda=float(curve.j_lambda[0]),
         j_mu=float(curve.j_mu[0]),
@@ -196,16 +183,11 @@ class HeisenbergCheck(NamedTuple):
     satisfied: bool
 
 
-def heisenberg_check(
-    state: StateDescriptor,
-    op_a: object,
-    op_b: object,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> HeisenbergCheck:
+def heisenberg_check(state: StateDescriptor, op_a: object, op_b: object) -> HeisenbergCheck:
     """Preparation uncertainty: std(A) * std(B) >= |<[A, B]>| / 2.
 
-    Both operators must be Hermitian and of the state's dimension. Variances
+    Both operators must be Hermitian, with finite entries, and of the
+    state's dimension (DomainError, ShapeMismatchError). Variances
     are clamped at zero before the square root; eigenstates make
     <A^2> - <A>^2 a difference of nearly equal doubles that can round
     slightly negative.
@@ -214,7 +196,7 @@ def heisenberg_check(
     mat_b = as_matrix(op_b)
     for name, mat in (("first", mat_a), ("second", mat_b)):
         defect = hermiticity_defect(mat)
-        if defect > policy.atol_algebra:
+        if not defect <= DEFAULT_POLICY.atol_algebra:  # a NaN defect fails too
             raise DomainError(
                 f"{name} operator is not Hermitian (max deviation {defect:.3e})"
             )
@@ -230,4 +212,4 @@ def heisenberg_check(
     commutator = mat_a @ mat_b - mat_b @ mat_a
     lhs = std(mat_a) * std(mat_b)
     rhs = 0.5 * abs(expectation(state, commutator))
-    return HeisenbergCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - policy.atol_positivity)
+    return HeisenbergCheck(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - DEFAULT_POLICY.atol_positivity)

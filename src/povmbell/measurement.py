@@ -30,7 +30,6 @@ from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
     ComplexMatrix,
-    NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
     as_matrix,
@@ -120,12 +119,7 @@ class Pvm(Povm):
     """A POVM whose effects are mutually orthogonal projectors (a sharp measurement)."""
 
 
-def validate_effect_stack(
-    stack: object,
-    labels: Sequence[str],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> None:
+def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     """Check the POVM axioms on every measurement of an effect stack at once.
 
     `stack` has shape (..., k, d, d): any number of leading batch axes, then
@@ -154,9 +148,9 @@ def validate_effect_stack(
     # Any NaN or infinite entry gives a NaN or infinite hermiticity defect,
     # and the test is phrased so that a NaN defect fails it.
     herm = np.abs(effects - effects.swapaxes(-1, -2).conj())
-    if not herm.max(initial=0.0) <= policy.atol_algebra:
+    if not herm.max(initial=0.0) <= DEFAULT_POLICY.atol_algebra:
         herm_defects = herm.max(axis=(-2, -1))
-        at = first(~(herm_defects <= policy.atol_algebra))
+        at = first(~(herm_defects <= DEFAULT_POLICY.atol_algebra))
         defect = float(herm_defects[at])
         raise NotHermitianError(
             f"effect {labels[at[-1]]!r} is not Hermitian (max deviation {defect:.3e})",
@@ -164,9 +158,10 @@ def validate_effect_stack(
         )
 
     eigs = np.linalg.eigvalsh(effects)
-    if eigs.min() < -policy.atol_positivity or eigs.max() > 1.0 + policy.atol_positivity:
+    margin = DEFAULT_POLICY.atol_positivity
+    if eigs.min() < -margin or eigs.max() > 1.0 + margin:
         low, high = eigs[..., 0], eigs[..., -1]
-        out_of_range = (low < -policy.atol_positivity) | (high > 1.0 + policy.atol_positivity)
+        out_of_range = (low < -margin) | (high > 1.0 + margin)
         at = first(out_of_range)
         lo, hi = float(low[at]), float(high[at])
         worst = max(-lo, hi - 1.0)
@@ -177,21 +172,17 @@ def validate_effect_stack(
         )
 
     incomplete = np.abs(effects.sum(axis=-3) - np.eye(dim))
-    if incomplete.max(initial=0.0) > policy.atol_algebra:
+    if incomplete.max(initial=0.0) > DEFAULT_POLICY.atol_algebra:
         complete_defects = incomplete.max(axis=(-2, -1))
-        defect = float(complete_defects[first(complete_defects > policy.atol_algebra)])
+        defect = float(complete_defects[first(complete_defects > DEFAULT_POLICY.atol_algebra)])
         raise NotCompleteError(
             f"effects sum to identity only within {defect:.3e} "
-            f"(allowed {policy.atol_algebra:.1e})",
+            f"(allowed {DEFAULT_POLICY.atol_algebra:.1e})",
             deviation=defect,
         )
 
 
-def validate_povm(
-    effects: object,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Povm:
+def validate_povm(effects: object) -> Povm:
     """Check the POVM axioms and classify the result, as `povm_from_stack` does.
 
     Accepts Effect objects or (matrix, label) pairs, all of one dimension.
@@ -212,17 +203,10 @@ def validate_povm(
             raise ShapeMismatchError(
                 f"effect {e.label!r} has dimension {e.dim}, expected {dim}"
             )
-    return povm_from_stack(
-        np.array([e.matrix for e in items]), [e.label for e in items], policy=policy
-    )
+    return povm_from_stack(np.array([e.matrix for e in items]), [e.label for e in items])
 
 
-def povm_from_stack(
-    stack: object,
-    labels: Sequence[str],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Povm:
+def povm_from_stack(stack: object, labels: Sequence[str]) -> Povm:
     """Check the POVM axioms on one (k, d, d) effect stack and classify it.
 
     The labels must be unique. The axioms are checked by one
@@ -238,7 +222,7 @@ def povm_from_stack(
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
     effects = np.asarray(stack, dtype=np.complex128)
-    validate_effect_stack(effects, labels, policy=policy)
+    validate_effect_stack(effects, labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
     # means E_i E_i - E_i = 0 (diagonal blocks) and E_i E_j = 0 for i < j.
@@ -249,7 +233,7 @@ def povm_from_stack(
     blocks[np.arange(k), np.arange(k)] -= effects
     block_of = np.arange(k * dim) // dim
     residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
-    cls = Pvm if residue.max() <= policy.atol_algebra else Povm
+    cls = Pvm if residue.max() <= DEFAULT_POLICY.atol_algebra else Povm
     return cls(stack=effects, labels=labels)
 
 
@@ -271,33 +255,32 @@ class OutcomeDistribution(ArrayRecord):
         object.__setattr__(self, "probs", probs)
 
     @classmethod
-    def from_values(
-        cls,
-        labels: object,
-        values: object,
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ) -> "OutcomeDistribution":
-        """Clamp floating-point dust, renormalize, and validate.
+    def from_values(cls, labels: object, values: object) -> "OutcomeDistribution":
+        """Validate, clamp floating-point dust, and renormalize.
 
-        Values below -atol_positivity or a total off from 1 by more than
-        atol_positivity are treated as genuine contract violations, not noise;
+        The labels must be nonempty and unique (DomainError). Values below
+        -DEFAULT_POLICY.atol_positivity or a total off from 1 by more than
+        that tolerance are treated as genuine contract violations, not noise;
         so is any NaN or infinite value, which makes the total NaN or infinite.
         """
+        labels = tuple(labels)
+        if not labels or len(set(labels)) != len(labels):
+            raise DomainError(f"outcome labels must be nonempty and unique, got {list(labels)}")
         probs = np.array(values, dtype=np.float64)
-        lowest = float(probs.min())
-        if lowest < -policy.atol_positivity:
+        tol = DEFAULT_POLICY.atol_positivity
+        lowest = float(probs.min(initial=0.0))  # no values: the total check fails
+        if lowest < -tol:
             raise InvariantViolationError(
-                f"probability {lowest!r} is negative beyond tolerance {policy.atol_positivity}"
+                f"probability {lowest!r} is negative beyond tolerance {tol}"
             )
         total = float(probs.sum())
-        if not abs(total - 1.0) <= policy.atol_positivity:  # a NaN total fails too
+        if not abs(total - 1.0) <= tol:  # a NaN total fails too
             raise InvariantViolationError(
-                f"probabilities sum to {total!r}; must equal 1 within {policy.atol_positivity}"
+                f"probabilities sum to {total!r}; must equal 1 within {tol}"
             )
         probs = np.clip(probs, 0.0, 1.0)
         probs = probs / probs.sum()
-        return cls(labels=tuple(labels), probs=probs)
+        return cls(labels=labels, probs=probs)
 
     def prob(self, label: str) -> float:
         for lbl, p in zip(self.labels, self.probs):
@@ -309,13 +292,7 @@ class OutcomeDistribution(ArrayRecord):
         return {lbl: float(p) for lbl, p in zip(self.labels, self.probs)}
 
 
-def born_values(
-    state: StateDescriptor,
-    stack: object,
-    labels: Sequence[str],
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) -> np.ndarray:
     """Born-rule values of every effect of an effect stack, by one einsum.
 
     `stack` has shape (..., k, d, d), its effects labeled by `labels`; the
@@ -336,38 +313,29 @@ def born_values(
         values = np.einsum("i,...ij,j->...", vec.conj(), effects, vec)
     else:
         values = np.einsum("ji,...ij->...", state.matrix, effects)
-    residue = np.abs(values.imag)
-    if residue.max() > policy.atol_positivity:
-        at = np.unravel_index(int(np.argmax(residue > policy.atol_positivity)), residue.shape)
+    non_real = np.abs(values.imag) > DEFAULT_POLICY.atol_positivity
+    if non_real.any():
+        at = np.unravel_index(int(np.argmax(non_real)), non_real.shape)
         raise InvariantViolationError(
             f"effect {labels[at[-1]]!r} produced non-real probability {complex(values[at])!r}"
         )
     return values.real
 
 
-def born_probabilities(
-    state: StateDescriptor,
-    povm: Povm,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> OutcomeDistribution:
+def born_probabilities(state: StateDescriptor, povm: Povm) -> OutcomeDistribution:
     """Outcome distribution of `povm` in `state` via the Born rule (see `born_values`)."""
-    values = born_values(state, povm.stack, povm.labels, policy=policy)
-    return OutcomeDistribution.from_values(povm.labels, values, policy=policy)
+    values = born_values(state, povm.stack, povm.labels)
+    return OutcomeDistribution.from_values(povm.labels, values)
 
 
-def polarization_pvm(
-    theta: float | PolarizationAngle,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Pvm:
+def polarization_pvm(theta: float | PolarizationAngle) -> Pvm:
     """Ideal two-outcome polarization measurement along `theta`.
 
     Labels "+" (transmitted by the analyzer) and "-" (absorbed/deflected).
     """
     plus = projector_from_angle(theta)
     minus = identity(2) - plus
-    povm = validate_povm([(plus, "+"), (minus, "-")], policy=policy)
+    povm = validate_povm([(plus, "+"), (minus, "-")])
     if not isinstance(povm, Pvm):
         raise InvariantViolationError("polarization projectors failed sharpness classification")
     return povm

@@ -40,12 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerances for double-precision checks.
+    """The tolerances of every double-precision check in the package.
 
     atol_algebra bounds direct algebraic identities (hermiticity,
     completeness, idempotence, norms). atol_positivity bounds quantities that
     pass through an eigensolver or accumulate across sums (eigenvalue floors,
     probability dust), which pick up more rounding than direct identities.
+    The one instance is DEFAULT_POLICY; the checks read it directly, and no
+    function takes a tolerance argument.
     """
 
     atol_algebra: float = 1e-12
@@ -144,13 +146,7 @@ class StateDescriptor:
     __slots__ = ("_vector", "_matrix")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        vector: object | None = None,
-        matrix: object | None = None,
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ):
+    def __init__(self, vector: object | None = None, matrix: object | None = None):
         if (vector is None) == (matrix is None):
             raise DomainError("provide exactly one of vector= or matrix=")
         if vector is not None:
@@ -160,10 +156,10 @@ class StateDescriptor:
             if not np.all(np.isfinite(vec)):
                 raise DomainError("pure state amplitudes must be finite")
             norm_sq = float(np.real(np.vdot(vec, vec)))
-            if abs(norm_sq - 1.0) > policy.atol_algebra:
+            if abs(norm_sq - 1.0) > DEFAULT_POLICY.atol_algebra:
                 raise DomainError(
                     f"pure state squared norm is {norm_sq!r}; must equal 1 "
-                    f"within {policy.atol_algebra}"
+                    f"within {DEFAULT_POLICY.atol_algebra}"
                 )
             vec.setflags(write=False)
             self._vector: ComplexMatrix | None = vec
@@ -173,24 +169,27 @@ class StateDescriptor:
             if rho.shape[0] != rho.shape[1]:
                 raise ShapeMismatchError(f"density operator must be square, got {rho.shape}")
             defect = hermiticity_defect(rho)
-            if defect > policy.atol_algebra:
+            if defect > DEFAULT_POLICY.atol_algebra:
                 raise DomainError(f"density operator is not Hermitian (max deviation {defect:.3e})")
             trace = complex(np.trace(rho))
-            if abs(trace - 1.0) > policy.atol_algebra:
+            if abs(trace - 1.0) > DEFAULT_POLICY.atol_algebra:
                 raise DomainError(f"density operator trace is {trace!r}; must equal 1")
+            # a non-finite entry can pass both tests above: NaN compares False
+            if not np.isfinite(rho).all():
+                raise DomainError("density operator entries must be finite")
             lowest = float(np.linalg.eigvalsh(rho)[0])
-            if lowest < -policy.atol_positivity:
+            if lowest < -DEFAULT_POLICY.atol_positivity:
                 raise DomainError(f"density operator has negative eigenvalue {lowest!r}")
             self._vector = None
             self._matrix = rho
 
     @classmethod
-    def pure(cls, amplitudes: object, *, policy: NumericPolicy = DEFAULT_POLICY) -> "StateDescriptor":
-        return cls(vector=amplitudes, policy=policy)
+    def pure(cls, amplitudes: object) -> "StateDescriptor":
+        return cls(vector=amplitudes)
 
     @classmethod
-    def density(cls, rho: object, *, policy: NumericPolicy = DEFAULT_POLICY) -> "StateDescriptor":
-        return cls(matrix=rho, policy=policy)
+    def density(cls, rho: object) -> "StateDescriptor":
+        return cls(matrix=rho)
 
     @property
     def is_pure(self) -> bool:

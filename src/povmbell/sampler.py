@@ -19,7 +19,7 @@ import numpy as np
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
 from .errors import DomainError
 from .measurement import OutcomeDistribution, Povm, born_probabilities
-from .qcore import DEFAULT_POLICY, ArrayRecord, NumericPolicy, StateDescriptor
+from .qcore import ArrayRecord, StateDescriptor
 
 __all__ = [
     "GENERATOR_NAME",
@@ -156,7 +156,6 @@ def sample(
     *,
     config_descriptor: str = "",
     distribution: OutcomeDistribution | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> EventLog:
     """Draw `n` outcomes of `povm` in `state`.
 
@@ -174,7 +173,7 @@ def sample(
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
     if distribution is None:
-        distribution = born_probabilities(state, povm, policy=policy)
+        distribution = born_probabilities(state, povm)
     elif distribution.labels != povm.labels:
         raise DomainError(
             f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
@@ -213,11 +212,7 @@ def empirical_frequencies(log: EventLog) -> dict[str, float]:
     return {label: count / n for label, count in zip(log.label_set, counts.tolist())}
 
 
-def empirical_chsh(
-    log: EventLog,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> ChshReport:
+def empirical_chsh(log: EventLog) -> ChshReport:
     """CHSH statistics estimated from one quadrivariate event log.
 
     Every event carries all four detector signs at once, so a single log
@@ -229,7 +224,5 @@ def empirical_chsh(
     if log.count == 0:
         raise DomainError("cannot estimate correlations from an empty event log")
     freqs = empirical_frequencies(log)
-    dist = OutcomeDistribution.from_values(
-        QUAD_LABELS, [freqs[label] for label in QUAD_LABELS], policy=policy
-    )
-    return chsh_report_from_distribution(dist, policy=policy)
+    dist = OutcomeDistribution.from_values(QUAD_LABELS, [freqs[label] for label in QUAD_LABELS])
+    return chsh_report_from_distribution(dist)

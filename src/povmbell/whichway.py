@@ -33,7 +33,6 @@ from .measurement import (
 from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
-    NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
     as_angle,
@@ -124,8 +123,6 @@ def whichway_effects(
 def whichway_endpoints(
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Which-way effects at gamma = 1 and gamma = 0, shape (2, 4, 2, 2), validated.
 
@@ -133,28 +130,19 @@ def whichway_endpoints(
     convex combination, so these two measurements prove every gamma in [0, 1].
     """
     endpoints = whichway_effects([1.0, 0.0], theta, theta_prime)
-    validate_effect_stack(endpoints, WW_LABELS, policy=policy)
+    validate_effect_stack(endpoints, WW_LABELS)
     return endpoints
 
 
-def build_whichway(
-    config: WhichWayConfig,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> BivariateWhichWay:
+def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:
     """Construct and validate the 4-effect which-way POVM (see `whichway_effects`)."""
     effects = whichway_effects(config.gamma, config.theta, config.theta_prime)
-    return BivariateWhichWay(config=config, povm=povm_from_stack(effects, WW_LABELS, policy=policy))
+    return BivariateWhichWay(config=config, povm=povm_from_stack(effects, WW_LABELS))
 
 
-def joint_distribution(
-    whichway: BivariateWhichWay,
-    state: StateDescriptor,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> OutcomeDistribution:
+def joint_distribution(whichway: BivariateWhichWay, state: StateDescriptor) -> OutcomeDistribution:
     """Bivariate outcome probabilities in WW_LABELS order."""
-    return born_probabilities(state, whichway.povm, policy=policy)
+    return born_probabilities(state, whichway.povm)
 
 
 def marginals_from_distribution(dist: OutcomeDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -166,29 +154,27 @@ def marginals_from_distribution(dist: OutcomeDistribution) -> tuple[np.ndarray, 
 
 
 def measured_marginals(
-    whichway: BivariateWhichWay,
-    state: StateDescriptor,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    whichway: BivariateWhichWay, state: StateDescriptor
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal (+, -) distributions of the D branch and the D' branch."""
-    return marginals_from_distribution(joint_distribution(whichway, state, policy=policy))
+    return marginals_from_distribution(joint_distribution(whichway, state))
 
 
 def column_stochastic(entries: object) -> np.ndarray:
     """Check a stack of column-stochastic matrices, shape (..., n_measured, n_ideal).
 
     Every entry must be nonnegative and every column must sum to 1 within
-    atol_algebra. Returns the entries as a read-only float64 array.
+    atol_algebra; a NaN entry fails both. Returns the entries as a read-only
+    float64 array.
     """
     entries = np.array(entries, dtype=np.float64)
     if entries.ndim < 2:
         raise ShapeMismatchError(f"nonideality matrices need ndim >= 2, got ndim={entries.ndim}")
-    if float(entries.min()) < 0.0:
+    if not entries.min() >= 0.0:
         raise DomainError(f"nonideality entries must be nonnegative, got min {entries.min()!r}")
     col_sums = entries.sum(axis=-2)
     worst = float(np.max(np.abs(col_sums - 1.0)))
-    if worst > DEFAULT_POLICY.atol_algebra:
+    if not worst <= DEFAULT_POLICY.atol_algebra:
         raise DomainError(
             f"columns must each sum to 1, worst deviation {worst:.3e}"
         )
@@ -244,8 +230,6 @@ def nonideality_stack(gammas: object) -> np.ndarray:
 
 def marginals_and_nonideality(
     whichway: BivariateWhichWay,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[NonidealityMatrix, NonidealityMatrix]:
     """Nonideality matrices (lambda, mu) of the two branch marginals.
 
@@ -260,16 +244,11 @@ def marginals_and_nonideality(
     return NonidealityMatrix(lam), NonidealityMatrix(mu)
 
 
-def certainty_check(
-    whichway: BivariateWhichWay,
-    state: StateDescriptor,
-    *,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+def certainty_check(whichway: BivariateWhichWay, state: StateDescriptor) -> float:
     """Probability that D' stays silent (outcomes "+-" and "--").
 
     Equals 1 exactly when gamma = 1: with the reflected branch dead, the D'
     record is deterministically "-" for every input state.
     """
-    p = joint_distribution(whichway, state, policy=policy).as_dict()
+    p = joint_distribution(whichway, state).as_dict()
     return p["+-"] + p["--"]

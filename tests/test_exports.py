@@ -1,17 +1,22 @@
-"""The export lists of the package modules name what exists.
+"""The export lists of the package modules name what exists, and the
+package's signatures and imports carry nothing dead.
 
 Every module of `povmbell` declares `__all__`. Each name listed there must
 exist in its module, and the package namespace must re-export exactly the
 names its library modules list, so deleting a function without its exports
 (or an export without its function) fails here rather than at a user's
-`import *`.
+`import *`. The checks run against one fixed table of tolerances
+(`DEFAULT_POLICY`), so no callable takes a tolerance argument. No linter is
+assumed, so an `ast` walk stands in for an unused-import check.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +48,86 @@ def test_package_reexports_nothing_else():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == listed
+
+
+def _own_callables(module):
+    """(qualified name, callable) for each function and class `module` defines,
+    and for the functions, classmethods and staticmethods of those classes;
+    `inspect.signature` of a class is its constructor's."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value.__qualname__, value
+        elif inspect.isclass(value):
+            yield value.__qualname__, value
+            for attr in vars(value).values():
+                if isinstance(attr, (classmethod, staticmethod)):
+                    attr = attr.__func__
+                if inspect.isfunction(attr):
+                    yield attr.__qualname__, attr
+
+
+def parameter_names(value) -> set[str]:
+    try:
+        return set(inspect.signature(value).parameters)
+    except ValueError:  # a class with a builtin constructor only, as the errors are
+        return set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_callable_takes_a_policy_argument(name):
+    module = importlib.import_module(f"povmbell.{name}")
+    offenders = [
+        qualname for qualname, value in _own_callables(module) if "policy" in parameter_names(value)
+    ]
+    assert offenders == []
+
+
+def test_policy_check_sees_constructors_and_classmethods():
+    seen = dict(_own_callables(importlib.import_module("povmbell.qcore")))
+    assert seen["StateDescriptor"] is povmbell.StateDescriptor
+    assert "amplitudes" in inspect.signature(seen["StateDescriptor.pure"]).parameters
+
+
+PACKAGE_DIR = Path(povmbell.__file__).parent
+TESTS_DIR = Path(__file__).parent
+# the package's __init__ imports only to re-export
+SOURCES = sorted(
+    [path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"]
+    + list(TESTS_DIR.glob("*.py")),
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in `source` that it never uses or lists in `__all__`."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_finds_dead_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import b, c as d, e\n"
+        "__all__ = ['e']\n"
+        "def f(x: b) -> None: ...\n"
+    )
+    assert unused_imports(source) == ["os", "d"]

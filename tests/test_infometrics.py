@@ -110,6 +110,10 @@ class TestRowEntropy:
         with pytest.raises(DomainError):
             row_entropy(stack)
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(DomainError):
+            row_entropy([[np.nan, 0.0], [0.0, 1.0]])
+
 
 class TestMartensBound:
     def test_mutually_unbiased_is_ln2(self):
@@ -257,6 +261,13 @@ class TestHeisenbergCheck:
             heisenberg_check(state, shift, PAULI_Z)
         with pytest.raises(DomainError):
             heisenberg_check(state, PAULI_Z, shift)
+
+    def test_rejects_nan_operator(self):
+        state = StateDescriptor.pure([1.0, 0.0])
+        with pytest.raises(DomainError, match="first operator"):
+            heisenberg_check(state, np.full((2, 2), np.nan), PAULI_X)
+        with pytest.raises(DomainError, match="second operator"):
+            heisenberg_check(state, PAULI_X, np.full((2, 2), np.nan))
 
     def test_variance_clamped_at_zero(self):
         # eigenstate of A: <A^2> - <A>^2 may round negative; std must be real 0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density, random_povm, random_pure, random_state
+from helpers import random_povm, random_pure, random_state
 from povmbell import (
     DomainError,
     Effect,
@@ -320,6 +320,17 @@ class TestOutcomeDistribution:
     def test_as_dict_preserves_order(self):
         dist = OutcomeDistribution.from_values(("x", "y"), [0.25, 0.75])
         assert list(dist.as_dict()) == ["x", "y"]
+
+    def test_rejects_empty_labels_or_values(self):
+        with pytest.raises(DomainError, match="nonempty and unique"):
+            OutcomeDistribution.from_values([], [])
+        with pytest.raises(InvariantViolationError):
+            OutcomeDistribution.from_values(("a",), [])
+
+    def test_rejects_duplicate_labels(self):
+        # as_dict would keep one of the two probabilities
+        with pytest.raises(DomainError, match="nonempty and unique"):
+            OutcomeDistribution.from_values(("a", "a"), [0.5, 0.5])
 
 
 class TestNonFinite:

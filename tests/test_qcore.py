@@ -14,7 +14,6 @@ from povmbell import (
     PAULI_Y,
     PAULI_Z,
     DomainError,
-    NumericPolicy,
     PolarizationAngle,
     ShapeMismatchError,
     StateDescriptor,
@@ -191,10 +190,27 @@ class TestStateDescriptor:
         with pytest.raises(DomainError):
             _ = mixed.vector
 
-    def test_policy_override(self):
-        loose = NumericPolicy(atol_algebra=1e-2, atol_positivity=1e-2)
-        state = StateDescriptor.pure([1.0, 0.001], policy=loose)
-        assert state.dim == 2
+    def test_norm_tolerance_edge(self):
+        # the squared norm may miss 1 by atol_algebra = 1e-12, no more
+        assert StateDescriptor.pure([math.sqrt(1.0 + 5e-13), 0.0]).dim == 2
+        with pytest.raises(DomainError, match="squared norm"):
+            StateDescriptor.pure([math.sqrt(1.0 + 5e-12), 0.0])
+
+    # inf - inf in the hermiticity defect warns before the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.full((2, 2), np.nan),
+            [[0.5, np.nan], [np.nan, 0.5]],
+            [[0.5, np.inf], [np.inf, 0.5]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+        ],
+        ids=["all-nan", "nan-off-diagonal", "inf-off-diagonal", "inf-diagonal"],
+    )
+    def test_density_rejects_non_finite(self, rho):
+        with pytest.raises(DomainError):
+            StateDescriptor.density(rho)
 
     def test_value_equality(self):
         assert StateDescriptor.pure([1, 0]) == StateDescriptor.pure([1, 0])

@@ -158,6 +158,10 @@ class TestNonidealityMatrix:
         with pytest.raises(DomainError):
             NonidealityMatrix(np.array([[0.5, 0.0], [0.4, 1.0]]))
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises(DomainError):
+            NonidealityMatrix(np.full((2, 2), np.nan))
+
     def test_apply_shape_checked(self):
         m = NonidealityMatrix(np.eye(2))
         with pytest.raises(ShapeMismatchError):
