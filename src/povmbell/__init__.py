@@ -42,6 +42,7 @@ from .infometrics import (
     martens_bound,
     martens_check,
     martens_sweep,
+    martens_sweep_chunks,
     row_entropy,
 )
 from .measurement import (

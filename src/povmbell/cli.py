@@ -3,7 +3,16 @@
 Config files carry angles in degrees; all internal math is radians. Exit
 codes: 0 success, 2 malformed config, 3 violated numeric contract, 4 I/O
 failure. Floats in CSV output are rendered with 17 significant digits so a
-round-trip through text loses nothing.
+round-trip through text loses nothing; JSON output is the text
+`json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
+
+A runner returns its column names and its rows in batches; `render_csv` and
+`render_json` turn one batch into text with one %-format call, and each
+batch is written before the next is made. Every command but `martens-sweep`
+has one batch of one row. `martens-sweep` evaluates, formats and writes its
+grid SWEEP_CHUNK points at a time, after every check its config can fail;
+only the per-chunk row-entropy range check can stop it later, and then the
+rows already written stay.
 
 Subcommands:
   whichway       one which-way measurement: joint distribution, marginals,
@@ -17,18 +26,16 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,9 +49,9 @@ from .bell import (
     singlet_state,
 )
 from .errors import ConfigError, DomainError, PovmBellError
-from .infometrics import martens_check, martens_sweep
+from .infometrics import MartensCurve, martens_check, martens_sweep_chunks
 from .measurement import OutcomeDistribution, born_probabilities
-from .qcore import StateDescriptor
+from .qcore import ArrayRecord, StateDescriptor
 from .sampler import (
     LOG_CHUNK,
     EventLog,
@@ -76,6 +83,8 @@ __all__ = [
 _SAMPLE_EXPERIMENTS = ("whichway", "bell")
 _FORMATS = ("csv", "json")
 _MAX_SEED = 2**64 - 1
+# grid points a martens-sweep evaluates, formats and writes at a time
+SWEEP_CHUNK = 4096
 
 _NAMED_STATES: dict[str, tuple[float, ...]] = {
     "H": (1.0, 0.0),
@@ -84,9 +93,13 @@ _NAMED_STATES: dict[str, tuple[float, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Validated, JSON-round-trippable description of one CLI experiment."""
+@dataclass(frozen=True, eq=False)
+class ExperimentSpec(ArrayRecord):
+    """Validated, JSON-round-trippable description of one CLI experiment.
+
+    `gamma_grid` is a read-only float64 array, the range form already
+    expanded; specs compare by value (see `ArrayRecord`).
+    """
 
     kind: str
     gamma: float | None = None
@@ -99,7 +112,7 @@ class ExperimentSpec:
     theta2_deg: float | None = None
     theta2_prime_deg: float | None = None
     delta_deg: float | None = None
-    gamma_grid: tuple[float, ...] | None = None
+    gamma_grid: np.ndarray | None = None
     state: str | tuple[tuple[float, float], ...] | None = None
     experiment: str | None = None
     n_events: int | None = None
@@ -203,19 +216,22 @@ def _state_field(name: str, value: object, dim: int) -> str | tuple[tuple[float,
     raise ConfigError(name, "must be a state name or an amplitude list")
 
 
-def _grid_field(name: str, value: object, dim: int | None = None) -> tuple[float, ...]:
+def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "count"}:
             raise ConfigError(name, 'range form needs exactly "start", "stop", "count"')
         start = _float_field("start", value["start"], lo=0.0, hi=1.0)
         stop = _float_field("stop", value["stop"], lo=0.0, hi=1.0)
         count = _int_field("count", value["count"], lo=1, hi=10**7)
-        return tuple(float(g) for g in np.linspace(start, stop, count))
-    if isinstance(value, list):
+        grid = np.linspace(start, stop, count)
+    elif isinstance(value, list):
         if not value:
             raise ConfigError(name, "grid must not be empty")
-        return tuple(_float_field(name, g, lo=0.0, hi=1.0, entry=i) for i, g in enumerate(value))
-    raise ConfigError(name, "must be a list of values or a start/stop/count object")
+        grid = np.array([_float_field(name, g, lo=0.0, hi=1.0, entry=i) for i, g in enumerate(value)])
+    else:
+        raise ConfigError(name, "must be a list of values or a start/stop/count object")
+    grid.setflags(write=False)
+    return grid
 
 
 # field name -> its check, called as check(name, value, state dimension)
@@ -267,18 +283,21 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
+def _spec_items(spec: ExperimentSpec) -> list[tuple[str, object]]:
+    """(name, value) of the fields of a spec that are set, in declaration order."""
+    items = ((field.name, getattr(spec, field.name)) for field in dataclasses.fields(ExperimentSpec))
+    return [(name, value) for name, value in items if value is not None]
+
+
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """JSON-ready dict; spec_from_dict(spec_to_dict(s)) == s."""
     payload: dict = {}
-    for field in dataclasses.fields(ExperimentSpec):
-        value = getattr(spec, field.name)
-        if value is None:
-            continue
-        if field.name == "state" and not isinstance(value, str):
+    for name, value in _spec_items(spec):
+        if name == "state" and not isinstance(value, str):
             value = [[re, im] for re, im in value]
-        elif field.name == "gamma_grid":
-            value = list(value)
-        payload[field.name] = value
+        elif name == "gamma_grid":
+            value = np.asarray(value).tolist()
+        payload[name] = value
     return payload
 
 
@@ -348,7 +367,18 @@ def _bell_from_spec(spec: ExperimentSpec) -> QuadrivariateBell:
     return build_bell(config)
 
 
-def run_whichway(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
+# A runner returns a table: its column names and an iterable of row batches.
+# A batch is a sequence of rows, each a tuple of cells in column order, or a
+# 2-D float array with one row per table row.
+Table = tuple[list[str], Iterable]
+
+
+def _one_row(row: dict) -> Table:
+    """The table of a one-row command: one batch holding the row's cells."""
+    return list(row), [[tuple(row.values())]]
+
+
+def run_whichway(spec: ExperimentSpec) -> Table:
     whichway, state = _whichway_from_spec(spec)
     dist = joint_distribution(whichway, state)
     marg_d, marg_dprime = marginals_from_distribution(dist)
@@ -375,21 +405,32 @@ def run_whichway(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     row["martens_bound"] = report.bound
     row["martens_slack"] = report.slack
     row["martens_satisfied"] = report.satisfied
-    return list(row.keys()), [row]
+    return _one_row(row)
 
 
-def run_martens_sweep(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
-    curve = martens_sweep(spec.gamma_grid, math.radians(spec.delta_deg), 0.0)
-    rows = [
-        {"gamma": gamma, "j_lambda": j_lambda, "j_mu": j_mu, "bound": curve.bound, "slack": slack}
-        for gamma, j_lambda, j_mu, slack in zip(
-            spec.gamma_grid, curve.j_lambda.tolist(), curve.j_mu.tolist(), curve.slack.tolist()
-        )
-    ]
-    return ["gamma", "j_lambda", "j_mu", "bound", "slack"], rows
+def run_martens_sweep(spec: ExperimentSpec) -> Table:
+    """The tradeoff curve in batches of SWEEP_CHUNK rows, each evaluated when it is read.
+
+    The grid and the endpoint measurements are checked here, before any batch.
+    """
+    grid = spec.gamma_grid
+    curves = martens_sweep_chunks(grid, math.radians(spec.delta_deg), 0.0, SWEEP_CHUNK)
+    batches = (
+        _sweep_rows(grid[start : start + SWEEP_CHUNK], curve)
+        for start, curve in zip(range(0, len(grid), SWEEP_CHUNK), curves)
+    )
+    return ["gamma", "j_lambda", "j_mu", "bound", "slack"], batches
 
 
-def run_bell(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
+def _sweep_rows(gammas: np.ndarray, curve: MartensCurve) -> np.ndarray:
+    """The rows of one chunk of a sweep table, one column a field."""
+    rows = np.empty((gammas.size, 5))
+    for i, column in enumerate((gammas, curve.j_lambda, curve.j_mu, curve.bound, curve.slack)):
+        rows[:, i] = column
+    return rows
+
+
+def run_bell(spec: ExperimentSpec) -> Table:
     bell = _bell_from_spec(spec)
     dist = quad_distribution(bell)
     report = chsh_report_from_distribution(dist)
@@ -409,10 +450,10 @@ def run_bell(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     row["s_value"] = report.s_value
     row["violates"] = report.violates
     row["s_symmetric_max"] = report.s_symmetric_max
-    return list(row.keys()), [row]
+    return _one_row(row)
 
 
-def run_aspect(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
+def run_aspect(spec: ExperimentSpec) -> Table:
     state = resolve_state(spec.state, 4)
     report = chsh_aspect(
         state,
@@ -433,10 +474,10 @@ def run_aspect(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
     row["s_value"] = report.s_value
     row["violates"] = report.violates
     row["s_symmetric_max"] = report.s_symmetric_max
-    return list(row.keys()), [row]
+    return _one_row(row)
 
 
-def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
+def run_sample(spec: ExperimentSpec) -> Table:
     if spec.out is None:
         raise ConfigError("out", "sample needs an output path for the event log")
     if spec.experiment == "whichway":
@@ -481,7 +522,7 @@ def run_sample(spec: ExperimentSpec) -> tuple[list[str], list[dict]]:
                 povm.labels, [freqs[label] for label in povm.labels]
             )
             row["s_empirical"] = chsh_report_from_distribution(empirical).s_value
-    return list(row.keys()), [row]
+    return _one_row(row)
 
 
 # subcommand -> (the experiment kind it runs, its help text, its runner)
@@ -638,49 +679,109 @@ def read_event_log(path: str | Path) -> EventLog:
 
 
 def _csv_cell(value: object) -> str:
+    """The CSV text of a cell that is not a float, quoted as `csv.writer` quotes it."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    text = str(value)
+    # csv.QUOTE_MINIMAL with lineterminator "\n": a cell holding a comma, a
+    # quote or a line break is quoted, and its quotes doubled
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def render_csv(columns: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in columns])
-    return buf.getvalue()
+def _batch(rows: Sequence, float_spec: str, text: Callable[[object], str]) -> tuple[list[str], tuple]:
+    """The %-specs of a batch's columns and its cells in row order, for one %-format.
+
+    Float cells are formatted by `float_spec`; every other cell is made text
+    by `text` and goes under "%s". A float array holds float cells only;
+    in a sequence of rows, every row has the cell types of the first.
+    """
+    if isinstance(rows, np.ndarray):
+        return [float_spec] * rows.shape[1], tuple(rows.ravel().tolist())
+    floats = [isinstance(cell, float) for cell in rows[0]]
+    specs = [float_spec if is_float else "%s" for is_float in floats]
+    cells = (cell if is_float else text(cell) for row in rows for cell, is_float in zip(row, floats))
+    return specs, tuple(cells)
 
 
-def render_json(spec: ExperimentSpec, rows: list[dict]) -> str:
-    clean_rows = []
-    for row in rows:
-        clean = {}
-        for key, value in row.items():
-            if isinstance(value, (np.floating,)):
-                value = float(value)
-            elif isinstance(value, (np.integer,)):
-                value = int(value)
-            clean[key] = value
-        clean_rows.append(clean)
-    return json.dumps({"config": spec_to_dict(spec), "rows": clean_rows}, indent=2) + "\n"
+def render_csv(rows: Sequence) -> str:
+    """The CSV lines of a batch of rows, made by one %-format call.
+
+    Floats get 17 significant digits ("%.17g", the same text as
+    format(x, ".17g")), so a round trip through text loses nothing; the
+    lines are those `csv.writer` with lineterminator "\n" writes.
+    """
+    specs, cells = _batch(rows, "%.17g", _csv_cell)
+    return ((",".join(specs) + "\n") * len(rows)) % cells
 
 
-def _emit(spec: ExperimentSpec, columns: list[str], rows: list[dict]) -> None:
-    text = render_csv(columns, rows) if spec.format == "csv" else render_json(spec, rows)
+def render_json(columns: Sequence[str], rows: Sequence) -> str:
+    """A batch of rows as the objects of the "rows" list of a JSON table, joined by ",\n".
+
+    The text `json.dumps(..., indent=2)` makes of them, by one %-format
+    call: floats by "%r", the float repr that json writes, other cells by
+    `json.dumps`.
+    """
+    specs, cells = _batch(rows, "%r", json.dumps)
+    # column names are identifiers, which JSON writes between plain quotes
+    fields = ",\n".join(f'      "{name}": {spec}' for name, spec in zip(columns, specs))
+    return ",\n".join(["    {\n" + fields + "\n    }"] * len(rows)) % cells
+
+
+def _json_head(spec: ExperimentSpec) -> Iterator[str]:
+    """The opening of a JSON table through its "config" block, in pieces.
+
+    The block holds `spec_to_dict(spec)`, as `json.dumps(..., indent=2)`
+    nests it; a grid is written SWEEP_CHUNK values at a time.
+    """
+    yield '{\n  "config": {\n'
+    items = _spec_items(spec)
+    for i, (name, value) in enumerate(items):
+        end = ",\n" if i + 1 < len(items) else "\n"
+        if name == "gamma_grid":
+            yield f'    "{name}": [\n'
+            for start in range(0, len(value), SWEEP_CHUNK):
+                values = value[start : start + SWEEP_CHUNK].tolist()
+                yield (",\n" if start else "") + "      " + ",\n      ".join(map(repr, values))
+            yield "\n    ]" + end
+        else:
+            # only the amplitude list of a state spans lines; the other
+            # values take json's faster path for unindented text
+            text = json.dumps(value, indent=2 if isinstance(value, tuple) else None)
+            yield f'    "{name}": ' + text.replace("\n", "\n    ") + end
+    yield "  },\n"
+
+
+def _table_text(spec: ExperimentSpec, columns: list[str], batches: Iterable) -> Iterator[str]:
+    """The text of a table in pieces: the frame of its format, and one piece per batch."""
+    if spec.format == "csv":
+        yield ",".join(columns) + "\n"
+        for rows in batches:
+            yield render_csv(rows)
+        return
+    yield from _json_head(spec)
+    yield '  "rows": [\n'
+    separator = ""
+    for rows in batches:
+        yield separator + render_json(columns, rows)
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def _emit(spec: ExperimentSpec, columns: list[str], batches: Iterable) -> None:
+    """Write a table piece by piece, each batch before the next is made."""
+    text = _table_text(spec, columns, batches)
     # the sample command's --out is claimed by the event log; its summary
     # always goes to stdout
     destination = None if spec.kind == "sample" else spec.out
     if destination is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        with open(destination, "w", encoding="utf-8") as fh:
+            fh.writelines(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -730,8 +831,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _main_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
-        columns, rows = _RUNNERS[spec.kind](spec)
-        _emit(spec, columns, rows)
+        columns, batches = _RUNNERS[spec.kind](spec)
+        _emit(spec, columns, batches)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

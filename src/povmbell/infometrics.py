@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .qcore import (
 from .whichway import (
     BivariateWhichWay,
     NonidealityMatrix,
+    _checked_gammas,
+    _nonideality_entries,
     column_stochastic,
     nonideality_stack,
     whichway_endpoints,
@@ -45,6 +47,7 @@ __all__ = [
     "martens_bound",
     "martens_check",
     "martens_sweep",
+    "martens_sweep_chunks",
     "heisenberg_check",
 ]
 
@@ -138,6 +141,20 @@ def _tradeoff(nonideality: np.ndarray, bound: float) -> MartensCurve:
     )
 
 
+def _checked_sweep(
+    gammas: object,
+    theta: float | PolarizationAngle,
+    theta_prime: float | PolarizationAngle,
+) -> tuple[np.ndarray, float]:
+    """The grid as a float64 array and the bound, after every check of the inputs."""
+    grid = np.asarray(gammas, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
+    _checked_gammas(grid)
+    whichway_endpoints(theta, theta_prime)
+    return grid, martens_bound(theta, theta_prime)
+
+
 def martens_sweep(
     gammas: object,
     theta: float | PolarizationAngle,
@@ -151,12 +168,32 @@ def martens_sweep(
     grid; the entropies and slacks are then computed as arrays over it, by
     the same code `martens_check` runs for one point.
     """
-    grid = np.asarray(gammas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
-    nonideality = nonideality_stack(grid)
-    whichway_endpoints(theta, theta_prime)
-    return _tradeoff(nonideality, martens_bound(theta, theta_prime))
+    grid, bound = _checked_sweep(gammas, theta, theta_prime)
+    return _tradeoff(_nonideality_entries(grid), bound)
+
+
+def martens_sweep_chunks(
+    gammas: object,
+    theta: float | PolarizationAngle,
+    theta_prime: float | PolarizationAngle,
+    size: int,
+) -> Iterator[MartensCurve]:
+    """`martens_sweep` of the grid in consecutive pieces of `size` points.
+
+    Every check of the inputs, the grid's and the endpoint measurements',
+    runs in this call, before the first piece is evaluated; each piece then
+    costs memory in proportion to `size` only, and only the row-entropy
+    range check of its own points can still fail. The pieces hold the same
+    numbers as the whole-grid curve. `size` must be a positive integer
+    (DomainError).
+    """
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise DomainError(f"piece size must be a positive integer, got {size!r}")
+    grid, bound = _checked_sweep(gammas, theta, theta_prime)
+    return (
+        _tradeoff(_nonideality_entries(grid[start : start + size]), bound)
+        for start in range(0, grid.size, size)
+    )
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:

@@ -102,8 +102,8 @@ def identity(dim: int) -> ComplexMatrix:
 def hermiticity_defect(mat: object) -> float:
     """Largest entry-wise deviation of a square matrix from its adjoint."""
     m = as_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"hermiticity is defined for square matrices, got {m.shape}")
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise ShapeMismatchError(f"hermiticity is defined for nonempty square matrices, got {m.shape}")
     return float(np.max(np.abs(m - m.conj().T)))
 
 
@@ -168,15 +168,16 @@ class StateDescriptor:
             rho = as_matrix(matrix)
             if rho.shape[0] != rho.shape[1]:
                 raise ShapeMismatchError(f"density operator must be square, got {rho.shape}")
+            # first: the tests below would name a non-finite entry as a
+            # hermiticity or trace defect, or let a NaN pass
+            if not np.isfinite(rho).all():
+                raise DomainError("density operator entries must be finite")
             defect = hermiticity_defect(rho)
             if defect > DEFAULT_POLICY.atol_algebra:
                 raise DomainError(f"density operator is not Hermitian (max deviation {defect:.3e})")
             trace = complex(np.trace(rho))
             if abs(trace - 1.0) > DEFAULT_POLICY.atol_algebra:
                 raise DomainError(f"density operator trace is {trace!r}; must equal 1")
-            # a non-finite entry can pass both tests above: NaN compares False
-            if not np.isfinite(rho).all():
-                raise DomainError("density operator entries must be finite")
             lowest = float(np.linalg.eigvalsh(rho)[0])
             if lowest < -DEFAULT_POLICY.atol_positivity:
                 raise DomainError(f"density operator has negative eigenvalue {lowest!r}")

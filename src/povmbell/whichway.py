@@ -163,21 +163,29 @@ def measured_marginals(
 def column_stochastic(entries: object) -> np.ndarray:
     """Check a stack of column-stochastic matrices, shape (..., n_measured, n_ideal).
 
-    Every entry must be nonnegative and every column must sum to 1 within
-    atol_algebra; a NaN entry fails both. Returns the entries as a read-only
-    float64 array.
+    The stack must be nonempty (ShapeMismatchError). Every entry must be
+    finite and nonnegative, and every column must sum to 1 within
+    atol_algebra (DomainError, in that order). Returns the entries as a
+    read-only float64 array.
     """
     entries = np.array(entries, dtype=np.float64)
     if entries.ndim < 2:
         raise ShapeMismatchError(f"nonideality matrices need ndim >= 2, got ndim={entries.ndim}")
-    if not entries.min() >= 0.0:
-        raise DomainError(f"nonideality entries must be nonnegative, got min {entries.min()!r}")
-    col_sums = entries.sum(axis=-2)
-    worst = float(np.max(np.abs(col_sums - 1.0)))
+    if entries.size == 0:
+        raise ShapeMismatchError(f"nonideality matrices must be nonempty, got shape {entries.shape}")
+    # a non-finite entry fails one of the two tests below (NaN and -inf the
+    # first, +inf the second); finiteness is checked only then, so that the
+    # passing path pays for no third pass
+    lowest = entries.min()
+    if not lowest >= 0.0:
+        if not np.isfinite(entries).all():
+            raise DomainError("nonideality entries must be finite")
+        raise DomainError(f"nonideality entries must be nonnegative, got min {lowest!r}")
+    worst = float(np.max(np.abs(entries.sum(axis=-2) - 1.0)))
     if not worst <= DEFAULT_POLICY.atol_algebra:
-        raise DomainError(
-            f"columns must each sum to 1, worst deviation {worst:.3e}"
-        )
+        if not np.isfinite(entries).all():
+            raise DomainError("nonideality entries must be finite")
+        raise DomainError(f"columns must each sum to 1, worst deviation {worst:.3e}")
     entries.setflags(write=False)
     return entries
 
@@ -220,7 +228,11 @@ def nonideality_stack(gammas: object) -> np.ndarray:
       lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
     A gamma outside [0, 1], NaN included, raises DomainError.
     """
-    g = _checked_gammas(gammas)
+    return _nonideality_entries(_checked_gammas(gammas))
+
+
+def _nonideality_entries(g: np.ndarray) -> np.ndarray:
+    """`nonideality_stack` of a float64 array of gammas already checked."""
     stack = np.zeros((2,) + g.shape + (2, 2))
     stack[0, ..., 0, 0] = stack[1, ..., 1, 0] = g
     stack[0, ..., 1, 0] = stack[1, ..., 0, 0] = 1.0 - g

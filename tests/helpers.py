@@ -6,11 +6,15 @@ own seed and stays deterministic.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
+import math
 
 import numpy as np
 
-from povmbell import Povm, StateDescriptor, validate_povm
+from povmbell import Povm, StateDescriptor, cli, martens_sweep, validate_povm
 from povmbell.bell import BellConfig
 from povmbell.whichway import WhichWayConfig
 
@@ -99,3 +103,78 @@ def write_event_log_per_line(log, path) -> None:
             fh.write(line + "\n")
         for event in log.events:
             fh.write(event + "\n")
+
+
+def render_csv_reference(columns, rows) -> str:
+    """Reference CSV table: a header, then one `csv.writer` row per row dict.
+
+    This is the per-cell renderer that the batch renderer
+    `povmbell.cli.render_csv` replaced; tables must keep its bytes.
+    """
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(row[c]) for c in columns])
+    return buf.getvalue()
+
+
+def render_json_reference(spec, rows) -> str:
+    """Reference JSON table: `json.dumps` of the config and the row dicts, indent 2.
+
+    The whole-document renderer that `povmbell.cli.render_json` and its
+    streamed frame replaced; tables must keep its bytes.
+    """
+    clean_rows = []
+    for row in rows:
+        clean = {}
+        for key, value in row.items():
+            if isinstance(value, np.floating):
+                value = float(value)
+            elif isinstance(value, np.integer):
+                value = int(value)
+            clean[key] = value
+        clean_rows.append(clean)
+    return json.dumps({"config": cli.spec_to_dict(spec), "rows": clean_rows}, indent=2) + "\n"
+
+
+def martens_sweep_rows(spec) -> tuple[list[str], list[dict]]:
+    """Reference sweep table: the whole grid in one `martens_sweep`, one dict a row."""
+    grid = np.asarray(spec.gamma_grid).tolist()
+    curve = martens_sweep(grid, math.radians(spec.delta_deg), 0.0)
+    rows = [
+        {"gamma": gamma, "j_lambda": j_lambda, "j_mu": j_mu, "bound": curve.bound, "slack": slack}
+        for gamma, j_lambda, j_mu, slack in zip(
+            grid, curve.j_lambda.tolist(), curve.j_mu.tolist(), curve.slack.tolist()
+        )
+    ]
+    return ["gamma", "j_lambda", "j_mu", "bound", "slack"], rows
+
+
+def reference_table(spec) -> str:
+    """The table `povmbell.cli.main` must write for a valid spec, by the references.
+
+    A sweep is evaluated by `martens_sweep_rows`; a one-row command by its
+    runner, whose one row is handed over as a dict. A sample runner writes
+    its event log again, to the same bytes.
+    """
+    if spec.kind == "sweep-martens":
+        columns, rows = martens_sweep_rows(spec)
+    else:
+        columns, batches = cli._RUNNERS[spec.kind](spec)
+        rows = [dict(zip(columns, row)) for batch in batches for row in batch]
+    if spec.format == "csv":
+        return render_csv_reference(columns, rows)
+    return render_json_reference(spec, rows)

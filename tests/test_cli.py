@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_event_log_per_line
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli
+from helpers import reference_table, write_event_log_per_line
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics
 from povmbell.cli import (
     ExperimentSpec,
     build_parser,
@@ -151,7 +151,8 @@ class TestSpecRoundTrip:
         spec = spec_from_dict(
             {"kind": "sweep-martens", "delta_deg": 45.0, "gamma_grid": [0.0, 0.5, 1.0]}
         )
-        assert spec.gamma_grid == (0.0, 0.5, 1.0)
+        assert spec.gamma_grid.tolist() == [0.0, 0.5, 1.0]
+        assert spec.gamma_grid.dtype == np.float64 and not spec.gamma_grid.flags.writeable
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_sweep_with_range_grid(self):
@@ -162,9 +163,8 @@ class TestSpecRoundTrip:
                 "gamma_grid": {"start": 0.0, "stop": 1.0, "count": 101},
             }
         )
-        assert len(spec.gamma_grid) == 101
-        assert spec.gamma_grid[0] == 0.0
-        assert spec.gamma_grid[-1] == 1.0
+        assert spec.gamma_grid.tolist() == np.linspace(0.0, 1.0, 101).tolist()
+        assert spec.gamma_grid.dtype == np.float64 and not spec.gamma_grid.flags.writeable
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_amplitude_state(self):
@@ -464,6 +464,121 @@ def test_valid_config_exits_0_with_finite_cells(command, data):
     cells = numeric_cells(out.getvalue(), payload["format"])
     assert cells
     assert all(math.isfinite(x) for x in cells)
+
+
+# grid sizes on both sides of the chunk edges of martens-sweep
+SWEEP_SIZES = (1, cli.SWEEP_CHUNK - 1, cli.SWEEP_CHUNK, cli.SWEEP_CHUNK + 1, 2 * cli.SWEEP_CHUNK + 3)
+# grid values: the corners, a subnormal, one ulp-scale step inside each corner,
+# and the JSON integers 0 and 1
+GRID_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-16, 1.0 - 1e-16, 1.0, 0, 1]), st.floats(0.0, 1.0))
+# event-log names whose path the CSV summary must quote, or escape in JSON
+LOG_NAMES = ("events.log", 'ev,"1".log', "ev\n2.log", "év.log")
+
+
+def sweep_payload(data, size):
+    """A valid martens-sweep config of `size` grid points, in list or range form."""
+    payload = {"format": data.draw(st.sampled_from(["csv", "json"])), "delta_deg": data.draw(VALID_ANGLES)}
+    if data.draw(st.booleans()):
+        payload["gamma_grid"] = {"start": data.draw(GRID_VALUES), "stop": data.draw(GRID_VALUES), "count": size}
+    else:
+        pattern = data.draw(st.lists(GRID_VALUES, min_size=1, max_size=7))
+        payload["gamma_grid"] = (pattern * size)[:size]
+    return payload
+
+
+# (subcommand, sweep size): every one-row command, and the sweep at each size
+TABLE_CASES = [(c, None) for c in cli._COMMANDS if c != "martens-sweep"]
+TABLE_CASES += [("martens-sweep", size) for size in SWEEP_SIZES]
+
+
+@pytest.mark.parametrize("command, size", TABLE_CASES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_table_bytes_match_the_per_row_reference(command, size, data):
+    """Streamed batch tables are byte for byte the per-row renderers' tables."""
+    payload = data.draw(valid_configs(command)) if size is None else sweep_payload(data, size)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        table = Path(tmp) / "table.txt"
+        argv = [command, "--config", str(config)]
+        if command == "sample":
+            argv += ["--out", str(Path(tmp) / data.draw(st.sampled_from(LOG_NAMES)))]
+        elif data.draw(st.booleans(), label="to_file"):
+            argv += ["--out", str(table)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code == 0, err.getvalue()
+        spec = cli.resolve_spec(build_parser().parse_args(argv))
+        expected = reference_table(spec).encode("utf-8")
+        if table.exists():
+            assert out.getvalue() == ""
+            assert table.read_bytes() == expected
+        else:
+            assert out.getvalue().encode("utf-8") == expected
+
+
+class TestSweepStreaming:
+    def sweep_config(self, tmp_path, count, fmt="csv"):
+        grid = {"start": 0.0, "stop": 1.0, "count": count}
+        return write_config(tmp_path, {"delta_deg": 30.0, "gamma_grid": grid, "format": fmt})
+
+    def test_a_failing_chunk_keeps_the_rows_written_before_it(self, tmp_path, monkeypatch, capsys):
+        real = infometrics.row_entropy
+        calls = []
+
+        def fail_second(matrix):
+            calls.append(np.shape(matrix))
+            if len(calls) == 2:
+                raise InvariantViolationError("row entropy came out negative: -1.0")
+            return real(matrix)
+
+        monkeypatch.setattr(infometrics, "row_entropy", fail_second)
+        config = self.sweep_config(tmp_path, cli.SWEEP_CHUNK + 5)
+        assert main(["martens-sweep", "--config", config]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "invariant violation: row entropy came out negative: -1.0\n"
+        assert calls == [(2, cli.SWEEP_CHUNK, 2, 2), (2, 5, 2, 2)]
+        # the header and the first chunk were written before the second failed
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 + cli.SWEEP_CHUNK
+        assert lines[0] == "gamma,j_lambda,j_mu,bound,slack"
+        assert float(lines[-1].split(",")[0]) == np.linspace(0.0, 1.0, cli.SWEEP_CHUNK + 5)[cli.SWEEP_CHUNK - 1]
+
+    def test_a_faulty_config_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"delta_deg": 30.0, "gamma_grid": [0.5] * 5000 + [1.5]})
+        out = tmp_path / "table.csv"
+        assert main(["martens-sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_is_the_grid_plus_a_chunk(self, tmp_path, fmt):
+        # tracemalloc counts bytes allocated, so this is deterministic; it
+        # checks memory, not time. The table goes to a file: a captured
+        # stdout would hold all of it.
+        count = 10**6
+        out = tmp_path / "table"
+        assert main(["martens-sweep", "--config", self.sweep_config(tmp_path, 3, fmt), "--out", str(out)]) == 0
+        config = self.sweep_config(tmp_path, count, fmt)
+        tracemalloc.start()
+        try:
+            code = main(["martens-sweep", "--config", config, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # 8 bytes a grid point for the expanded grid, the rest set by the chunk
+        assert peak <= 8 * count + 32 * 10**6
+        with open(out, "rb") as fh:
+            fh.seek(-400, 2)
+            tail = fh.read()
+        # the table is whole: its last row is the grid's last point
+        if fmt == "csv":
+            assert tail.splitlines()[-1].startswith(b"1,")
+        else:
+            assert tail.endswith(b"\n    }\n  ]\n}\n") and b'"gamma": 1.0,' in tail
 
 
 class TestResolveState:

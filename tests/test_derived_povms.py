@@ -16,6 +16,7 @@ build, and pin that the paths themselves do not.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -40,7 +41,7 @@ from povmbell import (
     validate_effect_stack,
     whichway_effects,
 )
-from povmbell import bell, measurement
+from povmbell import bell, cli, measurement
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -156,11 +157,22 @@ class TestRuntimeChecks:
                 monkeypatch.setattr(module, "validate_effect_stack", spy)
         return shapes
 
-    def test_martens_sweep_checks_the_endpoints_once(self, checked_shapes):
+    def test_martens_sweep_checks_the_endpoints_once(self, checked_shapes, tmp_path):
         for count in (1, 2, 30, 5000):
             checked_shapes.clear()
             martens_sweep(np.linspace(0.0, 1.0, count), math.pi / 5, 0.0)
             assert checked_shapes == [(2, 4, 2, 2)]
+        # the command evaluates its grid chunk by chunk, and still checks once
+        count = 2 * cli.SWEEP_CHUNK + 3
+        config = tmp_path / "sweep.json"
+        config.write_text(
+            json.dumps({"delta_deg": 36.0, "gamma_grid": {"start": 0.0, "stop": 1.0, "count": count}})
+        )
+        checked_shapes.clear()
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["martens-sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert checked_shapes == [(2, 4, 2, 2)]
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + count
 
     def test_chsh_aspect_checks_the_arm_endpoints_only(self, checked_shapes):
         chsh_aspect(singlet_state(), 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)

@@ -24,7 +24,7 @@ from povmbell import (
     polarization_pvm,
     row_entropy,
 )
-from povmbell.infometrics import martens_sweep
+from povmbell.infometrics import martens_sweep, martens_sweep_chunks
 
 LN2 = math.log(2.0)
 
@@ -109,6 +109,14 @@ class TestRowEntropy:
         stack = np.stack([np.eye(2), np.array([[0.5, 0.0], [0.4, 1.0]])])
         with pytest.raises(DomainError):
             row_entropy(stack)
+
+    def test_zero_size_stack_rejected(self):
+        with pytest.raises(ShapeMismatchError, match=r"must be nonempty, got shape \(0, 2, 2\)"):
+            row_entropy(np.zeros((0, 2, 2)))
+
+    def test_zero_column_matrix_rejected(self):
+        with pytest.raises(ShapeMismatchError, match=r"must be nonempty, got shape \(2, 0\)"):
+            row_entropy(np.zeros((2, 0)))
 
     def test_nan_entry_rejected(self):
         with pytest.raises(DomainError):
@@ -211,6 +219,27 @@ class TestMartensSweep:
         # the first offender in grid order is named
         with pytest.raises(DomainError, match=r"got -0\.5$"):
             martens_sweep(np.concatenate([np.full(5000, 0.5), [-0.5, 2.0]]), 0.3, 0.0)
+
+
+class TestMartensSweepChunks:
+    def test_pieces_hold_the_whole_grid_curve(self):
+        grid = np.random.default_rng(5).uniform(0.0, 1.0, size=23)
+        whole = martens_sweep(grid, 0.4, 1.3)
+        pieces = list(martens_sweep_chunks(grid, 0.4, 1.3, 5))
+        assert [p.slack.size for p in pieces] == [5, 5, 5, 5, 3]
+        for name in ("j_lambda", "j_mu", "slack", "satisfied"):
+            assert np.array_equal(np.concatenate([getattr(p, name) for p in pieces]), getattr(whole, name))
+        assert {p.bound for p in pieces} == {whole.bound}
+
+    def test_inputs_are_checked_before_the_first_piece(self):
+        # a bad point in the last piece raises at the call, not when it is reached
+        with pytest.raises(DomainError, match=r"got 1\.5$"):
+            martens_sweep_chunks(np.concatenate([np.full(10, 0.5), [1.5]]), 0.3, 0.0, 4)
+        with pytest.raises(ShapeMismatchError):
+            martens_sweep_chunks([], 0.3, 0.0, 4)
+        for size in (0, -1, 2.0, True):
+            with pytest.raises(DomainError, match="piece size must be a positive integer"):
+                martens_sweep_chunks([0.5], 0.3, 0.0, size)
 
 
 class TestHeisenbergCheck:

@@ -196,8 +196,7 @@ class TestStateDescriptor:
         with pytest.raises(DomainError, match="squared norm"):
             StateDescriptor.pure([math.sqrt(1.0 + 5e-12), 0.0])
 
-    # inf - inf in the hermiticity defect warns before the check raises
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # finiteness is checked first, so the hermiticity defect never forms inf - inf
     @pytest.mark.parametrize(
         "rho",
         [
@@ -205,12 +204,17 @@ class TestStateDescriptor:
             [[0.5, np.nan], [np.nan, 0.5]],
             [[0.5, np.inf], [np.inf, 0.5]],
             [[np.inf, 0.0], [0.0, 1.0]],
+            [[0.5, np.inf], [0.0, 0.5]],
         ],
-        ids=["all-nan", "nan-off-diagonal", "inf-off-diagonal", "inf-diagonal"],
+        ids=["all-nan", "nan-off-diagonal", "inf-off-diagonal", "inf-diagonal", "inf-one-side"],
     )
     def test_density_rejects_non_finite(self, rho):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^density operator entries must be finite$"):
             StateDescriptor.density(rho)
+
+    def test_density_rejects_empty_matrix(self):
+        with pytest.raises(ShapeMismatchError, match=r"nonempty square matrices, got \(0, 0\)"):
+            StateDescriptor.density(np.zeros((0, 0)))
 
     def test_value_equality(self):
         assert StateDescriptor.pure([1, 0]) == StateDescriptor.pure([1, 0])

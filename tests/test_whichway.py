@@ -162,6 +162,17 @@ class TestNonidealityMatrix:
         with pytest.raises(DomainError):
             NonidealityMatrix(np.full((2, 2), np.nan))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_named(self, bad):
+        entries = np.array([[0.5, 0.0], [0.5, 1.0]])
+        entries[0, 1] = bad
+        with pytest.raises(DomainError, match="^nonideality entries must be finite$"):
+            NonidealityMatrix(entries)
+
+    def test_zero_size_rejected(self):
+        with pytest.raises(ShapeMismatchError, match=r"must be nonempty, got shape \(0, 2\)"):
+            NonidealityMatrix(np.zeros((0, 2)))
+
     def test_apply_shape_checked(self):
         m = NonidealityMatrix(np.eye(2))
         with pytest.raises(ShapeMismatchError):
