@@ -35,6 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .infometrics import (
+    SWEEP_CHUNK,
     HeisenbergCheck,
     MartensCurve,
     MartensReport,

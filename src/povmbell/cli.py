@@ -49,7 +49,7 @@ from .bell import (
     singlet_state,
 )
 from .errors import ConfigError, DomainError, PovmBellError
-from .infometrics import MartensCurve, martens_check, martens_sweep_chunks
+from .infometrics import SWEEP_CHUNK, MartensCurve, martens_check, martens_sweep_chunks
 from .measurement import OutcomeDistribution, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor
 from .sampler import (
@@ -83,8 +83,6 @@ __all__ = [
 _SAMPLE_EXPERIMENTS = ("whichway", "bell")
 _FORMATS = ("csv", "json")
 _MAX_SEED = 2**64 - 1
-# grid points a martens-sweep evaluates, formats and writes at a time
-SWEEP_CHUNK = 4096
 
 _NAMED_STATES: dict[str, tuple[float, ...]] = {
     "H": (1.0, 0.0),
@@ -413,12 +411,8 @@ def run_martens_sweep(spec: ExperimentSpec) -> Table:
 
     The grid and the endpoint measurements are checked here, before any batch.
     """
-    grid = spec.gamma_grid
-    curves = martens_sweep_chunks(grid, math.radians(spec.delta_deg), 0.0, SWEEP_CHUNK)
-    batches = (
-        _sweep_rows(grid[start : start + SWEEP_CHUNK], curve)
-        for start, curve in zip(range(0, len(grid), SWEEP_CHUNK), curves)
-    )
+    pieces = martens_sweep_chunks(spec.gamma_grid, math.radians(spec.delta_deg), 0.0)
+    batches = (_sweep_rows(gammas, curve) for gammas, curve in pieces)
     return ["gamma", "j_lambda", "j_mu", "bound", "slack"], batches
 
 
@@ -686,7 +680,8 @@ def _csv_cell(value: object) -> str:
         return "true" if value else "false"
     text = str(value)
     # csv.QUOTE_MINIMAL with lineterminator "\n": a cell holding a comma, a
-    # quote or a line break is quoted, and its quotes doubled
+    # quote or a "\n" is quoted, and its quotes doubled; a lone "\r" is not
+    # in the line terminator and is left as it is
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text

@@ -33,13 +33,13 @@ from .whichway import (
     BivariateWhichWay,
     NonidealityMatrix,
     _checked_gammas,
-    _nonideality_entries,
     column_stochastic,
     nonideality_stack,
     whichway_endpoints,
 )
 
 __all__ = [
+    "SWEEP_CHUNK",
     "MartensReport",
     "MartensCurve",
     "HeisenbergCheck",
@@ -50,6 +50,9 @@ __all__ = [
     "martens_sweep_chunks",
     "heisenberg_check",
 ]
+
+# grid points `martens_sweep_chunks` evaluates at a time
+SWEEP_CHUNK = 4096
 
 
 def row_entropy(matrix: NonidealityMatrix | object) -> float | np.ndarray:
@@ -141,18 +144,12 @@ def _tradeoff(nonideality: np.ndarray, bound: float) -> MartensCurve:
     )
 
 
-def _checked_sweep(
-    gammas: object,
-    theta: float | PolarizationAngle,
-    theta_prime: float | PolarizationAngle,
-) -> tuple[np.ndarray, float]:
-    """The grid as a float64 array and the bound, after every check of the inputs."""
+def _sweep_grid(gammas: object) -> np.ndarray:
+    """The grid as a float64 array; ShapeMismatchError unless it is nonempty and 1-D."""
     grid = np.asarray(gammas, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
-    _checked_gammas(grid)
-    whichway_endpoints(theta, theta_prime)
-    return grid, martens_bound(theta, theta_prime)
+    return grid
 
 
 def martens_sweep(
@@ -168,32 +165,30 @@ def martens_sweep(
     grid; the entropies and slacks are then computed as arrays over it, by
     the same code `martens_check` runs for one point.
     """
-    grid, bound = _checked_sweep(gammas, theta, theta_prime)
-    return _tradeoff(_nonideality_entries(grid), bound)
+    nonideality = nonideality_stack(_sweep_grid(gammas))
+    whichway_endpoints(theta, theta_prime)
+    return _tradeoff(nonideality, martens_bound(theta, theta_prime))
 
 
 def martens_sweep_chunks(
     gammas: object,
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
-    size: int,
-) -> Iterator[MartensCurve]:
-    """`martens_sweep` of the grid in consecutive pieces of `size` points.
+) -> Iterator[tuple[np.ndarray, MartensCurve]]:
+    """`martens_sweep` of the grid SWEEP_CHUNK points at a time.
 
-    Every check of the inputs, the grid's and the endpoint measurements',
-    runs in this call, before the first piece is evaluated; each piece then
-    costs memory in proportion to `size` only, and only the row-entropy
-    range check of its own points can still fail. The pieces hold the same
-    numbers as the whole-grid curve. `size` must be a positive integer
-    (DomainError).
+    Yields (grid piece, its curve) pairs in grid order. Every check of the
+    inputs, the grid's and the endpoint measurements', runs in this call,
+    before the first piece is evaluated; each piece then costs memory in
+    proportion to SWEEP_CHUNK only, and only the row-entropy range check
+    of its own points can still fail. The pieces hold the same numbers as
+    the whole-grid curve.
     """
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise DomainError(f"piece size must be a positive integer, got {size!r}")
-    grid, bound = _checked_sweep(gammas, theta, theta_prime)
-    return (
-        _tradeoff(_nonideality_entries(grid[start : start + size]), bound)
-        for start in range(0, grid.size, size)
-    )
+    grid = _checked_gammas(_sweep_grid(gammas))
+    whichway_endpoints(theta, theta_prime)
+    bound = martens_bound(theta, theta_prime)
+    pieces = (grid[start : start + SWEEP_CHUNK] for start in range(0, grid.size, SWEEP_CHUNK))
+    return ((piece, _tradeoff(nonideality_stack(piece), bound)) for piece in pieces)
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:

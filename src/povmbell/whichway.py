@@ -228,11 +228,7 @@ def nonideality_stack(gammas: object) -> np.ndarray:
       lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
     A gamma outside [0, 1], NaN included, raises DomainError.
     """
-    return _nonideality_entries(_checked_gammas(gammas))
-
-
-def _nonideality_entries(g: np.ndarray) -> np.ndarray:
-    """`nonideality_stack` of a float64 array of gammas already checked."""
+    g = _checked_gammas(gammas)
     stack = np.zeros((2,) + g.shape + (2, 2))
     stack[0, ..., 0, 0] = stack[1, ..., 1, 0] = g
     stack[0, ..., 1, 0] = stack[1, ..., 0, 0] = 1.0 - g

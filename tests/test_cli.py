@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics
+from povmbell import LOG_CHUNK, SWEEP_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics
 from povmbell.cli import (
     ExperimentSpec,
     build_parser,
@@ -467,12 +467,12 @@ def test_valid_config_exits_0_with_finite_cells(command, data):
 
 
 # grid sizes on both sides of the chunk edges of martens-sweep
-SWEEP_SIZES = (1, cli.SWEEP_CHUNK - 1, cli.SWEEP_CHUNK, cli.SWEEP_CHUNK + 1, 2 * cli.SWEEP_CHUNK + 3)
+SWEEP_SIZES = (1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3)
 # grid values: the corners, a subnormal, one ulp-scale step inside each corner,
 # and the JSON integers 0 and 1
 GRID_VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-16, 1.0 - 1e-16, 1.0, 0, 1]), st.floats(0.0, 1.0))
 # event-log names whose path the CSV summary must quote, or escape in JSON
-LOG_NAMES = ("events.log", 'ev,"1".log', "ev\n2.log", "év.log")
+LOG_NAMES = ("events.log", 'ev,"1".log', "ev\n2.log", "ev\r3.log", "év.log")
 
 
 def sweep_payload(data, size):
@@ -535,16 +535,16 @@ class TestSweepStreaming:
             return real(matrix)
 
         monkeypatch.setattr(infometrics, "row_entropy", fail_second)
-        config = self.sweep_config(tmp_path, cli.SWEEP_CHUNK + 5)
+        config = self.sweep_config(tmp_path, SWEEP_CHUNK + 5)
         assert main(["martens-sweep", "--config", config]) == 3
         captured = capsys.readouterr()
         assert captured.err == "invariant violation: row entropy came out negative: -1.0\n"
-        assert calls == [(2, cli.SWEEP_CHUNK, 2, 2), (2, 5, 2, 2)]
+        assert calls == [(2, SWEEP_CHUNK, 2, 2), (2, 5, 2, 2)]
         # the header and the first chunk were written before the second failed
         lines = captured.out.splitlines()
-        assert len(lines) == 1 + cli.SWEEP_CHUNK
+        assert len(lines) == 1 + SWEEP_CHUNK
         assert lines[0] == "gamma,j_lambda,j_mu,bound,slack"
-        assert float(lines[-1].split(",")[0]) == np.linspace(0.0, 1.0, cli.SWEEP_CHUNK + 5)[cli.SWEEP_CHUNK - 1]
+        assert float(lines[-1].split(",")[0]) == np.linspace(0.0, 1.0, SWEEP_CHUNK + 5)[SWEEP_CHUNK - 1]
 
     def test_a_faulty_config_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path, {"delta_deg": 30.0, "gamma_grid": [0.5] * 5000 + [1.5]})
@@ -558,27 +558,33 @@ class TestSweepStreaming:
         # tracemalloc counts bytes allocated, so this is deterministic; it
         # checks memory, not time. The table goes to a file: a captured
         # stdout would hold all of it.
-        count = 10**6
         out = tmp_path / "table"
         assert main(["martens-sweep", "--config", self.sweep_config(tmp_path, 3, fmt), "--out", str(out)]) == 0
-        config = self.sweep_config(tmp_path, count, fmt)
-        tracemalloc.start()
-        try:
-            code = main(["martens-sweep", "--config", config, "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
+        small, large = 10**4, 10**5
+        peaks = {}
+        for count in (small, large):
+            config = self.sweep_config(tmp_path, count, fmt)
+            tracemalloc.start()
+            try:
+                code = main(["martens-sweep", "--config", config, "--out", str(out)])
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            with open(out, "rb") as fh:
+                fh.seek(-400, 2)
+                tail = fh.read()
+            # the table is whole: its last row is the grid's last point
+            if fmt == "csv":
+                assert tail.splitlines()[-1].startswith(b"1,")
+            else:
+                assert tail.endswith(b"\n    }\n  ]\n}\n") and b'"gamma": 1.0,' in tail
         # 8 bytes a grid point for the expanded grid, the rest set by the chunk
-        assert peak <= 8 * count + 32 * 10**6
-        with open(out, "rb") as fh:
-            fh.seek(-400, 2)
-            tail = fh.read()
-        # the table is whole: its last row is the grid's last point
-        if fmt == "csv":
-            assert tail.splitlines()[-1].startswith(b"1,")
-        else:
-            assert tail.endswith(b"\n    }\n  ]\n}\n") and b'"gamma": 1.0,' in tail
+        assert peaks[large] <= 8 * large + 32 * 10**6
+        # the peak grows with the grid alone, at most twice its 8 bytes a point
+        # (a table held in memory costs hundreds of bytes a point), so the
+        # bound above holds for every grid size the validator accepts
+        assert peaks[large] - peaks[small] <= 16 * (large - small)
 
 
 class TestResolveState:

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from helpers import random_density, random_pure
 from povmbell import (
     QUAD_LABELS,
+    SWEEP_CHUNK,
     WW_LABELS,
     BellConfig,
     Pvm,
@@ -163,7 +164,7 @@ class TestRuntimeChecks:
             martens_sweep(np.linspace(0.0, 1.0, count), math.pi / 5, 0.0)
             assert checked_shapes == [(2, 4, 2, 2)]
         # the command evaluates its grid chunk by chunk, and still checks once
-        count = 2 * cli.SWEEP_CHUNK + 3
+        count = 2 * SWEEP_CHUNK + 3
         config = tmp_path / "sweep.json"
         config.write_text(
             json.dumps({"delta_deg": 36.0, "gamma_grid": {"start": 0.0, "stop": 1.0, "count": count}})

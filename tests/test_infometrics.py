@@ -24,7 +24,7 @@ from povmbell import (
     polarization_pvm,
     row_entropy,
 )
-from povmbell.infometrics import martens_sweep, martens_sweep_chunks
+from povmbell.infometrics import SWEEP_CHUNK, martens_sweep, martens_sweep_chunks
 
 LN2 = math.log(2.0)
 
@@ -223,23 +223,21 @@ class TestMartensSweep:
 
 class TestMartensSweepChunks:
     def test_pieces_hold_the_whole_grid_curve(self):
-        grid = np.random.default_rng(5).uniform(0.0, 1.0, size=23)
+        grid = np.random.default_rng(5).uniform(0.0, 1.0, size=2 * SWEEP_CHUNK + 3)
         whole = martens_sweep(grid, 0.4, 1.3)
-        pieces = list(martens_sweep_chunks(grid, 0.4, 1.3, 5))
-        assert [p.slack.size for p in pieces] == [5, 5, 5, 5, 3]
+        pairs = list(martens_sweep_chunks(grid, 0.4, 1.3))
+        assert [piece.size for piece, _ in pairs] == [SWEEP_CHUNK, SWEEP_CHUNK, 3]
+        assert np.array_equal(np.concatenate([piece for piece, _ in pairs]), grid)
         for name in ("j_lambda", "j_mu", "slack", "satisfied"):
-            assert np.array_equal(np.concatenate([getattr(p, name) for p in pieces]), getattr(whole, name))
-        assert {p.bound for p in pieces} == {whole.bound}
+            assert np.array_equal(np.concatenate([getattr(c, name) for _, c in pairs]), getattr(whole, name))
+        assert {c.bound for _, c in pairs} == {whole.bound}
 
     def test_inputs_are_checked_before_the_first_piece(self):
         # a bad point in the last piece raises at the call, not when it is reached
         with pytest.raises(DomainError, match=r"got 1\.5$"):
-            martens_sweep_chunks(np.concatenate([np.full(10, 0.5), [1.5]]), 0.3, 0.0, 4)
+            martens_sweep_chunks(np.concatenate([np.full(SWEEP_CHUNK + 10, 0.5), [1.5]]), 0.3, 0.0)
         with pytest.raises(ShapeMismatchError):
-            martens_sweep_chunks([], 0.3, 0.0, 4)
-        for size in (0, -1, 2.0, True):
-            with pytest.raises(DomainError, match="piece size must be a positive integer"):
-                martens_sweep_chunks([0.5], 0.3, 0.0, size)
+            martens_sweep_chunks([], 0.3, 0.0)
 
 
 class TestHeisenbergCheck:
