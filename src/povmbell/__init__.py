@@ -35,7 +35,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .infometrics import (
-    SWEEP_CHUNK,
     HeisenbergCheck,
     MartensCurve,
     MartensReport,
@@ -43,7 +42,6 @@ from .infometrics import (
     martens_bound,
     martens_check,
     martens_sweep,
-    martens_sweep_chunks,
     row_entropy,
 )
 from .measurement import (
@@ -98,7 +96,6 @@ from .whichway import (
     measured_marginals,
     nonideality_stack,
     whichway_effects,
-    whichway_endpoints,
 )
 
 __version__ = "0.1.0"

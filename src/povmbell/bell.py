@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
 from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor
-from .whichway import WW_LABELS, WhichWayConfig, build_whichway, whichway_endpoints
+from .whichway import WW_LABELS, WhichWayConfig, build_whichway, whichway_effects
 
 __all__ = [
     "QUAD_LABELS",
@@ -213,15 +213,18 @@ def chsh_aspect(
     the single-run bound of 2 does not apply; a singlet state at analyzer
     angles (0, 45, 22.5, 67.5 degrees) reaches |s_value| = 2*sqrt(2).
 
-    The corners tensor the arms' validated `whichway_endpoints` and are not
-    checked again (see `build_bell`).
+    The corners tensor each arm's which-way effects at gamma = 1 and
+    gamma = 0, closed forms of the checked angles. They are reduced to the
+    four correlations here and never handed out, so they are not checked
+    at run time; the tests prove them POVMs (`tests/test_derived_povms.py`).
     """
     if state.dim != 4:
         raise ShapeMismatchError(f"two-photon state must have dimension 4, got {state.dim}")
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
     corners = _joint_effects(
-        whichway_endpoints(theta1, theta1_prime), whichway_endpoints(theta2, theta2_prime)
+        whichway_effects([1.0, 0.0], theta1, theta1_prime),
+        whichway_effects([1.0, 0.0], theta2, theta2_prime),
     )
     values = born_values(state, corners, QUAD_LABELS)
     correlations = []

@@ -10,9 +10,10 @@ A runner returns its column names and its rows in batches; `render_csv` and
 `render_json` turn one batch into text with one %-format call, and each
 batch is written before the next is made. Every command but `martens-sweep`
 has one batch of one row. `martens-sweep` evaluates, formats and writes its
-grid SWEEP_CHUNK points at a time, after every check its config can fail;
-only the per-chunk row-entropy range check can stop it later, and then the
-rows already written stay.
+grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every grid
+value and the angle before the first byte is written; only the per-chunk
+row-entropy range check can stop a sweep later, and then the rows already
+written stay.
 
 Subcommands:
   whichway       one which-way measurement: joint distribution, marginals,
@@ -49,7 +50,7 @@ from .bell import (
     singlet_state,
 )
 from .errors import ConfigError, DomainError, PovmBellError
-from .infometrics import SWEEP_CHUNK, MartensCurve, martens_check, martens_sweep_chunks
+from .infometrics import MartensCurve, martens_check, martens_sweep
 from .measurement import OutcomeDistribution, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor
 from .sampler import (
@@ -83,6 +84,10 @@ __all__ = [
 _SAMPLE_EXPERIMENTS = ("whichway", "bell")
 _FORMATS = ("csv", "json")
 _MAX_SEED = 2**64 - 1
+# grid points a martens-sweep evaluates, formats and writes at a time
+SWEEP_CHUNK = 4096
+# most points a gamma_grid may hold, in either form
+_MAX_GRID = 10**7
 
 _NAMED_STATES: dict[str, tuple[float, ...]] = {
     "H": (1.0, 0.0),
@@ -220,11 +225,13 @@ def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
             raise ConfigError(name, 'range form needs exactly "start", "stop", "count"')
         start = _float_field("start", value["start"], lo=0.0, hi=1.0)
         stop = _float_field("stop", value["stop"], lo=0.0, hi=1.0)
-        count = _int_field("count", value["count"], lo=1, hi=10**7)
+        count = _int_field("count", value["count"], lo=1, hi=_MAX_GRID)
         grid = np.linspace(start, stop, count)
     elif isinstance(value, list):
         if not value:
             raise ConfigError(name, "grid must not be empty")
+        if len(value) > _MAX_GRID:
+            raise ConfigError(name, f"grid must hold at most {_MAX_GRID} values, got {len(value)}")
         grid = np.array([_float_field(name, g, lo=0.0, hi=1.0, entry=i) for i, g in enumerate(value)])
     else:
         raise ConfigError(name, "must be a list of values or a start/stop/count object")
@@ -407,12 +414,10 @@ def run_whichway(spec: ExperimentSpec) -> Table:
 
 
 def run_martens_sweep(spec: ExperimentSpec) -> Table:
-    """The tradeoff curve in batches of SWEEP_CHUNK rows, each evaluated when it is read.
-
-    The grid and the endpoint measurements are checked here, before any batch.
-    """
-    pieces = martens_sweep_chunks(spec.gamma_grid, math.radians(spec.delta_deg), 0.0)
-    batches = (_sweep_rows(gammas, curve) for gammas, curve in pieces)
+    """The tradeoff curve in batches of SWEEP_CHUNK rows, each evaluated when it is read."""
+    grid, delta = spec.gamma_grid, math.radians(spec.delta_deg)
+    pieces = (grid[start : start + SWEEP_CHUNK] for start in range(0, grid.size, SWEEP_CHUNK))
+    batches = (_sweep_rows(piece, martens_sweep(piece, delta, 0.0)) for piece in pieces)
     return ["gamma", "j_lambda", "j_mu", "bound", "slack"], batches
 
 

@@ -8,13 +8,18 @@ is bounded below by the Martens complementarity bound, which depends only on
 the overlap of the two ideal measurements. The Heisenberg preparation
 relation bounds products of standard deviations and is logically independent
 of that measurement-quality tradeoff.
+
+The tradeoff is a closed form of the checked transmissivities and angles:
+no POVM is formed here, so none is checked here. That the which-way effects
+behind it are POVMs for every gamma in [0, 1] is proved in the tests
+(`tests/test_derived_povms.py`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +34,9 @@ from .qcore import (
     expectation,
     hermiticity_defect,
 )
-from .whichway import (
-    BivariateWhichWay,
-    NonidealityMatrix,
-    _checked_gammas,
-    column_stochastic,
-    nonideality_stack,
-    whichway_endpoints,
-)
+from .whichway import BivariateWhichWay, NonidealityMatrix, column_stochastic, nonideality_stack
 
 __all__ = [
-    "SWEEP_CHUNK",
     "MartensReport",
     "MartensCurve",
     "HeisenbergCheck",
@@ -47,12 +44,8 @@ __all__ = [
     "martens_bound",
     "martens_check",
     "martens_sweep",
-    "martens_sweep_chunks",
     "heisenberg_check",
 ]
-
-# grid points `martens_sweep_chunks` evaluates at a time
-SWEEP_CHUNK = 4096
 
 
 def row_entropy(matrix: NonidealityMatrix | object) -> float | np.ndarray:
@@ -160,35 +153,12 @@ def martens_sweep(
     """Evaluate j_lambda + j_mu >= bound over a 1-D grid of transmissivities.
 
     Every grid point must lie in [0, 1] (DomainError names the first that
-    does not). The which-way effects are affine in gamma, so one check of
-    the two endpoint measurements (`whichway_endpoints`) covers the whole
-    grid; the entropies and slacks are then computed as arrays over it, by
-    the same code `martens_check` runs for one point.
+    does not). The entropies and slacks are computed as arrays over the
+    grid, from its closed-form nonideality matrices, by the same code
+    `martens_check` runs for one point.
     """
     nonideality = nonideality_stack(_sweep_grid(gammas))
-    whichway_endpoints(theta, theta_prime)
     return _tradeoff(nonideality, martens_bound(theta, theta_prime))
-
-
-def martens_sweep_chunks(
-    gammas: object,
-    theta: float | PolarizationAngle,
-    theta_prime: float | PolarizationAngle,
-) -> Iterator[tuple[np.ndarray, MartensCurve]]:
-    """`martens_sweep` of the grid SWEEP_CHUNK points at a time.
-
-    Yields (grid piece, its curve) pairs in grid order. Every check of the
-    inputs, the grid's and the endpoint measurements', runs in this call,
-    before the first piece is evaluated; each piece then costs memory in
-    proportion to SWEEP_CHUNK only, and only the row-entropy range check
-    of its own points can still fail. The pieces hold the same numbers as
-    the whole-grid curve.
-    """
-    grid = _checked_gammas(_sweep_grid(gammas))
-    whichway_endpoints(theta, theta_prime)
-    bound = martens_bound(theta, theta_prime)
-    pieces = (grid[start : start + SWEEP_CHUNK] for start in range(0, grid.size, SWEEP_CHUNK))
-    return ((piece, _tradeoff(nonideality_stack(piece), bound)) for piece in pieces)
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:

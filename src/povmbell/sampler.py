@@ -84,10 +84,11 @@ class EventLog(ArrayRecord):
 
     Construct with the events either as labels (`events=`) or as indices
     (`indices=`); a writable or differently typed index array is copied.
-    Raises DomainError for an event outside the label set, for a label set
-    the log format cannot round-trip (see `check_label_set`), or for a
-    `config` or `generator` with a line break or trailing whitespace, which
-    its one header line cannot round-trip.
+    Raises DomainError for a seed that is not an integer (Python or numpy,
+    not bool; it is stored as an int), for an event outside the label set,
+    for a label set the log format cannot round-trip (see
+    `check_label_set`), or for a `config` or `generator` with a line break
+    or trailing whitespace, which its one header line cannot round-trip.
     """
 
     config: str
@@ -106,6 +107,9 @@ class EventLog(ArrayRecord):
         *,
         indices: object | None = None,
     ) -> None:
+        # the header stores the seed as a decimal integer, which reads back as int
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise DomainError(f"event log seed must be an integer, got {seed!r}")
         label_set = check_label_set(label_set)
         for name, text in (("config", config), ("generator", generator)):
             # one header line each, read back with trailing whitespace stripped
@@ -134,7 +138,7 @@ class EventLog(ArrayRecord):
         array.setflags(write=False)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "indices", array)
 

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .measurement import (
-    OutcomeDistribution,
-    Povm,
-    born_probabilities,
-    povm_from_stack,
-    validate_effect_stack,
-)
+from .measurement import OutcomeDistribution, Povm, born_probabilities, povm_from_stack
 from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
@@ -46,7 +40,6 @@ __all__ = [
     "BivariateWhichWay",
     "NonidealityMatrix",
     "whichway_effects",
-    "whichway_endpoints",
     "build_whichway",
     "joint_distribution",
     "marginals_from_distribution",
@@ -107,8 +100,11 @@ def whichway_effects(
       -- : rest of the identity         (no detector fires)
     The last effect equals gamma*E-(theta) + (1-gamma)*E-(theta'), a convex
     combination of projectors, so positivity holds for every gamma in [0, 1].
-    Every effect is affine in gamma, E(gamma) = gamma E(1) + (1-gamma) E(0).
-    The stack is not validated; see `build_whichway`, `whichway_endpoints`.
+    Every effect is affine in gamma, E(gamma) = gamma E(1) + (1-gamma) E(0),
+    and the axioms survive convex combination, so the stack is a POVM for
+    every gamma in [0, 1]. It is not checked here: `build_whichway` checks
+    the POVM it hands out, and the tests prove the stacks of the paths that
+    reduce them to numbers (`tests/test_derived_povms.py`).
     """
     g = _checked_gammas(gammas)[..., None, None]
     transmitted = g * projector_from_angle(theta)
@@ -118,20 +114,6 @@ def whichway_effects(
     stack[..., 2, :, :] = reflected
     stack[..., 3, :, :] = identity(2) - transmitted - reflected
     return stack
-
-
-def whichway_endpoints(
-    theta: float | PolarizationAngle,
-    theta_prime: float | PolarizationAngle,
-) -> np.ndarray:
-    """Which-way effects at gamma = 1 and gamma = 0, shape (2, 4, 2, 2), validated.
-
-    E(gamma) = gamma E(1) + (1-gamma) E(0), and the POVM axioms survive
-    convex combination, so these two measurements prove every gamma in [0, 1].
-    """
-    endpoints = whichway_effects([1.0, 0.0], theta, theta_prime)
-    validate_effect_stack(endpoints, WW_LABELS)
-    return endpoints
 
 
 def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:

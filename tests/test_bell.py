@@ -31,7 +31,6 @@ from povmbell import (
     chsh_single_run,
     correlation_from_distribution,
     detector_correlation,
-    martens_sweep,
     quad_distribution,
     singlet_state,
 )
@@ -400,7 +399,7 @@ class TestChshAspect:
 
 
 class TestInvalidArmStacks:
-    """A broken arm effect stack is refused by the batched paths as by build_whichway."""
+    """A broken arm effect stack is refused by build_bell as by build_whichway."""
 
     @pytest.mark.parametrize("error", list(ARM_CORRUPTIONS))
     def test_same_error_type_as_build_whichway(self, monkeypatch, error):
@@ -411,17 +410,13 @@ class TestInvalidArmStacks:
         def broken(gammas, theta, theta_prime):
             return ARM_CORRUPTIONS[error](original(gammas, theta, theta_prime))
 
-        # build_whichway and whichway_endpoints, so every arm, build their effects here
+        # build_whichway, so every arm of build_bell, builds its effects here
         monkeypatch.setattr(whichway, "whichway_effects", broken)
         arm = WhichWayConfig(0.6, 0.2, 1.1)
         with pytest.raises(error):
             build_whichway(arm)
         with pytest.raises(error):
             build_bell(BellConfig(arm1=arm, arm2=arm, state=singlet_state()))
-        with pytest.raises(error):
-            chsh_aspect(singlet_state(), 0.2, 1.1, 0.4, 1.3)
-        with pytest.raises(error):
-            martens_sweep([0.0, 0.6, 1.0], 0.2, 1.1)
 
 
 class TestNoSignaling:

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
-from povmbell import LOG_CHUNK, SWEEP_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics
 from povmbell.cli import (
+    SWEEP_CHUNK,
     ExperimentSpec,
     build_parser,
     main,
@@ -546,6 +547,27 @@ class TestSweepStreaming:
         assert lines[0] == "gamma,j_lambda,j_mu,bound,slack"
         assert float(lines[-1].split(",")[0]) == np.linspace(0.0, 1.0, SWEEP_CHUNK + 5)[SWEEP_CHUNK - 1]
 
+    @pytest.mark.parametrize(
+        "at_limit, over, message",
+        [
+            # a list one too long is refused before its entries are looked at
+            ([0.5] * 5, [1.5] * 6, "gamma_grid: grid must hold at most 5 values, got 6"),
+            ({"start": 0.0, "stop": 1.0, "count": 5}, {"start": 0.0, "stop": 1.0, "count": 6}, "count: must lie in [1, 5], got 6"),
+        ],
+        ids=["list", "range"],
+    )
+    def test_grid_length_is_capped_in_both_forms(self, tmp_path, capsys, monkeypatch, at_limit, over, message):
+        monkeypatch.setattr(cli, "_MAX_GRID", 5)
+        for grid in (at_limit, over):
+            config = write_config(tmp_path, {"delta_deg": 30.0, "gamma_grid": grid})
+            code = main(["martens-sweep", "--config", config])
+            captured = capsys.readouterr()
+            if grid is at_limit:
+                assert code == 0 and len(captured.out.splitlines()) == 1 + 5
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     def test_a_faulty_config_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path, {"delta_deg": 30.0, "gamma_grid": [0.5] * 5000 + [1.5]})
         out = tmp_path / "table.csv"
@@ -854,6 +876,15 @@ class TestEventLogFile:
         path = tmp_path / "events.log"
         write_event_log(log, path)
         assert read_event_log(path) == log
+
+    @pytest.mark.parametrize("seed", [-3, 2**64 - 1, np.int8(-3), np.uint64(2**64 - 1)])
+    def test_integer_seeds_round_trip_as_int(self, tmp_path, seed):
+        log = EventLog("c", "g", seed, ("a",), ("a",))
+        path = tmp_path / "events.log"
+        write_event_log(log, path)
+        back = read_event_log(path)
+        assert back == log
+        assert type(log.seed) is int and type(back.seed) is int and back.seed == seed
 
     def test_header_contents(self, tmp_path):
         log = sample(polarization_pvm(0.0), StateDescriptor.pure([1.0, 0.0]), 3, 5)

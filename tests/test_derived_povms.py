@@ -1,17 +1,21 @@
-"""Proofs, by test, of the POVM checks the library does not repeat at run time.
+"""Proofs, by test, of the POVM checks the library does not make at run time.
 
-The library checks the POVM axioms on every measurement it builds from caller
-input: each which-way arm, and the two endpoint measurements (gamma = 1 and
-gamma = 0) of a which-way family. It does not check again what follows from
-those by construction:
+The library checks the POVM axioms where a POVM object reaches the caller:
+`validate_povm`, `povm_from_stack`, `build_whichway` (so each arm of
+`build_bell`) and `polarization_pvm`. Effects formed from checked scalars
+(gammas, angles) and reduced to numbers inside one call are not checked at
+run time:
 
-* `build_bell` and `chsh_aspect` tensor validated arms, and a tensor product
-  of POVMs is a POVM, sharp exactly when both factors are;
-* `martens_sweep` checks only the endpoints, since every which-way effect is
-  affine in gamma and the axioms survive convex combination.
+* `build_bell` tensors two checked arms, and a tensor product of POVMs is a
+  POVM, sharp exactly when both factors are;
+* `chsh_aspect` tensors the which-way effects of each arm at gamma = 1 and
+  gamma = 0, and returns only the four correlations;
+* `martens_sweep` forms no effects at all: its entropies are closed forms of
+  gamma, and every which-way effect is affine in gamma, so it is a POVM for
+  every gamma in [0, 1] when the two endpoint measurements are.
 
 The tests here run the full `validate_effect_stack` on what those paths
-build, and pin that the paths themselves do not.
+build or stand for, and pin that the paths themselves do not.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from hypothesis import strategies as st
 from helpers import random_density, random_pure
 from povmbell import (
     QUAD_LABELS,
-    SWEEP_CHUNK,
     WW_LABELS,
     BellConfig,
     Pvm,
@@ -142,7 +145,7 @@ class TestDerivedMeasurementsPassTheFullCheck:
 
 
 class TestRuntimeChecks:
-    """Only measurements built from caller input reach `validate_effect_stack`."""
+    """Only POVMs handed to the caller reach `validate_effect_stack`."""
 
     @pytest.fixture
     def checked_shapes(self, monkeypatch):
@@ -158,26 +161,24 @@ class TestRuntimeChecks:
                 monkeypatch.setattr(module, "validate_effect_stack", spy)
         return shapes
 
-    def test_martens_sweep_checks_the_endpoints_once(self, checked_shapes, tmp_path):
+    def test_martens_sweep_checks_nothing(self, checked_shapes, tmp_path):
         for count in (1, 2, 30, 5000):
-            checked_shapes.clear()
             martens_sweep(np.linspace(0.0, 1.0, count), math.pi / 5, 0.0)
-            assert checked_shapes == [(2, 4, 2, 2)]
-        # the command evaluates its grid chunk by chunk, and still checks once
-        count = 2 * SWEEP_CHUNK + 3
+        assert checked_shapes == []
+        # the command evaluates its grid chunk by chunk, and checks no chunk
+        count = 2 * cli.SWEEP_CHUNK + 3
         config = tmp_path / "sweep.json"
         config.write_text(
             json.dumps({"delta_deg": 36.0, "gamma_grid": {"start": 0.0, "stop": 1.0, "count": count}})
         )
-        checked_shapes.clear()
         out = tmp_path / "sweep.csv"
         assert cli.main(["martens-sweep", "--config", str(config), "--out", str(out)]) == 0
-        assert checked_shapes == [(2, 4, 2, 2)]
+        assert checked_shapes == []
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + count
 
-    def test_chsh_aspect_checks_the_arm_endpoints_only(self, checked_shapes):
+    def test_chsh_aspect_checks_nothing(self, checked_shapes):
         chsh_aspect(singlet_state(), 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
-        assert checked_shapes == [(2, 4, 2, 2), (2, 4, 2, 2)]
+        assert checked_shapes == []
 
     def test_build_bell_checks_the_arms_only(self, checked_shapes):
         arm = WhichWayConfig(0.6, 0.2, 1.1)

@@ -7,7 +7,8 @@ names its library modules list, so deleting a function without its exports
 (or an export without its function) fails here rather than at a user's
 `import *`. The checks run against one fixed table of tolerances
 (`DEFAULT_POLICY`), so no callable takes a tolerance argument. No linter is
-assumed, so an `ast` walk stands in for an unused-import check.
+assumed, so an `ast` walk stands in for an unused-import check. Every
+function the benchmark's tracer wraps must exist, or `--trace 1` fails.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -131,3 +133,27 @@ def test_unused_import_check_finds_dead_names():
         "def f(x: b) -> None: ...\n"
     )
     assert unused_imports(source) == ["os", "d"]
+
+
+def traced_functions() -> tuple[str, ...]:
+    """`FUNCTIONS` of `perfbench/tracer.py`, run from its source (no bytecode is written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    return tracer.FUNCTIONS
+
+
+def test_every_traced_name_resolves():
+    unresolved = []
+    for qualified in traced_functions():
+        module_name, _, attr = qualified.partition(".")
+        owner = importlib.import_module(f"povmbell.{module_name}")
+        if "." in attr:  # a classmethod, which the tracer replaces on its class
+            cls_name, method = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            found = isinstance(getattr(cls, "__dict__", {}).get(method), classmethod)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            unresolved.append(qualified)
+    assert unresolved == []

@@ -24,7 +24,7 @@ from povmbell import (
     polarization_pvm,
     row_entropy,
 )
-from povmbell.infometrics import SWEEP_CHUNK, martens_sweep, martens_sweep_chunks
+from povmbell.infometrics import martens_sweep
 
 LN2 = math.log(2.0)
 
@@ -220,24 +220,10 @@ class TestMartensSweep:
         with pytest.raises(DomainError, match=r"got -0\.5$"):
             martens_sweep(np.concatenate([np.full(5000, 0.5), [-0.5, 2.0]]), 0.3, 0.0)
 
-
-class TestMartensSweepChunks:
-    def test_pieces_hold_the_whole_grid_curve(self):
-        grid = np.random.default_rng(5).uniform(0.0, 1.0, size=2 * SWEEP_CHUNK + 3)
-        whole = martens_sweep(grid, 0.4, 1.3)
-        pairs = list(martens_sweep_chunks(grid, 0.4, 1.3))
-        assert [piece.size for piece, _ in pairs] == [SWEEP_CHUNK, SWEEP_CHUNK, 3]
-        assert np.array_equal(np.concatenate([piece for piece, _ in pairs]), grid)
-        for name in ("j_lambda", "j_mu", "slack", "satisfied"):
-            assert np.array_equal(np.concatenate([getattr(c, name) for _, c in pairs]), getattr(whole, name))
-        assert {c.bound for _, c in pairs} == {whole.bound}
-
-    def test_inputs_are_checked_before_the_first_piece(self):
-        # a bad point in the last piece raises at the call, not when it is reached
-        with pytest.raises(DomainError, match=r"got 1\.5$"):
-            martens_sweep_chunks(np.concatenate([np.full(SWEEP_CHUNK + 10, 0.5), [1.5]]), 0.3, 0.0)
-        with pytest.raises(ShapeMismatchError):
-            martens_sweep_chunks([], 0.3, 0.0)
+    def test_rejects_a_grid_that_is_not_one_nonempty_row(self):
+        for grid in ([], [[0.5, 0.5]]):
+            with pytest.raises(ShapeMismatchError, match=r"^gamma grid must be a nonempty 1-D array"):
+                martens_sweep(grid, 0.3, 0.0)
 
 
 class TestHeisenbergCheck:

@@ -48,6 +48,12 @@ class TestEventLog:
                 events=("a", "zzz"),
             )
 
+    @pytest.mark.parametrize("seed", ["abc", True, 1.5, None, np.bool_(True), np.float64(2.0)])
+    def test_rejects_a_seed_its_log_cannot_read_back(self, seed):
+        # the log header stores the seed as a decimal integer
+        with pytest.raises(DomainError, match=r"^event log seed must be an integer, got "):
+            EventLog("c", "g", seed, ("a",), ("a",))
+
     def test_count(self):
         log = EventLog(config="c", generator="g", seed=0, label_set=("a",), events=("a", "a"))
         assert log.count == 2
