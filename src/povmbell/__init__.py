@@ -89,12 +89,10 @@ from .whichway import (
     WhichWayConfig,
     build_whichway,
     certainty_check,
-    column_stochastic,
     joint_distribution,
     marginals_and_nonideality,
     marginals_from_distribution,
     measured_marginals,
-    nonideality_stack,
     whichway_effects,
 )
 

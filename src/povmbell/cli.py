@@ -11,9 +11,9 @@ A runner returns its column names and its rows in batches; `render_csv` and
 batch is written before the next is made. Every command but `martens-sweep`
 has one batch of one row. `martens-sweep` evaluates, formats and writes its
 grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every grid
-value and the angle before the first byte is written; only the per-chunk
-row-entropy range check can stop a sweep later, and then the rows already
-written stay.
+value and the angle before the first byte is written, and the tradeoff is a
+closed form of them that checks nothing more, so no check can stop a sweep
+once it has begun to write.
 
 Subcommands:
   whichway       one which-way measurement: joint distribution, marginals,
@@ -42,6 +42,7 @@ import numpy as np
 
 from .bell import (
     BellConfig,
+    ChshReport,
     QuadrivariateBell,
     build_bell,
     chsh_aspect,
@@ -345,28 +346,20 @@ def _state_text(state: str | tuple[tuple[float, float], ...]) -> str:
     return json.dumps([[re, im] for re, im in state], separators=(",", ":"))
 
 
+def _whichway_config(gamma: float, theta_deg: float, theta_prime_deg: float) -> WhichWayConfig:
+    return WhichWayConfig(gamma, math.radians(theta_deg), math.radians(theta_prime_deg))
+
+
 def _whichway_from_spec(spec: ExperimentSpec) -> tuple[BivariateWhichWay, StateDescriptor]:
-    config = WhichWayConfig(
-        gamma=spec.gamma,
-        theta=math.radians(spec.theta_deg),
-        theta_prime=math.radians(spec.theta_prime_deg),
-    )
+    config = _whichway_config(spec.gamma, spec.theta_deg, spec.theta_prime_deg)
     return build_whichway(config), resolve_state(spec.state, 2)
 
 
 def _bell_from_spec(spec: ExperimentSpec) -> QuadrivariateBell:
     state = resolve_state(spec.state, 4)
     config = BellConfig(
-        arm1=WhichWayConfig(
-            gamma=spec.gamma1,
-            theta=math.radians(spec.theta1_deg),
-            theta_prime=math.radians(spec.theta1_prime_deg),
-        ),
-        arm2=WhichWayConfig(
-            gamma=spec.gamma2,
-            theta=math.radians(spec.theta2_deg),
-            theta_prime=math.radians(spec.theta2_prime_deg),
-        ),
+        arm1=_whichway_config(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg),
+        arm2=_whichway_config(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg),
         state=state,
     )
     return build_bell(config)
@@ -383,18 +376,30 @@ def _one_row(row: dict) -> Table:
     return list(row), [[tuple(row.values())]]
 
 
+def _config_cells(spec: ExperimentSpec) -> dict:
+    """The first cells of a one-row table: the fields of the command's _EXPERIMENTS row, in order."""
+    return {
+        name: _state_text(spec.state) if name == "state" else getattr(spec, name)
+        for name in _EXPERIMENTS[spec.kind][0]
+    }
+
+
+def _chsh_cells(report: ChshReport) -> dict:
+    """The trailing cells of a bell or aspect row: its correlations and CHSH values."""
+    cells: dict = {f"E_{_slug(key)}": value for key, value in report.correlations.items()}
+    cells["s_value"] = report.s_value
+    cells["violates"] = report.violates
+    cells["s_symmetric_max"] = report.s_symmetric_max
+    return cells
+
+
 def run_whichway(spec: ExperimentSpec) -> Table:
     whichway, state = _whichway_from_spec(spec)
     dist = joint_distribution(whichway, state)
     marg_d, marg_dprime = marginals_from_distribution(dist)
     lam, mu = marginals_and_nonideality(whichway)
     report = martens_check(whichway)
-    row: dict = {
-        "gamma": spec.gamma,
-        "theta_deg": spec.theta_deg,
-        "theta_prime_deg": spec.theta_prime_deg,
-        "state": _state_text(spec.state),
-    }
+    row = _config_cells(spec)
     for label, p in dist.as_dict().items():
         row[f"p_{_slug(label)}"] = p
     row["marg_d_plus"] = float(marg_d[0])
@@ -432,23 +437,10 @@ def _sweep_rows(gammas: np.ndarray, curve: MartensCurve) -> np.ndarray:
 def run_bell(spec: ExperimentSpec) -> Table:
     bell = _bell_from_spec(spec)
     dist = quad_distribution(bell)
-    report = chsh_report_from_distribution(dist)
-    row: dict = {
-        "gamma1": spec.gamma1,
-        "gamma2": spec.gamma2,
-        "theta1_deg": spec.theta1_deg,
-        "theta1_prime_deg": spec.theta1_prime_deg,
-        "theta2_deg": spec.theta2_deg,
-        "theta2_prime_deg": spec.theta2_prime_deg,
-        "state": _state_text(spec.state),
-    }
+    row = _config_cells(spec)
     for label, p in dist.as_dict().items():
         row[f"p_{_slug(label)}"] = p
-    for key, value in report.correlations.items():
-        row[f"E_{_slug(key)}"] = value
-    row["s_value"] = report.s_value
-    row["violates"] = report.violates
-    row["s_symmetric_max"] = report.s_symmetric_max
+    row.update(_chsh_cells(chsh_report_from_distribution(dist)))
     return _one_row(row)
 
 
@@ -461,19 +453,7 @@ def run_aspect(spec: ExperimentSpec) -> Table:
         math.radians(spec.theta2_deg),
         math.radians(spec.theta2_prime_deg),
     )
-    row: dict = {
-        "theta1_deg": spec.theta1_deg,
-        "theta1_prime_deg": spec.theta1_prime_deg,
-        "theta2_deg": spec.theta2_deg,
-        "theta2_prime_deg": spec.theta2_prime_deg,
-        "state": _state_text(spec.state),
-    }
-    for key, value in report.correlations.items():
-        row[f"E_{_slug(key)}"] = value
-    row["s_value"] = report.s_value
-    row["violates"] = report.violates
-    row["s_symmetric_max"] = report.s_symmetric_max
-    return _one_row(row)
+    return _one_row({**_config_cells(spec), **_chsh_cells(report)})
 
 
 def run_sample(spec: ExperimentSpec) -> Table:

@@ -10,9 +10,11 @@ relation bounds products of standard deviations and is logically independent
 of that measurement-quality tradeoff.
 
 The tradeoff is a closed form of the checked transmissivities and angles:
-no POVM is formed here, so none is checked here. That the which-way effects
-behind it are POVMs for every gamma in [0, 1] is proved in the tests
-(`tests/test_derived_povms.py`).
+no POVM and no nonideality matrix is formed for it, so a sweep checks its
+inputs and nothing after them. The tests prove that the which-way effects
+behind it are POVMs for every gamma in [0, 1] (`tests/test_derived_povms.py`)
+and that its entropies are `row_entropy` of the which-way nonideality
+matrices, bit for bit (`tests/test_infometrics.py`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .qcore import (
     expectation,
     hermiticity_defect,
 )
-from .whichway import BivariateWhichWay, NonidealityMatrix, column_stochastic, nonideality_stack
+from .whichway import BivariateWhichWay, NonidealityMatrix, _checked_gammas
 
 __all__ = [
     "MartensReport",
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 
-def row_entropy(matrix: NonidealityMatrix | object) -> float | np.ndarray:
+def row_entropy(matrix: NonidealityMatrix | object) -> float:
     """Average row entropy of a column-stochastic matrix, in nats.
 
     J = -(1/N) * sum_{m,k} L[m,k] * ln(L[m,k] / r_m)  with r_m the m-th row
@@ -57,32 +59,27 @@ def row_entropy(matrix: NonidealityMatrix | object) -> float | np.ndarray:
     marginal reproduces the ideal distribution up to relabeling) and reaches
     ln N when all columns are identical.
 
-    Accepts one matrix (returns a float) or a stack of shape
-    (..., n_measured, n_ideal) (returns an array of the stack's leading
-    shape). Every J is checked against [0, ln N]: rounding dust within
+    `matrix` is a NonidealityMatrix, or anything its constructor accepts
+    and checks. J is checked against [0, ln N]: rounding dust within
     atol_positivity outside the range is clamped, anything further raises
     InvariantViolationError.
     """
-    if isinstance(matrix, NonidealityMatrix):
-        entries = matrix.entries
-    else:
-        entries = column_stochastic(matrix)
-    n_ideal = entries.shape[-1]
-    row_sums = entries.sum(axis=-1, keepdims=True)
+    if not isinstance(matrix, NonidealityMatrix):
+        matrix = NonidealityMatrix(matrix)
+    entries = matrix.entries
+    n_ideal = entries.shape[1]
+    row_sums = entries.sum(axis=1, keepdims=True)
     # zero entries contribute 0 ln 0 = 0: their ratio is left at 1, whose log is 0
     ratio = np.divide(entries, row_sums, out=np.ones_like(entries), where=entries > 0.0)
-    result = -(entries * np.log(ratio)).sum(axis=(-2, -1)) / n_ideal + 0.0  # never -0.0
+    result = float(-(entries * np.log(ratio)).sum() / n_ideal) + 0.0  # never -0.0
     upper = math.log(n_ideal)
-    lowest, highest = float(result.min()), float(result.max())
-    if lowest < 0.0 or highest > upper:
-        if lowest < -DEFAULT_POLICY.atol_positivity:
-            raise InvariantViolationError(f"row entropy came out negative: {lowest!r}")
-        if highest > upper + DEFAULT_POLICY.atol_positivity:
-            raise InvariantViolationError(
-                f"row entropy {highest!r} exceeds ln(N) = {upper!r}"
-            )
-        result = result.clip(0.0, upper)
-    return float(result) if entries.ndim == 2 else result
+    if not 0.0 <= result <= upper:
+        if result < -DEFAULT_POLICY.atol_positivity:
+            raise InvariantViolationError(f"row entropy came out negative: {result!r}")
+        if result > upper + DEFAULT_POLICY.atol_positivity:
+            raise InvariantViolationError(f"row entropy {result!r} exceeds ln(N) = {upper!r}")
+        result = min(max(result, 0.0), upper)
+    return result
 
 
 def martens_bound(
@@ -125,8 +122,26 @@ class MartensCurve(ArrayRecord):
     satisfied: np.ndarray
 
 
-def _tradeoff(nonideality: np.ndarray, bound: float) -> MartensCurve:
-    j_lambda, j_mu = row_entropy(nonideality)
+def _whichway_row_entropy(r: np.ndarray) -> np.ndarray:
+    """`row_entropy` of [[1 - r, 0], [r, 1]] for each r of an array in [0, 1], in closed form.
+
+    lambda is that matrix at r = 1 - gamma, mu at r = gamma. Its first row
+    has at most one nonzero entry and contributes 0; its second row gives
+      J(r) = -(r ln(r / (r + 1)) + ln(1 / (r + 1))) / 2,  with 0 ln 0 = 0,
+    by the operations `row_entropy` makes on that row, in its order, so each
+    value is its value bit for bit. No J is negative, as both terms are r >= 0
+    times the log of a ratio at most 1; that none exceeds ln 2 the tests prove.
+    """
+    total = r + 1.0
+    # r = 0 contributes 0 ln 0 = 0: its ratio is left at 1, whose log is 0
+    ratio = np.divide(r, total, out=np.ones_like(r), where=r > 0.0)
+    return -(r * np.log(ratio) + np.log(1.0 / total)) / 2 + 0.0  # never -0.0
+
+
+def _tradeoff(gammas: np.ndarray, bound: float) -> MartensCurve:
+    """The tradeoff over a 1-D array of checked transmissivities."""
+    j_lambda = _whichway_row_entropy(1.0 - gammas)
+    j_mu = _whichway_row_entropy(gammas)
     slack = j_lambda + j_mu - bound
     return MartensCurve(
         j_lambda=j_lambda,
@@ -153,12 +168,12 @@ def martens_sweep(
     """Evaluate j_lambda + j_mu >= bound over a 1-D grid of transmissivities.
 
     Every grid point must lie in [0, 1] (DomainError names the first that
-    does not). The entropies and slacks are computed as arrays over the
-    grid, from its closed-form nonideality matrices, by the same code
-    `martens_check` runs for one point.
+    does not). The entropies and slacks are closed forms of gamma, computed
+    as arrays over the grid by the same code `martens_check` runs for one
+    point; nothing is checked after the inputs.
     """
-    nonideality = nonideality_stack(_sweep_grid(gammas))
-    return _tradeoff(nonideality, martens_bound(theta, theta_prime))
+    grid = _checked_gammas(_sweep_grid(gammas))
+    return _tradeoff(grid, martens_bound(theta, theta_prime))
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:
@@ -169,7 +184,7 @@ def martens_check(whichway: BivariateWhichWay) -> MartensReport:
     """
     config = whichway.config
     bound = martens_bound(config.theta, config.theta_prime)
-    curve = _tradeoff(nonideality_stack([config.gamma]), bound)
+    curve = _tradeoff(np.array([config.gamma]), bound)
     return MartensReport(
         j_lambda=float(curve.j_lambda[0]),
         j_mu=float(curve.j_mu[0]),

@@ -10,10 +10,11 @@ together and the "++" effect is the zero operator.
 
 The measured marginal in each branch is a column-stochastic smearing of the
 ideal sharp measurement along that branch's axis; `marginals_and_nonideality`
-returns those smearing matrices. The effects and the smearing matrices have
-array builders (`whichway_effects`, `nonideality_stack`) that take a whole
-array of transmissivities at once; the single-configuration functions are
-their one-point case.
+returns those smearing matrices. `whichway_effects` forms the effects for a
+whole array of transmissivities at once; `build_whichway` is its one-point
+case. The smearing matrices are closed
+forms of gamma, and `infometrics` evaluates their row entropies over a grid
+in closed form, without forming them.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "joint_distribution",
     "marginals_from_distribution",
     "measured_marginals",
-    "column_stochastic",
-    "nonideality_stack",
     "marginals_and_nonideality",
     "certainty_check",
 ]
@@ -142,39 +141,15 @@ def measured_marginals(
     return marginals_from_distribution(joint_distribution(whichway, state))
 
 
-def column_stochastic(entries: object) -> np.ndarray:
-    """Check a stack of column-stochastic matrices, shape (..., n_measured, n_ideal).
-
-    The stack must be nonempty (ShapeMismatchError). Every entry must be
-    finite and nonnegative, and every column must sum to 1 within
-    atol_algebra (DomainError, in that order). Returns the entries as a
-    read-only float64 array.
-    """
-    entries = np.array(entries, dtype=np.float64)
-    if entries.ndim < 2:
-        raise ShapeMismatchError(f"nonideality matrices need ndim >= 2, got ndim={entries.ndim}")
-    if entries.size == 0:
-        raise ShapeMismatchError(f"nonideality matrices must be nonempty, got shape {entries.shape}")
-    # a non-finite entry fails one of the two tests below (NaN and -inf the
-    # first, +inf the second); finiteness is checked only then, so that the
-    # passing path pays for no third pass
-    lowest = entries.min()
-    if not lowest >= 0.0:
-        if not np.isfinite(entries).all():
-            raise DomainError("nonideality entries must be finite")
-        raise DomainError(f"nonideality entries must be nonnegative, got min {lowest!r}")
-    worst = float(np.max(np.abs(entries.sum(axis=-2) - 1.0)))
-    if not worst <= DEFAULT_POLICY.atol_algebra:
-        if not np.isfinite(entries).all():
-            raise DomainError("nonideality entries must be finite")
-        raise DomainError(f"columns must each sum to 1, worst deviation {worst:.3e}")
-    entries.setflags(write=False)
-    return entries
-
-
 @dataclass(frozen=True, eq=False)
 class NonidealityMatrix(ArrayRecord):
-    """Column-stochastic map from ideal sharp probabilities to measured marginals."""
+    """Column-stochastic map from ideal sharp probabilities to measured marginals.
+
+    The entries must form a nonempty 2-D matrix (ShapeMismatchError). Every
+    entry must be finite and nonnegative, and every column must sum to 1
+    within atol_algebra (DomainError, in that order). They are held as a
+    read-only float64 array.
+    """
 
     entries: np.ndarray
 
@@ -183,7 +158,24 @@ class NonidealityMatrix(ArrayRecord):
             raise ShapeMismatchError(
                 f"nonideality matrix must be 2-D, got ndim={np.ndim(self.entries)}"
             )
-        object.__setattr__(self, "entries", column_stochastic(self.entries))
+        entries = np.array(self.entries, dtype=np.float64)
+        if entries.size == 0:
+            raise ShapeMismatchError(f"nonideality matrix must be nonempty, got shape {entries.shape}")
+        # a non-finite entry fails one of the two tests below (NaN and -inf the
+        # first, +inf the second); finiteness is checked only then, so that the
+        # passing path pays for no third pass
+        lowest = entries.min()
+        if not lowest >= 0.0:
+            if not np.isfinite(entries).all():
+                raise DomainError("nonideality entries must be finite")
+            raise DomainError(f"nonideality entries must be nonnegative, got min {lowest!r}")
+        worst = float(np.max(np.abs(entries.sum(axis=0) - 1.0)))
+        if not worst <= DEFAULT_POLICY.atol_algebra:
+            if not np.isfinite(entries).all():
+                raise DomainError("nonideality entries must be finite")
+            raise DomainError(f"columns must each sum to 1, worst deviation {worst:.3e}")
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n_measured(self) -> int:
@@ -202,22 +194,6 @@ class NonidealityMatrix(ArrayRecord):
         return self.entries @ probs
 
 
-def nonideality_stack(gammas: object) -> np.ndarray:
-    """Entries of the nonideality matrices of an array of transmissivities.
-
-    Shape (2,) + gammas.shape + (2, 2): index 0 holds the lambda matrices,
-    index 1 the mu matrices, in closed form
-      lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
-    A gamma outside [0, 1], NaN included, raises DomainError.
-    """
-    g = _checked_gammas(gammas)
-    stack = np.zeros((2,) + g.shape + (2, 2))
-    stack[0, ..., 0, 0] = stack[1, ..., 1, 0] = g
-    stack[0, ..., 1, 0] = stack[1, ..., 0, 0] = 1.0 - g
-    stack[..., 1, 1] = 1.0
-    return stack
-
-
 def marginals_and_nonideality(
     whichway: BivariateWhichWay,
 ) -> tuple[NonidealityMatrix, NonidealityMatrix]:
@@ -225,13 +201,17 @@ def marginals_and_nonideality(
 
     lambda maps ideal probabilities along theta to the measured D marginal;
     mu maps ideal probabilities along theta_prime to the measured D' marginal.
-    Both follow from the effects in closed form (see `nonideality_stack`):
-    the D marginal's "+" effect is gamma * E+(theta), the D' marginal's is
-    (1 - gamma) * E+(theta'). The test suite checks this reconstruction
-    against Born probabilities of random states.
+    Both follow from the effects in closed form: the D marginal's "+"
+    effect is gamma * E+(theta), the D' marginal's is (1 - gamma) * E+(theta'),
+    so
+      lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
+    The test suite checks this reconstruction against Born probabilities of
+    random states.
     """
-    lam, mu = nonideality_stack(whichway.config.gamma)
-    return NonidealityMatrix(lam), NonidealityMatrix(mu)
+    gamma = whichway.config.gamma
+    lam = NonidealityMatrix([[gamma, 0.0], [1.0 - gamma, 1.0]])
+    mu = NonidealityMatrix([[1.0 - gamma, 0.0], [gamma, 1.0]])
+    return lam, mu
 
 
 def certainty_check(whichway: BivariateWhichWay, state: StateDescriptor) -> float:

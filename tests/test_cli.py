@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli
 from povmbell.cli import (
     SWEEP_CHUNK,
     ExperimentSpec,
@@ -520,32 +520,81 @@ def test_table_bytes_match_the_per_row_reference(command, size, data):
             assert out.getvalue().encode("utf-8") == expected
 
 
+GOLDEN_BELL = {
+    "gamma1": 0.7,
+    "gamma2": 0.2,
+    "theta1_deg": 0.0,
+    "theta1_prime_deg": 45.0,
+    "theta2_deg": 22.5,
+    "theta2_prime_deg": 67.5,
+    "state": "singlet",
+}
+# subcommand -> (its config, the CSV table it writes: header and row, byte
+# for byte); pinned apart from the runners, so a column that is renamed,
+# dropped or moved fails here
+GOLDEN_TABLES = {
+    "whichway": (
+        {"gamma": 0.3, "theta_deg": 10.0, "theta_prime_deg": 55.0, "state": [[0.6, 0.1], 0.8]},
+        "gamma,theta_deg,theta_prime_deg,state,p_pp,p_pm,p_mp,p_mm,marg_d_plus,marg_d_minus,"
+        "marg_dprime_plus,marg_dprime_minus,lambda_00,lambda_01,lambda_10,lambda_11,mu_00,mu_01,"
+        "mu_10,mu_11,j_lambda,j_mu,martens_bound,martens_slack,martens_satisfied\n"
+        '0.29999999999999999,10,55,"[[0.6,0.1],[0.8,0.0]]",0,0.16108252425452177,'
+        "0.69461150903796132,0.14430596670751702,0.16108252425452177,0.83891747574547837,"
+        "0.69461150903796132,0.30538849096203879,0.29999999999999999,0,0.69999999999999996,1,"
+        "0.69999999999999996,0,0.29999999999999999,1,0.57587024378140117,0.35113269255275964,"
+        "0.69314718055994506,0.23385575577421569,true\n",
+    ),
+    "bell": (
+        GOLDEN_BELL,
+        "gamma1,gamma2,theta1_deg,theta1_prime_deg,theta2_deg,theta2_prime_deg,state,p_pp_pp,"
+        "p_pp_pm,p_pp_mp,p_pp_mm,p_pm_pp,p_pm_pm,p_pm_mp,p_pm_mm,p_mp_pp,p_mp_pm,p_mp_mp,p_mp_mm,"
+        "p_mm_pp,p_mm_pm,p_mm_mp,p_mm_mm,E_D1_D2,E_D1_D2p,E_D1p_D2,E_D1p_D2p,s_value,violates,"
+        "s_symmetric_max\n"
+        "0.69999999999999996,0.20000000000000001,0,45,22.5,67.5,singlet,0,0,0,0,0,"
+        "0.010251262658470836,0.23899494936611662,0.10075378797541248,0,0.0043933982822017808,"
+        "0.017573593128807154,0.12803300858899105,0,0.085355339059327365,0.14343145750507622,"
+        "0.27121320343559635,0.14100505063388338,0.45597979746446649,0.51757359312880702,"
+        "-0.029705627484771457,0.17289321881345243,false,1.1442640687119283\n",
+    ),
+    "aspect": (
+        {name: value for name, value in GOLDEN_BELL.items() if not name.startswith("gamma")},
+        "theta1_deg,theta1_prime_deg,theta2_deg,theta2_prime_deg,state,E_D1_D2,E_D1_D2p,E_D1p_D2,"
+        "E_D1p_D2p,s_value,violates,s_symmetric_max\n"
+        "0,45,22.5,67.5,singlet,-0.70710678118654757,0.70710678118654746,-0.70710678118654791,"
+        "-0.70710678118654746,-2.8284271247461903,true,2.8284271247461903\n",
+    ),
+    "sample": (
+        {"experiment": "bell", **GOLDEN_BELL, "n_events": 1000, "seed": 7, "out": "events.log"},
+        "experiment,n_events,seed,generator,config_sha256,log_path,freq_pp_pp,freq_pp_pm,freq_pp_mp,"
+        "freq_pp_mm,freq_pm_pp,freq_pm_pm,freq_pm_mp,freq_pm_mm,freq_mp_pp,freq_mp_pm,freq_mp_mp,"
+        "freq_mp_mm,freq_mm_pp,freq_mm_pm,freq_mm_mp,freq_mm_mm,p_pp_pp,p_pp_pm,p_pp_mp,p_pp_mm,"
+        "p_pm_pp,p_pm_pm,p_pm_mp,p_pm_mm,p_mp_pp,p_mp_pm,p_mp_mp,p_mp_mm,p_mm_pp,p_mm_pm,p_mm_mp,"
+        "p_mm_mm,max_abs_deviation,s_analytic,s_empirical\n"
+        "bell,1000,7,philox,c856a3d81c48f991ab7589b85c1c6acf37f680fd39144579d83614a447e0ad95,"
+        "events.log,0,0,0,0,0,0.0089999999999999993,0.247,0.108,0,0.0050000000000000001,0.02,"
+        "0.13100000000000001,0,0.095000000000000001,0.13,0.255,0,0,0,0,0,0.010251262658470836,"
+        "0.23899494936611662,0.10075378797541248,0,0.0043933982822017808,0.017573593128807154,"
+        "0.12803300858899105,0,0.085355339059327365,0.14343145750507622,0.27121320343559635,"
+        "0.016213203435596346,0.17289321881345243,0.088000000000000106\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_TABLES)
+def test_one_row_table_bytes_are_pinned(command, tmp_path, monkeypatch, capsys):
+    # the sample row names its log path, so the log goes to a fixed relative one
+    monkeypatch.chdir(tmp_path)
+    payload, table = GOLDEN_TABLES[command]
+    assert main([command, "--config", write_config(tmp_path, payload)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == table
+
+
 class TestSweepStreaming:
     def sweep_config(self, tmp_path, count, fmt="csv"):
         grid = {"start": 0.0, "stop": 1.0, "count": count}
         return write_config(tmp_path, {"delta_deg": 30.0, "gamma_grid": grid, "format": fmt})
-
-    def test_a_failing_chunk_keeps_the_rows_written_before_it(self, tmp_path, monkeypatch, capsys):
-        real = infometrics.row_entropy
-        calls = []
-
-        def fail_second(matrix):
-            calls.append(np.shape(matrix))
-            if len(calls) == 2:
-                raise InvariantViolationError("row entropy came out negative: -1.0")
-            return real(matrix)
-
-        monkeypatch.setattr(infometrics, "row_entropy", fail_second)
-        config = self.sweep_config(tmp_path, SWEEP_CHUNK + 5)
-        assert main(["martens-sweep", "--config", config]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == "invariant violation: row entropy came out negative: -1.0\n"
-        assert calls == [(2, SWEEP_CHUNK, 2, 2), (2, 5, 2, 2)]
-        # the header and the first chunk were written before the second failed
-        lines = captured.out.splitlines()
-        assert len(lines) == 1 + SWEEP_CHUNK
-        assert lines[0] == "gamma,j_lambda,j_mu,bound,slack"
-        assert float(lines[-1].split(",")[0]) == np.linspace(0.0, 1.0, SWEEP_CHUNK + 5)[SWEEP_CHUNK - 1]
 
     @pytest.mark.parametrize(
         "at_limit, over, message",

@@ -10,9 +10,15 @@ run time:
   POVM, sharp exactly when both factors are;
 * `chsh_aspect` tensors the which-way effects of each arm at gamma = 1 and
   gamma = 0, and returns only the four correlations;
-* `martens_sweep` forms no effects at all: its entropies are closed forms of
-  gamma, and every which-way effect is affine in gamma, so it is a POVM for
-  every gamma in [0, 1] when the two endpoint measurements are.
+* `martens_sweep` and `martens_check` form no effects and no nonideality
+  matrices: their entropies are closed forms of gamma (proved equal to
+  `row_entropy` of the matrices in `tests/test_infometrics.py`), and every
+  which-way effect is affine in gamma, so it is a POVM for every gamma in
+  [0, 1] when the two endpoint measurements are.
+
+`polarization_pvm` checks its POVM but does not ask whether the check
+found it sharp: P^2 - P = (cos^2 + sin^2 - 1) P is rounding dust, so its
+projectors classify as `Pvm` at every finite angle.
 
 The tests here run the full `validate_effect_stack` on what those paths
 build or stand for, and pin that the paths themselves do not.
@@ -37,15 +43,18 @@ from povmbell import (
     Pvm,
     WhichWayConfig,
     build_bell,
+    build_whichway,
     chsh_aspect,
     martens_bound,
+    martens_check,
     martens_sweep,
+    polarization_pvm,
     povm_from_stack,
     singlet_state,
     validate_effect_stack,
     whichway_effects,
 )
-from povmbell import bell, cli, measurement
+from povmbell import bell, cli, infometrics, measurement, whichway
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -139,6 +148,14 @@ class TestDerivedMeasurementsPassTheFullCheck:
         assert curve.j_lambda.shape == grid.shape
 
     @PROPERTY
+    @given(st.one_of(ANGLES, st.floats(allow_nan=False, allow_infinity=False)))
+    def test_polarization_pvm_is_sharp_at_every_angle(self, theta):
+        # P^2 - P = (cos^2 + sin^2 - 1) P is rounding dust, far inside
+        # atol_algebra, so the numeric classification always says Pvm
+        assert isinstance(polarization_pvm(theta), Pvm)
+        assert isinstance(polarization_pvm(-theta), Pvm)
+
+    @PROPERTY
     @given(angle_pairs())
     def test_martens_bound_lies_in_zero_to_ln2(self, angles):
         assert 0.0 <= martens_bound(*angles) <= math.log(2.0)
@@ -161,10 +178,36 @@ class TestRuntimeChecks:
                 monkeypatch.setattr(module, "validate_effect_stack", spy)
         return shapes
 
-    def test_martens_sweep_checks_nothing(self, checked_shapes, tmp_path):
+    @pytest.fixture
+    def entropy_work(self, monkeypatch):
+        """Every NonidealityMatrix built and every row_entropy call, by name."""
+        seen = []
+        real_init, real_entropy = whichway.NonidealityMatrix.__post_init__, infometrics.row_entropy
+
+        def init_spy(matrix):
+            seen.append("NonidealityMatrix")
+            real_init(matrix)
+
+        def entropy_spy(matrix):
+            seen.append("row_entropy")
+            return real_entropy(matrix)
+
+        monkeypatch.setattr(whichway.NonidealityMatrix, "__post_init__", init_spy)
+        monkeypatch.setattr(infometrics, "row_entropy", entropy_spy)
+        return seen
+
+    def test_the_spies_see_entropy_work(self, entropy_work):
+        infometrics.row_entropy(np.eye(2))
+        assert entropy_work == ["row_entropy", "NonidealityMatrix"]
+
+    def test_martens_sweep_checks_nothing(self, checked_shapes, entropy_work, tmp_path):
         for count in (1, 2, 30, 5000):
             martens_sweep(np.linspace(0.0, 1.0, count), math.pi / 5, 0.0)
-        assert checked_shapes == []
+        martens_check(build_whichway(WhichWayConfig(0.3, math.pi / 5, 0.0)))
+        # build_whichway checks the one POVM it returns
+        assert checked_shapes == [(4, 2, 2)]
+        assert entropy_work == []
+        checked_shapes.clear()
         # the command evaluates its grid chunk by chunk, and checks no chunk
         count = 2 * cli.SWEEP_CHUNK + 3
         config = tmp_path / "sweep.json"
@@ -174,6 +217,7 @@ class TestRuntimeChecks:
         out = tmp_path / "sweep.csv"
         assert cli.main(["martens-sweep", "--config", str(config), "--out", str(out)]) == 0
         assert checked_shapes == []
+        assert entropy_work == []
         assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + count
 
     def test_chsh_aspect_checks_nothing(self, checked_shapes):

@@ -45,11 +45,37 @@ def overlap_bound(theta: float, theta_prime: float) -> float:
     return -math.log(min(overlap, 1.0))
 
 
-def random_stochastic(rng, shape):
-    cols = rng.uniform(0.0, 1.0, size=shape)
-    cols[rng.uniform(size=shape) < 0.2] = 0.0
-    cols[..., 0, :] += 1e-3  # no all-zero column
-    return cols / cols.sum(axis=-2, keepdims=True)
+def row_entropy_reference(entries):
+    """The operations of `row_entropy`, unchecked, over a stack of shape (..., n_measured, n_ideal)."""
+    row_sums = entries.sum(axis=-1, keepdims=True)
+    ratio = np.divide(entries, row_sums, out=np.ones_like(entries), where=entries > 0.0)
+    return -(entries * np.log(ratio)).sum(axis=(-2, -1)) / entries.shape[-1] + 0.0
+
+
+def whichway_matrices(gammas):
+    """The lambda and mu matrices of each gamma, explicitly: shape (2,) + gammas.shape + (2, 2)."""
+    one, zero = np.ones_like(gammas), np.zeros_like(gammas)
+    lam = np.stack([np.stack([gammas, zero], -1), np.stack([1.0 - gammas, one], -1)], -2)
+    mu = np.stack([np.stack([1.0 - gammas, zero], -1), np.stack([gammas, one], -1)], -2)
+    return np.stack([lam, mu])
+
+
+def float_run(center, count):
+    """`count` consecutive floats, half below `center` and half from it on."""
+    bits = np.array([center]).view(np.int64)[0] + np.arange(-(count // 2), count - count // 2)
+    return bits.view(np.float64)
+
+
+# about 1e6 transmissivities: every float among the first 2e5 from 0 up and
+# the last 2e5 up to 1, runs of 1e4 floats around 2^-60 ... 2^-3 and around
+# 1/2, and a 1e5-point linspace
+EDGE_GRID = np.unique(
+    np.concatenate(
+        [float_run(0.0, 4 * 10**5)[2 * 10**5 :], float_run(1.0, 4 * 10**5)[: 2 * 10**5 + 1]]
+        + [float_run(2.0**e, 10**4) for e in range(-60, -2)]
+        + [float_run(0.5, 10**4), np.linspace(0.0, 1.0, 10**5)]
+    )
+)
 
 
 class TestRowEntropy:
@@ -96,23 +122,13 @@ class TestRowEntropy:
     def test_accepts_raw_arrays(self):
         assert row_entropy(np.eye(2)) == 0.0
 
-    def test_stack_equals_per_matrix_values(self):
-        rng = np.random.default_rng(405)
-        for shape in ((7, 2, 2), (3, 4, 3, 2), (5, 4, 3)):
-            stack = random_stochastic(rng, shape)
-            got = row_entropy(stack)
-            assert got.shape == shape[:-2]
-            for index in np.ndindex(*shape[:-2]):
-                assert got[index] == row_entropy(NonidealityMatrix(stack[index]))
+    def test_one_matrix_only(self):
+        with pytest.raises(ShapeMismatchError, match=r"^nonideality matrix must be 2-D, got ndim=3$"):
+            row_entropy(np.stack([np.eye(2), np.eye(2)]))
 
-    def test_stack_entries_validated(self):
-        stack = np.stack([np.eye(2), np.array([[0.5, 0.0], [0.4, 1.0]])])
-        with pytest.raises(DomainError):
-            row_entropy(stack)
-
-    def test_zero_size_stack_rejected(self):
-        with pytest.raises(ShapeMismatchError, match=r"must be nonempty, got shape \(0, 2, 2\)"):
-            row_entropy(np.zeros((0, 2, 2)))
+    def test_caller_matrices_are_checked(self):
+        with pytest.raises(DomainError, match="^columns must each sum to 1"):
+            row_entropy([[0.5, 0.0], [0.4, 1.0]])
 
     def test_zero_column_matrix_rejected(self):
         with pytest.raises(ShapeMismatchError, match=r"must be nonempty, got shape \(2, 0\)"):
@@ -224,6 +240,36 @@ class TestMartensSweep:
         for grid in ([], [[0.5, 0.5]]):
             with pytest.raises(ShapeMismatchError, match=r"^gamma grid must be a nonempty 1-D array"):
                 martens_sweep(grid, 0.3, 0.0)
+
+
+class TestClosedFormEntropies:
+    """The sweep's entropies are closed forms of gamma, proved here; the library checks none."""
+
+    def test_reference_is_row_entropy(self):
+        grid = np.concatenate([EDGE_GRID[::500], EDGE_GRID[-3:]])
+        matrices = whichway_matrices(grid)
+        per_matrix = np.array(
+            [[row_entropy(NonidealityMatrix(m)) for m in branch] for branch in matrices]
+        )
+        assert np.array_equal(per_matrix.view(np.int64), row_entropy_reference(matrices).view(np.int64))
+
+    def test_sweep_is_row_entropy_of_the_explicit_matrices(self):
+        for piece in np.array_split(EDGE_GRID, 8):
+            curve = martens_sweep(piece, math.pi / 5, 0.0)
+            got = np.stack([curve.j_lambda, curve.j_mu])
+            # bit for bit, so the sign of every zero too
+            reference = row_entropy_reference(whichway_matrices(piece))
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+            assert np.all((got >= 0.0) & (got <= LN2))
+
+    def test_entropies_are_monotone_in_gamma(self):
+        curve = martens_sweep(EDGE_GRID, math.pi / 5, 0.0)  # the grid is sorted
+        # up to rounding: no step the wrong way on this grid exceeds 2 ulps of
+        # its values; 4 ulps of ln 2 bound that
+        dust = 4 * np.spacing(LN2)
+        assert np.all(np.diff(curve.j_lambda) <= dust)
+        assert np.all(np.diff(curve.j_mu) >= -dust)
+        assert (curve.j_lambda[0], curve.j_mu[0], curve.j_lambda[-1], curve.j_mu[-1]) == (LN2, 0.0, 0.0, LN2)
 
 
 class TestHeisenbergCheck:

@@ -27,7 +27,7 @@ from povmbell import (
     polarization_pvm,
     projector_from_angle,
 )
-from povmbell.whichway import nonideality_stack, whichway_effects
+from povmbell.whichway import whichway_effects
 
 
 class TestWhichWayConfig:
@@ -207,14 +207,6 @@ class TestMarginalsAndNonideality:
         lam0, mu0 = marginals_and_nonideality(build_whichway(WhichWayConfig(0.0, 0.2, 0.9)))
         assert np.allclose(lam0.entries, [[0.0, 0.0], [1.0, 1.0]], atol=0)
         assert np.allclose(mu0.entries, np.eye(2), atol=0)
-
-    def test_stack_matches_single_matrices(self):
-        gammas = np.linspace(0.0, 1.0, 9)
-        lam_stack, mu_stack = nonideality_stack(gammas)
-        for gamma, lam_entries, mu_entries in zip(gammas, lam_stack, mu_stack):
-            lam, mu = marginals_and_nonideality(build_whichway(WhichWayConfig(float(gamma), 0.1, 0.7)))
-            assert np.array_equal(lam.entries, lam_entries)
-            assert np.array_equal(mu.entries, mu_entries)
 
     def test_reconstruction_on_random_states(self):
         rng = np.random.default_rng(303)
