@@ -76,11 +76,11 @@ from .sampler import (
     GENERATOR_NAME,
     LOG_CHUNK,
     EventLog,
-    check_label_set,
     empirical_chsh,
     empirical_frequencies,
-    index_dtype,
+    read_event_log,
     sample,
+    write_event_log,
 )
 from .whichway import (
     WW_LABELS,

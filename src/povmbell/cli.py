@@ -21,7 +21,8 @@ Subcommands:
   martens-sweep  entropy tradeoff curve over a grid of transmissivities
   bell           one joint 16-outcome run and its single-run CHSH statistics
   aspect         four-corner pooled CHSH statistics
-  sample         seeded Monte Carlo events written to an event-log file
+  sample         seeded Monte Carlo events written to an event-log file (its
+                 format is described in `povmbell.sampler`)
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,18 +49,11 @@ from .bell import (
     quad_distribution,
     singlet_state,
 )
-from .errors import ConfigError, DomainError, PovmBellError
+from .errors import ConfigError, PovmBellError
 from .infometrics import MartensCurve, martens_check, martens_sweep
 from .measurement import OutcomeDistribution, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor
-from .sampler import (
-    LOG_CHUNK,
-    EventLog,
-    check_label_set,
-    empirical_frequencies,
-    index_dtype,
-    sample,
-)
+from .sampler import _config_sha256, empirical_frequencies, read_event_log, sample, write_event_log
 from .whichway import (
     BivariateWhichWay,
     WhichWayConfig,
@@ -481,7 +473,7 @@ def run_sample(spec: ExperimentSpec) -> Table:
         "n_events": log.count,
         "seed": log.seed,
         "generator": log.generator,
-        "config_sha256": hashlib.sha256(descriptor.encode("utf-8")).hexdigest(),
+        "config_sha256": _config_sha256(descriptor),
         "log_path": spec.out,
     }
     for label in povm.labels:
@@ -519,142 +511,6 @@ _COMMANDS = {
 KINDS = tuple(kind for kind, _, _ in _COMMANDS.values())
 # main dispatches on the kind of the validated spec
 _RUNNERS = {kind: runner for kind, _, runner in _COMMANDS.values()}
-
-
-_LOG_VERSION_LINE = "# povmbell event log v1"
-
-
-def write_event_log(log: EventLog, path: str | Path) -> None:
-    """Write an event log: '#'-prefixed metadata header, one label per line.
-
-    The header is written once, then the events LOG_CHUNK at a time, each
-    chunk as one string joined from a table of the label lines.
-    """
-    sha = hashlib.sha256(log.config.encode("utf-8")).hexdigest()
-    header = (
-        f"{_LOG_VERSION_LINE}\n"
-        f"# config={log.config}\n"
-        f"# config_sha256={sha}\n"
-        f"# generator={log.generator}\n"
-        f"# seed={log.seed}\n"
-        f"# labels={' '.join(log.label_set)}\n"
-        f"# count={log.count}\n"
-    )
-    lines = np.array([label + "\n" for label in log.label_set], dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for start in range(0, log.count, LOG_CHUNK):
-            fh.write("".join(lines[log.indices[start : start + LOG_CHUNK]].tolist()))
-
-
-def _header_int(header: dict[str, str], key: str) -> int:
-    try:
-        return int(header[key])
-    except ValueError:
-        raise ConfigError("log", f"header field {key!r} must be an integer, got {header[key]!r}") from None
-
-
-def _read_header(fh: BinaryIO) -> tuple[dict[str, str], bytes]:
-    """The header fields of an open log, and the first line after the header."""
-    version = fh.readline()
-    if version.rstrip(b"\n") != _LOG_VERSION_LINE.encode():
-        raise ConfigError(
-            "log", f"first line must be {_LOG_VERSION_LINE!r}, got {version.decode('utf-8', 'replace')!r}"
-        )
-    header: dict[str, str] = {}
-    line = fh.readline()
-    while line.startswith(b"#"):
-        try:
-            body = line.decode("utf-8").rstrip("\n")[1:].strip()
-        except UnicodeDecodeError as exc:
-            raise ConfigError("log", f"event log header is not UTF-8 text: {exc}") from None
-        if "=" in body:
-            key, _, value = body.partition("=")
-            header[key.strip()] = value
-        line = fh.readline()
-    return header, line
-
-
-def read_event_log(path: str | Path) -> EventLog:
-    """Parse a file written by write_event_log back into an EventLog.
-
-    The header ends at the first line that does not start with '#'; every
-    later line is one event label, ended by a line break. The events are
-    read in blocks of at most about LOG_CHUNK lines that end on a line
-    break, and mapped to label indices into an array preallocated from the
-    header count.
-
-    Raises ConfigError (field "log") for a file that is not a v1 event log:
-    a wrong first line, a header that is not UTF-8, lacks a field, has a
-    non-integer seed, a count that is not a nonnegative integer, a label set
-    the format cannot hold, or a stored config_sha256 that does not match
-    its config; a count the body is too short to hold; a body line that is
-    not a label of the set, including a '#' line after the first event; a
-    last line without a line break; or a number of events other than the
-    count.
-    """
-    with open(path, "rb") as fh:
-        header, first = _read_header(fh)
-        for key in ("config", "config_sha256", "generator", "seed", "labels", "count"):
-            if key not in header:
-                raise ConfigError("log", f"event log is missing header field {key!r}")
-        sha = hashlib.sha256(header["config"].encode("utf-8")).hexdigest()
-        if header["config_sha256"] != sha:
-            raise ConfigError(
-                "log", f"stored config_sha256 {header['config_sha256']} does not match the config ({sha})"
-            )
-        seed = _header_int(header, "seed")
-        count = _header_int(header, "count")
-        if count < 0:
-            raise ConfigError("log", f"header count must be nonnegative, got {count}")
-        try:
-            label_set = check_label_set(header["labels"].split(" "))
-        except DomainError as exc:
-            raise ConfigError("log", f"header labels: {exc}") from None
-        position = {label.encode("utf-8"): i for i, label in enumerate(label_set)}
-        # every event takes at least its shortest label plus a line break
-        shortest = min(map(len, position)) + 1
-        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell() + len(first)
-        if count * shortest > body_bytes:
-            raise ConfigError(
-                "log", f"header count {count} needs at least {count * shortest} bytes of events, "
-                f"the file holds {body_bytes}"
-            )
-        dtype = index_dtype(len(label_set))
-        indices = np.empty(count, dtype=dtype)
-        filled = 0
-        block = first + fh.read(LOG_CHUNK * shortest)
-        while block:
-            if not block.endswith(b"\n"):
-                block += fh.readline()
-            lines = block.split(b"\n")
-            if lines.pop():  # the piece after the last line break must be empty
-                raise ConfigError("log", "the last event line has no line break: the log is cut short")
-            try:
-                chunk = np.fromiter(map(position.__getitem__, lines), dtype=dtype, count=len(lines))
-            except KeyError as exc:
-                line = exc.args[0]
-                where = f"event line {filled + lines.index(line) + 1}"
-                text = line.decode("utf-8", "replace")
-                if line.startswith(b"#"):
-                    raise ConfigError("log", f"{where} is a header line {text!r}") from None
-                raise ConfigError("log", f"{where} {text!r} is not a label of the set") from None
-            del lines  # one block's line objects alive at a time, not two
-            if filled + len(chunk) > count:
-                raise ConfigError("log", f"header count {count} is less than the number of events")
-            indices[filled : filled + len(chunk)] = chunk
-            filled += len(chunk)
-            block = fh.read(LOG_CHUNK * shortest)
-    if filled != count:
-        raise ConfigError("log", f"header count {count} does not match {filled} events")
-    indices.setflags(write=False)
-    return EventLog(
-        config=header["config"],
-        generator=header["generator"],
-        seed=seed,
-        label_set=label_set,
-        indices=indices,
-    )
 
 
 def _csv_cell(value: object) -> str:

@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo event generation from Born-rule distributions.
+"""Seeded Monte Carlo event generation from Born-rule distributions, and the
+event-log file format.
 
 Events are drawn by inverse-CDF lookup over the POVM's fixed label order
 using a Philox counter-based generator, so a (povm, state, seed) triple
@@ -7,17 +8,31 @@ An event log holds its events as one read-only array of indices into its
 label set, one byte per event for up to 256 labels; the uniform variates
 are drawn LOG_CHUNK at a time, so sampling needs the index array plus one
 chunk of working memory.
+
+This module alone knows the v1 log format that `write_event_log` writes and
+`read_event_log` reads. A log is UTF-8 text with "\n" line ends. Its first
+line is `# povmbell event log v1`. Six `# key=value` header lines follow, in
+this order: `config` (an opaque descriptor), `config_sha256` (the hex
+sha256 of the config's UTF-8 bytes), `generator`, `seed` (a decimal
+integer as `str(int)` writes it), `labels` (the label set, space-separated,
+in effect order) and `count` (as `seed`). The header ends at the first line
+that does not start with '#'; from there on each line is one event label.
+`EventLog` refuses what this format cannot round-trip: see
+`_check_label_set` and its own docstring.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .measurement import OutcomeDistribution, Povm, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor
 
@@ -25,8 +40,8 @@ __all__ = [
     "GENERATOR_NAME",
     "LOG_CHUNK",
     "EventLog",
-    "check_label_set",
-    "index_dtype",
+    "write_event_log",
+    "read_event_log",
     "sample",
     "empirical_frequencies",
     "empirical_chsh",
@@ -42,14 +57,22 @@ _MAX_SEED = 2**64 - 1
 LOG_CHUNK = 1 << 16
 
 
-def check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
+def _require_utf8(what: str, text: str) -> None:
+    """Raise DomainError if `text` does not encode as UTF-8, as all text of a log must."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DomainError(f"{what} {text!r} does not encode as UTF-8") from None
+
+
+def _check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
     """Return `label_set` as a tuple, or raise DomainError if the v1 log format
     cannot round-trip it.
 
     The format stores the labels space-separated on one header line and one
     event label per line, and reads '#' lines as header, so the labels must be
-    nonempty, unique, free of whitespace and must not start with '#'; the set
-    must hold at least one label.
+    nonempty, unique, free of whitespace, encodable as UTF-8 and must not
+    start with '#'; the set must hold at least one label.
     """
     labels = tuple(label_set)
     if not labels:
@@ -61,12 +84,13 @@ def check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
             raise DomainError(f"event label {label!r} contains whitespace")
         if label.startswith("#"):
             raise DomainError(f"event label {label!r} starts with '#'")
+        _require_utf8("event label", label)
     if len(set(labels)) != len(labels):
         raise DomainError(f"event labels must be unique, got {list(labels)}")
     return labels
 
 
-def index_dtype(n_labels: int) -> np.dtype:
+def _index_dtype(n_labels: int) -> np.dtype:
     """Smallest unsigned integer dtype that indexes `n_labels` labels (uint8 up to 256)."""
     return np.min_scalar_type(max(n_labels - 1, 0))
 
@@ -79,7 +103,7 @@ class EventLog(ArrayRecord):
     (the CLI stores canonical config JSON there); `label_set` is the POVM's
     full outcome alphabet in effect order, which may include labels that
     never occurred. The events are held as `indices`, a read-only array of
-    positions in `label_set` with dtype `index_dtype(len(label_set))`;
+    positions in `label_set` with dtype `_index_dtype(len(label_set))`;
     `events` derives the tuple of labels from it.
 
     Construct with the events either as labels (`events=`) or as indices
@@ -87,8 +111,9 @@ class EventLog(ArrayRecord):
     Raises DomainError for a seed that is not an integer (Python or numpy,
     not bool; it is stored as an int), for an event outside the label set,
     for a label set the log format cannot round-trip (see
-    `check_label_set`), or for a `config` or `generator` with a line break
-    or trailing whitespace, which its one header line cannot round-trip.
+    `_check_label_set`), or for a `config` or `generator` with a line break
+    or trailing whitespace, which its one header line cannot round-trip, or
+    with text that does not encode as UTF-8.
     """
 
     config: str
@@ -110,12 +135,13 @@ class EventLog(ArrayRecord):
         # the header stores the seed as a decimal integer, which reads back as int
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise DomainError(f"event log seed must be an integer, got {seed!r}")
-        label_set = check_label_set(label_set)
+        label_set = _check_label_set(label_set)
         for name, text in (("config", config), ("generator", generator)):
             # one header line each, read back with trailing whitespace stripped
             if "\n" in text or text != text.rstrip():
                 raise DomainError(f"event log {name} {text!r} has a line break or trailing whitespace")
-        dtype = index_dtype(len(label_set))
+            _require_utf8(f"event log {name}", text)
+        dtype = _index_dtype(len(label_set))
         if (events is None) == (indices is None):
             raise TypeError("give the events either as labels (events=) or as indices (indices=)")
         if events is not None:
@@ -150,6 +176,152 @@ class EventLog(ArrayRecord):
     def events(self) -> tuple[str, ...]:
         """The events as labels (builds one Python reference per event)."""
         return tuple(map(self.label_set.__getitem__, self.indices.tolist()))
+
+
+_LOG_VERSION_LINE = "# povmbell event log v1"
+
+
+def _config_sha256(config: str) -> str:
+    """The hex sha256 of a config's UTF-8 bytes, as a log header stores it."""
+    return hashlib.sha256(config.encode("utf-8")).hexdigest()
+
+
+def write_event_log(log: EventLog, path: str | Path) -> None:
+    """Write an event log: '#'-prefixed metadata header, one label per line.
+
+    The header is written once, then the events LOG_CHUNK at a time, each
+    chunk as one string joined from a table of the label lines.
+    """
+    sha = _config_sha256(log.config)
+    header = (
+        f"{_LOG_VERSION_LINE}\n"
+        f"# config={log.config}\n"
+        f"# config_sha256={sha}\n"
+        f"# generator={log.generator}\n"
+        f"# seed={log.seed}\n"
+        f"# labels={' '.join(log.label_set)}\n"
+        f"# count={log.count}\n"
+    )
+    lines = np.array([label + "\n" for label in log.label_set], dtype=object)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        for start in range(0, log.count, LOG_CHUNK):
+            fh.write("".join(lines[log.indices[start : start + LOG_CHUNK]].tolist()))
+
+
+def _header_int(header: dict[str, str], key: str) -> int:
+    value = header[key]
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    # only the text the writer makes: int() also takes "1_0", " 5", "-0" and non-ASCII digits
+    if number is None or str(number) != value:
+        raise ConfigError("log", f"header field {key!r} must be an integer, got {value!r}")
+    return number
+
+
+def _read_header(fh: BinaryIO) -> tuple[dict[str, str], bytes]:
+    """The header fields of an open log, and the first line after the header."""
+    version = fh.readline()
+    if version.rstrip(b"\n") != _LOG_VERSION_LINE.encode():
+        raise ConfigError(
+            "log", f"first line must be {_LOG_VERSION_LINE!r}, got {version.decode('utf-8', 'replace')!r}"
+        )
+    header: dict[str, str] = {}
+    line = fh.readline()
+    while line.startswith(b"#"):
+        try:
+            body = line.decode("utf-8").rstrip("\n")[1:].strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("log", f"event log header is not UTF-8 text: {exc}") from None
+        if "=" in body:
+            key, _, value = body.partition("=")
+            header[key.strip()] = value
+        line = fh.readline()
+    return header, line
+
+
+def read_event_log(path: str | Path) -> EventLog:
+    """Parse a file written by write_event_log back into an EventLog.
+
+    The header ends at the first line that does not start with '#'; every
+    later line is one event label, ended by a line break. The events are
+    read in blocks of at most about LOG_CHUNK lines that end on a line
+    break, and mapped to label indices into an array preallocated from the
+    header count.
+
+    Raises ConfigError (field "log") for a file that is not a v1 event log:
+    a wrong first line, a header that is not UTF-8, lacks a field, has a
+    seed or count other than an integer as `str(int)` writes it, a negative
+    count, a label set the format cannot hold, or a stored config_sha256 that does not match
+    its config; a count the body is too short to hold; a body line that is
+    not a label of the set, including a '#' line after the first event; a
+    last line without a line break; or a number of events other than the
+    count.
+    """
+    with open(path, "rb") as fh:
+        header, first = _read_header(fh)
+        for key in ("config", "config_sha256", "generator", "seed", "labels", "count"):
+            if key not in header:
+                raise ConfigError("log", f"event log is missing header field {key!r}")
+        sha = _config_sha256(header["config"])
+        if header["config_sha256"] != sha:
+            raise ConfigError(
+                "log", f"stored config_sha256 {header['config_sha256']} does not match the config ({sha})"
+            )
+        seed = _header_int(header, "seed")
+        count = _header_int(header, "count")
+        if count < 0:
+            raise ConfigError("log", f"header count must be nonnegative, got {count}")
+        try:
+            label_set = _check_label_set(header["labels"].split(" "))
+        except DomainError as exc:
+            raise ConfigError("log", f"header labels: {exc}") from None
+        position = {label.encode("utf-8"): i for i, label in enumerate(label_set)}
+        # every event takes at least its shortest label plus a line break
+        shortest = min(map(len, position)) + 1
+        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell() + len(first)
+        if count * shortest > body_bytes:
+            raise ConfigError(
+                "log", f"header count {count} needs at least {count * shortest} bytes of events, "
+                f"the file holds {body_bytes}"
+            )
+        dtype = _index_dtype(len(label_set))
+        indices = np.empty(count, dtype=dtype)
+        filled = 0
+        block = first + fh.read(LOG_CHUNK * shortest)
+        while block:
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            lines = block.split(b"\n")
+            if lines.pop():  # the piece after the last line break must be empty
+                raise ConfigError("log", "the last event line has no line break: the log is cut short")
+            try:
+                chunk = np.fromiter(map(position.__getitem__, lines), dtype=dtype, count=len(lines))
+            except KeyError as exc:
+                line = exc.args[0]
+                where = f"event line {filled + lines.index(line) + 1}"
+                text = line.decode("utf-8", "replace")
+                if line.startswith(b"#"):
+                    raise ConfigError("log", f"{where} is a header line {text!r}") from None
+                raise ConfigError("log", f"{where} {text!r} is not a label of the set") from None
+            del lines  # one block's line objects alive at a time, not two
+            if filled + len(chunk) > count:
+                raise ConfigError("log", f"header count {count} is less than the number of events")
+            indices[filled : filled + len(chunk)] = chunk
+            filled += len(chunk)
+            block = fh.read(LOG_CHUNK * shortest)
+    if filled != count:
+        raise ConfigError("log", f"header count {count} does not match {filled} events")
+    indices.setflags(write=False)
+    return EventLog(
+        config=header["config"],
+        generator=header["generator"],
+        seed=seed,
+        label_set=label_set,
+        indices=indices,
+    )
 
 
 def sample(
@@ -189,7 +361,7 @@ def sample(
     cdf[-1] = max(float(cdf[-1]), 1.0)  # guard the searchsorted upper edge
     rng = np.random.Generator(np.random.Philox(int(seed)))
     n = int(n)
-    indices = np.empty(n, dtype=index_dtype(len(labels)))
+    indices = np.empty(n, dtype=_index_dtype(len(labels)))
     for start in range(0, n, LOG_CHUNK):
         stop = min(start + LOG_CHUNK, n)
         indices[start:stop] = np.searchsorted(cdf, rng.random(stop - start), side="right")

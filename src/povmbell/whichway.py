@@ -194,6 +194,19 @@ class NonidealityMatrix(ArrayRecord):
         return self.entries @ probs
 
 
+def _closed_form(rows: list[list[float]]) -> NonidealityMatrix:
+    """A NonidealityMatrix of entries proved column-stochastic in the tests; checks nothing.
+
+    `marginals_and_nonideality` builds its matrices from a gamma already in
+    [0, 1], so the constructor's checks could not fail there.
+    """
+    entries = np.array(rows, dtype=np.float64)
+    entries.setflags(write=False)
+    matrix = object.__new__(NonidealityMatrix)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
+
+
 def marginals_and_nonideality(
     whichway: BivariateWhichWay,
 ) -> tuple[NonidealityMatrix, NonidealityMatrix]:
@@ -206,11 +219,11 @@ def marginals_and_nonideality(
     so
       lambda = [[gamma, 0], [1 - gamma, 1]],  mu = [[1 - gamma, 0], [gamma, 1]].
     The test suite checks this reconstruction against Born probabilities of
-    random states.
+    random states, and that the public constructor accepts both matrices.
     """
     gamma = whichway.config.gamma
-    lam = NonidealityMatrix([[gamma, 0.0], [1.0 - gamma, 1.0]])
-    mu = NonidealityMatrix([[1.0 - gamma, 0.0], [gamma, 1.0]])
+    lam = _closed_form([[gamma, 0.0], [1.0 - gamma, 1.0]])
+    mu = _closed_form([[1.0 - gamma, 0.0], [gamma, 1.0]])
     return lam, mu
 
 

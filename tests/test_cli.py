@@ -962,8 +962,22 @@ class TestEventLogFile:
             ("# povmbell event log v1\n", ""),
             ("# povmbell event log v1", "# povmbell event log v2"),
             ("# config=", "# config= "),
+            ("# seed=5", "# seed=1_0"),
+            ("# seed=5", "# seed= 5"),
+            ("# seed=5", "# seed=-0"),
+            ("# count=3", "# count=\u0663"),
         ],
-        ids=["count-not-integer", "seed-not-integer", "version-missing", "version-wrong", "sha256-mismatch"],
+        ids=[
+            "count-not-integer",
+            "seed-not-integer",
+            "version-missing",
+            "version-wrong",
+            "sha256-mismatch",
+            "seed-underscore",
+            "seed-leading-space",
+            "seed-negative-zero",
+            "count-arabic-indic-digit",
+        ],
     )
     def test_malformed_header_is_config_error(self, tmp_path, old, new):
         log = sample(polarization_pvm(0.0), StateDescriptor.pure([1.0, 0.0]), 3, 5)

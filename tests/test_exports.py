@@ -9,6 +9,8 @@ names its library modules list, so deleting a function without its exports
 (`DEFAULT_POLICY`), so no callable takes a tolerance argument. No linter is
 assumed, so an `ast` walk stands in for an unused-import check. Every
 function the benchmark's tracer wraps must exist, or `--trace 1` fails.
+Importing the library does not load the CLI, and the event-log codec it
+re-exports is the one `sampler` defines and `cli` imports.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -157,3 +162,17 @@ def test_every_traced_name_resolves():
         if not found:
             unresolved.append(qualified)
     assert unresolved == []
+
+
+def test_importing_the_package_leaves_the_front_end_unloaded():
+    # a fresh interpreter, since this one has loaded `povmbell.cli` for other tests
+    code = (
+        "import sys, povmbell, povmbell.sampler as sampler\n"
+        "assert 'povmbell.cli' not in sys.modules\n"
+        "import povmbell.cli as cli\n"
+        "for name in ('read_event_log', 'write_event_log'):\n"
+        "    assert getattr(povmbell, name) is getattr(sampler, name) is getattr(cli, name), name\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

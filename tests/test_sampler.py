@@ -118,6 +118,16 @@ class TestEventLog:
         with pytest.raises(DomainError):
             EventLog(config, generator, 0, ("x",), ("x",))
 
+    @pytest.mark.parametrize(
+        ("config", "generator", "label"),
+        [("c\udcff", "philox", "x"), ("c", "phi\udcfflox", "x"), ("c", "philox", "x\udcff")],
+        ids=["config", "generator", "label"],
+    )
+    def test_rejects_text_that_does_not_encode_as_utf8(self, config, generator, label):
+        # a lone surrogate has no UTF-8 encoding, so the log's text cannot hold it
+        with pytest.raises(DomainError, match="UTF-8"):
+            EventLog(config, generator, 0, (label,), (label,))
+
     def test_label_with_inner_hash_is_allowed(self):
         assert EventLog("c", "g", 0, ("a#b",), ("a#b",)).count == 1
 

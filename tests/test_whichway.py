@@ -208,6 +208,15 @@ class TestMarginalsAndNonideality:
         assert np.allclose(lam0.entries, [[0.0, 0.0], [1.0, 1.0]], atol=0)
         assert np.allclose(mu0.entries, np.eye(2), atol=0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 5e-324, 1e-16, 0.5, 1.0 - 1e-16, 1.0])
+    def test_public_constructor_accepts_the_matrices(self, gamma):
+        # the matrices are built without the constructor's checks; prove they pass them
+        lam, mu = marginals_and_nonideality(build_whichway(WhichWayConfig(gamma, 0.2, 0.9)))
+        assert NonidealityMatrix([[gamma, 0.0], [1.0 - gamma, 1.0]]) == lam
+        assert NonidealityMatrix([[1.0 - gamma, 0.0], [gamma, 1.0]]) == mu
+        for matrix in (lam, mu):
+            assert matrix.entries.dtype == np.float64 and not matrix.entries.flags.writeable
+
     def test_reconstruction_on_random_states(self):
         rng = np.random.default_rng(303)
         for _ in range(10):
