@@ -10,15 +10,15 @@ are drawn LOG_CHUNK at a time, so sampling needs the index array plus one
 chunk of working memory.
 
 This module alone knows the v1 log format that `write_event_log` writes and
-`read_event_log` reads. A log is UTF-8 text with "\n" line ends. Its first
-line is `# povmbell event log v1`. Six `# key=value` header lines follow, in
-this order: `config` (an opaque descriptor), `config_sha256` (the hex
-sha256 of the config's UTF-8 bytes), `generator`, `seed` (a decimal
-integer as `str(int)` writes it), `labels` (the label set, space-separated,
-in effect order) and `count` (as `seed`). The header ends at the first line
-that does not start with '#'; from there on each line is one event label.
-`EventLog` refuses what this format cannot round-trip: see
-`_check_label_set` and its own docstring.
+`read_event_log` reads, declared once in `_HEADER_KEYS`. A log is UTF-8 text
+with "\n" line ends. Line 1 is `# povmbell event log v1`. Lines 2 to 7 are
+the header, one `# key=value` line per key, in this order: `config` (an
+opaque descriptor), `config_sha256` (the hex sha256 of the config's UTF-8
+bytes), `generator`, `seed` (a decimal integer as `str(int)` writes it),
+`labels` (the label set, space-separated, in effect order) and `count` (as
+`seed`). From line 8 on, each line is one event label. `EventLog` refuses
+what this format cannot round-trip: see `_check_label_set` and its own
+docstring.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def _check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
     cannot round-trip it.
 
     The format stores the labels space-separated on one header line and one
-    event label per line, and reads '#' lines as header, so the labels must be
-    nonempty, unique, free of whitespace, encodable as UTF-8 and must not
-    start with '#'; the set must hold at least one label.
+    event label per line, and only header lines start with '#', so the labels
+    must be nonempty, unique, free of whitespace, encodable as UTF-8 and must
+    not start with '#'; the set must hold at least one label.
     """
     labels = tuple(label_set)
     if not labels:
@@ -95,7 +95,7 @@ def _index_dtype(n_labels: int) -> np.dtype:
     return np.min_scalar_type(max(n_labels - 1, 0))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class EventLog(ArrayRecord):
     """An ordered record of sampled outcomes plus the settings behind it.
 
@@ -103,17 +103,16 @@ class EventLog(ArrayRecord):
     (the CLI stores canonical config JSON there); `label_set` is the POVM's
     full outcome alphabet in effect order, which may include labels that
     never occurred. The events are held as `indices`, a read-only array of
-    positions in `label_set` with dtype `_index_dtype(len(label_set))`;
-    `events` derives the tuple of labels from it.
+    positions in `label_set` with dtype `_index_dtype(len(label_set))`; a
+    writable or differently typed index array is copied. `events` derives
+    the tuple of labels from it.
 
-    Construct with the events either as labels (`events=`) or as indices
-    (`indices=`); a writable or differently typed index array is copied.
     Raises DomainError for a seed that is not an integer (Python or numpy,
-    not bool; it is stored as an int), for an event outside the label set,
-    for a label set the log format cannot round-trip (see
+    not bool; it is stored as an int), for indices that are not a 1-D
+    integer array of positions in the label set (so labels given in place
+    of indices), for a label set the log format cannot round-trip (see
     `_check_label_set`), or for a `config` or `generator` with a line break
-    or trailing whitespace, which its one header line cannot round-trip, or
-    with text that does not encode as UTF-8.
+    or trailing whitespace, or with text that does not encode as UTF-8.
     """
 
     config: str
@@ -122,49 +121,27 @@ class EventLog(ArrayRecord):
     label_set: tuple[str, ...]
     indices: np.ndarray
 
-    def __init__(
-        self,
-        config: str,
-        generator: str,
-        seed: int,
-        label_set: Sequence[str],
-        events: Sequence[str] | None = None,
-        *,
-        indices: object | None = None,
-    ) -> None:
+    def __post_init__(self) -> None:
         # the header stores the seed as a decimal integer, which reads back as int
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise DomainError(f"event log seed must be an integer, got {seed!r}")
-        label_set = _check_label_set(label_set)
-        for name, text in (("config", config), ("generator", generator)):
-            # one header line each, read back with trailing whitespace stripped
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise DomainError(f"event log seed must be an integer, got {self.seed!r}")
+        label_set = _check_label_set(self.label_set)
+        for name, text in (("config", self.config), ("generator", self.generator)):
+            # one header line each; refusing trailing whitespace makes the reader
+            # refuse a line that an editor or a "\r\n" conversion appended it to
             if "\n" in text or text != text.rstrip():
                 raise DomainError(f"event log {name} {text!r} has a line break or trailing whitespace")
             _require_utf8(f"event log {name}", text)
+        array = np.asarray(self.indices)
+        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+            raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
+        if array.size and not 0 <= array.min() <= array.max() < len(label_set):
+            raise DomainError(f"event indices must lie in [0, {len(label_set)})")
         dtype = _index_dtype(len(label_set))
-        if (events is None) == (indices is None):
-            raise TypeError("give the events either as labels (events=) or as indices (indices=)")
-        if events is not None:
-            position = {label: i for i, label in enumerate(label_set)}
-            try:
-                found = [position[event] for event in events]
-            except KeyError as exc:
-                raise DomainError(
-                    f"event label {exc.args[0]!r} is not in the log's label set"
-                ) from None
-            array = np.array(found, dtype=dtype)
-        else:
-            array = np.asarray(indices)
-            if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
-                raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
-            if array.size and not 0 <= array.min() <= array.max() < len(label_set):
-                raise DomainError(f"event indices must lie in [0, {len(label_set)})")
-            if array.flags.writeable or array.dtype != dtype:
-                array = array.astype(dtype)
+        if array.flags.writeable or array.dtype != dtype:
+            array = array.astype(dtype)
         array.setflags(write=False)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "indices", array)
 
@@ -178,7 +155,10 @@ class EventLog(ArrayRecord):
         return tuple(map(self.label_set.__getitem__, self.indices.tolist()))
 
 
-_LOG_VERSION_LINE = "# povmbell event log v1"
+_LOG_VERSION_LINE = "# povmbell event log v1\n"
+# The header keys in the order write_event_log writes them, one `# key=value`
+# line each after the version line; read_event_log reads exactly these lines.
+_HEADER_KEYS = ("config", "config_sha256", "generator", "seed", "labels", "count")
 
 
 def _config_sha256(config: str) -> str:
@@ -187,24 +167,17 @@ def _config_sha256(config: str) -> str:
 
 
 def write_event_log(log: EventLog, path: str | Path) -> None:
-    """Write an event log: '#'-prefixed metadata header, one label per line.
+    """Write an event log: the version line, the header, one label per line.
 
     The header is written once, then the events LOG_CHUNK at a time, each
     chunk as one string joined from a table of the label lines.
     """
     sha = _config_sha256(log.config)
-    header = (
-        f"{_LOG_VERSION_LINE}\n"
-        f"# config={log.config}\n"
-        f"# config_sha256={sha}\n"
-        f"# generator={log.generator}\n"
-        f"# seed={log.seed}\n"
-        f"# labels={' '.join(log.label_set)}\n"
-        f"# count={log.count}\n"
-    )
+    values = (log.config, sha, log.generator, log.seed, " ".join(log.label_set), log.count)
+    header = "".join(f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values))
     lines = np.array([label + "\n" for label in log.label_set], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
+        fh.write(_LOG_VERSION_LINE + header)
         for start in range(0, log.count, LOG_CHUNK):
             fh.write("".join(lines[log.indices[start : start + LOG_CHUNK]].tolist()))
 
@@ -221,50 +194,52 @@ def _header_int(header: dict[str, str], key: str) -> int:
     return number
 
 
-def _read_header(fh: BinaryIO) -> tuple[dict[str, str], bytes]:
-    """The header fields of an open log, and the first line after the header."""
+def _read_header(fh: BinaryIO) -> dict[str, str]:
+    """The header values of an open log by key: the version line, then one
+    `# key=value` line per key of _HEADER_KEYS in order, each value verbatim."""
     version = fh.readline()
-    if version.rstrip(b"\n") != _LOG_VERSION_LINE.encode():
+    if version != _LOG_VERSION_LINE.encode():
         raise ConfigError(
             "log", f"first line must be {_LOG_VERSION_LINE!r}, got {version.decode('utf-8', 'replace')!r}"
         )
-    header: dict[str, str] = {}
-    line = fh.readline()
-    while line.startswith(b"#"):
+    header = {}
+    for number, key in enumerate(_HEADER_KEYS, start=2):
         try:
-            body = line.decode("utf-8").rstrip("\n")[1:].strip()
+            line = fh.readline().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError("log", f"event log header is not UTF-8 text: {exc}") from None
-        if "=" in body:
-            key, _, value = body.partition("=")
-            header[key.strip()] = value
-        line = fh.readline()
-    return header, line
+        prefix = f"# {key}="
+        if not (line.startswith(prefix) and line.endswith("\n")):
+            raise ConfigError(
+                "log", f"line {number} must be {prefix!r}, its value and a line break, got {line!r}"
+            )
+        header[key] = line[len(prefix) : -1]
+    return header
 
 
 def read_event_log(path: str | Path) -> EventLog:
     """Parse a file written by write_event_log back into an EventLog.
 
-    The header ends at the first line that does not start with '#'; every
-    later line is one event label, ended by a line break. The events are
-    read in blocks of at most about LOG_CHUNK lines that end on a line
-    break, and mapped to label indices into an array preallocated from the
-    header count.
+    The file must hold the version line, then the six header lines of the
+    module docstring, each `# key=value` with its key in order and ended by
+    a line break; every later line is one event label, ended by a line
+    break. The events are read in blocks of at most about LOG_CHUNK lines
+    that end on a line break, and mapped to label indices into an array
+    preallocated from the header count. A file this function accepts is
+    the one `write_event_log` writes of the log it returns, byte for byte.
 
     Raises ConfigError (field "log") for a file that is not a v1 event log:
-    a wrong first line, a header that is not UTF-8, lacks a field, has a
-    seed or count other than an integer as `str(int)` writes it, a negative
-    count, a label set the format cannot hold, or a stored config_sha256 that does not match
-    its config; a count the body is too short to hold; a body line that is
-    not a label of the set, including a '#' line after the first event; a
-    last line without a line break; or a number of events other than the
-    count.
+    a wrong first line; a header line that is not UTF-8, or is not the next
+    key's `# key=` followed by a value and a line break; a seed or count
+    other than an integer as `str(int)` writes it; a negative count; a
+    stored config_sha256 that does not match its config; a count the body
+    is too short to hold; a body line that is not a label of the set,
+    including a '#' line; a last line without a line break; a number of
+    events other than the count; or header values `EventLog` refuses, such
+    as a label set the format cannot hold.
     """
     with open(path, "rb") as fh:
-        header, first = _read_header(fh)
-        for key in ("config", "config_sha256", "generator", "seed", "labels", "count"):
-            if key not in header:
-                raise ConfigError("log", f"event log is missing header field {key!r}")
+        header = _read_header(fh)
         sha = _config_sha256(header["config"])
         if header["config_sha256"] != sha:
             raise ConfigError(
@@ -274,23 +249,20 @@ def read_event_log(path: str | Path) -> EventLog:
         count = _header_int(header, "count")
         if count < 0:
             raise ConfigError("log", f"header count must be nonnegative, got {count}")
-        try:
-            label_set = _check_label_set(header["labels"].split(" "))
-        except DomainError as exc:
-            raise ConfigError("log", f"header labels: {exc}") from None
-        position = {label.encode("utf-8"): i for i, label in enumerate(label_set)}
+        labels = header["labels"].split(" ")
+        position = {label.encode("utf-8"): i for i, label in enumerate(labels)}
         # every event takes at least its shortest label plus a line break
         shortest = min(map(len, position)) + 1
-        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell() + len(first)
+        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if count * shortest > body_bytes:
             raise ConfigError(
                 "log", f"header count {count} needs at least {count * shortest} bytes of events, "
                 f"the file holds {body_bytes}"
             )
-        dtype = _index_dtype(len(label_set))
+        dtype = _index_dtype(len(labels))
         indices = np.empty(count, dtype=dtype)
         filled = 0
-        block = first + fh.read(LOG_CHUNK * shortest)
+        block = fh.read(LOG_CHUNK * shortest)
         while block:
             if not block.endswith(b"\n"):
                 block += fh.readline()
@@ -315,13 +287,10 @@ def read_event_log(path: str | Path) -> EventLog:
     if filled != count:
         raise ConfigError("log", f"header count {count} does not match {filled} events")
     indices.setflags(write=False)
-    return EventLog(
-        config=header["config"],
-        generator=header["generator"],
-        seed=seed,
-        label_set=label_set,
-        indices=indices,
-    )
+    try:
+        return EventLog(header["config"], header["generator"], seed, labels, indices)
+    except DomainError as exc:
+        raise ConfigError("log", f"event log header: {exc}") from None
 
 
 def sample(

@@ -928,7 +928,7 @@ class TestEventLogFile:
 
     @pytest.mark.parametrize("seed", [-3, 2**64 - 1, np.int8(-3), np.uint64(2**64 - 1)])
     def test_integer_seeds_round_trip_as_int(self, tmp_path, seed):
-        log = EventLog("c", "g", seed, ("a",), ("a",))
+        log = EventLog("c", "g", seed, ("a",), [0])
         path = tmp_path / "events.log"
         write_event_log(log, path)
         back = read_event_log(path)
@@ -966,6 +966,13 @@ class TestEventLogFile:
             ("# seed=5", "# seed= 5"),
             ("# seed=5", "# seed=-0"),
             ("# count=3", "# count=\u0663"),
+            ("# seed=5\n", "# seed=5 \n"),
+            ("# generator=philox\n", "# generator=philox\t\n"),
+            ("# count=3\n", "# count=3\r\n"),
+            ("# seed=5", "#seed=5"),
+            ("# seed=5\n", "# seed=5\n# seed=5\n"),
+            ("# seed=5\n", "# seed=5\n# note=x\n"),
+            ("# seed=5\n# labels=+ -\n", "# labels=+ -\n# seed=5\n"),
         ],
         ids=[
             "count-not-integer",
@@ -977,6 +984,13 @@ class TestEventLogFile:
             "seed-leading-space",
             "seed-negative-zero",
             "count-arabic-indic-digit",
+            "seed-trailing-space",
+            "generator-trailing-tab",
+            "count-trailing-cr",
+            "seed-no-space-after-hash",
+            "seed-repeated",
+            "unknown-key",
+            "lines-swapped",
         ],
     )
     def test_malformed_header_is_config_error(self, tmp_path, old, new):
@@ -990,8 +1004,20 @@ class TestEventLogFile:
             read_event_log(path)
         assert info.value.field == "log"
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b"", b"# povmbell event log v1", b"# povmbell event log v1\n"],
+        ids=["empty", "version-line-without-line-break", "version-line-only"],
+    )
+    def test_file_cut_in_the_header_is_config_error(self, tmp_path, blob):
+        path = tmp_path / "events.log"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError) as info:
+            read_event_log(path)
+        assert info.value.field == "log"
+
     def test_header_fields_with_inner_and_leading_whitespace_round_trip(self, tmp_path):
-        log = EventLog(" a b\tc", " philox x", 0, ("x",), ("x",))
+        log = EventLog(" a b\tc", " philox x", 0, ("x",), [0])
         path = tmp_path / "events.log"
         write_event_log(log, path)
         assert read_event_log(path) == log
@@ -1131,7 +1157,7 @@ class TestMalformedLogBody:
     def test_missing_final_line_break_is_rejected(self, tmp_path):
         # cut short mid-line, the last event "ab" would read as the label "a"
         path = tmp_path / "events.log"
-        write_event_log(EventLog("c", "philox", 0, ("a", "ab"), ("ab", "ab")), path)
+        write_event_log(EventLog("c", "philox", 0, ("a", "ab"), [1, 1]), path)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("ab\nab\n")
         assert "cut short" in self.read_error(path, text[:-2])
@@ -1161,6 +1187,51 @@ class TestEventLogRoundTrip:
             write_event_log_per_line(log, oracle)
             assert path.read_bytes() == oracle.read_bytes()
             assert read_event_log(path) == log
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.lists(LABEL, min_size=1, max_size=4, unique=True),
+        st.integers(0, 5),
+        st.sampled_from(["drop", "duplicate", "swap", "edit", "replace", "insert", "delete"]),
+        st.data(),
+    )
+    def test_a_mutated_log_is_refused_or_rewrites_to_its_bytes(self, labels, n, mutation, data):
+        indices = np.random.default_rng(n).integers(0, len(labels), n)
+        log = EventLog('{"kind":"test"}', "philox", 5, labels, indices)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, rewrite = Path(tmp) / "events.log", Path(tmp) / "rewrite.log"
+            write_event_log(log, path)
+            blob = path.read_bytes()
+            if mutation in ("replace", "insert", "delete"):
+                at = data.draw(st.integers(0, len(blob) - (mutation != "insert")), label="byte")
+                new = b"" if mutation == "delete" else data.draw(st.binary(min_size=1, max_size=1))
+                blob = blob[:at] + new + blob[at + (mutation != "insert") :]
+            else:
+                lines = blob.splitlines(keepends=True)
+                i = data.draw(st.integers(0, 6), label="line")  # the version line or a header line
+                if mutation == "drop":
+                    del lines[i]
+                elif mutation == "duplicate":
+                    lines.insert(i, lines[i])
+                elif mutation == "swap":
+                    j = data.draw(st.integers(0, 6), label="other line")
+                    lines[i], lines[j] = lines[j], lines[i]
+                else:
+                    # keep the whole line, its `# key=` or just `#`, then add text;
+                    # a lone surrogate encodes to bytes that are not UTF-8
+                    key = lines[i].partition(b"=")[0] + b"="
+                    head = data.draw(st.sampled_from([lines[i][:-1], key, b"#"]))
+                    text = data.draw(st.text(st.sampled_from("05 \t\r#=x\u00e9\udcff"), max_size=3), label="text")
+                    lines[i] = head + text.encode("utf-8", "surrogatepass") + b"\n"
+                blob = b"".join(lines)
+            path.write_bytes(blob)
+            try:
+                back = read_event_log(path)
+            except ConfigError as exc:
+                assert exc.field == "log"
+            else:
+                write_event_log(back, rewrite)
+                assert rewrite.read_bytes() == blob
 
     def test_two_byte_indices_round_trip(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(300))

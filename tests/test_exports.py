@@ -10,7 +10,8 @@ names its library modules list, so deleting a function without its exports
 assumed, so an `ast` walk stands in for an unused-import check. Every
 function the benchmark's tracer wraps must exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
-re-exports is the one `sampler` defines and `cli` imports.
+re-exports is the one `sampler` defines and `cli` imports. The README's
+Library example runs as written and prints what its comment shows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -176,3 +178,16 @@ def test_importing_the_package_leaves_the_front_end_unloaded():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs_and_prints_its_comment():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    code = re.search(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # the example's first print is `dist.as_dict()`, its output in the comment beside it
+    documented = ast.literal_eval(re.search(r"print\(dist\.as_dict\(\)\)\s*# (\{.*\})", code).group(1))
+    printed = ast.literal_eval(result.stdout.splitlines()[0])
+    assert list(printed) == list(documented)
+    assert all(abs(printed[key] - documented[key]) <= 1e-12 for key in documented)

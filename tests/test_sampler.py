@@ -38,60 +38,50 @@ STANDARD_BELL = BellConfig(
 
 
 class TestEventLog:
-    def test_rejects_stray_event(self):
-        with pytest.raises(DomainError):
-            EventLog(
-                config="c",
-                generator=GENERATOR_NAME,
-                seed=1,
-                label_set=("a", "b"),
-                events=("a", "zzz"),
-            )
-
     @pytest.mark.parametrize("seed", ["abc", True, 1.5, None, np.bool_(True), np.float64(2.0)])
     def test_rejects_a_seed_its_log_cannot_read_back(self, seed):
         # the log header stores the seed as a decimal integer
         with pytest.raises(DomainError, match=r"^event log seed must be an integer, got "):
-            EventLog("c", "g", seed, ("a",), ("a",))
+            EventLog("c", "g", seed, ("a",), [0])
 
     def test_count(self):
-        log = EventLog(config="c", generator="g", seed=0, label_set=("a",), events=("a", "a"))
+        log = EventLog(config="c", generator="g", seed=0, label_set=("a",), indices=[0, 0])
         assert log.count == 2
 
     def test_events_held_as_read_only_indices(self):
-        log = EventLog("c", "g", 0, ("a", "bb", "c"), ("c", "a", "c", "bb"))
+        log = EventLog("c", "g", 0, ("a", "bb", "c"), np.array([2, 0, 2, 1]))
         assert log.indices.dtype == np.uint8
         assert log.indices.tolist() == [2, 0, 2, 1]
         assert log.events == ("c", "a", "c", "bb")
         with pytest.raises(ValueError):
             log.indices[0] = 1
 
-    def test_indices_and_events_build_equal_logs(self):
-        by_events = EventLog("c", "g", 0, ("a", "b"), ("b", "a", "b"))
+    def test_writable_or_wide_indices_are_copied(self):
+        narrow = np.array([1, 0, 1], dtype=np.uint8)
+        narrow.setflags(write=False)
         source = np.array([1, 0, 1], dtype=np.int64)
         by_indices = EventLog("c", "g", 0, ("a", "b"), indices=source)
-        assert by_events == by_indices
+        assert EventLog("c", "g", 0, ("a", "b"), narrow).indices is narrow
+        assert by_indices == EventLog("c", "g", 0, ("a", "b"), narrow)
         assert by_indices.indices.dtype == np.uint8
         source[0] = 0  # the log holds its own copy of a writable array
         assert by_indices.events == ("b", "a", "b")
 
     def test_index_dtype_grows_with_the_alphabet(self):
         labels = tuple(f"l{i}" for i in range(257))
-        log = EventLog("c", "g", 0, labels, ("l256", "l0"))
+        log = EventLog("c", "g", 0, labels, [256, 0])
         assert log.indices.dtype == np.uint16
         assert log.events == ("l256", "l0")
-        assert EventLog("c", "g", 0, labels[:256], ("l255",)).indices.dtype == np.uint8
+        assert EventLog("c", "g", 0, labels[:256], [255]).indices.dtype == np.uint8
 
     @pytest.mark.parametrize("indices", [[0, 2], [-1], [0.0, 1.0], [[0, 1]]])
     def test_rejects_bad_indices(self, indices):
         with pytest.raises(DomainError):
             EventLog("c", "g", 0, ("a", "b"), indices=np.array(indices))
 
-    def test_needs_events_or_indices(self):
-        with pytest.raises(TypeError):
-            EventLog("c", "g", 0, ("a",))
-        with pytest.raises(TypeError):
-            EventLog("c", "g", 0, ("a",), ("a",), indices=np.zeros(1, dtype=np.uint8))
+    def test_label_tuple_is_not_read_as_indices(self):
+        with pytest.raises(DomainError, match="integer array"):
+            EventLog("c", "g", 0, ("a", "b"), ("b", "a"))
 
     @pytest.mark.parametrize(
         "label_set",
@@ -100,7 +90,7 @@ class TestEventLog:
     )
     def test_rejects_label_sets_the_format_cannot_hold(self, label_set):
         with pytest.raises(DomainError):
-            EventLog("c", "g", 0, label_set, ())
+            EventLog("c", "g", 0, label_set, [])
 
     @pytest.mark.parametrize(
         ("config", "generator"),
@@ -114,9 +104,9 @@ class TestEventLog:
         ],
     )
     def test_rejects_header_fields_the_format_cannot_hold(self, config, generator):
-        # the header holds each on one line and reads it back right-stripped
+        # the header holds each on one line, and a line with trailing whitespace is refused
         with pytest.raises(DomainError):
-            EventLog(config, generator, 0, ("x",), ("x",))
+            EventLog(config, generator, 0, ("x",), [0])
 
     @pytest.mark.parametrize(
         ("config", "generator", "label"),
@@ -126,17 +116,17 @@ class TestEventLog:
     def test_rejects_text_that_does_not_encode_as_utf8(self, config, generator, label):
         # a lone surrogate has no UTF-8 encoding, so the log's text cannot hold it
         with pytest.raises(DomainError, match="UTF-8"):
-            EventLog(config, generator, 0, (label,), (label,))
+            EventLog(config, generator, 0, (label,), [0])
 
     def test_label_with_inner_hash_is_allowed(self):
-        assert EventLog("c", "g", 0, ("a#b",), ("a#b",)).count == 1
+        assert EventLog("c", "g", 0, ("a#b",), [0]).count == 1
 
     def test_equality(self):
-        log = EventLog("c", "g", 0, ("a", "b"), ("a", "b"))
-        assert log == EventLog("c", "g", 0, ("a", "b"), ("a", "b"))
-        assert log != EventLog("c", "g", 0, ("a", "b"), ("b", "a"))
-        assert log != EventLog("c", "g", 1, ("a", "b"), ("a", "b"))
-        assert log != EventLog("c", "g", 0, ("a", "b"), ("a",))
+        log = EventLog("c", "g", 0, ("a", "b"), [0, 1])
+        assert log == EventLog("c", "g", 0, ("a", "b"), [0, 1])
+        assert log != EventLog("c", "g", 0, ("a", "b"), [1, 0])
+        assert log != EventLog("c", "g", 1, ("a", "b"), [0, 1])
+        assert log != EventLog("c", "g", 0, ("a", "b"), [0])
         with pytest.raises(TypeError):
             hash(log)
 
