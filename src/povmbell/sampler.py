@@ -7,7 +7,7 @@ always reproduces the identical event sequence, across runs and platforms.
 An event log holds its events as one read-only array of indices into its
 label set, one byte per event for up to 256 labels; the uniform variates
 are drawn LOG_CHUNK at a time, so sampling needs the index array plus one
-chunk of working memory.
+chunk of working memory (see `sample` for the edge-counting lookup).
 
 This module alone knows the v1 log format that `write_event_log` writes and
 `read_event_log` reads, declared once in `_HEADER_KEYS`. A log is UTF-8 text
@@ -18,7 +18,10 @@ bytes), `generator`, `seed` (a decimal integer as `str(int)` writes it),
 `labels` (the label set, space-separated, in effect order) and `count` (as
 `seed`). From line 8 on, each line is one event label. `EventLog` refuses
 what this format cannot round-trip: see `_check_label_set` and its own
-docstring.
+docstring. When every label line (label plus "\n") has one UTF-8 byte length
+w, as in every CLI label set, the body is a (count, w) byte matrix, which the
+codec encodes and decodes by table lookups; other label sets, and any body
+that decoder refuses, take the line-by-line path, with the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor
 
@@ -52,8 +55,8 @@ _MAX_SEED = 2**64 - 1
 
 # Events per chunk of drawing, counting, writing and reading. Philox draws in
 # chunks continue one stream, so chunking never changes a log's events; the
-# chunk bounds working memory (here about 1 MB of float64 variates and their
-# searchsorted positions) independently of the event count.
+# chunk bounds working memory (here about 0.6 MB of float64 variates and one
+# boolean edge test) independently of the event count.
 LOG_CHUNK = 1 << 16
 
 
@@ -111,8 +114,8 @@ class EventLog(ArrayRecord):
     not bool; it is stored as an int), for indices that are not a 1-D
     integer array of positions in the label set (so labels given in place
     of indices), for a label set the log format cannot round-trip (see
-    `_check_label_set`), or for a `config` or `generator` with a line break
-    or trailing whitespace, or with text that does not encode as UTF-8.
+    `_check_label_set`), or a `config` or `generator` that is no one-line UTF-8
+    string without trailing whitespace; ShapeMismatchError for ragged indices.
     """
 
     config: str
@@ -129,10 +132,15 @@ class EventLog(ArrayRecord):
         for name, text in (("config", self.config), ("generator", self.generator)):
             # one header line each; refusing trailing whitespace makes the reader
             # refuse a line that an editor or a "\r\n" conversion appended it to
-            if "\n" in text or text != text.rstrip():
-                raise DomainError(f"event log {name} {text!r} has a line break or trailing whitespace")
+            if not isinstance(text, str) or "\n" in text or text != text.rstrip():
+                raise DomainError(
+                    f"event log {name} must be a line of text without trailing whitespace, got {text!r}"
+                )
             _require_utf8(f"event log {name}", text)
-        array = np.asarray(self.indices)
+        try:
+            array = np.asarray(self.indices)
+        except ValueError:  # numpy refuses nested sequences of unequal lengths
+            raise ShapeMismatchError("event indices must be a 1-D integer array, not ragged") from None
         if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
             raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
         if array.size and not 0 <= array.min() <= array.max() < len(label_set):
@@ -170,16 +178,20 @@ def write_event_log(log: EventLog, path: str | Path) -> None:
     """Write an event log: the version line, the header, one label per line.
 
     The header is written once, then the events LOG_CHUNK at a time, each
-    chunk as one string joined from a table of the label lines.
+    chunk as one take of rows from a table of the label lines: an `S{w}` array
+    of their bytes if every line is w bytes long, else an object array, joined.
     """
     sha = _config_sha256(log.config)
     values = (log.config, sha, log.generator, log.seed, " ".join(log.label_set), log.count)
     header = "".join(f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values))
-    lines = np.array([label + "\n" for label in log.label_set], dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_LOG_VERSION_LINE + header)
+    lines = [label.encode("utf-8") + b"\n" for label in log.label_set]
+    widths = {len(line) for line in lines}
+    table = np.array(lines, dtype=f"S{widths.pop()}" if len(widths) == 1 else object)
+    with open(path, "wb") as fh:
+        fh.write((_LOG_VERSION_LINE + header).encode("utf-8"))
         for start in range(0, log.count, LOG_CHUNK):
-            fh.write("".join(lines[log.indices[start : start + LOG_CHUNK]].tolist()))
+            rows = table.take(log.indices[start : start + LOG_CHUNK])
+            fh.write(b"".join(rows.tolist()) if table.dtype == object else rows.tobytes())
 
 
 def _header_int(header: dict[str, str], key: str) -> int:
@@ -217,16 +229,61 @@ def _read_header(fh: BinaryIO) -> dict[str, str]:
     return header
 
 
+def _read_fixed_width(fh: BinaryIO, lines: list[bytes], indices: np.ndarray) -> bool:
+    """Fill `indices` from a body of len(indices) rows of w-byte label lines,
+    LOG_CHUNK rows at a time. A column that is one byte in every label line
+    (the line break, say) must hold that byte; each other column maps through
+    a 256-entry table to its byte's digit, or one more digit for "not in this
+    column", and the digits' mixed-radix code indexes a table of label
+    indices (-1: no label). Returns False, `indices` partly filled, if the
+    code table would exceed LOG_CHUNK or a row is no label line."""
+    width = len(lines[0])
+    code_dtype = np.min_scalar_type(LOG_CHUNK - 1)  # every code is below LOG_CHUNK
+    fixed, varying, codes, size = [], [], [0] * len(lines), 1
+    for column, column_bytes in enumerate(zip(*lines)):
+        present = sorted(set(column_bytes))
+        if len(present) == 1:
+            fixed.append((column, present[0]))
+            continue
+        stride, size = size, size * (len(present) + 1)
+        if size > LOG_CHUNK:
+            return False
+        digits = {byte: digit * stride for digit, byte in enumerate(present)}
+        codes = [code + digits[byte] for code, byte in zip(codes, column_bytes)]
+        lut = np.full(256, len(present) * stride, dtype=code_dtype)
+        lut[present] = list(digits.values())
+        varying.append((column, lut))
+    table = np.full(size, -1, dtype=np.min_scalar_type(-len(lines)))
+    table[codes] = np.arange(len(lines))
+    for start in range(0, len(indices), LOG_CHUNK):
+        rows = min(LOG_CHUNK, len(indices) - start)
+        block = fh.read(rows * width)
+        if len(block) != rows * width:  # the file changed after its size was taken
+            return False
+        matrix = np.frombuffer(block, dtype=np.uint8).reshape(rows, width)
+        if not all((matrix[:, column] == byte).all() for column, byte in fixed):
+            return False
+        code = np.zeros(rows, dtype=code_dtype)
+        for column, lut in varying:
+            code += lut.take(matrix[:, column])
+        chunk = table.take(code)
+        if chunk.min() < 0:
+            return False
+        indices[start : start + rows] = chunk
+    return True
+
+
 def read_event_log(path: str | Path) -> EventLog:
     """Parse a file written by write_event_log back into an EventLog.
 
     The file must hold the version line, then the six header lines of the
     module docstring, each `# key=value` with its key in order and ended by
     a line break; every later line is one event label, ended by a line
-    break. The events are read in blocks of at most about LOG_CHUNK lines
-    that end on a line break, and mapped to label indices into an array
-    preallocated from the header count. A file this function accepts is
-    the one `write_event_log` writes of the log it returns, byte for byte.
+    break. The events fill an index array preallocated from the header count.
+    If every label line is w bytes and the body count * w, `_read_fixed_width`
+    decodes it; otherwise, or if it refuses, the body is read from its start
+    in blocks of about LOG_CHUNK lines, split and mapped to label indices. A
+    file this function accepts is what `write_event_log` writes of its log.
 
     Raises ConfigError (field "log") for a file that is not a v1 event log:
     a wrong first line; a header line that is not UTF-8, or is not the next
@@ -236,7 +293,7 @@ def read_event_log(path: str | Path) -> EventLog:
     is too short to hold; a body line that is not a label of the set,
     including a '#' line; a last line without a line break; a number of
     events other than the count; or header values `EventLog` refuses, such
-    as a label set the format cannot hold.
+    as a label set the format cannot hold. Messages do not depend on the path.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
@@ -250,10 +307,12 @@ def read_event_log(path: str | Path) -> EventLog:
         if count < 0:
             raise ConfigError("log", f"header count must be nonnegative, got {count}")
         labels = header["labels"].split(" ")
-        position = {label.encode("utf-8"): i for i, label in enumerate(labels)}
+        lines = [label.encode("utf-8") + b"\n" for label in labels]
+        position = {line[:-1]: i for i, line in enumerate(lines)}
         # every event takes at least its shortest label plus a line break
-        shortest = min(map(len, position)) + 1
-        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        shortest = min(map(len, lines))
+        body_start = fh.tell()
+        body_bytes = os.fstat(fh.fileno()).st_size - body_start
         if count * shortest > body_bytes:
             raise ConfigError(
                 "log", f"header count {count} needs at least {count * shortest} bytes of events, "
@@ -262,23 +321,28 @@ def read_event_log(path: str | Path) -> EventLog:
         dtype = _index_dtype(len(labels))
         indices = np.empty(count, dtype=dtype)
         filled = 0
+        fixed_width = count * shortest == body_bytes and all(len(line) == shortest for line in lines)
+        if fixed_width and _read_fixed_width(fh, lines, indices):
+            filled = count  # and the body is read to its end
+        else:
+            fh.seek(body_start)
         block = fh.read(LOG_CHUNK * shortest)
         while block:
             if not block.endswith(b"\n"):
                 block += fh.readline()
-            lines = block.split(b"\n")
-            if lines.pop():  # the piece after the last line break must be empty
+            events = block.split(b"\n")
+            if events.pop():  # the piece after the last line break must be empty
                 raise ConfigError("log", "the last event line has no line break: the log is cut short")
             try:
-                chunk = np.fromiter(map(position.__getitem__, lines), dtype=dtype, count=len(lines))
+                chunk = np.fromiter(map(position.__getitem__, events), dtype=dtype, count=len(events))
             except KeyError as exc:
                 line = exc.args[0]
-                where = f"event line {filled + lines.index(line) + 1}"
+                where = f"event line {filled + events.index(line) + 1}"
                 text = line.decode("utf-8", "replace")
                 if line.startswith(b"#"):
                     raise ConfigError("log", f"{where} is a header line {text!r}") from None
                 raise ConfigError("log", f"{where} {text!r} is not a label of the set") from None
-            del lines  # one block's line objects alive at a time, not two
+            del events  # one block's line objects alive at a time, not two
             if filled + len(chunk) > count:
                 raise ConfigError("log", f"header count {count} is less than the number of events")
             indices[filled : filled + len(chunk)] = chunk
@@ -304,13 +368,15 @@ def sample(
 ) -> EventLog:
     """Draw `n` outcomes of `povm` in `state`.
 
-    Sampling inverts the cumulative distribution over the POVM's label order;
-    the uniform variates come from numpy's Philox generator seeded with
-    `seed` (a 64-bit unsigned integer), drawn LOG_CHUNK at a time into a
-    preallocated index array. n = 0 is allowed and yields an empty log. A
-    caller that already holds the Born distribution of `povm` in `state`
-    passes it as `distribution`; it must carry the POVM's labels in the
-    POVM's order and finite probabilities.
+    Sampling inverts the cumulative distribution over the POVM's label order:
+    Philox variates (seeded by `seed`, a 64-bit unsigned integer) are drawn
+    LOG_CHUNK at a time into one buffer, and a variate u's index is the count
+    of inner cdf edges (all but the last) it reaches, one `u >= edge` test per
+    edge added into the index array: `np.searchsorted(cdf, u, side="right")`,
+    as u < 1. A chunk takes 9 bytes an event of working memory. n = 0 yields
+    an empty log. A caller holding the Born distribution of `povm` in `state`
+    passes it as `distribution`, with the POVM's labels in the POVM's order
+    and finite, nonnegative probabilities.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"event count must be a nonnegative integer, got {n!r}")
@@ -323,17 +389,21 @@ def sample(
         raise DomainError(
             f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
         )
-    labels = distribution.labels
-    cdf = np.cumsum(distribution.probs)
+    labels, probs = distribution.labels, distribution.probs
+    cdf = np.cumsum(probs)
     if not np.isfinite(cdf[-1]):
-        raise DomainError(f"outcome probabilities must be finite, got {distribution.probs.tolist()}")
-    cdf[-1] = max(float(cdf[-1]), 1.0)  # guard the searchsorted upper edge
+        raise DomainError(f"outcome probabilities must be finite, got {probs.tolist()}")
+    if probs.min() < 0:  # a cdf that falls has no inverse
+        raise DomainError(f"outcome probabilities must be nonnegative, got {probs.tolist()}")
     rng = np.random.Generator(np.random.Philox(int(seed)))
     n = int(n)
-    indices = np.empty(n, dtype=_index_dtype(len(labels)))
+    indices = np.zeros(n, dtype=_index_dtype(len(labels)))
+    variates = np.empty(min(n, LOG_CHUNK))  # refilled by each chunk, never two alive
     for start in range(0, n, LOG_CHUNK):
-        stop = min(start + LOG_CHUNK, n)
-        indices[start:stop] = np.searchsorted(cdf, rng.random(stop - start), side="right")
+        part = indices[start : start + LOG_CHUNK]
+        u = rng.random(out=variates[: len(part)])
+        for edge in cdf[:-1].tolist():
+            part += u >= edge
     indices.setflags(write=False)
     descriptor = config_descriptor or f"povm(dim={povm.dim},labels={','.join(labels)})"
     return EventLog(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
 import sys
 import tempfile
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, sampler
 from povmbell.cli import (
     SWEEP_CHUNK,
     ExperimentSpec,
@@ -30,10 +32,10 @@ from povmbell.cli import (
     spec_to_dict,
     write_event_log,
 )
-from povmbell.bell import BellConfig, build_bell, singlet_state
+from povmbell.bell import QUAD_LABELS, BellConfig, build_bell, singlet_state
 from povmbell.measurement import polarization_pvm
 from povmbell.sampler import sample
-from povmbell.whichway import WhichWayConfig
+from povmbell.whichway import WW_LABELS, WhichWayConfig
 from povmbell.qcore import StateDescriptor
 
 LN2 = math.log(2.0)
@@ -901,6 +903,24 @@ class TestSampleCommand:
             s_empirical = empirical_chsh(read_event_log(out)).s_value
             assert row["s_empirical"] == format(s_empirical, ".17g")
 
+    def test_benchmark_sample_pool_logs_match_their_pinned_digests(self, tmp_path, capsys, monkeypatch):
+        # all 576 configs of the benchmark's pool, so the digests it pins are checked on every run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        workloads = types.ModuleType("workloads")  # run from its source: no bytecode is written
+        workloads.__file__ = str(path)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # where its dataclass looks itself up
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+        config_path, out = tmp_path / "config.json", tmp_path / "events.log"
+        checked = 0
+        for entries in workloads.pinned_pool().values():
+            for config, digest in entries:
+                config_path.write_text(json.dumps(dict(config, n_events=workloads.N_EVENTS)), encoding="utf-8")
+                assert main(["sample", "--config", str(config_path), "--out", str(out)]) == 0
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, config
+                checked += 1
+        capsys.readouterr()
+        assert checked == 576
+
     def test_missing_out_is_config_error(self, tmp_path, capsys):
         payload = {
             "experiment": "whichway",
@@ -1094,65 +1114,90 @@ class TestParser:
         assert spec.out is None
 
 
-def _small_log_text(tmp_path):
-    log = sample(polarization_pvm(0.0), StateDescriptor.pure([0.6, 0.8]), 6, 5)
-    path = tmp_path / "events.log"
-    write_event_log(log, path)
-    return path, path.read_text(encoding="utf-8")
+def _small_logs(tmp_path):
+    """(path, text) of two six-event logs whose label lines share one width: the
+    polarization labels '+' and '-' (events - - - + - -), and the Bell labels."""
+    logs = [
+        sample(polarization_pvm(0.0), StateDescriptor.pure([0.6, 0.8]), 6, 5),
+        EventLog("c", "philox", 5, QUAD_LABELS, [0, 5, 10, 15, 6, 9]),
+    ]
+    paths = [tmp_path / "pvm.log", tmp_path / "bell.log"]
+    for log, path in zip(logs, paths):
+        write_event_log(log, path)
+    return [(path, path.read_text(encoding="utf-8")) for path in paths]
 
 
 class TestMalformedLogBody:
+    # each message is pinned, so that neither path of the reader changes it
     def read_error(self, path, text):
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="")
         with pytest.raises(ConfigError) as info:
             read_event_log(path)
         assert info.value.field == "log"
         return str(info.value)
 
     def test_event_outside_label_set(self, tmp_path):
-        path, text = _small_log_text(tmp_path)
-        message = self.read_error(path, text[: -len("+\n")] + "zzz\n")
-        assert "'zzz'" in message and "event line 6" in message
+        for path, text in _small_logs(tmp_path):
+            without_last = text[: text.rindex("\n", 0, -1) + 1]
+            message = self.read_error(path, without_last + "zzzzzzz\n")
+            assert message == "log: event line 6 'zzzzzzz' is not a label of the set"
 
     def test_header_line_after_first_event(self, tmp_path):
-        path, text = _small_log_text(tmp_path)
-        head, _, body = text.partition("# count=6\n")
-        lines = body.splitlines(keepends=True)
-        # a '# count=' line in the body must not replace the header count
-        tampered = head + "# count=6\n" + lines[0] + "# count=9\n" + "".join(lines[1:])
-        assert "is a header line" in self.read_error(path, tampered)
+        for path, text in _small_logs(tmp_path):
+            head, _, body = text.partition("# count=6\n")
+            lines = body.splitlines(keepends=True)
+            # a '# count=' line in the body must not replace the header count
+            tampered = head + "# count=6\n" + lines[0] + "# count=9\n" + "".join(lines[1:])
+            assert self.read_error(path, tampered) == "log: event line 2 is a header line '# count=9'"
 
     def test_count_the_body_cannot_hold(self, tmp_path, monkeypatch):
-        path, text = _small_log_text(tmp_path)
+        logs = _small_logs(tmp_path)
         allocated = []
         real_empty = np.empty
         monkeypatch.setattr(np, "empty", lambda *a, **k: allocated.append(a) or real_empty(*a, **k))
-        # a count of 10^15 events would need a petabyte of indices
-        message = self.read_error(path, text.replace("# count=6", "# count=1000000000000000"))
-        assert "bytes" in message
-        assert allocated == []
-        # 7 events need at least 14 bytes, one more than the 6 events hold
-        self.read_error(path, text.replace("# count=6", "# count=7"))
+        for (path, text), width in zip(logs, (2, 6)):
+            # a count of 10^15 events would need a petabyte of indices
+            message = self.read_error(path, text.replace("# count=6", "# count=1000000000000000"))
+            assert message == (
+                f"log: header count 1000000000000000 needs at least {width * 10**15} bytes of events, "
+                f"the file holds {6 * width}"
+            )
+            assert allocated == []
+            # 7 events need one event line more than the 6 events hold
+            message = self.read_error(path, text.replace("# count=6", "# count=7"))
+            assert message.endswith(f"needs at least {7 * width} bytes of events, the file holds {6 * width}")
 
     @pytest.mark.parametrize(
         ("old", "new"),
         [
             ("# count=6", "# count=-1"),
             ("# count=6", "# count=5"),
-            ("# labels=+ -", "# labels=+ +"),
-            ("# labels=+ -", "# labels=+  -"),
+            ("# labels={a} {b}", "# labels={a} {a}"),
+            ("# labels={a} {b}", "# labels={a}  {b}"),
         ],
         ids=["negative-count", "fewer-than-events", "duplicate-labels", "empty-label"],
     )
     def test_header_disagreeing_with_body(self, tmp_path, old, new):
-        path, text = _small_log_text(tmp_path)
-        assert old in text
-        self.read_error(path, text.replace(old, new, 1))
+        bell_duplicate = ["++,++", *QUAD_LABELS[:1], *QUAD_LABELS[2:]]
+        messages = {
+            "# count=-1": ["header count must be nonnegative, got -1"] * 2,
+            "# count=5": ["header count 5 is less than the number of events"] * 2,
+            "# labels={a} {a}": [
+                "event line 1 '-' is not a label of the set",
+                f"event log header: event labels must be unique, got {bell_duplicate}",
+            ],
+            "# labels={a}  {b}": ["event log header: event labels must be nonempty strings, got ''"] * 2,
+        }
+        for (path, text), (a, b), message in zip(_small_logs(tmp_path), (("+", "-"), QUAD_LABELS[:2]), messages[new]):
+            old_line, new_line = old.format(a=a, b=b), new.format(a=a, b=b)
+            assert old_line in text
+            assert self.read_error(path, text.replace(old_line, new_line, 1)) == "log: " + message
 
     def test_blank_and_crlf_lines_are_not_events(self, tmp_path):
-        path, text = _small_log_text(tmp_path)
-        self.read_error(path, text + "\n")
-        self.read_error(path, text.replace("+\n", "+\r\n"))
+        for (path, text), first_plus in zip(_small_logs(tmp_path), ("4 '+\\r'", "1 '++,++\\r'")):
+            assert self.read_error(path, text + "\n") == "log: event line 7 '' is not a label of the set"
+            message = self.read_error(path, text.replace("+\n", "+\r\n"))
+            assert message == f"log: event line {first_plus} is not a label of the set"
 
     def test_missing_final_line_break_is_rejected(self, tmp_path):
         # cut short mid-line, the last event "ab" would read as the label "a"
@@ -1160,8 +1205,39 @@ class TestMalformedLogBody:
         write_event_log(EventLog("c", "philox", 0, ("a", "ab"), [1, 1]), path)
         text = path.read_text(encoding="utf-8")
         assert text.endswith("ab\nab\n")
-        assert "cut short" in self.read_error(path, text[:-2])
-        self.read_error(path, text[:-1])
+        cuts = [(path, text[:-2]), (path, text[:-1])]
+        # a body of one label width cut short is shorter than its count needs, unless the count drops
+        cuts += [(path, text.replace("# count=6", "# count=5")[:-1]) for path, text in _small_logs(tmp_path)]
+        for path, cut in cuts:
+            message = self.read_error(path, cut)
+            assert message == "log: the last event line has no line break: the log is cut short"
+
+    @pytest.mark.parametrize(
+        ("labels", "row", "shown"),
+        [
+            (("+", "-"), "x\n", "'x'"),
+            (QUAD_LABELS, "++,+0\n", "'++,+0'"),  # a byte its column never holds
+            (QUAD_LABELS, "++;++\n", "'++;++'"),  # a column of one byte in every label
+            (QUAD_LABELS, "++,++\r", "'++,++\\r+-,+-'"),  # the line-break column: two lines become one
+            (("ab", "ba"), "aa\n", "'aa'"),  # every byte in its column, but no label
+        ],
+        ids=["pvm", "bell-varying-column", "bell-fixed-column", "bell-line-break", "no-label-code"],
+    )
+    def test_same_width_bad_row_after_the_first_chunk(self, tmp_path, labels, row, shown):
+        n = LOG_CHUNK + 10
+        path = tmp_path / "events.log"
+        write_event_log(EventLog("c", "philox", 0, labels, np.arange(n) % len(labels)), path)
+        blob = path.read_bytes()
+        line = LOG_CHUNK + 5  # event line 65541 holds label 65540 % 16 = 4, '+-,++', of the Bell set
+        at = len(blob) - (n - line + 1) * len(row.encode())
+        text = (blob[:at] + row.encode() + blob[at + len(row.encode()) :]).decode("utf-8")
+        assert self.read_error(path, text) == f"log: event line {line} {shown} is not a label of the set"
+
+    def test_same_width_hash_line(self, tmp_path):
+        for (path, text), row in zip(_small_logs(tmp_path), ("#", "# x=1")):
+            lines = text.splitlines(keepends=True)
+            lines[7 + 2] = row + "\n"  # the third event line
+            assert self.read_error(path, "".join(lines)) == f"log: event line 3 is a header line {row!r}"
 
 
 LABEL = st.text(
@@ -1169,12 +1245,37 @@ LABEL = st.text(
     min_size=1,
     max_size=6,
 ).filter(lambda label: not label.startswith("#") and not any(c.isspace() for c in label))
+# characters by their UTF-8 byte length, to build labels of one byte width
+CHARS_BY_BYTES = {1: "+-,#0a", 2: "\u00e9\u00f1", 3: "\u20ac\u3042", 4: "\U0001d11e\U0001f600"}
+
+
+@st.composite
+def label_of_width(draw, width):
+    chars = []
+    while width:
+        size = draw(st.integers(1, min(width, 4)))
+        chars.append(draw(st.sampled_from(CHARS_BY_BYTES[size])))
+        width -= size
+    return "".join(chars)
+
+
+def label_sets(max_size):
+    """Label sets of any widths, or of one UTF-8 byte width (the table codec's case)."""
+    one_width = st.integers(1, 7).flatmap(
+        lambda width: st.lists(
+            label_of_width(width).filter(lambda label: not label.startswith("#")),
+            min_size=1,
+            max_size=max_size,
+            unique=True,
+        )
+    )
+    return st.one_of(st.lists(LABEL, min_size=1, max_size=max_size, unique=True), one_width)
 
 
 class TestEventLogRoundTrip:
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        st.lists(LABEL, min_size=1, max_size=12, unique=True),
+        label_sets(12),
         st.sampled_from([0, 1, LOG_CHUNK - 1, LOG_CHUNK + 1, 2 * LOG_CHUNK + 3]),
         st.integers(0, 2**32 - 1),
     )
@@ -1188,9 +1289,9 @@ class TestEventLogRoundTrip:
             assert path.read_bytes() == oracle.read_bytes()
             assert read_event_log(path) == log
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
-        st.lists(LABEL, min_size=1, max_size=4, unique=True),
+        label_sets(4),
         st.integers(0, 5),
         st.sampled_from(["drop", "duplicate", "swap", "edit", "replace", "insert", "delete"]),
         st.data(),
@@ -1203,7 +1304,10 @@ class TestEventLogRoundTrip:
             write_event_log(log, path)
             blob = path.read_bytes()
             if mutation in ("replace", "insert", "delete"):
-                at = data.draw(st.integers(0, len(blob) - (mutation != "insert")), label="byte")
+                last = len(blob) - (mutation != "insert")
+                body = len(blob) - sum(len(label.encode("utf-8")) + 1 for label in log.events)
+                # half the edits land in the body, where a same-size edit meets the table decoder
+                at = data.draw(st.integers(0, last) | st.integers(min(body, last), last), label="byte")
                 new = b"" if mutation == "delete" else data.draw(st.binary(min_size=1, max_size=1))
                 blob = blob[:at] + new + blob[at + (mutation != "insert") :]
             else:
@@ -1234,14 +1338,46 @@ class TestEventLogRoundTrip:
                 assert rewrite.read_bytes() == blob
 
     def test_two_byte_indices_round_trip(self, tmp_path):
-        labels = tuple(f"l{i}" for i in range(300))
         indices = np.random.default_rng(3).integers(0, 300, LOG_CHUNK + 7)
-        log = EventLog("c", "philox", 3, labels, indices=indices)
+        # labels of mixed widths, and of one width
+        for labels in (tuple(f"l{i}" for i in range(300)), tuple(f"l{i:03d}" for i in range(300))):
+            log = EventLog("c", "philox", 3, labels, indices=indices)
+            path, oracle = tmp_path / "events.log", tmp_path / "oracle.log"
+            write_event_log(log, path)
+            write_event_log_per_line(log, oracle)
+            assert path.read_bytes() == oracle.read_bytes()
+            back = read_event_log(path)
+            assert back.indices.dtype == np.uint16
+            assert back == log
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ("+", "-"),
+            WW_LABELS,
+            QUAD_LABELS,
+            ("\u00e9\u20ac", "\u20ac\u00e9", "ab\u20ac", "\U0001f600a"),
+            tuple(f"l{i:03d}" for i in range(300)),
+        ],
+        ids=["pvm", "whichway", "bell", "multibyte", "300-labels"],
+    )
+    def test_one_width_logs_take_the_table_decoder(self, tmp_path, monkeypatch, labels):
+        results = []
+        table_decoder = sampler._read_fixed_width
+        monkeypatch.setattr(
+            sampler, "_read_fixed_width", lambda *args: results.append(table_decoder(*args)) or results[-1]
+        )
+        log = EventLog("c", "philox", 0, labels, np.arange(2 * LOG_CHUNK + 3) % len(labels))
         path = tmp_path / "events.log"
         write_event_log(log, path)
-        back = read_event_log(path)
-        assert back.indices.dtype == np.uint16
-        assert back == log
+        assert read_event_log(path) == log
+        assert results == [True]
+        # a row that is no label line sends the whole body to the line reader
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-2] + b"\xff\n")  # a byte that UTF-8 text never holds
+        with pytest.raises(ConfigError, match=f"event line {log.count} "):
+            read_event_log(path)
+        assert results == [True, False]
 
 
 class TestEventLogMemory:
@@ -1272,6 +1408,6 @@ class TestEventLogMemory:
             tracemalloc.stop()
         assert back.count == n and back.indices.itemsize == 1
         # one byte an event, plus working memory set by the chunk: sample's
-        # float64 variates and searchsorted positions, read's block of lines
+        # float64 variates and edge test, read's block of rows or of lines
         assert sample_peak <= n + 24 * LOG_CHUNK
         assert read_peak <= n + 80 * LOG_CHUNK

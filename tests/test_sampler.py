@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from povmbell import (
     DomainError,
     EventLog,
     OutcomeDistribution,
+    ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
     born_probabilities,
@@ -74,10 +76,12 @@ class TestEventLog:
         assert log.events == ("l256", "l0")
         assert EventLog("c", "g", 0, labels[:256], [255]).indices.dtype == np.uint8
 
-    @pytest.mark.parametrize("indices", [[0, 2], [-1], [0.0, 1.0], [[0, 1]]])
+    @pytest.mark.parametrize("indices", [[0, 2], [-1], [0.0, 1.0], [[0, 1]], [[0], [0, 0]]])
     def test_rejects_bad_indices(self, indices):
-        with pytest.raises(DomainError):
-            EventLog("c", "g", 0, ("a", "b"), indices=np.array(indices))
+        # numpy cannot shape a ragged nesting at all; the others are arrays of the wrong kind
+        ragged = indices == [[0], [0, 0]]
+        with pytest.raises(ShapeMismatchError if ragged else DomainError):
+            EventLog("c", "g", 0, ("a", "b"), indices=indices)
 
     def test_label_tuple_is_not_read_as_indices(self):
         with pytest.raises(DomainError, match="integer array"):
@@ -94,13 +98,23 @@ class TestEventLog:
 
     @pytest.mark.parametrize(
         ("config", "generator"),
-        [("a\nb", "philox"), ("x ", "philox"), ("x\r", "philox"), ("c", "philox "), ("c", "phi\nlox")],
+        [
+            ("a\nb", "philox"),
+            ("x ", "philox"),
+            ("x\r", "philox"),
+            ("c", "philox "),
+            ("c", "phi\nlox"),
+            (1, "g"),
+            ("c", None),
+        ],
         ids=[
             "config-newline",
             "config-trailing-space",
             "config-trailing-cr",
             "generator-trailing-space",
             "generator-newline",
+            "config-not-a-string",
+            "generator-not-a-string",
         ],
     )
     def test_rejects_header_fields_the_format_cannot_hold(self, config, generator):
@@ -209,6 +223,13 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(pvm, StateDescriptor.pure([1.0, 0.0]), 10, 0, distribution=bad)
 
+    def test_rejects_negative_probabilities(self):
+        # a cdf that falls has no inverse; edge counting and searchsorted would disagree on it
+        ww = build_whichway(STANDARD_WW)
+        bad = OutcomeDistribution(ww.povm.labels, [0.7, -0.4, 0.2, 0.5])
+        with pytest.raises(DomainError, match="nonnegative"):
+            sample(ww.povm, StateDescriptor.pure([1.0, 0.0]), 10, 3, distribution=bad)
+
     def test_default_descriptor_mentions_labels(self):
         log = sample(polarization_pvm(0.0), StateDescriptor.pure([1.0, 0.0]), 1, 0)
         assert "+" in log.config
@@ -292,3 +313,45 @@ class TestChunkedDraws:
         cdf[-1] = max(cdf[-1], 1.0)
         draws = np.random.Generator(np.random.Philox(seed)).random(n)
         assert np.array_equal(log.indices, np.searchsorted(cdf, draws, side="right"))
+
+
+def reference_indices(probs, n, seed):
+    """Inverse-CDF indices by Philox draws in LOG_CHUNK chunks and searchsorted."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = max(cdf[-1], 1.0)
+    rng = np.random.Generator(np.random.Philox(seed))
+    chunks = [
+        np.searchsorted(cdf, rng.random(min(LOG_CHUNK, n - start)), side="right")
+        for start in range(0, n, LOG_CHUNK)
+    ]
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.intp)
+
+
+def _with_zeros(k, seed):
+    """k random probabilities, every third one zero (so the cdf repeats edges)."""
+    probs = np.random.default_rng(seed).random(k)
+    probs[::3] = 0.0
+    return probs / probs.sum()
+
+
+DRAW_CASES = {
+    "k1": [1.0],
+    "k2": [0.3, 0.7],
+    "k4-zeros": [0.25, 0.0, 0.0, 0.75],
+    "k4-zero-last": [0.5, 0.5, 0.0, 0.0],
+    "k16-zeros": _with_zeros(16, 1),
+    "k300-zeros": _with_zeros(300, 2),
+    "sum-just-below-1": [0.1] * 10,  # sums to 1 - 2**-53
+    "sum-0.9": [0.3, 0.3, 0.3],
+}
+
+
+class TestDrawReference:
+    @pytest.mark.parametrize("n", [0, 1, LOG_CHUNK - 1, LOG_CHUNK + 1, 2 * LOG_CHUNK + 3])
+    @pytest.mark.parametrize("case", sorted(DRAW_CASES))
+    def test_indices_equal_chunked_searchsorted(self, case, n):
+        probs = np.asarray(DRAW_CASES[case], dtype=np.float64)
+        labels = tuple(f"o{i}" for i in range(len(probs)))
+        povm = SimpleNamespace(labels=labels, dim=1)  # `sample` reads only these of a given distribution
+        log = sample(povm, None, n, 11, distribution=OutcomeDistribution(labels, probs))
+        assert np.array_equal(log.indices, reference_indices(probs, n, 11))
