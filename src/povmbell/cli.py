@@ -49,10 +49,10 @@ from .bell import (
     quad_distribution,
     singlet_state,
 )
-from .errors import ConfigError, PovmBellError
+from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import MartensCurve, martens_check, martens_sweep
 from .measurement import OutcomeDistribution, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor
+from .qcore import ArrayRecord, StateDescriptor, _as_array
 from .sampler import _config_sha256, empirical_frequencies, read_event_log, sample, write_event_log
 from .whichway import (
     BivariateWhichWay,
@@ -149,8 +149,8 @@ def _float_field(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(name, f"{where}must be a number, got {value!r}")
     try:
-        number = float(value)
-    except OverflowError:
+        number = _as_array(value, float, name)
+    except DomainError:  # an int beyond the float range, the one number float() refuses
         raise ConfigError(name, f"{where}is an integer too large in magnitude for a float") from None
     if not math.isfinite(number):
         raise ConfigError(name, f"{where}must be finite")

@@ -3,6 +3,10 @@
 The CLI maps these onto process exit codes: ConfigError is a user-input
 problem (exit 2), everything else derived from PovmBellError signals a
 violated numeric contract (exit 3). Plain OSError stays an I/O error (exit 4).
+
+Caller arrays and numbers enter through one conversion: ragged input raises
+ShapeMismatchError, entries that are not numbers DomainError. Both subclass
+ValueError; a former TypeError (None for a number, say) is not one.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .qcore import (
     ArrayRecord,
     PolarizationAngle,
     StateDescriptor,
+    _as_array,
     as_angle,
     as_matrix,
     expectation,
@@ -152,14 +153,6 @@ def _tradeoff(gammas: np.ndarray, bound: float) -> MartensCurve:
     )
 
 
-def _sweep_grid(gammas: object) -> np.ndarray:
-    """The grid as a float64 array; ShapeMismatchError unless it is nonempty and 1-D."""
-    grid = np.asarray(gammas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
-    return grid
-
-
 def martens_sweep(
     gammas: object,
     theta: float | PolarizationAngle,
@@ -167,13 +160,16 @@ def martens_sweep(
 ) -> MartensCurve:
     """Evaluate j_lambda + j_mu >= bound over a 1-D grid of transmissivities.
 
-    Every grid point must lie in [0, 1] (DomainError names the first that
-    does not). The entropies and slacks are closed forms of gamma, computed
-    as arrays over the grid by the same code `martens_check` runs for one
-    point; nothing is checked after the inputs.
+    The grid must be nonempty and 1-D (ShapeMismatchError), every point in
+    [0, 1] (DomainError names the first that is not). The entropies and
+    slacks are closed forms of gamma, computed as arrays over the grid by
+    the same code `martens_check` runs for one point; nothing is checked
+    after the inputs.
     """
-    grid = _checked_gammas(_sweep_grid(gammas))
-    return _tradeoff(grid, martens_bound(theta, theta_prime))
+    grid = _as_array(gammas, np.float64, "gamma grid")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
+    return _tradeoff(_checked_gammas(grid), martens_bound(theta, theta_prime))
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:

@@ -32,6 +32,7 @@ from .qcore import (
     ComplexMatrix,
     PolarizationAngle,
     StateDescriptor,
+    _as_array,
     as_matrix,
     identity,
     projector_from_angle,
@@ -84,13 +85,12 @@ class Povm(ArrayRecord):
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        stack = np.array(self.stack, dtype=np.complex128)
+        stack = _as_array(self.stack, np.complex128, "effect stack", frozen=True)
         labels = tuple(str(label) for label in self.labels)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] != len(labels):
             raise ShapeMismatchError(
                 f"effect stack of shape {stack.shape} does not fit {len(labels)} labels"
             )
-        stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "labels", labels)
 
@@ -132,7 +132,7 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     completeness defect. An effect with a NaN or infinite entry fails the
     hermiticity check. Returns None when every measurement passes.
     """
-    effects = np.asarray(stack, dtype=np.complex128)
+    effects = _as_array(stack, np.complex128, "effect stack")
     if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
         raise ShapeMismatchError(f"effect stack must have shape (..., k, d, d), got {effects.shape}")
     k, dim = effects.shape[-3], effects.shape[-1]
@@ -185,15 +185,12 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
 def validate_povm(effects: object) -> Povm:
     """Check the POVM axioms and classify the result, as `povm_from_stack` does.
 
-    Accepts Effect objects or (matrix, label) pairs, all of one dimension.
+    Accepts Effect objects or (matrix, label) pairs (else DomainError), all of one dimension.
     """
-    items: list[Effect] = []
-    for entry in effects:
-        if isinstance(entry, Effect):
-            items.append(entry)
-        else:
-            matrix, label = entry
-            items.append(Effect(matrix, label))
+    try:
+        items = [entry if isinstance(entry, Effect) else Effect(*entry) for entry in effects]
+    except TypeError:  # not iterable, or an entry that is no pair
+        raise DomainError("effects must be Effect objects or (matrix, label) pairs") from None
     if not items:
         raise DomainError("a measurement needs at least one effect")
 
@@ -214,14 +211,10 @@ def povm_from_stack(stack: object, labels: Sequence[str]) -> Povm:
     sharp (every effect idempotent, distinct effects mutually orthogonal,
     all within atol_algebra), otherwise a plain Povm.
     """
-    if np.ndim(stack) != 3:
-        raise ShapeMismatchError(
-            f"one measurement needs a (k, d, d) stack, got ndim={np.ndim(stack)}"
-        )
+    effects = _as_array(stack, np.complex128, "effect stack", 3, frozen=True)
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
-    effects = np.asarray(stack, dtype=np.complex128)
     validate_effect_stack(effects, labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
@@ -245,12 +238,9 @@ class OutcomeDistribution(ArrayRecord):
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.shape[0] != len(self.labels):
-            raise ShapeMismatchError(
-                f"got {probs.shape} probabilities for {len(self.labels)} labels"
-            )
-        probs.setflags(write=False)
+        probs = _as_array(self.probs, np.float64, "probabilities", 1, frozen=True)
+        if probs.shape[0] != len(self.labels):
+            raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(self.labels)} labels")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "probs", probs)
 
@@ -266,7 +256,7 @@ class OutcomeDistribution(ArrayRecord):
         labels = tuple(labels)
         if not labels or len(set(labels)) != len(labels):
             raise DomainError(f"outcome labels must be nonempty and unique, got {list(labels)}")
-        probs = np.array(values, dtype=np.float64)
+        probs = _as_array(values, np.float64, "probabilities")
         tol = DEFAULT_POLICY.atol_positivity
         lowest = float(probs.min(initial=0.0))  # no values: the total check fails
         if lowest < -tol:
@@ -302,7 +292,7 @@ def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) ->
     and raises InvariantViolationError naming the first such effect (batch
     entries and effects in input order).
     """
-    effects = np.asarray(stack, dtype=np.complex128)
+    effects = _as_array(stack, np.complex128, "effect stack")
     dim = state.dim
     if effects.ndim < 3 or effects.shape[-2:] != (dim, dim):
         raise ShapeMismatchError(

@@ -5,6 +5,10 @@ vectors, mixed states are density operators. The intended dimensions are 2
 (single-photon polarization) and 4 (photon pairs), but nothing here is
 hardcoded to them. Arrays handed out by this module are frozen (read-only)
 so shared references cannot be mutated behind a caller's back.
+
+Caller arrays and numbers enter through `_as_array`: ragged input raises
+ShapeMismatchError, entries that are not numbers DomainError (both
+ValueErrors; a former TypeError is not).
 """
 
 from __future__ import annotations
@@ -84,18 +88,45 @@ class ArrayRecord:
         return True
 
 
+def _as_array(values: object, dtype: object, what: str, ndim: int | None = None, *, frozen: bool = False):
+    """The one conversion of caller input: `values` as `dtype`, naming `what` in errors.
+
+    The builtin `float` gives a Python float by `float()`; a numpy dtype (or
+    None, numpy's choice) an array, of `ndim` dimensions if given. Ragged
+    input raises ShapeMismatchError, entries that are not numbers DomainError.
+    A `frozen` array is read-only: a read-only array of `dtype` that owns its
+    memory passes through, anything else is copied; no caller write reaches it.
+    """
+    try:
+        if dtype is float:
+            return float(values)
+        if not frozen:
+            array = np.asarray(values, dtype=dtype)
+        elif (
+            isinstance(values, np.ndarray) and values.dtype == dtype
+            and not values.flags.writeable and values.base is None  # a view's base may be writable
+        ):
+            array = values
+        else:
+            array = np.array(values, dtype=dtype)
+            array.setflags(write=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if "inhomogeneous" in str(exc):
+            raise ShapeMismatchError(f"{what} must be one regular array, not ragged") from None
+        raise DomainError(f"{what} must be numeric ({exc})") from None
+    if ndim is not None and array.ndim != ndim:
+        raise ShapeMismatchError(f"{what} must be {ndim}-D, got ndim={array.ndim}")
+    return array
+
+
 def as_matrix(values: object) -> ComplexMatrix:
-    """Copy `values` into an immutable complex128 matrix."""
-    mat = np.array(values, dtype=np.complex128)
-    if mat.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-    mat.setflags(write=False)
-    return mat
+    """`values` as an immutable complex128 matrix, copied unless `_as_array` may keep it."""
+    return _as_array(values, np.complex128, "matrix", 2, frozen=True)
 
 
 def identity(dim: int) -> ComplexMatrix:
-    if dim < 1:
-        raise DomainError(f"dimension must be >= 1, got {dim}")
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise DomainError(f"dimension must be a positive integer, got {dim!r}")
     return as_matrix(np.eye(dim))
 
 
@@ -118,19 +149,17 @@ class PolarizationAngle:
     theta: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise DomainError(f"polarization angle must be finite, got {theta!r}")
-        theta = theta % math.pi
-        if theta == math.pi:  # inputs a hair below a multiple of pi round up
-            theta = 0.0
-        object.__setattr__(self, "theta", theta)
+        given = _as_array(self.theta, float, "polarization angle")
+        theta = given % math.pi
+        if not theta < math.pi:  # NaN for a NaN or infinite angle
+            if math.isnan(theta):
+                raise DomainError(f"polarization angle must be finite, got {given!r}")
+            theta = 0.0  # inputs a hair below a multiple of pi round up to pi
+        self.__dict__["theta"] = theta  # a third the cost of object.__setattr__ here
 
 
 def as_angle(theta: float | PolarizationAngle) -> PolarizationAngle:
-    if isinstance(theta, PolarizationAngle):
-        return theta
-    return PolarizationAngle(float(theta))
+    return theta if isinstance(theta, PolarizationAngle) else PolarizationAngle(theta)
 
 
 class StateDescriptor:
@@ -150,7 +179,7 @@ class StateDescriptor:
         if (vector is None) == (matrix is None):
             raise DomainError("provide exactly one of vector= or matrix=")
         if vector is not None:
-            vec = np.array(vector, dtype=np.complex128)
+            vec = _as_array(vector, np.complex128, "pure state", frozen=True)
             if vec.ndim != 1 or vec.size == 0:
                 raise ShapeMismatchError("pure state must be a nonempty 1-D amplitude vector")
             if not np.all(np.isfinite(vec)):
@@ -161,13 +190,10 @@ class StateDescriptor:
                     f"pure state squared norm is {norm_sq!r}; must equal 1 "
                     f"within {DEFAULT_POLICY.atol_algebra}"
                 )
-            vec.setflags(write=False)
             self._vector: ComplexMatrix | None = vec
             self._matrix: ComplexMatrix | None = None
         else:
             rho = as_matrix(matrix)
-            if rho.shape[0] != rho.shape[1]:
-                raise ShapeMismatchError(f"density operator must be square, got {rho.shape}")
             # first: the tests below would name a non-finite entry as a
             # hermiticity or trace defect, or let a NaN pass
             if not np.isfinite(rho).all():

@@ -35,9 +35,9 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
-from .errors import ConfigError, DomainError, ShapeMismatchError
+from .errors import ConfigError, DomainError
 from .measurement import OutcomeDistribution, Povm, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor
+from .qcore import ArrayRecord, StateDescriptor, _as_array
 
 __all__ = [
     "GENERATOR_NAME",
@@ -106,9 +106,9 @@ class EventLog(ArrayRecord):
     (the CLI stores canonical config JSON there); `label_set` is the POVM's
     full outcome alphabet in effect order, which may include labels that
     never occurred. The events are held as `indices`, a read-only array of
-    positions in `label_set` with dtype `_index_dtype(len(label_set))`; a
-    writable or differently typed index array is copied. `events` derives
-    the tuple of labels from it.
+    positions in `label_set` with dtype `_index_dtype(len(label_set))`; an
+    index array that is writable, differently typed or a view is copied.
+    `events` derives the tuple of labels from it.
 
     Raises DomainError for a seed that is not an integer (Python or numpy,
     not bool; it is stored as an int), for indices that are not a 1-D
@@ -137,18 +137,12 @@ class EventLog(ArrayRecord):
                     f"event log {name} must be a line of text without trailing whitespace, got {text!r}"
                 )
             _require_utf8(f"event log {name}", text)
-        try:
-            array = np.asarray(self.indices)
-        except ValueError:  # numpy refuses nested sequences of unequal lengths
-            raise ShapeMismatchError("event indices must be a 1-D integer array, not ragged") from None
+        array = _as_array(self.indices, None, "event indices")
         if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
             raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
         if array.size and not 0 <= array.min() <= array.max() < len(label_set):
             raise DomainError(f"event indices must lie in [0, {len(label_set)})")
-        dtype = _index_dtype(len(label_set))
-        if array.flags.writeable or array.dtype != dtype:
-            array = array.astype(dtype)
-        array.setflags(write=False)
+        array = _as_array(array, _index_dtype(len(label_set)), "event indices", frozen=True)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "indices", array)

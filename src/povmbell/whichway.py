@@ -30,6 +30,7 @@ from .qcore import (
     ArrayRecord,
     PolarizationAngle,
     StateDescriptor,
+    _as_array,
     as_angle,
     identity,
     projector_from_angle,
@@ -55,7 +56,7 @@ WW_LABELS = ("++", "+-", "-+", "--")
 
 def _checked_gammas(gammas: object) -> np.ndarray:
     """`gammas` as a float64 array; DomainError names the first one outside [0, 1]."""
-    g = np.asarray(gammas, dtype=np.float64)
+    g = _as_array(gammas, np.float64, "gamma")
     inside = (g >= 0.0) & (g <= 1.0)  # False for NaN
     if not inside.all():
         raise DomainError(f"gamma must lie in [0, 1], got {float(g[~inside].flat[0])!r}")
@@ -71,7 +72,7 @@ class WhichWayConfig:
     theta_prime: PolarizationAngle
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", float(_checked_gammas(float(self.gamma))))
+        object.__setattr__(self, "gamma", float(_checked_gammas(_as_array(self.gamma, float, "gamma"))))
         object.__setattr__(self, "theta", as_angle(self.theta))
         object.__setattr__(self, "theta_prime", as_angle(self.theta_prime))
 
@@ -154,11 +155,7 @@ class NonidealityMatrix(ArrayRecord):
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.ndim(self.entries) != 2:
-            raise ShapeMismatchError(
-                f"nonideality matrix must be 2-D, got ndim={np.ndim(self.entries)}"
-            )
-        entries = np.array(self.entries, dtype=np.float64)
+        entries = _as_array(self.entries, np.float64, "nonideality matrix", 2, frozen=True)
         if entries.size == 0:
             raise ShapeMismatchError(f"nonideality matrix must be nonempty, got shape {entries.shape}")
         # a non-finite entry fails one of the two tests below (NaN and -inf the
@@ -174,7 +171,6 @@ class NonidealityMatrix(ArrayRecord):
             if not np.isfinite(entries).all():
                 raise DomainError("nonideality entries must be finite")
             raise DomainError(f"columns must each sum to 1, worst deviation {worst:.3e}")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -186,22 +182,16 @@ class NonidealityMatrix(ArrayRecord):
         return int(self.entries.shape[1])
 
     def apply(self, ideal_probs: object) -> np.ndarray:
-        probs = np.asarray(ideal_probs, dtype=np.float64)
+        probs = _as_array(ideal_probs, np.float64, "ideal probabilities")
         if probs.shape != (self.n_ideal,):
-            raise ShapeMismatchError(
-                f"expected {self.n_ideal} ideal probabilities, got shape {probs.shape}"
-            )
+            raise ShapeMismatchError(f"expected {self.n_ideal} ideal probabilities, got shape {probs.shape}")
         return self.entries @ probs
 
 
 def _closed_form(rows: list[list[float]]) -> NonidealityMatrix:
-    """A NonidealityMatrix of entries proved column-stochastic in the tests; checks nothing.
-
-    `marginals_and_nonideality` builds its matrices from a gamma already in
-    [0, 1], so the constructor's checks could not fail there.
-    """
-    entries = np.array(rows, dtype=np.float64)
-    entries.setflags(write=False)
+    """A NonidealityMatrix of `rows`, checking nothing: `marginals_and_nonideality`
+    builds them from a checked gamma, and the tests prove them column-stochastic."""
+    entries = _as_array(rows, np.float64, "nonideality matrix", frozen=True)
     matrix = object.__new__(NonidealityMatrix)
     object.__setattr__(matrix, "entries", entries)
     return matrix

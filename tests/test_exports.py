@@ -7,7 +7,8 @@ names its library modules list, so deleting a function without its exports
 (or an export without its function) fails here rather than at a user's
 `import *`. The checks run against one fixed table of tolerances
 (`DEFAULT_POLICY`), so no callable takes a tolerance argument. No linter is
-assumed, so an `ast` walk stands in for an unused-import check. Every
+assumed, so an `ast` walk stands in for an unused-import check; another
+finds caller input converted anywhere but `qcore._as_array`. Every
 function the benchmark's tracer wraps must exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
 re-exports is the one `sampler` defines and `cli` imports. The README's
@@ -140,6 +141,55 @@ def test_unused_import_check_finds_dead_names():
         "def f(x: b) -> None: ...\n"
     )
     assert unused_imports(source) == ["os", "d"]
+
+
+CONVERTERS = {"np.array", "np.asarray", "np.ndim", "float"}
+
+
+def raw_conversions(source: str) -> list[str]:
+    """`function: call` for each call in `source` outside `_as_array` that hands
+    one of its function's own parameters, or `self.<field>` inside
+    `__post_init__`, to one of CONVERTERS: caller input converted around the
+    one input boundary."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_as_array":
+            continue
+        params = {arg.arg for arg in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and call.args and ast.unparse(call.func) in CONVERTERS):
+                continue
+            arg = call.args[0]
+            own = isinstance(arg, ast.Name) and arg.id in params
+            field = func.name == "__post_init__" and ast.unparse(arg).startswith("self.")
+            if own or field:
+                found.append(f"{func.name}: {ast.unparse(call)}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_caller_input_is_converted_only_at_the_boundary(path):
+    assert raw_conversions(path.read_text()) == []
+
+
+def test_conversion_check_finds_raw_conversions():
+    source = (
+        "def _as_array(values, dtype):\n"
+        "    return np.asarray(values, dtype)\n"
+        "def f(x, *, y):\n"
+        "    z = [y]\n"
+        "    return np.array(x), float(z), np.ndim(y.shape), np.asarray(y, dtype=float)\n"
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        float(self.theta)\n"
+        "    def g(self):\n"
+        "        return float(self.theta)\n"
+    )
+    assert raw_conversions(source) == [
+        "f: np.array(x)",
+        "f: np.asarray(y, dtype=float)",
+        "__post_init__: float(self.theta)",
+    ]
 
 
 def traced_functions() -> tuple[str, ...]:

@@ -1,4 +1,5 @@
-"""Unit tests for the dense linear-algebra and state primitives."""
+"""Unit tests for the dense linear-algebra and state primitives, and for the
+one input boundary every module converts caller arrays and numbers through."""
 
 from __future__ import annotations
 
@@ -14,16 +15,32 @@ from povmbell import (
     PAULI_Y,
     PAULI_Z,
     DomainError,
+    Effect,
+    EventLog,
+    NonidealityMatrix,
+    OutcomeDistribution,
     PolarizationAngle,
+    Povm,
+    PovmBellError,
     ShapeMismatchError,
     StateDescriptor,
+    WhichWayConfig,
     as_angle,
     as_matrix,
+    born_values,
     expectation,
+    heisenberg_check,
     hermiticity_defect,
     identity,
+    martens_sweep,
+    povm_from_stack,
     projector_from_angle,
+    row_entropy,
+    validate_effect_stack,
+    validate_povm,
+    whichway_effects,
 )
+from povmbell.qcore import _as_array
 
 
 class TestNumericPolicy:
@@ -44,10 +61,25 @@ class TestAsMatrix:
             m[0, 0] = 9.0
 
     def test_copies_input(self):
-        src = np.eye(2, dtype=np.complex128)
-        m = as_matrix(src)
-        src[0, 0] = 5.0
-        assert m[0, 0] == 1.0
+        # a read-only array of the record's dtype that owns its memory is kept;
+        # anything else is copied, so no write to the caller's arrays reaches it
+        sources = {
+            as_matrix: np.eye(2, dtype=np.complex128),
+            lambda a: Povm(a, ("a",)).stack: np.eye(2, dtype=np.complex128)[None].copy(),
+            lambda a: OutcomeDistribution(("a", "b"), a).probs: np.array([1.0, 0.0]),
+            lambda a: NonidealityMatrix(a).entries: np.eye(2),
+        }
+        for held, source in sources.items():
+            frozen = source.copy()
+            frozen.setflags(write=False)
+            assert held(frozen) is frozen
+            writable, other_dtype, base = source.copy(), source.real.astype(np.float32), source.copy()
+            view = base[...]  # read-only, but its base is not
+            view.setflags(write=False)
+            for src, writer in ((writable, writable), (other_dtype, other_dtype), (view, base)):
+                kept = held(src)
+                writer.flat[0] = 5.0
+                assert kept.flat[0] == 1.0 and not kept.flags.writeable
 
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeMismatchError):
@@ -281,3 +313,65 @@ class TestIdentity:
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(DomainError):
             identity(0)
+
+
+STATE = StateDescriptor.pure([1.0, 0.0])
+RAGGED = [[1.0], [0.0, 1.0]]
+# junk caller input to array- and number-valued parameters, with the error
+# the boundary gives it: ragged input is a shape fault, anything that is not
+# a number a domain fault; numpy and the builtins would raise bare errors
+JUNK = {
+    "pure-string": (lambda: StateDescriptor.pure("ab"), DomainError),
+    "pure-mixed-list": (lambda: StateDescriptor.pure(["a", 1]), DomainError),
+    "density-string-entry": (lambda: StateDescriptor.density([[1, "x"], [0, 0]]), DomainError),
+    "as_matrix-ragged": (lambda: as_matrix(RAGGED), ShapeMismatchError),
+    "identity-string": (lambda: identity("a"), DomainError),
+    "identity-float": (lambda: identity(2.5), DomainError),
+    "angle-string": (lambda: PolarizationAngle("a"), DomainError),
+    "angle-huge-int": (lambda: PolarizationAngle(10**400), DomainError),
+    "as_angle-None": (lambda: as_angle(None), DomainError),
+    "projector-string": (lambda: projector_from_angle("a"), DomainError),
+    "expectation-string": (lambda: expectation(STATE, "ab"), DomainError),
+    "heisenberg-ragged": (lambda: heisenberg_check(STATE, RAGGED, PAULI_Z), ShapeMismatchError),
+    "Effect-ragged": (lambda: Effect(RAGGED, "a"), ShapeMismatchError),
+    "Povm-ragged": (lambda: Povm([RAGGED, RAGGED], ("a", "b")), ShapeMismatchError),
+    "validate_effect_stack-string": (lambda: validate_effect_stack("abc", ["a"]), DomainError),
+    "validate_povm-ints": (lambda: validate_povm([1, 2]), DomainError),
+    "validate_povm-None": (lambda: validate_povm(None), DomainError),
+    "povm_from_stack-ragged": (lambda: povm_from_stack([RAGGED, RAGGED], ["a", "b"]), ShapeMismatchError),
+    "born_values-ragged": (lambda: born_values(STATE, [RAGGED], ["a"]), ShapeMismatchError),
+    "distribution-strings": (lambda: OutcomeDistribution(("a", "b"), ["x", "y"]), DomainError),
+    "from_values-ragged": (
+        lambda: OutcomeDistribution.from_values(("a", "b"), [[0.5], [0.5, 0.0]]),
+        ShapeMismatchError,
+    ),
+    "config-string-gamma": (lambda: WhichWayConfig("a", 0, 0), DomainError),
+    "config-None-angle": (lambda: WhichWayConfig(0.3, None, 0), DomainError),
+    "whichway_effects-ragged": (lambda: whichway_effects([[0.1], [0.2, 0.3]], 0, 0), ShapeMismatchError),
+    "nonideality-ragged": (lambda: NonidealityMatrix(RAGGED), ShapeMismatchError),
+    "apply-ragged": (lambda: NonidealityMatrix(np.eye(2)).apply([[0.5], [0.5, 0.0]]), ShapeMismatchError),
+    "row_entropy-ragged": (lambda: row_entropy(RAGGED), ShapeMismatchError),
+    "sweep-string-grid": (lambda: martens_sweep("abc", 0.1, 0), DomainError),
+    "sweep-string-angle": (lambda: martens_sweep([0.1], "x", 0), DomainError),
+    "sweep-ragged": (lambda: martens_sweep([[0.1], [0.2, 0.3]], 0.1, 0), ShapeMismatchError),
+    "EventLog-ragged": (lambda: EventLog("c", "g", 0, ("a", "b"), [[0], [0, 1]]), ShapeMismatchError),
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("case", sorted(JUNK))
+    def test_junk_input_raises_a_typed_error(self, case):
+        call, error = JUNK[case]
+        with pytest.raises(PovmBellError) as caught:
+            call()
+        assert type(caught.value) is error
+
+    def test_errors_name_the_input(self):
+        with pytest.raises(ShapeMismatchError, match="^widths must be one regular array, not ragged$"):
+            _as_array(RAGGED, np.float64, "widths")
+        with pytest.raises(DomainError, match=r"^widths must be numeric \(could not convert"):
+            _as_array(["x"], np.float64, "widths")
+        with pytest.raises(DomainError, match=r"^widths must be numeric \(float\(\) argument"):
+            _as_array(None, float, "widths")
+        with pytest.raises(ShapeMismatchError, match="^widths must be 2-D, got ndim=1$"):
+            _as_array([1.0], np.float64, "widths", 2)

@@ -68,6 +68,12 @@ class TestEventLog:
         assert by_indices.indices.dtype == np.uint8
         source[0] = 0  # the log holds its own copy of a writable array
         assert by_indices.events == ("b", "a", "b")
+        wide = source.copy()
+        wide.setflags(write=False)
+        view = narrow.copy()[...]  # read-only, but its base is not
+        view.setflags(write=False)
+        for src in (narrow.copy(), wide, view):
+            assert not np.shares_memory(EventLog("c", "g", 0, ("a", "b"), src).indices, src)
 
     def test_index_dtype_grows_with_the_alphabet(self):
         labels = tuple(f"l{i}" for i in range(257))
