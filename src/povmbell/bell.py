@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
-from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor
-from .whichway import WW_LABELS, WhichWayConfig, build_whichway, whichway_effects
+from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor, _of_type
+from .whichway import WW_LABELS, WhichWayConfig, _effects, build_whichway
 
 __all__ = [
     "QUAD_LABELS",
@@ -68,6 +68,9 @@ CHSH_SIGNS = np.stack(
 )
 CHSH_SIGNS.setflags(write=False)
 _QUAD_INDEX = {label: q for q, label in enumerate(QUAD_LABELS)}
+# the transmissivities of an arm in the four corners of `chsh_aspect`
+_CORNER_GAMMAS = np.array([1.0, 0.0])
+_CORNER_GAMMAS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,9 @@ class BellConfig:
     state: StateDescriptor
 
     def __post_init__(self) -> None:
+        _of_type(self.arm1, WhichWayConfig, "arm1")
+        _of_type(self.arm2, WhichWayConfig, "arm2")
+        _of_type(self.state, StateDescriptor, "state")
         if self.state.dim != 4:
             raise ShapeMismatchError(
                 f"two-photon state must have dimension 4, got {self.state.dim}"
@@ -223,8 +229,8 @@ def chsh_aspect(
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
     corners = _joint_effects(
-        whichway_effects([1.0, 0.0], theta1, theta1_prime),
-        whichway_effects([1.0, 0.0], theta2, theta2_prime),
+        _effects(_CORNER_GAMMAS, theta1, theta1_prime),
+        _effects(_CORNER_GAMMAS, theta2, theta2_prime),
     )
     values = born_values(state, corners, QUAD_LABELS)
     correlations = []

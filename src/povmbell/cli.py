@@ -1,10 +1,10 @@
 """Command-line front end: JSON experiment configs in, CSV or JSON tables out.
 
 Config files carry angles in degrees; all internal math is radians. Exit
-codes: 0 success, 2 malformed config, 3 violated numeric contract, 4 I/O
-failure. Floats in CSV output are rendered with 17 significant digits so a
-round-trip through text loses nothing; JSON output is the text
-`json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
+codes: 0 success, 2 malformed config or command line, 3 violated numeric
+contract, 4 I/O failure. Floats in CSV output are rendered with 17
+significant digits so a round-trip through text loses nothing; JSON output
+is the text `json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
 
 A runner returns its column names and its rows in batches; `render_csv` and
 `render_json` turn one batch into text with one %-format call, and each
@@ -14,6 +14,13 @@ grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every grid
 value and the angle before the first byte is written, and the tradeoff is a
 closed form of them that checks nothing more, so no check can stop a sweep
 once it has begun to write.
+
+A plain command line, a subcommand and then flag-value pairs, each flag one
+of --config, --out, --format, --seed, --n spelled out in full, is read by
+one flag table, `_FLAGS`, into the Namespace argparse would make of it.
+argparse reads every other line: it alone prints help, reads abbreviations
+and `--flag=value`, and writes usage errors (`SystemExit(2)`, its message on
+stderr).
 
 Subcommands:
   whichway       one which-way measurement: joint distribution, marginals,
@@ -636,9 +643,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main builds its parser on its first call and reuses it: parse_args leaves a
-# parser unchanged, and building one costs about a millisecond per call
+# main builds its parser on the first command line the flag table leaves to
+# argparse and reuses it: parse_args leaves a parser unchanged
 _main_parser = functools.cache(build_parser)
+
+
+def _ascii_int(value: str) -> int | None:
+    """The int argparse's `type=int` makes of ASCII digits; None for any other value."""
+    if value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+# flag -> (its Namespace field, its converter), as build_parser declares
+# them; a converter returns the value argparse stores, or None for a value
+# it leaves to argparse
+_FLAGS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "--config": ("config", str),
+    "--out": ("out", str),
+    "--format": ("format", lambda value: value if value in _FORMATS else None),
+    "--seed": ("seed", _ascii_int),
+    "--n": ("n", _ascii_int),
+}
+_UNSET_FLAGS = {name: None for name, _ in _FLAGS.values()}
+
+
+def _fast_args(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse makes of a plain command line; None for any other line.
+
+    A plain line is a command of _COMMANDS, then flag-value pairs: each flag
+    spelled as in _FLAGS, each value a str that does not start with "-" and
+    that the flag's converter takes, `--config` among them. A repeated flag
+    keeps its last value, as in argparse. Every other line (help,
+    abbreviations, `--flag=value`, usage errors) is left to argparse.
+    """
+    if len(argv) % 2 == 0 or not all(type(token) is str for token in argv) or argv[0] not in _COMMANDS:
+        return None
+    fields = {"command": argv[0], **_UNSET_FLAGS}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        entry = _FLAGS.get(flag)
+        if entry is None or value.startswith("-"):
+            return None
+        name, convert = entry
+        converted = convert(value)
+        if converted is None:
+            return None
+        fields[name] = converted
+    if fields["config"] is None:
+        return None
+    return argparse.Namespace(**fields)
 
 
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -664,7 +720,10 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _main_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_args(argv)
+    if args is None:
+        args = _main_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
         columns, batches = _RUNNERS[spec.kind](spec)

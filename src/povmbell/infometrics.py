@@ -141,8 +141,7 @@ def _whichway_row_entropy(r: np.ndarray) -> np.ndarray:
 
 def _tradeoff(gammas: np.ndarray, bound: float) -> MartensCurve:
     """The tradeoff over a 1-D array of checked transmissivities."""
-    j_lambda = _whichway_row_entropy(1.0 - gammas)
-    j_mu = _whichway_row_entropy(gammas)
+    j_lambda, j_mu = _whichway_row_entropy(np.stack((1.0 - gammas, gammas)))
     slack = j_lambda + j_mu - bound
     return MartensCurve(
         j_lambda=j_lambda,

@@ -33,6 +33,7 @@ from .qcore import (
     PolarizationAngle,
     StateDescriptor,
     _as_array,
+    _of_type,
     as_matrix,
     identity,
     projector_from_angle,
@@ -119,6 +120,14 @@ class Pvm(Povm):
     """A POVM whose effects are mutually orthogonal projectors (a sharp measurement)."""
 
 
+def _label_tuple(labels: object) -> tuple:
+    """`labels` as a tuple; DomainError for an object that is not iterable."""
+    try:
+        return tuple(labels)
+    except TypeError:
+        raise DomainError(f"outcome labels must be a sequence, got {type(labels).__name__}") from None
+
+
 def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     """Check the POVM axioms on every measurement of an effect stack at once.
 
@@ -136,6 +145,7 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
         raise ShapeMismatchError(f"effect stack must have shape (..., k, d, d), got {effects.shape}")
     k, dim = effects.shape[-3], effects.shape[-1]
+    labels = _label_tuple(labels)
     if k == 0 or len(labels) != k:
         raise ShapeMismatchError(f"got {len(labels)} labels for {k} effects")
 
@@ -212,7 +222,7 @@ def povm_from_stack(stack: object, labels: Sequence[str]) -> Povm:
     all within atol_algebra), otherwise a plain Povm.
     """
     effects = _as_array(stack, np.complex128, "effect stack", 3, frozen=True)
-    labels = tuple(labels)
+    labels = _label_tuple(labels)
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
     validate_effect_stack(effects, labels)
@@ -253,7 +263,7 @@ class OutcomeDistribution(ArrayRecord):
         that tolerance are treated as genuine contract violations, not noise;
         so is any NaN or infinite value, which makes the total NaN or infinite.
         """
-        labels = tuple(labels)
+        labels = _label_tuple(labels)
         if not labels or len(set(labels)) != len(labels):
             raise DomainError(f"outcome labels must be nonempty and unique, got {list(labels)}")
         probs = _as_array(values, np.float64, "probabilities")
@@ -293,7 +303,7 @@ def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) ->
     entries and effects in input order).
     """
     effects = _as_array(stack, np.complex128, "effect stack")
-    dim = state.dim
+    dim = _of_type(state, StateDescriptor, "state").dim
     if effects.ndim < 3 or effects.shape[-2:] != (dim, dim):
         raise ShapeMismatchError(
             f"effect shape {effects.shape[-2:]} does not match state dimension {dim}"
@@ -314,6 +324,7 @@ def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) ->
 
 def born_probabilities(state: StateDescriptor, povm: Povm) -> OutcomeDistribution:
     """Outcome distribution of `povm` in `state` via the Born rule (see `born_values`)."""
+    _of_type(povm, Povm, "povm")
     values = born_values(state, povm.stack, povm.labels)
     return OutcomeDistribution.from_values(povm.labels, values)
 

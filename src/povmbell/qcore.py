@@ -8,7 +8,9 @@ so shared references cannot be mutated behind a caller's back.
 
 Caller arrays and numbers enter through `_as_array`: ragged input raises
 ShapeMismatchError, entries that are not numbers DomainError (both
-ValueErrors; a former TypeError is not).
+ValueErrors; a former TypeError is not). A parameter that takes an object of
+the package, such as a state, enters through `_of_type`: anything else
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -117,6 +119,13 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
     if ndim is not None and array.ndim != ndim:
         raise ShapeMismatchError(f"{what} must be {ndim}-D, got ndim={array.ndim}")
     return array
+
+
+def _of_type(value: object, cls: type, what: str):
+    """`value` itself if it is a `cls`; DomainError naming `what` for anything else."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def as_matrix(values: object) -> ComplexMatrix:
@@ -264,6 +273,7 @@ class StateDescriptor:
 
 def expectation(state: StateDescriptor, op: object) -> complex:
     """Born-rule expectation value: <psi|A|psi> for pure states, Tr(rho A) else."""
+    _of_type(state, StateDescriptor, "state")
     mat = as_matrix(op)
     dim = state.dim
     if mat.shape != (dim, dim):

@@ -37,7 +37,7 @@ import numpy as np
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
 from .errors import ConfigError, DomainError
 from .measurement import OutcomeDistribution, Povm, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor, _as_array
+from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type
 
 __all__ = [
     "GENERATOR_NAME",
@@ -379,7 +379,7 @@ def sample(
 
     if distribution is None:
         distribution = born_probabilities(state, povm)
-    elif distribution.labels != povm.labels:
+    elif _of_type(distribution, OutcomeDistribution, "distribution").labels != povm.labels:
         raise DomainError(
             f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
         )

@@ -52,6 +52,8 @@ __all__ = [
 
 # outcome order is fixed: (D, D') click pattern, "+" = fired
 WW_LABELS = ("++", "+-", "-+", "--")
+# the identity the four effects of a which-way measurement sum to
+_IDENTITY = identity(2)
 
 
 def _checked_gammas(gammas: object) -> np.ndarray:
@@ -106,19 +108,31 @@ def whichway_effects(
     the POVM it hands out, and the tests prove the stacks of the paths that
     reduce them to numbers (`tests/test_derived_povms.py`).
     """
-    g = _checked_gammas(gammas)[..., None, None]
+    return _effects(_checked_gammas(gammas), theta, theta_prime)
+
+
+def _effects(
+    g: np.ndarray,
+    theta: float | PolarizationAngle,
+    theta_prime: float | PolarizationAngle,
+) -> np.ndarray:
+    """`whichway_effects` of a float64 array of transmissivities known to lie in [0, 1]."""
+    g = g[..., None, None]
     transmitted = g * projector_from_angle(theta)
     reflected = (1.0 - g) * projector_from_angle(theta_prime)
     stack = np.zeros(transmitted.shape[:-2] + (4, 2, 2), dtype=np.complex128)
     stack[..., 1, :, :] = transmitted
     stack[..., 2, :, :] = reflected
-    stack[..., 3, :, :] = identity(2) - transmitted - reflected
+    stack[..., 3, :, :] = _IDENTITY - transmitted - reflected
     return stack
 
 
 def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:
-    """Construct and validate the 4-effect which-way POVM (see `whichway_effects`)."""
-    effects = whichway_effects(config.gamma, config.theta, config.theta_prime)
+    """Construct and validate the 4-effect which-way POVM (see `whichway_effects`).
+
+    The config checked its gamma when it was made.
+    """
+    effects = _effects(np.array(config.gamma), config.theta, config.theta_prime)
     return BivariateWhichWay(config=config, povm=povm_from_stack(effects, WW_LABELS))
 
 

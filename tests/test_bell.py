@@ -405,13 +405,13 @@ class TestInvalidArmStacks:
     def test_same_error_type_as_build_whichway(self, monkeypatch, error):
         from povmbell import whichway
 
-        original = whichway.whichway_effects
+        original = whichway._effects
 
         def broken(gammas, theta, theta_prime):
             return ARM_CORRUPTIONS[error](original(gammas, theta, theta_prime))
 
         # build_whichway, so every arm of build_bell, builds its effects here
-        monkeypatch.setattr(whichway, "whichway_effects", broken)
+        monkeypatch.setattr(whichway, "_effects", broken)
         arm = WhichWayConfig(0.6, 0.2, 1.1)
         with pytest.raises(error):
             build_whichway(arm)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -1112,6 +1113,122 @@ class TestParser:
         spec = ExperimentSpec(kind="whichway")
         assert spec.format == "csv"
         assert spec.out is None
+
+
+# command lines for the flag table: plain ones, which it reads, and ones with
+# the tokens argparse reads differently from it (abbreviations, "=" forms,
+# help, separators, values that int() takes but are not ASCII digits, tokens
+# that are not str)
+PLAIN_VALUES = {
+    "--config": ("x.json", "a b", "", "007", "csv"),
+    "--out": ("out.log", "ev,1.log", "5"),
+    "--format": ("csv", "json"),
+    "--seed": ("0", "5", "007", "18446744073709551616"),
+    "--n": ("0", "100000"),
+}
+COMMAND_TOKENS = (*cli._COMMANDS, "sweep", "Bell", "", "-h", "--config")
+FLAG_TOKENS = (
+    *cli._FLAGS, "--conf", "--config=x.json", "--seed=5", "-h", "--help", "--", "-", "--N", "--forma",
+    Path("--out"),
+)
+VALUE_TOKENS = (
+    "x.json", "a b", "-5", "-", "--", "--out", "-h", "", " 5", "\u0665", "1_0", "+5", "007", "5",
+    "1" * 5000, "CSV", "csv", "json", Path("x.json"),
+)
+
+
+def joined(command, pairs):
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+PLAIN_PAIR = st.sampled_from(list(cli._FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(PLAIN_VALUES[flag]))
+)
+TRAP_PAIR = st.tuples(st.sampled_from(FLAG_TOKENS), st.sampled_from(VALUE_TOKENS))
+PAIRS = st.lists(st.one_of(PLAIN_PAIR, TRAP_PAIR), max_size=6)
+# plain pairs with --config among them
+PLAIN_PAIRS = st.lists(PLAIN_PAIR, max_size=5).flatmap(
+    lambda pairs: st.permutations([("--config", "c.json"), *pairs])
+)
+COMMAND_LINES = st.one_of(
+    st.builds(joined, st.sampled_from(list(cli._COMMANDS)), PLAIN_PAIRS),
+    st.builds(joined, st.sampled_from(COMMAND_TOKENS), PAIRS),
+    # an odd count of flags and values
+    st.builds(joined, st.sampled_from(COMMAND_TOKENS), PAIRS).map(lambda argv: argv[:-1]),
+    st.lists(st.sampled_from(COMMAND_TOKENS + FLAG_TOKENS + VALUE_TOKENS), max_size=7),
+)
+ARGPARSE = build_parser()
+
+
+def argparse_outcome(argv):
+    """The Namespace argparse makes of `argv`, or the exception it refuses it with."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return ARGPARSE.parse_args(argv)
+        except (SystemExit, TypeError) as exc:  # a usage error or help; a token that is not a str
+            return exc
+
+
+class TestFastArgs:
+    @settings(max_examples=400, deadline=None)
+    @given(COMMAND_LINES)
+    def test_reads_what_argparse_reads_or_leaves_the_line_to_it(self, argv):
+        fast = cli._fast_args(list(argv))
+        if fast is not None:
+            slow = argparse_outcome(argv)
+            assert fast == slow
+            assert {k: type(v) for k, v in vars(fast).items()} == {k: type(v) for k, v in vars(slow).items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["martens-sweep", "--config", "x.json"],
+            ["sample", "--config", "c.json", "--out", "a b", "--seed", "007", "--n", "0", "--format", "json"],
+            ["bell", "--format", "csv", "--config", "", "--config", "y.json", "--seed", "1" * 30],
+        ],
+    )
+    def test_reads_plain_lines(self, argv):
+        fast = cli._fast_args(argv)
+        assert fast is not None
+        assert fast == ARGPARSE.parse_args(argv)
+
+    def test_flag_table_names_the_parser_options(self):
+        commands = next(a for a in ARGPARSE._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(cli._COMMANDS)
+        for sub in commands.values():
+            options = {a.option_strings[0]: a.dest for a in sub._actions if a.dest != "help"}
+            assert options == {flag: name for flag, (name, _) in cli._FLAGS.items()}
+
+    def test_plain_line_does_not_reach_argparse(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, SWEEP_PAYLOAD)
+        calls = []
+        original = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert main(["martens-sweep", "--config", config]) == 0
+        plain = capsys.readouterr()
+        assert calls == []
+        # an abbreviation is argparse's to read, and gives the same table
+        assert main(["martens-sweep", "--conf", config]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr() == plain
+
+    def test_main_without_argv_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, {"kind": "bell", **BELL_PAYLOAD})
+        assert main(["bell", "--config", config, "--format", "json"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["povmbell", "bell", "--config", config, "--format", "json"])
+        assert main() == 0
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr(sys, "argv", ["povmbell", "bell", "--config", config, "--format", "CSV"])
+        with pytest.raises(SystemExit) as info:
+            main(None)
+        assert info.value.code == 2
+        assert "invalid choice: 'CSV'" in capsys.readouterr().err
 
 
 def _small_logs(tmp_path):

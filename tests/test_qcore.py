@@ -14,6 +14,7 @@ from povmbell import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    BellConfig,
     DomainError,
     Effect,
     EventLog,
@@ -36,6 +37,7 @@ from povmbell import (
     povm_from_stack,
     projector_from_angle,
     row_entropy,
+    sample,
     validate_effect_stack,
     validate_povm,
     whichway_effects,
@@ -355,6 +357,15 @@ JUNK = {
     "sweep-string-angle": (lambda: martens_sweep([0.1], "x", 0), DomainError),
     "sweep-ragged": (lambda: martens_sweep([[0.1], [0.2, 0.3]], 0.1, 0), ShapeMismatchError),
     "EventLog-ragged": (lambda: EventLog("c", "g", 0, ("a", "b"), [[0], [0, 1]]), ShapeMismatchError),
+    # object-typed and label parameters
+    "sample-None": (lambda: sample(None, None, 10, seed=1), DomainError),
+    "BellConfig-None": (lambda: BellConfig(None, None, None), DomainError),
+    "expectation-None-state": (lambda: expectation(None, np.eye(2)), DomainError),
+    "from_values-None-labels": (lambda: OutcomeDistribution.from_values(None, [1.0]), DomainError),
+    "validate_effect_stack-None-labels": (
+        lambda: validate_effect_stack(np.eye(2)[None], None),
+        DomainError,
+    ),
 }
 
 
