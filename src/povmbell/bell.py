@@ -129,7 +129,7 @@ def build_bell(config: BellConfig) -> QuadrivariateBell:
 
 def quad_distribution(bell: QuadrivariateBell) -> OutcomeDistribution:
     """Joint 16-outcome probabilities of the configured state."""
-    return born_probabilities(bell.config.state, bell.povm)
+    return born_probabilities(_of_type(bell, QuadrivariateBell, "bell").config.state, bell.povm)
 
 
 def _pair_column(pair: tuple[str, str]) -> int:
@@ -224,7 +224,7 @@ def chsh_aspect(
     four correlations here and never handed out, so they are not checked
     at run time; the tests prove them POVMs (`tests/test_derived_povms.py`).
     """
-    if state.dim != 4:
+    if _of_type(state, StateDescriptor, "state").dim != 4:
         raise ShapeMismatchError(f"two-photon state must have dimension 4, got {state.dim}")
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live

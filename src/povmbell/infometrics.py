@@ -32,6 +32,7 @@ from .qcore import (
     PolarizationAngle,
     StateDescriptor,
     _as_array,
+    _of_type,
     as_angle,
     as_matrix,
     expectation,
@@ -177,7 +178,7 @@ def martens_check(whichway: BivariateWhichWay) -> MartensReport:
     The one-point case of the sweep's tradeoff evaluation; the which-way
     POVM was validated when it was built.
     """
-    config = whichway.config
+    config = _of_type(whichway, BivariateWhichWay, "whichway").config
     bound = martens_bound(config.theta, config.theta_prime)
     curve = _tradeoff(np.array([config.gamma]), bound)
     return MartensReport(

@@ -9,10 +9,20 @@ shape (..., k, d, d) too. Measurements derived from checked ones by an
 axiom-preserving operation (tensor product, convex combination) are proved
 in tests, not re-checked. A `Povm` keeps its effects as one frozen stack, so
 the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
+
+One qubit stack of shape (k, 2, 2), such as a which-way arm, is first
+checked in scalar Python, where numpy's per-call dispatch would cost more than
+the arithmetic on 4k numbers: hermiticity, the closed-form eigenvalues,
+completeness, and in `povm_from_stack` the sharpness residue. That branch
+only certifies: it returns a verdict when every quantity clears its tolerance
+by `_CERTAIN`, and never raises. Failing stacks, NaN or infinite entries,
+stacks within `_CERTAIN` of a tolerance, batches and d > 2 take the array
+path, which gives every error, message and deviation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,7 +97,7 @@ class Povm(ArrayRecord):
 
     def __post_init__(self) -> None:
         stack = _as_array(self.stack, np.complex128, "effect stack", frozen=True)
-        labels = tuple(str(label) for label in self.labels)
+        labels = tuple(str(label) for label in _label_tuple(self.labels))
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] != len(labels):
             raise ShapeMismatchError(
                 f"effect stack of shape {stack.shape} does not fit {len(labels)} labels"
@@ -128,6 +138,74 @@ def _label_tuple(labels: object) -> tuple:
         raise DomainError(f"outcome labels must be a sequence, got {type(labels).__name__}") from None
 
 
+# How far a scalar qubit quantity must clear its tolerance to be certified:
+# over 100 times the rounding gap between the closed forms below and
+# LAPACK/BLAS on entries of size <= 1, which every checked effect has.
+_CERTAIN = 1e-13
+
+
+def _qubit_certified(rows: list) -> bool:
+    """True when the (k, 2, 2) effects `rows` (nested lists of complex) clear
+    hermiticity, eigenvalues in [0, 1] and completeness by `_CERTAIN` each.
+
+    False means "not shown", never "failed". Float and complex arithmetic and
+    math.hypot give inf or NaN rather than raise, and every comparison is
+    phrased so that NaN fails it; a NaN or infinite entry reaches the sums.
+    """
+    algebra = DEFAULT_POLICY.atol_algebra - _CERTAIN
+    low = _CERTAIN - DEFAULT_POLICY.atol_positivity
+    high = 1.0 + DEFAULT_POLICY.atol_positivity - _CERTAIN
+    s00 = s01 = s10 = s11 = 0j
+    for (a, b), (c, d) in rows:
+        # |E - E^H| entry by entry; the diagonal's is twice its imaginary part
+        if not (
+            2.0 * abs(a.imag) <= algebra
+            and 2.0 * abs(d.imag) <= algebra
+            and math.hypot(b.real - c.real, b.imag + c.imag) <= algebra
+        ):
+            return False
+        # eigenvalues of the Hermitian matrix of the lower triangle, which is
+        # what eigvalsh reads: (a + d)/2 -+ hypot((a - d)/2, |c|)
+        mean = (a.real + d.real) / 2.0
+        radius = math.hypot((a.real - d.real) / 2.0, c.real, c.imag)
+        if not (mean - radius >= low and mean + radius <= high):
+            return False
+        s00 += a
+        s01 += b
+        s10 += c
+        s11 += d
+    return (
+        math.hypot(s00.real - 1.0, s00.imag) <= algebra
+        and math.hypot(s01.real, s01.imag) <= algebra
+        and math.hypot(s10.real, s10.imag) <= algebra
+        and math.hypot(s11.real - 1.0, s11.imag) <= algebra
+    )
+
+
+def _qubit_sharp(rows: list) -> bool | None:
+    """Whether the checked (k, 2, 2) effects `rows` form a Pvm, when the
+    sharpness residue of `povm_from_stack` clears atol_algebra by `_CERTAIN`;
+    None when it lies within `_CERTAIN` of it. Checked entries have size
+    about 1 at most, so no product or `abs` here can overflow."""
+    tol = DEFAULT_POLICY.atol_algebra
+    worst = 0.0
+    k = len(rows)
+    # the diagonal blocks first: an unsharp effect is rarely idempotent
+    for offset in range(k):
+        for i in range(k - offset):
+            (a, b), (c, d) = rows[i]
+            (e, f), (g, h) = rows[i + offset]
+            # block (i, i + offset) is E_i E_j, less E_i on the diagonal
+            p00, p01, p10, p11 = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            if not offset:
+                p00, p01, p10, p11 = p00 - a, p01 - b, p10 - c, p11 - d
+            residue = max(abs(p00), abs(p01), abs(p10), abs(p11))
+            if residue > tol + _CERTAIN:
+                return False
+            worst = max(worst, residue)
+    return True if worst <= tol - _CERTAIN else None
+
+
 def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     """Check the POVM axioms on every measurement of an effect stack at once.
 
@@ -139,7 +217,9 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     first offending effect (batch entries and effects in input order) and
     carries that effect's deviation, or the failing measurement's
     completeness defect. An effect with a NaN or infinite entry fails the
-    hermiticity check. Returns None when every measurement passes.
+    hermiticity check. Returns None when every measurement passes. One
+    (k, 2, 2) stack that clears every check by a margin returns from the
+    scalar branch (see the module docstring) without reaching the arrays.
     """
     effects = _as_array(stack, np.complex128, "effect stack")
     if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
@@ -148,6 +228,8 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     labels = _label_tuple(labels)
     if k == 0 or len(labels) != k:
         raise ShapeMismatchError(f"got {len(labels)} labels for {k} effects")
+    if effects.ndim == 3 and dim == 2 and _qubit_certified(effects.tolist()):
+        return
 
     def first(failing: np.ndarray) -> tuple[int, ...]:
         # index of the first True of `failing`, in C order over its axes
@@ -156,8 +238,10 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     # each check first reduces the whole stack at once; the per-effect
     # reductions that name the culprit run only once a check has failed.
     # Any NaN or infinite entry gives a NaN or infinite hermiticity defect,
-    # and the test is phrased so that a NaN defect fails it.
-    herm = np.abs(effects - effects.swapaxes(-1, -2).conj())
+    # and the test is phrased so that a NaN defect fails it; inf - inf is
+    # such a NaN, not a warning.
+    with np.errstate(invalid="ignore"):
+        herm = np.abs(effects - effects.swapaxes(-1, -2).conj())
     if not herm.max(initial=0.0) <= DEFAULT_POLICY.atol_algebra:
         herm_defects = herm.max(axis=(-2, -1))
         at = first(~(herm_defects <= DEFAULT_POLICY.atol_algebra))
@@ -219,13 +303,17 @@ def povm_from_stack(stack: object, labels: Sequence[str]) -> Povm:
     The labels must be unique. The axioms are checked by one
     `validate_effect_stack` call; returns a Pvm when the measurement is
     sharp (every effect idempotent, distinct effects mutually orthogonal,
-    all within atol_algebra), otherwise a plain Povm.
+    all within atol_algebra), otherwise a plain Povm. A qubit stack whose
+    residue clears atol_algebra by a margin is classified in scalar Python.
     """
     effects = _as_array(stack, np.complex128, "effect stack", 3, frozen=True)
     labels = _label_tuple(labels)
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
     validate_effect_stack(effects, labels)
+    sharp = _qubit_sharp(effects.tolist()) if effects.shape[1] == 2 else None
+    if sharp is not None:
+        return (Pvm if sharp else Povm)(stack=effects, labels=labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
     # means E_i E_i - E_i = 0 (diagonal blocks) and E_i E_j = 0 for i < j.
@@ -248,10 +336,11 @@ class OutcomeDistribution(ArrayRecord):
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        labels = _label_tuple(self.labels)
         probs = _as_array(self.probs, np.float64, "probabilities", 1, frozen=True)
-        if probs.shape[0] != len(self.labels):
-            raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(self.labels)} labels")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        if probs.shape[0] != len(labels):
+            raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(labels)} labels")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
 
     @classmethod

@@ -379,9 +379,12 @@ def sample(
 
     if distribution is None:
         distribution = born_probabilities(state, povm)
-    elif _of_type(distribution, OutcomeDistribution, "distribution").labels != povm.labels:
+    # of a povm given with its distribution, only `labels` and `dim` are read
+    elif _of_type(distribution, OutcomeDistribution, "distribution").labels != (
+        povm_labels := getattr(povm, "labels", None)
+    ):
         raise DomainError(
-            f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
+            f"distribution labels {distribution.labels} differ from the POVM's {povm_labels}"
         )
     labels, probs = distribution.labels, distribution.probs
     cdf = np.cumsum(probs)
@@ -411,7 +414,7 @@ def sample(
 
 def empirical_frequencies(log: EventLog) -> dict[str, float]:
     """Relative frequency of every label in the log's alphabet (0 when absent)."""
-    n = log.count
+    n = _of_type(log, EventLog, "log").count
     if n == 0:
         return {label: 0.0 for label in log.label_set}
     counts = np.zeros(len(log.label_set), dtype=np.int64)

@@ -31,6 +31,7 @@ from .qcore import (
     PolarizationAngle,
     StateDescriptor,
     _as_array,
+    _of_type,
     as_angle,
     identity,
     projector_from_angle,
@@ -74,7 +75,10 @@ class WhichWayConfig:
     theta_prime: PolarizationAngle
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", float(_checked_gammas(_as_array(self.gamma, float, "gamma"))))
+        gamma = _as_array(self.gamma, float, "gamma")
+        if not 0.0 <= gamma <= 1.0:  # False for NaN
+            raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "theta", as_angle(self.theta))
         object.__setattr__(self, "theta_prime", as_angle(self.theta_prime))
 
@@ -132,6 +136,7 @@ def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:
 
     The config checked its gamma when it was made.
     """
+    _of_type(config, WhichWayConfig, "config")
     effects = _effects(np.array(config.gamma), config.theta, config.theta_prime)
     return BivariateWhichWay(config=config, povm=povm_from_stack(effects, WW_LABELS))
 

@@ -1,14 +1,19 @@
-"""Unit tests for POVM validation and Born-rule distributions."""
+"""Unit tests for POVM validation and Born-rule distributions, and for the
+scalar qubit branch of the validation against the array path."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_povm, random_pure, random_state
 from povmbell import (
+    DEFAULT_POLICY,
     DomainError,
     Effect,
     InvariantViolationError,
@@ -17,16 +22,21 @@ from povmbell import (
     NotPositiveError,
     OutcomeDistribution,
     Povm,
+    PovmBellError,
     Pvm,
     ShapeMismatchError,
     StateDescriptor,
+    WhichWayConfig,
     born_probabilities,
+    build_whichway,
     identity,
     polarization_pvm,
     projector_from_angle,
     validate_povm,
+    whichway_effects,
 )
-from povmbell.measurement import povm_from_stack, validate_effect_stack
+from povmbell.measurement import _qubit_sharp, povm_from_stack, validate_effect_stack
+from test_derived_povms import EDGE_GAMMAS
 
 
 class TestEffect:
@@ -210,6 +220,198 @@ class TestStackedValidation:
             validate_effect_stack(np.stack([np.eye(2)]), ("a", "b"))
 
 
+# Stacks for the scalar qubit branch of validate_effect_stack and
+# povm_from_stack: quantities at each tolerance, 1e-14 to 1e-9 inside or
+# outside it, around which the branch must defer to the array path.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=1000)
+ALGEBRA, POSITIVITY = DEFAULT_POLICY.atol_algebra, DEFAULT_POLICY.atol_positivity
+OFFSETS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-14.0, -9.0)),
+)
+# gammas whose which-way arm is sharp only to within a few atol_algebra
+BAND_GAMMAS = st.builds(lambda g, flip: 1.0 - g if flip else g, st.floats(1e-13, 1e-11), st.booleans())
+ANGLES = st.floats(-10.0, 10.0)
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(np.nan, 0), complex(0, np.inf), complex(np.inf, -np.inf))
+
+
+def labels_for(stack):
+    return tuple("abcd"[: len(stack)])
+
+
+@st.composite
+def spectral_stacks(draw, k=None):
+    """1 to 4 qubit effects diagonal in one drawn basis that sum to the identity.
+
+    Each basis vector's k eigenvalues are the gaps between sorted cut points
+    of [0, 1], which may be 0 or 1, so projectors are drawn too.
+    """
+    k = draw(st.integers(1, 4)) if k is None else k
+    phi, alpha = draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2 * math.pi))
+    twist = np.exp(1j * alpha) * math.sin(phi)
+    basis = np.array([[math.cos(phi), -twist.conjugate()], [twist, math.cos(phi)]])
+    cut = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+    spectra = []
+    for _ in range(2):
+        cuts = sorted(draw(st.lists(cut, min_size=k - 1, max_size=k - 1)))
+        spectra.append(np.diff([0.0, *cuts, 1.0]))
+    return np.array([basis @ np.diag([p, q]) @ basis.conj().T for p, q in zip(*spectra)])
+
+
+@st.composite
+def qubit_stacks(draw):
+    """(k, 2, 2) stacks that pass, fail, or sit at a tolerance of the axiom checks."""
+    kinds = ["whichway", "valid", "herm", "imag", "low", "high", "complete", "non-finite", "gross"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "whichway":
+        gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
+        return whichway_effects(gamma, draw(ANGLES), draw(ANGLES))
+    stack = draw(spectral_stacks(k=draw(st.integers(2, 4))))
+    phase = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    algebra, positivity = ALGEBRA + draw(OFFSETS), POSITIVITY + draw(OFFSETS)
+    if kind == "herm":
+        # one triangle of effects 0 and 1 is off by `algebra`, or by half
+        # of it with their sum off by `algebra`
+        r, c = draw(st.sampled_from(((0, 1), (1, 0))))
+        if draw(st.booleans()):
+            stack[0, r, c] += algebra * phase
+            stack[1, r, c] -= algebra * phase
+        else:
+            stack[0, r, c] += 0.5 * algebra * phase
+            stack[1, r, c] += 0.5 * algebra * phase
+    elif draw(st.booleans()):
+        # upper triangles off by 0.9 atol_algebra: eigvalsh reads the lower ones
+        stack[0, 0, 1] += 0.9 * ALGEBRA * phase
+        stack[1, 0, 1] -= 0.9 * ALGEBRA * phase
+    if kind == "imag":  # an imaginary diagonal entry: hermiticity defect `algebra`
+        i = draw(st.integers(0, 1))
+        stack[0, i, i] += 0.5j * algebra
+    elif kind in ("low", "high"):
+        # one eigenvalue of effect 0 moved; the other effects share the rest,
+        # so that none of theirs need fail with it
+        eigs, vecs = np.linalg.eigh(stack[0])
+        target = -positivity if kind == "low" else 1.0 + positivity
+        i = 0 if kind == "low" else 1
+        shift = (target - eigs[i]) * np.outer(vecs[:, i], vecs[:, i].conj())
+        stack[0] += shift
+        stack[1:] -= shift / (len(stack) - 1)
+    elif kind == "complete":  # a Hermitian excess of size `algebra`
+        if draw(st.booleans()):
+            i = draw(st.integers(0, 1))
+            stack[0, i, i] += algebra
+        else:
+            stack[0, 0, 1] += algebra * phase
+            stack[0, 1, 0] += algebra * phase.conjugate()
+    elif kind == "non-finite":
+        at = draw(st.integers(0, len(stack) - 1)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        stack[at] = draw(st.sampled_from(NON_FINITE))
+    elif kind == "gross":
+        parts = draw(st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8))
+        noise = np.array(parts).view(complex).reshape(2, 2)
+        stack[0] += noise + noise.conj().T if draw(st.booleans()) else noise
+    return stack
+
+
+def outcome(call):
+    """What a check does: None, or the error's class, message and deviation (NaN as a string)."""
+    try:
+        call()
+    except PovmBellError as exc:
+        deviation = exc.deviation
+        if deviation is not None and math.isnan(deviation):
+            deviation = "nan"
+        return type(exc), str(exc), deviation
+    return None
+
+
+@st.composite
+def near_sharp_stacks(draw):
+    """Valid qubit stacks whose sharpness residue is about atol_algebra, or any valid one.
+
+    Effect 0 has eigenvalues (1 - t, 0) and effect 1 (t, 1) in one basis,
+    so the residue of both E_0^2 - E_0 and E_0 E_1 is about t; zero effects
+    may be added. Otherwise a which-way stack, with gammas in the band too.
+    """
+    kind = draw(st.sampled_from(["near", "whichway", "valid"]))
+    if kind == "whichway":
+        gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
+        return whichway_effects(gamma, draw(ANGLES), draw(ANGLES))
+    if kind == "valid":
+        return draw(spectral_stacks())
+    t = abs(ALGEBRA + draw(OFFSETS))
+    basis = draw(spectral_stacks(k=2))[0]  # a projector or a generic effect of one drawn basis
+    _, vecs = np.linalg.eigh(basis)
+    proj = [np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(2)]
+    effects = [(1.0 - t) * proj[0], t * proj[0] + proj[1]]
+    for _ in range(draw(st.integers(0, 2))):
+        effects.insert(draw(st.integers(0, len(effects))), np.zeros((2, 2)))
+    return np.array(effects)
+
+
+def residue(stack):
+    """Sharpness residue, one 2x2 product at a time: max over i <= j of |E_i E_j - [i == j] E_i|."""
+    k = len(stack)
+    return max(
+        float(np.abs(stack[i] @ stack[j] - (stack[i] if i == j else 0.0)).max())
+        for i in range(k)
+        for j in range(i, k)
+    )
+
+
+class TestQubitBranch:
+    """The scalar qubit branch gives the verdict of the array path, or defers to it."""
+
+    @PROPERTY
+    @given(qubit_stacks())
+    def test_agrees_with_the_array_path(self, stack):
+        labels = labels_for(stack)
+        # a batch of one measurement takes the array path
+        assert outcome(lambda: validate_effect_stack(stack, labels)) == outcome(
+            lambda: validate_effect_stack(stack[None], labels)
+        )
+
+    @settings(PROPERTY, max_examples=400)
+    @given(near_sharp_stacks())
+    def test_classifies_as_the_residue_does(self, stack):
+        got = type(povm_from_stack(stack, labels_for(stack)))
+        worst = residue(stack)
+        # a residue within 1e-15 of the tolerance, 100 times inside the
+        # branch's margin, may round to either side between 2x2 and 8x8 products
+        if abs(worst - ALGEBRA) > 1e-15:
+            assert got is (Pvm if worst <= ALGEBRA else Povm)
+
+    def test_eigenvalues_come_from_the_lower_triangle(self):
+        # the lower triangle puts an eigenvalue of each effect 4e-13 beyond
+        # atol_positivity; the upper one, 8e-13 off it, would put both inside
+        r = 0.25 + POSITIVITY + 4e-13
+        first = np.array([[0.25, r - 8e-13], [r, 0.25]])
+        stack = np.array([first, np.eye(2) - first])
+        with pytest.raises(NotPositiveError, match="'a'"):
+            validate_effect_stack(stack, ("a", "b"))
+        assert outcome(lambda: validate_effect_stack(stack, ("a", "b"))) == outcome(
+            lambda: validate_effect_stack(stack[None], ("a", "b"))
+        )
+
+    def test_a_valid_whichway_arm_never_reaches_the_array_path(self, monkeypatch):
+        gammas = (*EDGE_GAMMAS, 0.3)
+        # the branch classifies every such arm, sharp or not
+        assert all(_qubit_sharp(whichway_effects(g, 0.4, 1.1).tolist()) is not None for g in gammas)
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def spy(matrices):
+            calls.append(np.shape(matrices))
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for gamma in gammas:
+            build_whichway(WhichWayConfig(gamma, 0.4, 1.1))
+        assert calls == []
+        # the spy sees the array path
+        validate_effect_stack(whichway_effects([0.3], 0.4, 1.1), ("++", "+-", "-+", "--"))
+        assert calls == [(1, 4, 2, 2)]
+
+
 class TestPolarizationPvm:
     def test_horizontal(self):
         pvm = polarization_pvm(0.0)
@@ -334,8 +536,6 @@ class TestOutcomeDistribution:
 
 
 class TestNonFinite:
-    # inf - inf in the hermiticity defect warns before the check raises
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_effect_with_non_finite_entry_rejected(self, bad):
         effect = np.diag([1.0, 0.0]).astype(complex)
@@ -345,6 +545,14 @@ class TestNonFinite:
             validate_povm(pairs)
         with pytest.raises(NotHermitianError):
             validate_effect_stack(np.array([m for m, _ in pairs]), ["a", "b"])
+
+    def test_infinite_effect_raises_the_typed_error_and_no_warning(self):
+        # inf - inf in the hermiticity defect is a NaN defect, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError, match="'a'") as info:
+                validate_povm([(np.full((2, 2), np.inf), "a"), (np.eye(2), "b")])
+        assert math.isnan(info.value.deviation)
 
     def test_all_nan_effect_rejected(self):
         with pytest.raises(NotHermitianError) as info:

@@ -29,13 +29,18 @@ from povmbell import (
     as_angle,
     as_matrix,
     born_values,
+    build_whichway,
+    chsh_aspect,
+    empirical_frequencies,
     expectation,
     heisenberg_check,
     hermiticity_defect,
     identity,
+    martens_check,
     martens_sweep,
     povm_from_stack,
     projector_from_angle,
+    quad_distribution,
     row_entropy,
     sample,
     validate_effect_stack,
@@ -366,6 +371,17 @@ JUNK = {
         lambda: validate_effect_stack(np.eye(2)[None], None),
         DomainError,
     ),
+    "build_whichway-None": (lambda: build_whichway(None), DomainError),
+    "chsh_aspect-None-state": (lambda: chsh_aspect(None, 0, 0, 0, 0), DomainError),
+    "martens_check-None": (lambda: martens_check(None), DomainError),
+    "quad_distribution-None": (lambda: quad_distribution(None), DomainError),
+    "empirical_frequencies-None": (lambda: empirical_frequencies(None), DomainError),
+    "sample-None-povm-with-distribution": (
+        lambda: sample(None, None, 10, 1, distribution=OutcomeDistribution(("a",), [1.0])),
+        DomainError,
+    ),
+    "distribution-None-labels": (lambda: OutcomeDistribution(None, [1.0]), DomainError),
+    "Povm-None-labels": (lambda: Povm(np.zeros((1, 1, 1)), None), DomainError),
 }
 
 
