@@ -19,7 +19,6 @@ from .bell import (
     chsh_report_from_distribution,
     chsh_single_run,
     correlation_from_distribution,
-    detector_correlation,
     quad_distribution,
     singlet_state,
 )
@@ -52,7 +51,6 @@ from .measurement import (
     born_probabilities,
     born_values,
     polarization_pvm,
-    povm_from_stack,
     validate_effect_stack,
     validate_povm,
 )
@@ -65,10 +63,8 @@ from .qcore import (
     NumericPolicy,
     PolarizationAngle,
     StateDescriptor,
-    as_angle,
     as_matrix,
     expectation,
-    hermiticity_defect,
     identity,
     projector_from_angle,
 )
@@ -93,7 +89,6 @@ from .whichway import (
     marginals_and_nonideality,
     marginals_from_distribution,
     measured_marginals,
-    whichway_effects,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ __all__ = [
     "build_bell",
     "quad_distribution",
     "correlation_from_distribution",
-    "detector_correlation",
     "chsh_report_from_distribution",
     "chsh_single_run",
     "chsh_aspect",
@@ -68,6 +67,7 @@ CHSH_SIGNS = np.stack(
 )
 CHSH_SIGNS.setflags(write=False)
 _QUAD_INDEX = {label: q for q, label in enumerate(QUAD_LABELS)}
+_PAIR_COLUMN = {pair: c for c, pair in enumerate(CHSH_PAIRS)}
 # the transmissivities of an arm in the four corners of `chsh_aspect`
 _CORNER_GAMMAS = np.array([1.0, 0.0])
 _CORNER_GAMMAS.setflags(write=False)
@@ -120,7 +120,7 @@ def build_bell(config: BellConfig) -> QuadrivariateBell:
     a POVM, sharp exactly when both factors are, so the joint stack is not
     checked again (the tests prove it): it is a Pvm when both arms are.
     """
-    arm1 = build_whichway(config.arm1).povm
+    arm1 = build_whichway(_of_type(config, BellConfig, "config").arm1).povm
     arm2 = build_whichway(config.arm2).povm
     joint = _joint_effects(arm1.stack[None], arm2.stack[None])[0]
     cls = Pvm if isinstance(arm1, Pvm) and isinstance(arm2, Pvm) else Povm
@@ -132,18 +132,19 @@ def quad_distribution(bell: QuadrivariateBell) -> OutcomeDistribution:
     return born_probabilities(_of_type(bell, QuadrivariateBell, "bell").config.state, bell.povm)
 
 
-def _pair_column(pair: tuple[str, str]) -> int:
-    if len(pair) != 2 or pair[0] not in _ARM1_DETECTORS or pair[1] not in _ARM2_DETECTORS:
+def _pair_column(pair: object) -> int:
+    try:
+        return _PAIR_COLUMN[tuple(pair)]
+    except (TypeError, KeyError):  # not iterable, an unhashable detector, or no detector pair
         raise DomainError(
             f"detector pair must combine one of {_ARM1_DETECTORS} with one of "
             f"{_ARM2_DETECTORS}, got {pair!r}"
-        )
-    return CHSH_PAIRS.index(tuple(pair))
+        ) from None
 
 
 def _sign_rows(dist: OutcomeDistribution) -> np.ndarray:
     """Rows of CHSH_SIGNS in the order of the distribution's labels."""
-    if dist.labels == QUAD_LABELS:
+    if _of_type(dist, OutcomeDistribution, "distribution").labels == QUAD_LABELS:
         return CHSH_SIGNS
     if set(dist.labels) != set(QUAD_LABELS):
         raise DomainError("distribution does not carry quadrivariate outcome labels")
@@ -154,13 +155,13 @@ def correlation_from_distribution(
     dist: OutcomeDistribution,
     pair: tuple[str, str],
 ) -> float:
-    """Expected product of two detectors' +-1 click signs under `dist`."""
+    """Expected product of two detectors' +-1 click signs under `dist`.
+
+    Kept public for `perfbench/tracer.py`, which times it by this name.
+    """
     column = _pair_column(pair)
-    return float(dist.probs @ _sign_rows(dist)[:, column])
-
-
-def detector_correlation(bell: QuadrivariateBell, pair: tuple[str, str]) -> float:
-    return correlation_from_distribution(quad_distribution(bell), pair)
+    signs = _sign_rows(dist)
+    return float(dist.probs @ signs[:, column])
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,8 @@ def _combine(values: list[float]) -> ChshReport:
 
 def chsh_report_from_distribution(dist: OutcomeDistribution) -> ChshReport:
     """CHSH statistics of one quadrivariate distribution (single-run form)."""
-    return _combine((dist.probs @ _sign_rows(dist)).tolist())
+    signs = _sign_rows(dist)
+    return _combine((dist.probs @ signs).tolist())
 
 
 def chsh_single_run(bell: QuadrivariateBell) -> ChshReport:

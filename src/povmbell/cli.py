@@ -39,7 +39,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -60,7 +59,15 @@ from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import MartensCurve, martens_check, martens_sweep
 from .measurement import OutcomeDistribution, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor, _as_array
-from .sampler import _config_sha256, empirical_frequencies, read_event_log, sample, write_event_log
+from .sampler import (
+    _MAX_SEED,
+    _config_sha256,
+    _file_path,
+    empirical_frequencies,
+    read_event_log,
+    sample,
+    write_event_log,
+)
 from .whichway import (
     BivariateWhichWay,
     WhichWayConfig,
@@ -83,7 +90,6 @@ __all__ = [
 
 _SAMPLE_EXPERIMENTS = ("whichway", "bell")
 _FORMATS = ("csv", "json")
-_MAX_SEED = 2**64 - 1
 # grid points a martens-sweep evaluates, formats and writes at a time
 SWEEP_CHUNK = 4096
 # most points a gamma_grid may hold, in either form
@@ -175,11 +181,10 @@ def _int_field(name: str, value: object, dim: int | None = None, *, lo: int, hi:
 
 
 def _out_field(name: str, value: object, dim: int | None = None) -> str:
-    # a path the operating system cannot take would fail as a ValueError at open
     try:
-        if isinstance(value, str) and b"\0" not in os.fsencode(value):
-            return value
-    except UnicodeEncodeError:
+        if isinstance(value, str):
+            return _file_path(value)
+    except DomainError:
         pass
     raise ConfigError(name, f"must be a string path, got {value!r}")
 

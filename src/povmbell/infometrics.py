@@ -38,7 +38,7 @@ from .qcore import (
     expectation,
     hermiticity_defect,
 )
-from .whichway import BivariateWhichWay, NonidealityMatrix, _checked_gammas
+from .whichway import BivariateWhichWay, NonidealityMatrix
 
 __all__ = [
     "MartensReport",
@@ -169,7 +169,10 @@ def martens_sweep(
     grid = _as_array(gammas, np.float64, "gamma grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ShapeMismatchError(f"gamma grid must be a nonempty 1-D array, got shape {grid.shape}")
-    return _tradeoff(_checked_gammas(grid), martens_bound(theta, theta_prime))
+    inside = (grid >= 0.0) & (grid <= 1.0)  # False for NaN
+    if not inside.all():
+        raise DomainError(f"gamma must lie in [0, 1], got {float(grid[~inside][0])!r}")
+    return _tradeoff(grid, martens_bound(theta, theta_prime))
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:

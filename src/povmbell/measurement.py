@@ -2,10 +2,10 @@
 
 A measurement is a labeled collection of positive operators (effects) summing
 to the identity. Every measurement built from caller input passes through
-`validate_povm` (effects one by one) or `povm_from_stack` (one (k, d, d)
-stack), which return the sharper `Pvm` type for mutually orthogonal
-projectors; `validate_effect_stack` checks the axioms, on whole batches of
-shape (..., k, d, d) too. Measurements derived from checked ones by an
+`validate_povm`, which takes one (k, d, d) effect stack and its labels and
+returns the sharper `Pvm` type for mutually orthogonal projectors;
+`validate_effect_stack` checks the axioms, on whole batches of shape
+(..., k, d, d) too. Measurements derived from checked ones by an
 axiom-preserving operation (tensor product, convex combination) are proved
 in tests, not re-checked. A `Povm` keeps its effects as one frozen stack, so
 the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
@@ -13,7 +13,7 @@ the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
 One qubit stack of shape (k, 2, 2), such as a which-way arm, is first
 checked in scalar Python, where numpy's per-call dispatch would cost more than
 the arithmetic on 4k numbers: hermiticity, the closed-form eigenvalues,
-completeness, and in `povm_from_stack` the sharpness residue. That branch
+completeness, and in `validate_povm` the sharpness residue. That branch
 only certifies: it returns a verdict when every quantity clears its tolerance
 by `_CERTAIN`, and never raises. Failing stacks, NaN or infinite entries,
 stacks within `_CERTAIN` of a tolerance, batches and d > 2 take the array
@@ -56,7 +56,6 @@ __all__ = [
     "OutcomeDistribution",
     "validate_povm",
     "validate_effect_stack",
-    "povm_from_stack",
     "born_values",
     "born_probabilities",
     "polarization_pvm",
@@ -65,7 +64,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Effect(ArrayRecord):
-    """One positive operator of a measurement, tagged with its outcome label."""
+    """One positive operator of a measurement, tagged with its outcome label: the
+    view of a `Povm` stack that acceptance criterion 09 reads."""
 
     matrix: ComplexMatrix
     label: str
@@ -86,10 +86,10 @@ class Effect(ArrayRecord):
 class Povm(ArrayRecord):
     """A validated positive-operator-valued measure.
 
-    Build via validate_povm() or povm_from_stack(). The effects are held as
-    one frozen (k, d, d) complex `stack`, in the order of `labels`;
-    `effects`, `effect(label)`, `len` and iteration present it as Effect
-    objects.
+    Build via validate_povm(). The effects are held as one frozen (k, d, d)
+    complex `stack`, in the order of `labels`; `effects`, `effect(label)`,
+    `len` and iteration present it as Effect objects, the view acceptance
+    criterion 09 reads.
     """
 
     stack: np.ndarray
@@ -131,11 +131,15 @@ class Pvm(Povm):
 
 
 def _label_tuple(labels: object) -> tuple:
-    """`labels` as a tuple; DomainError for an object that is not iterable."""
+    """`labels` as a tuple; DomainError for an object that is not iterable, or
+    holds a label that is not hashable, as every set and lookup of labels needs."""
     try:
-        return tuple(labels)
+        items = tuple(labels)
+        hash(items)
     except TypeError:
-        raise DomainError(f"outcome labels must be a sequence, got {type(labels).__name__}") from None
+        kind = type(labels).__name__
+        raise DomainError(f"outcome labels must be a sequence of hashables, got {kind}") from None
+    return items
 
 
 # How far a scalar qubit quantity must clear its tolerance to be certified:
@@ -184,7 +188,7 @@ def _qubit_certified(rows: list) -> bool:
 
 def _qubit_sharp(rows: list) -> bool | None:
     """Whether the checked (k, 2, 2) effects `rows` form a Pvm, when the
-    sharpness residue of `povm_from_stack` clears atol_algebra by `_CERTAIN`;
+    sharpness residue of `validate_povm` clears atol_algebra by `_CERTAIN`;
     None when it lies within `_CERTAIN` of it. Checked entries have size
     about 1 at most, so no product or `abs` here can overflow."""
     tol = DEFAULT_POLICY.atol_algebra
@@ -276,31 +280,12 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
         )
 
 
-def validate_povm(effects: object) -> Povm:
-    """Check the POVM axioms and classify the result, as `povm_from_stack` does.
-
-    Accepts Effect objects or (matrix, label) pairs (else DomainError), all of one dimension.
-    """
-    try:
-        items = [entry if isinstance(entry, Effect) else Effect(*entry) for entry in effects]
-    except TypeError:  # not iterable, or an entry that is no pair
-        raise DomainError("effects must be Effect objects or (matrix, label) pairs") from None
-    if not items:
-        raise DomainError("a measurement needs at least one effect")
-
-    dim = items[0].dim
-    for e in items:
-        if e.dim != dim:
-            raise ShapeMismatchError(
-                f"effect {e.label!r} has dimension {e.dim}, expected {dim}"
-            )
-    return povm_from_stack(np.array([e.matrix for e in items]), [e.label for e in items])
-
-
-def povm_from_stack(stack: object, labels: Sequence[str]) -> Povm:
+def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     """Check the POVM axioms on one (k, d, d) effect stack and classify it.
 
-    The labels must be unique. The axioms are checked by one
+    The one checked constructor of a measurement from caller effects:
+    `stack[i]` is the effect labeled `labels[i]`, and the labels must be
+    unique (DomainError). The axioms are checked by one
     `validate_effect_stack` call; returns a Pvm when the measurement is
     sharp (every effect idempotent, distinct effects mutually orthogonal,
     all within atol_algebra), otherwise a plain Povm. A qubit stack whose
@@ -427,4 +412,4 @@ def polarization_pvm(theta: float | PolarizationAngle) -> Pvm:
     minus = identity(2) - plus
     # the check classifies the projectors as a Pvm at every finite angle;
     # tests/test_derived_povms.py proves it
-    return validate_povm([(plus, "+"), (minus, "-")])
+    return validate_povm(np.stack((plus, minus)), ("+", "-"))

@@ -25,6 +25,8 @@ from numpy.typing import NDArray
 from .errors import DomainError, ShapeMismatchError
 
 ComplexMatrix = NDArray[np.complex128]
+# numpy's warning that a cast to a real dtype drops imaginary parts (np.exceptions since 1.25)
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 __all__ = [
     "ComplexMatrix",
@@ -32,10 +34,8 @@ __all__ = [
     "DEFAULT_POLICY",
     "PolarizationAngle",
     "StateDescriptor",
-    "as_angle",
     "as_matrix",
     "expectation",
-    "hermiticity_defect",
     "identity",
     "projector_from_angle",
     "PAULI_X",
@@ -53,7 +53,8 @@ class NumericPolicy:
     pass through an eigensolver or accumulate across sums (eigenvalue floors,
     probability dust), which pick up more rounding than direct identities.
     The one instance is DEFAULT_POLICY; the checks read it directly, and no
-    function takes a tolerance argument.
+    function takes a tolerance argument. It stays public because
+    `perfbench/checks.py` reads `DEFAULT_POLICY.atol_positivity`.
     """
 
     atol_algebra: float = 1e-12
@@ -95,10 +96,15 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
 
     The builtin `float` gives a Python float by `float()`; a numpy dtype (or
     None, numpy's choice) an array, of `ndim` dimensions if given. Ragged
-    input raises ShapeMismatchError, entries that are not numbers DomainError.
-    A `frozen` array is read-only: a read-only array of `dtype` that owns its
-    memory passes through, anything else is copied; no caller write reaches it.
+    input raises ShapeMismatchError; entries that are not numbers, and complex
+    numpy values where `dtype` is real, DomainError (inside a list, only where
+    numpy's ComplexWarning is an error). A `frozen` array is read-only: a
+    read-only array of `dtype` that owns its memory passes through, anything
+    else is copied; no caller write reaches it.
     """
+    if dtype is np.float64 or dtype is float:
+        if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind == "c":
+            raise DomainError(f"{what} must be real, got complex values")
     try:
         if dtype is float:
             return float(values)
@@ -112,7 +118,7 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
         else:
             array = np.array(values, dtype=dtype)
             array.setflags(write=False)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, _ComplexWarning) as exc:
         if "inhomogeneous" in str(exc):
             raise ShapeMismatchError(f"{what} must be one regular array, not ragged") from None
         raise DomainError(f"{what} must be numeric ({exc})") from None
@@ -124,7 +130,8 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
 def _of_type(value: object, cls: type, what: str):
     """`value` itself if it is a `cls`; DomainError naming `what` for anything else."""
     if not isinstance(value, cls):
-        raise DomainError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
 from .errors import ConfigError, DomainError
-from .measurement import OutcomeDistribution, Povm, born_probabilities
+from .measurement import OutcomeDistribution, Povm, _label_tuple, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type
 
 __all__ = [
@@ -77,7 +77,7 @@ def _check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
     must be nonempty, unique, free of whitespace, encodable as UTF-8 and must
     not start with '#'; the set must hold at least one label.
     """
-    labels = tuple(label_set)
+    labels = _label_tuple(label_set)
     if not labels:
         raise DomainError("an event log needs at least one label")
     for label in labels:
@@ -163,6 +163,19 @@ _LOG_VERSION_LINE = "# povmbell event log v1\n"
 _HEADER_KEYS = ("config", "config_sha256", "generator", "seed", "labels", "count")
 
 
+def _file_path(path: object) -> str | os.PathLike:
+    """`path` itself if it is a str or os.PathLike file name; DomainError for
+    anything else (an int would open a file descriptor) and for a name the
+    system cannot take (a NUL, or text the file system encoding refuses),
+    which `open` would refuse with a ValueError."""
+    try:
+        if isinstance(path, (str, os.PathLike)) and b"\0" not in os.fsencode(path):
+            return path
+    except UnicodeEncodeError:
+        pass
+    raise DomainError(f"path must be a file name, got {path!r}")
+
+
 def _config_sha256(config: str) -> str:
     """The hex sha256 of a config's UTF-8 bytes, as a log header stores it."""
     return hashlib.sha256(config.encode("utf-8")).hexdigest()
@@ -174,14 +187,15 @@ def write_event_log(log: EventLog, path: str | Path) -> None:
     The header is written once, then the events LOG_CHUNK at a time, each
     chunk as one take of rows from a table of the label lines: an `S{w}` array
     of their bytes if every line is w bytes long, else an object array, joined.
+    A `log` that is no EventLog, or a `path` that is no file name, raises DomainError.
     """
-    sha = _config_sha256(log.config)
+    sha = _config_sha256(_of_type(log, EventLog, "log").config)
     values = (log.config, sha, log.generator, log.seed, " ".join(log.label_set), log.count)
     header = "".join(f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values))
     lines = [label.encode("utf-8") + b"\n" for label in log.label_set]
     widths = {len(line) for line in lines}
     table = np.array(lines, dtype=f"S{widths.pop()}" if len(widths) == 1 else object)
-    with open(path, "wb") as fh:
+    with open(_file_path(path), "wb") as fh:
         fh.write((_LOG_VERSION_LINE + header).encode("utf-8"))
         for start in range(0, log.count, LOG_CHUNK):
             rows = table.take(log.indices[start : start + LOG_CHUNK])
@@ -288,8 +302,9 @@ def read_event_log(path: str | Path) -> EventLog:
     including a '#' line; a last line without a line break; a number of
     events other than the count; or header values `EventLog` refuses, such
     as a label set the format cannot hold. Messages do not depend on the path.
+    A `path` that is no file name raises DomainError (see `_file_path`).
     """
-    with open(path, "rb") as fh:
+    with open(_file_path(path), "rb") as fh:
         header = _read_header(fh)
         sha = _config_sha256(header["config"])
         if header["config_sha256"] != sha:
@@ -372,6 +387,8 @@ def sample(
     passes it as `distribution`, with the POVM's labels in the POVM's order
     and finite, nonnegative probabilities.
     """
+    _of_type(povm, Povm, "povm")
+    _of_type(config_descriptor, str, "config descriptor")
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"event count must be a nonnegative integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed <= _MAX_SEED:
@@ -379,12 +396,9 @@ def sample(
 
     if distribution is None:
         distribution = born_probabilities(state, povm)
-    # of a povm given with its distribution, only `labels` and `dim` are read
-    elif _of_type(distribution, OutcomeDistribution, "distribution").labels != (
-        povm_labels := getattr(povm, "labels", None)
-    ):
+    elif _of_type(distribution, OutcomeDistribution, "distribution").labels != povm.labels:
         raise DomainError(
-            f"distribution labels {distribution.labels} differ from the POVM's {povm_labels}"
+            f"distribution labels {distribution.labels} differ from the POVM's {povm.labels}"
         )
     labels, probs = distribution.labels, distribution.probs
     cdf = np.cumsum(probs)
@@ -431,7 +445,7 @@ def empirical_chsh(log: EventLog) -> ChshReport:
     determines all four correlations; the single-run bound |s| <= 2 therefore
     holds for the estimate up to sampling noise.
     """
-    if set(log.label_set) != set(QUAD_LABELS):
+    if set(_of_type(log, EventLog, "log").label_set) != set(QUAD_LABELS):
         raise DomainError("event log does not carry quadrivariate outcome labels")
     if log.count == 0:
         raise DomainError("cannot estimate correlations from an empty event log")

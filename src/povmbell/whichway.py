@@ -10,11 +10,12 @@ together and the "++" effect is the zero operator.
 
 The measured marginal in each branch is a column-stochastic smearing of the
 ideal sharp measurement along that branch's axis; `marginals_and_nonideality`
-returns those smearing matrices. `whichway_effects` forms the effects for a
-whole array of transmissivities at once; `build_whichway` is its one-point
-case. The smearing matrices are closed
-forms of gamma, and `infometrics` evaluates their row entropies over a grid
-in closed form, without forming them.
+returns those smearing matrices. `build_whichway` forms the four effects
+of one transmissivity and checks them with `validate_povm`; `chsh_aspect`
+forms those of the gamma = 1 and gamma = 0 corners by the same unchecked
+body, `_effects`. The smearing matrices are closed forms of gamma, and
+`infometrics` evaluates their row entropies over a grid in closed form,
+without forming them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .measurement import OutcomeDistribution, Povm, born_probabilities, povm_from_stack
+from .measurement import OutcomeDistribution, Povm, born_probabilities, validate_povm
 from .qcore import (
     DEFAULT_POLICY,
     ArrayRecord,
@@ -42,7 +43,6 @@ __all__ = [
     "WhichWayConfig",
     "BivariateWhichWay",
     "NonidealityMatrix",
-    "whichway_effects",
     "build_whichway",
     "joint_distribution",
     "marginals_from_distribution",
@@ -55,15 +55,6 @@ __all__ = [
 WW_LABELS = ("++", "+-", "-+", "--")
 # the identity the four effects of a which-way measurement sum to
 _IDENTITY = identity(2)
-
-
-def _checked_gammas(gammas: object) -> np.ndarray:
-    """`gammas` as a float64 array; DomainError names the first one outside [0, 1]."""
-    g = _as_array(gammas, np.float64, "gamma")
-    inside = (g >= 0.0) & (g <= 1.0)  # False for NaN
-    if not inside.all():
-        raise DomainError(f"gamma must lie in [0, 1], got {float(g[~inside].flat[0])!r}")
-    return g
 
 
 @dataclass(frozen=True)
@@ -91,15 +82,15 @@ class BivariateWhichWay:
     povm: Povm
 
 
-def whichway_effects(
-    gammas: object,
+def _effects(
+    g: np.ndarray,
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
 ) -> np.ndarray:
-    """Which-way effect matrices for an array of transmissivities.
+    """Which-way effect matrices for a float64 array of transmissivities in [0, 1].
 
-    Returns shape gammas.shape + (4, 2, 2): for every gamma, the four
-    effects in WW_LABELS order,
+    Returns shape g.shape + (4, 2, 2): for every gamma, the four effects in
+    WW_LABELS order,
       ++ : 0                            (both branches firing is impossible)
       +- : gamma * E+(theta)            (transmitted, analyzer passes)
       -+ : (1-gamma) * E+(theta')       (reflected, analyzer passes)
@@ -108,19 +99,11 @@ def whichway_effects(
     combination of projectors, so positivity holds for every gamma in [0, 1].
     Every effect is affine in gamma, E(gamma) = gamma E(1) + (1-gamma) E(0),
     and the axioms survive convex combination, so the stack is a POVM for
-    every gamma in [0, 1]. It is not checked here: `build_whichway` checks
-    the POVM it hands out, and the tests prove the stacks of the paths that
-    reduce them to numbers (`tests/test_derived_povms.py`).
+    every gamma in [0, 1]. Neither the gammas nor the stack are checked
+    here: `build_whichway` checks the POVM it hands out, and the tests prove
+    the stacks of the paths that reduce them to numbers
+    (`tests/test_derived_povms.py`).
     """
-    return _effects(_checked_gammas(gammas), theta, theta_prime)
-
-
-def _effects(
-    g: np.ndarray,
-    theta: float | PolarizationAngle,
-    theta_prime: float | PolarizationAngle,
-) -> np.ndarray:
-    """`whichway_effects` of a float64 array of transmissivities known to lie in [0, 1]."""
     g = g[..., None, None]
     transmitted = g * projector_from_angle(theta)
     reflected = (1.0 - g) * projector_from_angle(theta_prime)
@@ -132,23 +115,25 @@ def _effects(
 
 
 def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:
-    """Construct and validate the 4-effect which-way POVM (see `whichway_effects`).
+    """Construct and validate the 4-effect which-way POVM (see `_effects`).
 
     The config checked its gamma when it was made.
     """
     _of_type(config, WhichWayConfig, "config")
     effects = _effects(np.array(config.gamma), config.theta, config.theta_prime)
-    return BivariateWhichWay(config=config, povm=povm_from_stack(effects, WW_LABELS))
+    return BivariateWhichWay(config=config, povm=validate_povm(effects, WW_LABELS))
 
 
 def joint_distribution(whichway: BivariateWhichWay, state: StateDescriptor) -> OutcomeDistribution:
     """Bivariate outcome probabilities in WW_LABELS order."""
-    return born_probabilities(state, whichway.povm)
+    return born_probabilities(state, _of_type(whichway, BivariateWhichWay, "whichway").povm)
 
 
 def marginals_from_distribution(dist: OutcomeDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Marginal (+, -) distributions of the D branch and the D' branch of a joint distribution."""
-    p = dist.as_dict()
+    p = _of_type(dist, OutcomeDistribution, "distribution").as_dict()
+    if p.keys() != set(WW_LABELS):
+        raise DomainError("distribution does not carry which-way outcome labels")
     transmitted = np.array([p["++"] + p["+-"], p["-+"] + p["--"]])
     reflected = np.array([p["++"] + p["-+"], p["+-"] + p["--"]])
     return transmitted, reflected
@@ -230,7 +215,7 @@ def marginals_and_nonideality(
     The test suite checks this reconstruction against Born probabilities of
     random states, and that the public constructor accepts both matrices.
     """
-    gamma = whichway.config.gamma
+    gamma = _of_type(whichway, BivariateWhichWay, "whichway").config.gamma
     lam = _closed_form([[gamma, 0.0], [1.0 - gamma, 1.0]])
     mu = _closed_form([[1.0 - gamma, 0.0], [gamma, 1.0]])
     return lam, mu

@@ -50,11 +50,9 @@ def random_povm(rng: np.random.Generator, dim: int, n_effects: int) -> Povm:
     total = np.sum(raws, axis=0)
     w, v = np.linalg.eigh(total)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    effects = []
-    for i, raw in enumerate(raws):
-        m = inv_sqrt @ raw @ inv_sqrt
-        effects.append(((m + m.conj().T) / 2.0, f"e{i}"))
-    return validate_povm(effects)
+    effects = [inv_sqrt @ raw @ inv_sqrt for raw in raws]
+    stack = [(m + m.conj().T) / 2.0 for m in effects]
+    return validate_povm(stack, [f"e{i}" for i in range(n_effects)])
 
 
 def random_angle(rng: np.random.Generator) -> float:

@@ -30,7 +30,6 @@ from povmbell import (
     chsh_report_from_distribution,
     chsh_single_run,
     correlation_from_distribution,
-    detector_correlation,
     quad_distribution,
     singlet_state,
 )
@@ -73,6 +72,11 @@ def quad_probs_oracle(config: BellConfig) -> dict[str, float]:
         for l2, m2 in arm2.items():
             probs[f"{l1},{l2}"] = float(np.real(np.trace(rho @ np.kron(m1, m2))))
     return probs
+
+
+def detector_correlation(bell, pair) -> float:
+    """The correlation of one detector pair in the Bell experiment's own distribution."""
+    return correlation_from_distribution(quad_distribution(bell), pair)
 
 
 def aspect_oracle(state, theta1, theta1_prime, theta2, theta2_prime) -> list[float]:

@@ -1,7 +1,7 @@
 """Proofs, by test, of the POVM checks the library does not make at run time.
 
 The library checks the POVM axioms where a POVM object reaches the caller:
-`validate_povm`, `povm_from_stack`, `build_whichway` (so each arm of
+`validate_povm`, `build_whichway` (so each arm of
 `build_bell`) and `polarization_pvm`. Effects formed from checked scalars
 (gammas, angles) and reduced to numbers inside one call are not checked at
 run time:
@@ -49,10 +49,9 @@ from povmbell import (
     martens_check,
     martens_sweep,
     polarization_pvm,
-    povm_from_stack,
     singlet_state,
     validate_effect_stack,
-    whichway_effects,
+    validate_povm,
 )
 from povmbell import bell, cli, infometrics, measurement, whichway
 
@@ -98,8 +97,8 @@ class TestDerivedMeasurementsPassTheFullCheck:
             state=singlet_state(),
         )
         povm = build_bell(config).povm
-        # povm_from_stack runs the full check and classifies the stack numerically
-        checked = povm_from_stack(povm.stack, QUAD_LABELS)
+        # validate_povm runs the full check and classifies the stack numerically
+        checked = validate_povm(povm.stack, QUAD_LABELS)
         if not (in_tolerance_band(gamma1) or in_tolerance_band(gamma2)):
             assert type(povm) is type(checked)
 
@@ -113,7 +112,7 @@ class TestDerivedMeasurementsPassTheFullCheck:
                     state=singlet_state(),
                 )
                 povm = build_bell(config).povm
-                assert type(povm) is type(povm_from_stack(povm.stack, QUAD_LABELS))
+                assert type(povm) is type(validate_povm(povm.stack, QUAD_LABELS))
                 # sharp within tolerance exactly when both arms sit at an edge
                 sharp = all(min(g, 1.0 - g) < 1e-13 for g in (gamma, other))
                 assert isinstance(povm, Pvm) == sharp
@@ -137,13 +136,13 @@ class TestDerivedMeasurementsPassTheFullCheck:
         assert corners.shape == (4, 16, 4, 4)
         validate_effect_stack(corners, QUAD_LABELS)
         # every corner tensors two sharp endpoint measurements
-        assert all(isinstance(povm_from_stack(c, QUAD_LABELS), Pvm) for c in corners)
+        assert all(isinstance(validate_povm(c, QUAD_LABELS), Pvm) for c in corners)
 
     @PROPERTY
     @given(angle_pairs(), st.lists(GAMMAS, max_size=64), st.integers(2, 2000))
     def test_dense_sweep_grid(self, angles, drawn, count):
         grid = np.concatenate([EDGE_GAMMAS, np.linspace(0.0, 1.0, count), drawn])
-        validate_effect_stack(whichway_effects(grid, *angles), WW_LABELS)
+        validate_effect_stack(whichway._effects(grid, *angles), WW_LABELS)
         curve = martens_sweep(grid, *angles)
         assert curve.j_lambda.shape == grid.shape
 

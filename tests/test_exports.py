@@ -5,11 +5,13 @@ Every module of `povmbell` declares `__all__`. Each name listed there must
 exist in its module, and the package namespace must re-export exactly the
 names its library modules list, so deleting a function without its exports
 (or an export without its function) fails here rather than at a user's
-`import *`. The checks run against one fixed table of tolerances
-(`DEFAULT_POLICY`), so no callable takes a tolerance argument. No linter is
-assumed, so an `ast` walk stands in for an unused-import check; another
-finds caller input converted anywhere but `qcore._as_array`. Every
-function the benchmark's tracer wraps must exist, or `--trace 1` fails.
+`import *`; `PUBLIC_NAMES` pins that list. Every exported function and
+class, called with junk, returns or raises a `PovmBellError`. The checks run
+against one fixed table of tolerances (`DEFAULT_POLICY`), so no callable
+takes a tolerance argument. No linter is assumed, so an `ast` walk stands in
+for an unused-import check; another finds caller input converted anywhere
+but `qcore._as_array`. Every function the benchmark's tracer wraps must
+exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
 re-exports is the one `sampler` defines and `cli` imports. The README's
 Library example runs as written and prints what its comment shows.
@@ -28,9 +30,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import povmbell
+from povmbell import PovmBellError
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(povmbell.__path__))
 # the command-line front end is reached as `povmbell.cli`; importing the
@@ -48,16 +54,101 @@ def test_every_exported_name_exists_and_is_reexported(name):
         assert [n for n in exported if getattr(povmbell, n, None) is not getattr(module, n)] == []
 
 
-def test_package_reexports_nothing_else():
-    listed = set()
+def library_exports() -> dict[str, object]:
+    """Each name of the union of the library modules' `__all__` lists, and its value."""
+    exports = {}
     for name in sorted(set(MODULES) - FRONT_END):
-        listed.update(importlib.import_module(f"povmbell.{name}").__all__)
+        module = importlib.import_module(f"povmbell.{name}")
+        exports.update((export, getattr(module, export)) for export in module.__all__)
+    return exports
+
+
+def test_package_reexports_nothing_else():
     public = {
         name
         for name, value in vars(povmbell).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert public == listed
+    assert public == set(library_exports())
+
+
+# the public surface of `povmbell`: adding or removing an export is a one-line diff here
+PUBLIC_NAMES = (
+    "BellConfig",
+    "BivariateWhichWay",
+    "CHSH_PAIRS",
+    "CHSH_SIGNS",
+    "ChshReport",
+    "ComplexMatrix",
+    "ConfigError",
+    "DEFAULT_POLICY",
+    "DomainError",
+    "Effect",
+    "EventLog",
+    "GENERATOR_NAME",
+    "HeisenbergCheck",
+    "InvariantViolationError",
+    "LOG_CHUNK",
+    "MartensCurve",
+    "MartensReport",
+    "NonidealityMatrix",
+    "NotCompleteError",
+    "NotHermitianError",
+    "NotPositiveError",
+    "NumericPolicy",
+    "OutcomeDistribution",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
+    "PolarizationAngle",
+    "Povm",
+    "PovmBellError",
+    "PovmValidationError",
+    "Pvm",
+    "QUAD_LABELS",
+    "QuadrivariateBell",
+    "ShapeMismatchError",
+    "StateDescriptor",
+    "WW_LABELS",
+    "WhichWayConfig",
+    "as_matrix",
+    "born_probabilities",
+    "born_values",
+    "build_bell",
+    "build_whichway",
+    "certainty_check",
+    "chsh_aspect",
+    "chsh_report_from_distribution",
+    "chsh_single_run",
+    "correlation_from_distribution",
+    "empirical_chsh",
+    "empirical_frequencies",
+    "expectation",
+    "heisenberg_check",
+    "identity",
+    "joint_distribution",
+    "marginals_and_nonideality",
+    "marginals_from_distribution",
+    "martens_bound",
+    "martens_check",
+    "martens_sweep",
+    "measured_marginals",
+    "polarization_pvm",
+    "projector_from_angle",
+    "quad_distribution",
+    "read_event_log",
+    "row_entropy",
+    "sample",
+    "singlet_state",
+    "validate_effect_stack",
+    "validate_povm",
+    "write_event_log",
+)
+
+
+def test_public_surface_is_pinned():
+    assert PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
+    assert tuple(sorted(library_exports())) == PUBLIC_NAMES
 
 
 def _own_callables(module):
@@ -241,3 +332,138 @@ def test_readme_library_example_runs_and_prints_its_comment():
     printed = ast.literal_eval(result.stdout.splitlines()[0])
     assert list(printed) == list(documented)
     assert all(abs(printed[key] - documented[key]) <= 1e-12 for key in documented)
+
+
+# Junk for the library's parameters: ragged lists, strings, None, nested
+# objects and 0-d arrays. Text holds no path separator, so a junk path names
+# a file in the working directory, which the test sets to a scratch one.
+# Integers stay small: identity(n) of a large n is an honest allocation.
+JUNK_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.text(st.characters(blacklist_characters="/\\"), max_size=3),
+    st.builds(object),
+    st.builds(np.array, st.floats() | st.integers(-3, 3) | st.complex_numbers() | st.text(max_size=2)),
+    st.just([[1.0], [0.0, 1.0]]),
+)
+JUNK = st.recursive(
+    JUNK_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _plausible() -> dict[str, tuple]:
+    """Values a parameter of this name accepts, by name, so that a call can
+    pass its other parameters and reach the junk in one of them."""
+    one, pair = povmbell.StateDescriptor.pure([1.0, 0.0]), povmbell.singlet_state()
+    arm = povmbell.WhichWayConfig(0.3, 0.1, 0.9)
+    whichway = povmbell.build_whichway(arm)
+    bell = povmbell.build_bell(povmbell.BellConfig(arm, arm, pair))
+    dist = povmbell.quad_distribution(bell)
+    angle = (0.1,)
+    return {
+        "arm1": (arm,),
+        "arm2": (arm,),
+        "bell": (bell,),
+        "config": (arm, bell.config, "c"),
+        "config_descriptor": ("", "c"),
+        "dim": (2,),
+        "dist": (dist, povmbell.joint_distribution(whichway, one)),
+        "distribution": (dist,),
+        "entries": (np.eye(2),),
+        "gamma": (0.3,),
+        "gammas": ([0.0, 0.5],),
+        "generator": ("g",),
+        "indices": ([0, 1],),
+        "label": ("x",),
+        "label_set": (("a", "b"),),
+        "labels": (povmbell.WW_LABELS, povmbell.QUAD_LABELS),
+        "log": (povmbell.sample(bell.povm, pair, 5, 1),),
+        "matrix": (np.eye(2), np.eye(2) / 2),
+        "n": (3,),
+        "op": (povmbell.PAULI_Z,),
+        "op_a": (povmbell.PAULI_X,),
+        "op_b": (povmbell.PAULI_Z,),
+        "pair": (("D1", "D2"),),
+        "path": ("events.log",),
+        "povm": (whichway.povm, bell.povm),
+        "probs": ([0.5, 0.5],),
+        "seed": (1,),
+        "stack": (whichway.povm.stack,),
+        "state": (one, pair),
+        "theta": angle,
+        "theta_prime": angle,
+        "theta1": angle,
+        "theta1_prime": angle,
+        "theta2": angle,
+        "theta2_prime": angle,
+        "values": (np.eye(2),),
+        "vector": ([1.0, 0.0],),
+        "whichway": (whichway,),
+    }
+
+
+PLAUSIBLE = _plausible()
+# package objects where they do not belong count as junk too
+JUNK_ARGUMENT = JUNK | st.sampled_from([value for values in PLAUSIBLE.values() for value in values])
+# the functions and classes the package exports, called with junk
+EXPORTED_CALLABLES = sorted(
+    name for name, value in library_exports().items() if inspect.isfunction(value) or inspect.isclass(value)
+)
+# the event-log codec, whose file name may name no file that can be read or written
+CODEC = {"read_event_log", "write_event_log"}
+
+
+def junk_call(value, data) -> tuple[list, dict]:
+    """Arguments for `value`: junk in one drawn parameter, or in none, values
+    of its name before it, values or junk after it; each optional parameter
+    passed or not."""
+    try:
+        parameters = inspect.signature(value).parameters.values()
+    except ValueError:  # an exception class with the builtin constructor
+        return data.draw(st.lists(JUNK_ARGUMENT, max_size=2)), {}
+    parameters = [p for p in parameters if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+    target = data.draw(st.integers(0, len(parameters)), label="junk at")
+    args, kwargs = [], {}
+    for i, p in enumerate(parameters):
+        plausible = st.sampled_from(PLAUSIBLE[p.name]) if p.name in PLAUSIBLE else JUNK_ARGUMENT
+        if i == target:
+            argument = JUNK_ARGUMENT
+        else:
+            argument = plausible if i < target else plausible | JUNK_ARGUMENT
+        if p.default is p.empty:
+            args.append(data.draw(argument, label=p.name))
+        elif i == target or data.draw(st.booleans(), label=f"pass {p.name}"):
+            kwargs[p.name] = data.draw(argument, label=p.name)
+    return args, kwargs
+
+
+class TestJunkInput:
+    """Every export, called with junk, returns or raises a PovmBellError. The
+    front end `cli` is left out: its contract is the process's exit code."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def scratch_directory(self, tmp_path_factory):
+        home = os.getcwd()
+        os.chdir(tmp_path_factory.mktemp("junk"))
+        yield
+        os.chdir(home)
+
+    @pytest.mark.parametrize("name", EXPORTED_CALLABLES)
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_returns_or_raises_a_package_error(self, name, data):
+        value = getattr(povmbell, name)
+        args, kwargs = junk_call(value, data)
+        try:
+            value(*args, **kwargs)
+        except PovmBellError:
+            pass
+        except OSError:
+            assert name in CODEC, f"{name} raised OSError"

@@ -33,9 +33,9 @@ from povmbell import (
     polarization_pvm,
     projector_from_angle,
     validate_povm,
-    whichway_effects,
 )
-from povmbell.measurement import _qubit_sharp, povm_from_stack, validate_effect_stack
+from povmbell.measurement import _qubit_sharp, validate_effect_stack
+from povmbell.whichway import _effects
 from test_derived_povms import EDGE_GAMMAS
 
 
@@ -54,52 +54,52 @@ class TestEffect:
 
 class TestValidatePovm:
     def test_computational_basis_is_pvm(self):
-        povm = validate_povm([(np.diag([1.0, 0.0]), "0"), (np.diag([0.0, 1.0]), "1")])
+        povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ["0", "1"])
         assert isinstance(povm, Pvm)
         assert povm.labels == ("0", "1")
         assert povm.dim == 2
 
     def test_unsharp_povm_is_not_pvm(self):
-        povm = validate_povm([(0.7 * np.eye(2), "a"), (0.3 * np.eye(2), "b")])
+        povm = validate_povm([0.7 * np.eye(2), 0.3 * np.eye(2)], ["a", "b"])
         assert isinstance(povm, Povm)
         assert not isinstance(povm, Pvm)
 
     def test_incomplete_raises_with_deviation(self):
         e = np.diag([1.0, 0.0])
         with pytest.raises(NotCompleteError) as info:
-            validate_povm([(e, "a"), (e, "b")])
+            validate_povm([e, e], ["a", "b"])
         assert info.value.deviation == pytest.approx(1.0, abs=1e-15)
 
     def test_non_hermitian_raises(self):
         upper = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitianError) as info:
-            validate_povm([(upper, "a"), (np.eye(2) - upper, "b")])
+            validate_povm([upper, np.eye(2) - upper], ["a", "b"])
         assert info.value.deviation == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_effect_raises(self):
         with pytest.raises(NotPositiveError):
-            validate_povm([(np.diag([-0.1, 0.5]), "a"), (np.diag([1.1, 0.5]), "b")])
+            validate_povm([np.diag([-0.1, 0.5]), np.diag([1.1, 0.5])], ["a", "b"])
 
     def test_effect_above_one_raises(self):
         with pytest.raises(NotPositiveError):
-            validate_povm([(np.diag([1.2, 0.5]), "a"), (np.diag([-0.2, 0.5]), "b")])
+            validate_povm([np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])], ["a", "b"])
 
     def test_duplicate_labels_rejected(self):
         half = 0.5 * np.eye(2)
         with pytest.raises(DomainError):
-            validate_povm([(half, "x"), (half, "x")])
+            validate_povm([half, half], ["x", "x"])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            validate_povm([(np.eye(2), "a"), (np.zeros((3, 3)), "b")])
+            validate_povm([np.eye(2), np.zeros((3, 3))], ["a", "b"])
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            validate_povm([])
+        with pytest.raises(ShapeMismatchError, match="got 0 labels for 0 effects"):
+            validate_povm(np.zeros((0, 2, 2)), [])
 
-    def test_accepts_effect_objects(self):
-        povm = validate_povm([Effect(np.eye(2), "only")])
-        assert povm.labels == ("only",)
+    def test_label_count_must_match_the_stack(self):
+        with pytest.raises(ShapeMismatchError, match="got 1 labels for 2 effects"):
+            validate_povm([np.eye(2), np.zeros((2, 2))], ["a"])
 
     def test_random_povms_validate(self):
         rng = np.random.default_rng(201)
@@ -112,7 +112,7 @@ class TestValidatePovm:
         for k in range(8):
             t = k * math.pi / 8
             plus = projector_from_angle(t)
-            povm = validate_povm([(plus, "+"), (identity(2) - plus, "-")])
+            povm = validate_povm([plus, identity(2) - plus], ["+", "-"])
             assert isinstance(povm, Pvm)
 
     def test_effect_lookup(self):
@@ -154,7 +154,7 @@ def per_effect_validate(pairs, atol_algebra=1e-12, atol_positivity=1e-10):
 
 def stacked_outcome(pairs):
     try:
-        povm = validate_povm(pairs)
+        povm = validate_povm([m for m, _ in pairs], [label for _, label in pairs])
     except (NotHermitianError, NotPositiveError, NotCompleteError) as exc:
         quoted = str(exc).split("'")
         label = quoted[1] if type(exc) is not NotCompleteError else None
@@ -210,7 +210,7 @@ class TestStackedValidation:
             stacks.append(np.stack([e.matrix for e in random_povm(rng, 2, 2).effects]))
         # the batch passes the axiom checks at once; sharpness is classified per measurement
         assert validate_effect_stack(np.stack(stacks), ("0", "1")) is None
-        got = [type(povm_from_stack(s, ("0", "1"))).__name__ for s in stacks]
+        got = [type(validate_povm(s, ("0", "1"))).__name__ for s in stacks]
         want = [per_effect_validate(list(zip(s, ("0", "1"))))[0] for s in stacks]
         assert set(want) == {"Pvm", "Povm"}
         assert got == want
@@ -221,7 +221,7 @@ class TestStackedValidation:
 
 
 # Stacks for the scalar qubit branch of validate_effect_stack and
-# povm_from_stack: quantities at each tolerance, 1e-14 to 1e-9 inside or
+# validate_povm: quantities at each tolerance, 1e-14 to 1e-9 inside or
 # outside it, around which the branch must defer to the array path.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=1000)
 ALGEBRA, POSITIVITY = DEFAULT_POLICY.atol_algebra, DEFAULT_POLICY.atol_positivity
@@ -265,7 +265,7 @@ def qubit_stacks(draw):
     kind = draw(st.sampled_from(kinds))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
-        return whichway_effects(gamma, draw(ANGLES), draw(ANGLES))
+        return _effects(np.array(gamma), draw(ANGLES), draw(ANGLES))
     stack = draw(spectral_stacks(k=draw(st.integers(2, 4))))
     phase = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
     algebra, positivity = ALGEBRA + draw(OFFSETS), POSITIVITY + draw(OFFSETS)
@@ -335,7 +335,7 @@ def near_sharp_stacks(draw):
     kind = draw(st.sampled_from(["near", "whichway", "valid"]))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
-        return whichway_effects(gamma, draw(ANGLES), draw(ANGLES))
+        return _effects(np.array(gamma), draw(ANGLES), draw(ANGLES))
     if kind == "valid":
         return draw(spectral_stacks())
     t = abs(ALGEBRA + draw(OFFSETS))
@@ -373,7 +373,7 @@ class TestQubitBranch:
     @settings(PROPERTY, max_examples=400)
     @given(near_sharp_stacks())
     def test_classifies_as_the_residue_does(self, stack):
-        got = type(povm_from_stack(stack, labels_for(stack)))
+        got = type(validate_povm(stack, labels_for(stack)))
         worst = residue(stack)
         # a residue within 1e-15 of the tolerance, 100 times inside the
         # branch's margin, may round to either side between 2x2 and 8x8 products
@@ -395,7 +395,7 @@ class TestQubitBranch:
     def test_a_valid_whichway_arm_never_reaches_the_array_path(self, monkeypatch):
         gammas = (*EDGE_GAMMAS, 0.3)
         # the branch classifies every such arm, sharp or not
-        assert all(_qubit_sharp(whichway_effects(g, 0.4, 1.1).tolist()) is not None for g in gammas)
+        assert all(_qubit_sharp(_effects(np.array(g), 0.4, 1.1).tolist()) is not None for g in gammas)
         calls = []
         real = np.linalg.eigvalsh
 
@@ -408,7 +408,7 @@ class TestQubitBranch:
             build_whichway(WhichWayConfig(gamma, 0.4, 1.1))
         assert calls == []
         # the spy sees the array path
-        validate_effect_stack(whichway_effects([0.3], 0.4, 1.1), ("++", "+-", "-+", "--"))
+        validate_effect_stack(_effects(np.array([0.3]), 0.4, 1.1), ("++", "+-", "-+", "--"))
         assert calls == [(1, 4, 2, 2)]
 
 
@@ -443,7 +443,7 @@ class TestBornProbabilities:
         assert dist.prob("+") == pytest.approx(0.5, abs=1e-15)
 
     def test_trivial_single_effect(self):
-        povm = validate_povm([(np.eye(2), "all")])
+        povm = validate_povm([np.eye(2)], ["all"])
         dist = born_probabilities(StateDescriptor.pure([0.6, 0.8]), povm)
         assert dist.prob("all") == pytest.approx(1.0, abs=1e-15)
 
@@ -474,12 +474,7 @@ class TestBornProbabilities:
         povm = random_povm(rng, 2, 3)
         state = random_pure(rng, 2)
         fine = born_probabilities(state, povm)
-        merged = validate_povm(
-            [
-                (povm.effects[0].matrix + povm.effects[1].matrix, "01"),
-                (povm.effects[2].matrix, "2"),
-            ]
-        )
+        merged = validate_povm([povm.stack[0] + povm.stack[1], povm.stack[2]], ["01", "2"])
         coarse = born_probabilities(state, merged)
         assert coarse.prob("01") == pytest.approx(fine.prob("e0") + fine.prob("e1"), abs=1e-12)
 
@@ -540,23 +535,23 @@ class TestNonFinite:
     def test_effect_with_non_finite_entry_rejected(self, bad):
         effect = np.diag([1.0, 0.0]).astype(complex)
         effect[0, 1] = effect[1, 0] = bad
-        pairs = [(effect, "a"), (np.eye(2) - np.diag([1.0, 0.0]), "b")]
+        stack = np.array([effect, np.eye(2) - np.diag([1.0, 0.0])])
         with pytest.raises(NotHermitianError, match="'a'"):
-            validate_povm(pairs)
+            validate_povm(stack, ["a", "b"])
         with pytest.raises(NotHermitianError):
-            validate_effect_stack(np.array([m for m, _ in pairs]), ["a", "b"])
+            validate_effect_stack(stack, ["a", "b"])
 
     def test_infinite_effect_raises_the_typed_error_and_no_warning(self):
         # inf - inf in the hermiticity defect is a NaN defect, not a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotHermitianError, match="'a'") as info:
-                validate_povm([(np.full((2, 2), np.inf), "a"), (np.eye(2), "b")])
+                validate_povm([np.full((2, 2), np.inf), np.eye(2)], ["a", "b"])
         assert math.isnan(info.value.deviation)
 
     def test_all_nan_effect_rejected(self):
         with pytest.raises(NotHermitianError) as info:
-            validate_povm([(np.full((2, 2), np.nan), "a"), (np.eye(2), "b")])
+            validate_povm([np.full((2, 2), np.nan), np.eye(2)], ["a", "b"])
         assert math.isnan(info.value.deviation)
 
     def test_nan_in_batch_names_first_offender(self):

@@ -4,6 +4,8 @@ one input boundary every module converts caller arrays and numbers through."""
 from __future__ import annotations
 
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,28 +28,33 @@ from povmbell import (
     ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
-    as_angle,
     as_matrix,
     born_values,
+    build_bell,
     build_whichway,
     chsh_aspect,
+    chsh_report_from_distribution,
+    correlation_from_distribution,
+    empirical_chsh,
     empirical_frequencies,
     expectation,
     heisenberg_check,
-    hermiticity_defect,
     identity,
+    joint_distribution,
+    marginals_and_nonideality,
+    marginals_from_distribution,
     martens_check,
     martens_sweep,
-    povm_from_stack,
     projector_from_angle,
     quad_distribution,
+    read_event_log,
     row_entropy,
     sample,
     validate_effect_stack,
     validate_povm,
-    whichway_effects,
+    write_event_log,
 )
-from povmbell.qcore import _as_array
+from povmbell.qcore import _as_array, as_angle, hermiticity_defect
 
 
 class TestNumericPolicy:
@@ -343,9 +350,10 @@ JUNK = {
     "Effect-ragged": (lambda: Effect(RAGGED, "a"), ShapeMismatchError),
     "Povm-ragged": (lambda: Povm([RAGGED, RAGGED], ("a", "b")), ShapeMismatchError),
     "validate_effect_stack-string": (lambda: validate_effect_stack("abc", ["a"]), DomainError),
-    "validate_povm-ints": (lambda: validate_povm([1, 2]), DomainError),
-    "validate_povm-None": (lambda: validate_povm(None), DomainError),
-    "povm_from_stack-ragged": (lambda: povm_from_stack([RAGGED, RAGGED], ["a", "b"]), ShapeMismatchError),
+    "validate_povm-ints": (lambda: validate_povm([1, 2], ["a", "b"]), ShapeMismatchError),
+    "validate_povm-None": (lambda: validate_povm(np.eye(2)[None], None), DomainError),
+    "validate_povm-ragged": (lambda: validate_povm([RAGGED, RAGGED], ["a", "b"]), ShapeMismatchError),
+    "validate_povm-unhashable-labels": (lambda: validate_povm(np.eye(2)[None], [["a"]]), DomainError),
     "born_values-ragged": (lambda: born_values(STATE, [RAGGED], ["a"]), ShapeMismatchError),
     "distribution-strings": (lambda: OutcomeDistribution(("a", "b"), ["x", "y"]), DomainError),
     "from_values-ragged": (
@@ -354,7 +362,6 @@ JUNK = {
     ),
     "config-string-gamma": (lambda: WhichWayConfig("a", 0, 0), DomainError),
     "config-None-angle": (lambda: WhichWayConfig(0.3, None, 0), DomainError),
-    "whichway_effects-ragged": (lambda: whichway_effects([[0.1], [0.2, 0.3]], 0, 0), ShapeMismatchError),
     "nonideality-ragged": (lambda: NonidealityMatrix(RAGGED), ShapeMismatchError),
     "apply-ragged": (lambda: NonidealityMatrix(np.eye(2)).apply([[0.5], [0.5, 0.0]]), ShapeMismatchError),
     "row_entropy-ragged": (lambda: row_entropy(RAGGED), ShapeMismatchError),
@@ -382,6 +389,56 @@ JUNK = {
     ),
     "distribution-None-labels": (lambda: OutcomeDistribution(None, [1.0]), DomainError),
     "Povm-None-labels": (lambda: Povm(np.zeros((1, 1, 1)), None), DomainError),
+    "sample-stand-in-povm": (
+        lambda: sample(SimpleNamespace(labels=("a",)), None, 10, 1, distribution=OutcomeDistribution(("a",), [1.0])),
+        DomainError,
+    ),
+    "build_bell-None": (lambda: build_bell(None), DomainError),
+    "joint_distribution-None": (lambda: joint_distribution(None, STATE), DomainError),
+    "marginals_and_nonideality-None": (lambda: marginals_and_nonideality(None), DomainError),
+    "marginals_from_distribution-None": (lambda: marginals_from_distribution(None), DomainError),
+    "marginals_from_distribution-labels": (
+        lambda: marginals_from_distribution(OutcomeDistribution(("a",), [1.0])),
+        DomainError,
+    ),
+    "chsh_report_from_distribution-None": (lambda: chsh_report_from_distribution(None), DomainError),
+    "correlation_from_distribution-None": (
+        lambda: correlation_from_distribution(None, ("D1", "D2")),
+        DomainError,
+    ),
+    "correlation_from_distribution-0d-pair": (
+        lambda: correlation_from_distribution(None, np.array(0.5)),
+        DomainError,
+    ),
+    "correlation_from_distribution-array-pair": (
+        lambda: correlation_from_distribution(None, [np.zeros(2), np.zeros(2)]),
+        DomainError,
+    ),
+    "empirical_chsh-None": (lambda: empirical_chsh(None), DomainError),
+    "write_event_log-None": (lambda: write_event_log(None, "never-written.log"), DomainError),
+    "write_event_log-fd-path": (
+        lambda: write_event_log(EventLog("c", "g", 0, ("a",), [0]), 1),
+        DomainError,
+    ),
+    "read_event_log-None": (lambda: read_event_log(None), DomainError),
+    "read_event_log-nul-path": (lambda: read_event_log("a\0b"), DomainError),
+    "sample-array-descriptor": (
+        lambda: sample(
+            Povm(np.zeros((1, 1, 1)), ("a",)),
+            None,
+            1,
+            1,
+            config_descriptor=np.eye(2),
+            distribution=OutcomeDistribution(("a",), [1.0]),
+        ),
+        DomainError,
+    ),
+    "distribution-complex-probs": (lambda: OutcomeDistribution(("a", "b"), np.array([0.5j, 0.5])), DomainError),
+    # numpy's ComplexWarning, which the test run makes an error
+    "nonideality-nested-complex": (
+        lambda: NonidealityMatrix([[np.complex128(1.0), 0.0], [0.0, 1.0]]),
+        DomainError,
+    ),
 }
 
 
@@ -402,3 +459,18 @@ class TestInputBoundary:
             _as_array(None, float, "widths")
         with pytest.raises(ShapeMismatchError, match="^widths must be 2-D, got ndim=1$"):
             _as_array([1.0], np.float64, "widths", 2)
+
+    def test_complex_numpy_values_are_refused_where_reals_belong(self):
+        # outright, not only where numpy's ComplexWarning is made an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DomainError, match="^probabilities must be real, got complex values$"):
+                OutcomeDistribution(("a", "b"), np.array([0.5j, 0.5]))
+            with pytest.raises(DomainError, match="^gamma must be real, got complex values$"):
+                WhichWayConfig(np.complex128(0.5), 0.0, 0.0)
+
+    def test_object_errors_name_the_type_with_its_article(self):
+        with pytest.raises(DomainError, match="^log must be an EventLog, got NoneType$"):
+            empirical_frequencies(None)
+        with pytest.raises(DomainError, match="^state must be a StateDescriptor, got str$"):
+            expectation("psi", np.eye(2))

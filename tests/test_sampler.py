@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from povmbell import (
     DomainError,
     EventLog,
     OutcomeDistribution,
+    Povm,
     ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
@@ -358,6 +358,7 @@ class TestDrawReference:
     def test_indices_equal_chunked_searchsorted(self, case, n):
         probs = np.asarray(DRAW_CASES[case], dtype=np.float64)
         labels = tuple(f"o{i}" for i in range(len(probs)))
-        povm = SimpleNamespace(labels=labels, dim=1)  # `sample` reads only these of a given distribution
+        # with a distribution given, `sample` reads the POVM's labels and dim, not its effects
+        povm = Povm(np.zeros((len(labels), 1, 1)), labels)
         log = sample(povm, None, n, 11, distribution=OutcomeDistribution(labels, probs))
         assert np.array_equal(log.indices, reference_indices(probs, n, 11))

@@ -27,7 +27,7 @@ from povmbell import (
     polarization_pvm,
     projector_from_angle,
 )
-from povmbell.whichway import whichway_effects
+from povmbell.whichway import _effects
 
 
 class TestWhichWayConfig:
@@ -87,16 +87,12 @@ class TestBuildWhichway:
         rng = np.random.default_rng(305)
         gammas = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=10)])
         theta, theta_prime = 0.4, 2.3
-        stack = whichway_effects(gammas, theta, theta_prime)
+        stack = _effects(gammas, theta, theta_prime)
         assert stack.shape == (12, 4, 2, 2)
         for gamma, effects in zip(gammas, stack):
             ww = build_whichway(WhichWayConfig(float(gamma), theta, theta_prime))
             for effect, matrix in zip(ww.povm.effects, effects):
                 assert effect.matrix.tobytes() == matrix.tobytes()
-
-    def test_effect_stack_rejects_out_of_range_gamma(self):
-        with pytest.raises(DomainError):
-            whichway_effects([0.5, -0.1], 0.0, 1.0)
 
     def test_validity_over_grid(self):
         for gamma in np.linspace(0.0, 1.0, 11):
