@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
-from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor, _of_type
+from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor, _of_type, as_angle
 from .whichway import WW_LABELS, WhichWayConfig, _effects, build_whichway
 
 __all__ = [
@@ -68,9 +68,6 @@ CHSH_SIGNS = np.stack(
 CHSH_SIGNS.setflags(write=False)
 _QUAD_INDEX = {label: q for q, label in enumerate(QUAD_LABELS)}
 _PAIR_COLUMN = {pair: c for c, pair in enumerate(CHSH_PAIRS)}
-# the transmissivities of an arm in the four corners of `chsh_aspect`
-_CORNER_GAMMAS = np.array([1.0, 0.0])
-_CORNER_GAMMAS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -222,24 +219,28 @@ def chsh_aspect(
     angles (0, 45, 22.5, 67.5 degrees) reaches |s_value| = 2*sqrt(2).
 
     The corners tensor each arm's which-way effects at gamma = 1 and
-    gamma = 0, closed forms of the checked angles. They are reduced to the
-    four correlations here and never handed out, so they are not checked
-    at run time; the tests prove them POVMs (`tests/test_derived_povms.py`).
+    gamma = 0, formed by `whichway._effects` from the checked angles. They
+    are reduced to the four correlations here and never handed out, so they
+    are not checked at run time; the tests prove them POVMs
+    (`tests/test_derived_povms.py`). Their four Born rows get the checks of
+    `OutcomeDistribution.from_values` in one batch; if any fails, the rows
+    go through `from_values` one by one, which raises its own error.
     """
     if _of_type(state, StateDescriptor, "state").dim != 4:
         raise ShapeMismatchError(f"two-photon state must have dimension 4, got {state.dim}")
+    angles = [as_angle(theta) for theta in (theta1, theta1_prime, theta2, theta2_prime)]
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
-    corners = _joint_effects(
-        _effects(_CORNER_GAMMAS, theta1, theta1_prime),
-        _effects(_CORNER_GAMMAS, theta2, theta2_prime),
-    )
-    values = born_values(state, corners, QUAD_LABELS)
-    correlations = []
-    for c, row in enumerate(values):
-        dist = OutcomeDistribution.from_values(QUAD_LABELS, row)
-        correlations.append(float(dist.probs @ CHSH_SIGNS[:, c]))
-    return _combine(correlations)
+    arms = [np.array([_effects(gamma, *pair) for gamma in (1.0, 0.0)]) for pair in (angles[:2], angles[2:])]
+    values = born_values(state, _joint_effects(*arms), QUAD_LABELS)
+    tol = DEFAULT_POLICY.atol_positivity
+    if not (values.min() >= -tol and (np.abs(values.sum(axis=1) - 1.0) <= tol).all()):  # NaN fails
+        for row in values:
+            OutcomeDistribution.from_values(QUAD_LABELS, row)
+    # the clip and renormalization of `from_values`, row by row
+    probs = np.clip(values, 0.0, 1.0)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return _combine([float(probs[c] @ CHSH_SIGNS[:, c]) for c in range(4)])
 
 
 def singlet_state() -> StateDescriptor:

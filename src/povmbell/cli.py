@@ -46,6 +46,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .bell import (
+    CHSH_PAIRS,
+    QUAD_LABELS,
     BellConfig,
     ChshReport,
     QuadrivariateBell,
@@ -58,7 +60,7 @@ from .bell import (
 from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import MartensCurve, martens_check, martens_sweep
 from .measurement import OutcomeDistribution, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor, _as_array
+from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type
 from .sampler import (
     _MAX_SEED,
     _config_sha256,
@@ -69,6 +71,7 @@ from .sampler import (
     write_event_log,
 )
 from .whichway import (
+    WW_LABELS,
     BivariateWhichWay,
     WhichWayConfig,
     build_whichway,
@@ -95,10 +98,12 @@ SWEEP_CHUNK = 4096
 # most points a gamma_grid may hold, in either form
 _MAX_GRID = 10**7
 
-_NAMED_STATES: dict[str, tuple[float, ...]] = {
-    "H": (1.0, 0.0),
-    "V": (0.0, 1.0),
-    "diag": (2**-0.5, 2**-0.5),
+# the states a config may name, built once: a StateDescriptor is immutable
+_NAMED_STATES: dict[str, StateDescriptor] = {
+    "H": StateDescriptor.pure((1.0, 0.0)),
+    "V": StateDescriptor.pure((0.0, 1.0)),
+    "diag": StateDescriptor.pure((2**-0.5, 2**-0.5)),
+    "singlet": singlet_state(),
 }
 
 
@@ -197,13 +202,7 @@ def _choice_field(name: str, value: object, dim: int | None = None, *, choices: 
 
 def _state_field(name: str, value: object, dim: int) -> str | tuple[tuple[float, float], ...]:
     if isinstance(value, str):
-        if value == "singlet":
-            known_dim = 4
-        elif value in _NAMED_STATES:
-            known_dim = 2
-        else:
-            names = sorted(_NAMED_STATES) + ["singlet"]
-            raise ConfigError(name, f"unknown state name {value!r}; known names: {names}")
+        known_dim = _named_state(value).dim
         if known_dim != dim:
             raise ConfigError(
                 name, f"state {value!r} has dimension {known_dim}, this experiment needs {dim}"
@@ -222,6 +221,12 @@ def _state_field(name: str, value: object, dim: int) -> str | tuple[tuple[float,
             raise ConfigError(name, "amplitude list must not be the zero vector")
         return tuple(amplitudes)
     raise ConfigError(name, "must be a state name or an amplitude list")
+
+
+def _named_state(name: str) -> StateDescriptor:
+    if name not in _NAMED_STATES:
+        raise ConfigError("state", f"unknown state name {name!r}; known names: {sorted(_NAMED_STATES)}")
+    return _NAMED_STATES[name]
 
 
 def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
@@ -302,7 +307,7 @@ def _spec_items(spec: ExperimentSpec) -> list[tuple[str, object]]:
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """JSON-ready dict; spec_from_dict(spec_to_dict(s)) == s."""
     payload: dict = {}
-    for name, value in _spec_items(spec):
+    for name, value in _spec_items(_of_type(spec, ExperimentSpec, "spec")):
         if name == "state" and not isinstance(value, str):
             value = [[re, im] for re, im in value]
         elif name == "gamma_grid":
@@ -324,7 +329,7 @@ def resolve_state(
     unchanged, bit for bit.
     """
     if isinstance(state, str):
-        descriptor = singlet_state() if state == "singlet" else StateDescriptor.pure(_NAMED_STATES[state])
+        descriptor = _named_state(state)
     else:
         peak = max(max(abs(re), abs(im)) for re, im in state)
         exponent = math.frexp(peak)[1]
@@ -342,6 +347,11 @@ def resolve_state(
 
 def _slug(label: str) -> str:
     return label.replace("+", "p").replace("-", "m").replace(",", "_").replace("'", "p")
+
+
+# the column names of the probability and correlation cells, by label
+_P_COLUMNS = {label: f"p_{_slug(label)}" for label in (*WW_LABELS, *QUAD_LABELS)}
+_E_COLUMNS = {f"{a},{b}": f"E_{_slug(f'{a},{b}')}" for a, b in CHSH_PAIRS}
 
 
 def _state_text(state: str | tuple[tuple[float, float], ...]) -> str:
@@ -390,7 +400,7 @@ def _config_cells(spec: ExperimentSpec) -> dict:
 
 def _chsh_cells(report: ChshReport) -> dict:
     """The trailing cells of a bell or aspect row: its correlations and CHSH values."""
-    cells: dict = {f"E_{_slug(key)}": value for key, value in report.correlations.items()}
+    cells: dict = {_E_COLUMNS[key]: value for key, value in report.correlations.items()}
     cells["s_value"] = report.s_value
     cells["violates"] = report.violates
     cells["s_symmetric_max"] = report.s_symmetric_max
@@ -405,7 +415,7 @@ def run_whichway(spec: ExperimentSpec) -> Table:
     report = martens_check(whichway)
     row = _config_cells(spec)
     for label, p in dist.as_dict().items():
-        row[f"p_{_slug(label)}"] = p
+        row[_P_COLUMNS[label]] = p
     row["marg_d_plus"] = float(marg_d[0])
     row["marg_d_minus"] = float(marg_d[1])
     row["marg_dprime_plus"] = float(marg_dprime[0])
@@ -443,7 +453,7 @@ def run_bell(spec: ExperimentSpec) -> Table:
     dist = quad_distribution(bell)
     row = _config_cells(spec)
     for label, p in dist.as_dict().items():
-        row[f"p_{_slug(label)}"] = p
+        row[_P_COLUMNS[label]] = p
     row.update(_chsh_cells(chsh_report_from_distribution(dist)))
     return _one_row(row)
 
@@ -491,7 +501,7 @@ def run_sample(spec: ExperimentSpec) -> Table:
     for label in povm.labels:
         row[f"freq_{_slug(label)}"] = freqs[label]
     for label, p in analytic.as_dict().items():
-        row[f"p_{_slug(label)}"] = p
+        row[_P_COLUMNS[label]] = p
     if log.count:
         row["max_abs_deviation"] = max(abs(freqs[l] - analytic.prob(l)) for l in povm.labels)
     else:
@@ -595,6 +605,9 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
                 values = value[start : start + SWEEP_CHUNK].tolist()
                 yield (",\n" if start else "") + "      " + ",\n      ".join(map(repr, values))
             yield "\n    ]" + end
+        elif type(value) is int or (type(value) is float and math.isfinite(value)):
+            # the text json.dumps writes for an int or a finite float
+            yield f'    "{name}": {value!r}' + end
         else:
             # only the amplitude list of a state spans lines; the other
             # values take json's faster path for unindented text
@@ -725,9 +738,15 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+    except TypeError:
+        _main_parser().error(f"the command line must be a sequence of strings, got {type(argv).__name__}")
     args = _fast_args(argv)
     if args is None:
+        for token in argv:
+            if not isinstance(token, str):
+                _main_parser().error(f"command-line arguments must be strings, got {type(token).__name__}")
         args = _main_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)

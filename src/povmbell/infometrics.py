@@ -140,19 +140,6 @@ def _whichway_row_entropy(r: np.ndarray) -> np.ndarray:
     return -(r * np.log(ratio) + np.log(1.0 / total)) / 2 + 0.0  # never -0.0
 
 
-def _tradeoff(gammas: np.ndarray, bound: float) -> MartensCurve:
-    """The tradeoff over a 1-D array of checked transmissivities."""
-    j_lambda, j_mu = _whichway_row_entropy(np.stack((1.0 - gammas, gammas)))
-    slack = j_lambda + j_mu - bound
-    return MartensCurve(
-        j_lambda=j_lambda,
-        j_mu=j_mu,
-        bound=bound,
-        slack=slack,
-        satisfied=slack >= -DEFAULT_POLICY.atol_positivity,
-    )
-
-
 def martens_sweep(
     gammas: object,
     theta: float | PolarizationAngle,
@@ -163,7 +150,7 @@ def martens_sweep(
     The grid must be nonempty and 1-D (ShapeMismatchError), every point in
     [0, 1] (DomainError names the first that is not). The entropies and
     slacks are closed forms of gamma, computed as arrays over the grid by
-    the same code `martens_check` runs for one point; nothing is checked
+    the operations `martens_check` makes on one point; nothing is checked
     after the inputs.
     """
     grid = _as_array(gammas, np.float64, "gamma grid")
@@ -172,25 +159,36 @@ def martens_sweep(
     inside = (grid >= 0.0) & (grid <= 1.0)  # False for NaN
     if not inside.all():
         raise DomainError(f"gamma must lie in [0, 1], got {float(grid[~inside][0])!r}")
-    return _tradeoff(grid, martens_bound(theta, theta_prime))
+    bound = martens_bound(theta, theta_prime)
+    j_lambda, j_mu = _whichway_row_entropy(np.stack((1.0 - grid, grid)))
+    slack = j_lambda + j_mu - bound
+    return MartensCurve(
+        j_lambda=j_lambda,
+        j_mu=j_mu,
+        bound=bound,
+        slack=slack,
+        satisfied=slack >= -DEFAULT_POLICY.atol_positivity,
+    )
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:
     """Evaluate j_lambda + j_mu >= bound for one which-way configuration.
 
-    The one-point case of the sweep's tradeoff evaluation; the which-way
-    POVM was validated when it was built.
+    The sweep's `_whichway_row_entropy` at r = 1 - gamma and r = gamma, by
+    its operations on Python floats and its four logs in one np.log call,
+    so each value is the sweep's bit for bit. The which-way POVM was
+    validated when it was built.
     """
     config = _of_type(whichway, BivariateWhichWay, "whichway").config
     bound = martens_bound(config.theta, config.theta_prime)
-    curve = _tradeoff(np.array([config.gamma]), bound)
-    return MartensReport(
-        j_lambda=float(curve.j_lambda[0]),
-        j_mu=float(curve.j_mu[0]),
-        bound=bound,
-        slack=float(curve.slack[0]),
-        satisfied=bool(curve.satisfied[0]),
-    )
+    rs = (1.0 - config.gamma, config.gamma)
+    totals = [r + 1.0 for r in rs]
+    # r = 0 contributes 0 ln 0 = 0: its ratio is 1, whose log is 0
+    ratios = [r / total if r > 0.0 else 1.0 for r, total in zip(rs, totals)]
+    logs = np.log([*ratios, 1.0 / totals[0], 1.0 / totals[1]]).tolist()
+    j_lambda, j_mu = (-(r * logs[i] + logs[2 + i]) / 2 + 0.0 for i, r in enumerate(rs))
+    slack = j_lambda + j_mu - bound
+    return MartensReport(j_lambda, j_mu, bound, slack, slack >= -DEFAULT_POLICY.atol_positivity)
 
 
 class HeisenbergCheck(NamedTuple):

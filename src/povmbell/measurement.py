@@ -363,7 +363,7 @@ class OutcomeDistribution(ArrayRecord):
         raise DomainError(f"no outcome labeled {label!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return {lbl: float(p) for lbl, p in zip(self.labels, self.probs)}
+        return dict(zip(self.labels, self.probs.tolist()))
 
 
 def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) -> np.ndarray:

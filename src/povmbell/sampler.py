@@ -83,7 +83,7 @@ def _check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
     for label in labels:
         if not isinstance(label, str) or not label:
             raise DomainError(f"event labels must be nonempty strings, got {label!r}")
-        if any(char.isspace() for char in label):
+        if label.split() != [label]:  # str.split() splits at every char.isspace()
             raise DomainError(f"event label {label!r} contains whitespace")
         if label.startswith("#"):
             raise DomainError(f"event label {label!r} starts with '#'")

@@ -10,16 +10,18 @@ together and the "++" effect is the zero operator.
 
 The measured marginal in each branch is a column-stochastic smearing of the
 ideal sharp measurement along that branch's axis; `marginals_and_nonideality`
-returns those smearing matrices. `build_whichway` forms the four effects
-of one transmissivity and checks them with `validate_povm`; `chsh_aspect`
-forms those of the gamma = 1 and gamma = 0 corners by the same unchecked
-body, `_effects`. The smearing matrices are closed forms of gamma, and
-`infometrics` evaluates their row entropies over a grid in closed form,
+returns those smearing matrices. One scalar kernel, `_effects`, forms the
+four effects of one transmissivity from Python floats and complex numbers
+into one frozen (4, 2, 2) stack: `build_whichway` checks it with
+`validate_povm`, and `chsh_aspect` forms the gamma = 1 and gamma = 0
+corners with it, unchecked. The smearing matrices are closed forms of
+gamma, and `infometrics` evaluates their row entropies in closed form,
 without forming them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +36,6 @@ from .qcore import (
     _as_array,
     _of_type,
     as_angle,
-    identity,
-    projector_from_angle,
 )
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
 
 # outcome order is fixed: (D, D') click pattern, "+" = fired
 WW_LABELS = ("++", "+-", "-+", "--")
-# the identity the four effects of a which-way measurement sum to
-_IDENTITY = identity(2)
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,28 @@ class BivariateWhichWay:
     povm: Povm
 
 
+def _weighted_projector(weight: float, theta: float | PolarizationAngle) -> tuple[complex, ...]:
+    """The entries (00, 01, 10, 11) of weight * E+(theta), as Python complex,
+    each by the IEEE operations of `weight * projector_from_angle(theta)` in
+    numpy, in their order. So each is numpy's bit for bit, but where a
+    subnormal weight times an entry underflows to zero: numpy's complex
+    multiply on FMA hardware keeps the exact product's sign, which this one
+    rounds away."""
+    t = as_angle(theta).theta
+    c, s = complex(math.cos(t), 0.0), complex(math.sin(t), 0.0)
+    c_bar, s_bar = c.conjugate(), s.conjugate()
+    w = complex(weight, 0.0)
+    return w * (c * c_bar), w * (c * s_bar), w * (s * c_bar), w * (s * s_bar)
+
+
 def _effects(
-    g: np.ndarray,
+    gamma: float,
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
 ) -> np.ndarray:
-    """Which-way effect matrices for a float64 array of transmissivities in [0, 1].
+    """The which-way effects of one transmissivity gamma in [0, 1], as a frozen (4, 2, 2) stack.
 
-    Returns shape g.shape + (4, 2, 2): for every gamma, the four effects in
-    WW_LABELS order,
+    The four effects in WW_LABELS order:
       ++ : 0                            (both branches firing is impossible)
       +- : gamma * E+(theta)            (transmitted, analyzer passes)
       -+ : (1-gamma) * E+(theta')       (reflected, analyzer passes)
@@ -99,18 +110,25 @@ def _effects(
     combination of projectors, so positivity holds for every gamma in [0, 1].
     Every effect is affine in gamma, E(gamma) = gamma E(1) + (1-gamma) E(0),
     and the axioms survive convex combination, so the stack is a POVM for
-    every gamma in [0, 1]. Neither the gammas nor the stack are checked
-    here: `build_whichway` checks the POVM it hands out, and the tests prove
-    the stacks of the paths that reduce them to numbers
+    every gamma in [0, 1]. Formed from scalars, the stack is the numpy array
+    build's bit for bit (see `_weighted_projector`), which the tests keep as
+    the reference. Neither gamma nor the stack is checked here:
+    `build_whichway` checks the POVM it hands out, and the tests prove the
+    stacks of the paths that reduce them to numbers
     (`tests/test_derived_povms.py`).
     """
-    g = g[..., None, None]
-    transmitted = g * projector_from_angle(theta)
-    reflected = (1.0 - g) * projector_from_angle(theta_prime)
-    stack = np.zeros(transmitted.shape[:-2] + (4, 2, 2), dtype=np.complex128)
-    stack[..., 1, :, :] = transmitted
-    stack[..., 2, :, :] = reflected
-    stack[..., 3, :, :] = _IDENTITY - transmitted - reflected
+    t00, t01, t10, t11 = _weighted_projector(gamma, theta)
+    r00, r01, r10, r11 = _weighted_projector(1.0 - gamma, theta_prime)
+    # the rest of the identity, (I - transmitted) - reflected entry by entry
+    stack = np.array(
+        [
+            [[0j, 0j], [0j, 0j]],
+            [[t00, t01], [t10, t11]],
+            [[r00, r01], [r10, r11]],
+            [[1 + 0j - t00 - r00, 0j - t01 - r01], [0j - t10 - r10, 1 + 0j - t11 - r11]],
+        ]
+    )
+    stack.setflags(write=False)
     return stack
 
 
@@ -120,7 +138,7 @@ def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:
     The config checked its gamma when it was made.
     """
     _of_type(config, WhichWayConfig, "config")
-    effects = _effects(np.array(config.gamma), config.theta, config.theta_prime)
+    effects = _effects(config.gamma, config.theta, config.theta_prime)
     return BivariateWhichWay(config=config, povm=validate_povm(effects, WW_LABELS))
 
 

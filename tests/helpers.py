@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from povmbell import Povm, StateDescriptor, cli, martens_sweep, validate_povm
+from povmbell import Povm, StateDescriptor, cli, identity, martens_sweep, projector_from_angle, validate_povm
 from povmbell.bell import BellConfig
 from povmbell.whichway import WhichWayConfig
 
@@ -78,6 +78,23 @@ def random_bell_config(
         arm2=random_whichway_config(rng),
         state=state,
     )
+
+
+def whichway_effects_reference(gammas, theta, theta_prime) -> np.ndarray:
+    """Reference which-way effects: numpy arrays over a float64 array of gammas.
+
+    The array build that the scalar kernel `povmbell.whichway._effects`
+    replaced, of shape gammas.shape + (4, 2, 2): the effects of every gamma
+    in WW_LABELS order. The kernel must give each gamma's stack bit for bit.
+    """
+    g = np.asarray(gammas, dtype=np.float64)[..., None, None]
+    transmitted = g * projector_from_angle(theta)
+    reflected = (1.0 - g) * projector_from_angle(theta_prime)
+    stack = np.zeros(transmitted.shape[:-2] + (4, 2, 2), dtype=np.complex128)
+    stack[..., 1, :, :] = transmitted
+    stack[..., 2, :, :] = reflected
+    stack[..., 3, :, :] = identity(2) - transmitted - reflected
+    return stack
 
 
 def write_event_log_per_line(log, path) -> None:

@@ -21,6 +21,7 @@ from povmbell import (
     NotHermitianError,
     NotPositiveError,
     OutcomeDistribution,
+    PovmBellError,
     ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
@@ -33,6 +34,7 @@ from povmbell import (
     quad_distribution,
     singlet_state,
 )
+from povmbell import bell
 
 SQRT2 = math.sqrt(2.0)
 
@@ -401,6 +403,62 @@ class TestChshAspect:
         assert np.max(np.abs(np.array(got) - want)) <= 1e-15
         assert abs(report.s_value - (want[0] - want[1] + want[2] + want[3])) <= 1e-15
 
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.booleans(), ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_equals_the_per_row_distributions_bitwise(self, seed, pure, t1, t1p, t2, t2p):
+        # the batched check and renormalization give each correlation of
+        # OutcomeDistribution.from_values of its corner row, bit for bit
+        rng = np.random.default_rng(seed)
+        state = random_pure(rng, 4) if pure else random_density(rng, 4)
+        rows = []
+        real = bell.born_values
+
+        def spy(*args):
+            values = real(*args)
+            rows.extend(values)
+            return values
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bell, "born_values", spy)
+            report = chsh_aspect(state, t1, t1p, t2, t2p)
+        want = [
+            float(OutcomeDistribution.from_values(QUAD_LABELS, row).probs @ CHSH_SIGNS[:, c])
+            for c, row in enumerate(rows)
+        ]
+        assert list(report.correlations.values()) == want
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            {2: (5, -1e-3)},  # a negative probability beyond tolerance
+            {1: (0, 0.5)},  # a row that sums past 1
+            {3: (7, math.nan)},
+            {0: (15, math.inf)},
+            {3: (1, -1e-3), 1: (4, 0.25)},  # the first failing row names the error
+            {0: (3, -2e-10)},  # a shift just past the tolerance
+        ],
+    )
+    def test_corrupted_corner_raises_as_from_values(self, monkeypatch, corrupt):
+        real = bell.born_values
+        seen = []
+
+        def corrupted(*args):
+            values = real(*args).copy()
+            for row, (column, value) in corrupt.items():
+                values[row, column] += value
+            seen.append(values)
+            return values
+
+        monkeypatch.setattr(bell, "born_values", corrupted)
+        with pytest.raises(PovmBellError) as caught:
+            chsh_aspect(singlet_state(), 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+        (values,) = seen
+        with pytest.raises(PovmBellError) as expected:
+            for row in values:
+                OutcomeDistribution.from_values(QUAD_LABELS, row)
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
+
 
 class TestInvalidArmStacks:
     """A broken arm effect stack is refused by build_bell as by build_whichway."""
@@ -411,8 +469,8 @@ class TestInvalidArmStacks:
 
         original = whichway._effects
 
-        def broken(gammas, theta, theta_prime):
-            return ARM_CORRUPTIONS[error](original(gammas, theta, theta_prime))
+        def broken(gamma, theta, theta_prime):
+            return ARM_CORRUPTIONS[error](original(gamma, theta, theta_prime))
 
         # build_whichway, so every arm of build_bell, builds its effects here
         monkeypatch.setattr(whichway, "_effects", broken)

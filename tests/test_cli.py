@@ -35,7 +35,7 @@ from povmbell.cli import (
 )
 from povmbell.bell import QUAD_LABELS, BellConfig, build_bell, singlet_state
 from povmbell.measurement import polarization_pvm
-from povmbell.sampler import sample
+from povmbell.sampler import empirical_chsh, empirical_frequencies, sample
 from povmbell.whichway import WW_LABELS, WhichWayConfig
 from povmbell.qcore import StateDescriptor
 
@@ -406,7 +406,7 @@ VALID_FIELDS = {
 
 
 def valid_states(dim):
-    names = ["singlet"] if dim == 4 else sorted(cli._NAMED_STATES)
+    names = sorted(name for name, state in cli._NAMED_STATES.items() if state.dim == dim)
     entry = st.one_of(AMPLITUDES, st.lists(AMPLITUDES, min_size=2, max_size=2))
     amplitudes = st.lists(entry, min_size=dim, max_size=dim).filter(
         lambda amps: any(x != 0.0 for a in amps for x in (a if isinstance(a, list) else [a]))
@@ -922,6 +922,38 @@ class TestSampleCommand:
         capsys.readouterr()
         assert checked == 576
 
+    @pytest.mark.parametrize("workload", ["sweep", "config-mix"])
+    def test_benchmark_tiny_pass_passes_its_output_checks(self, workload, tmp_path, capsys, monkeypatch):
+        # one tiny pass of a benchmark workload, each call checked by the
+        # benchmark's own output checks as its worker checks them, so that a
+        # change that makes the benchmark count failed ops fails here first
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        modules = {}
+        for name in ("workloads", "checks"):
+            module = types.ModuleType(name)  # run from its source: no bytecode is written
+            module.__file__ = str(perfbench / f"{name}.py")
+            monkeypatch.setitem(sys.modules, name, module)  # where a dataclass looks itself up
+            exec(compile(Path(module.__file__).read_text(encoding="utf-8"), module.__file__, "exec"), module.__dict__)
+            modules[name] = module
+        workloads, checks = modules["workloads"], modules["checks"]
+        calls = workloads.Workload(workload, 77, tiny=True).calls(0, tmp_path)
+        kinds = {"sweep"} if workload == "sweep" else {"whichway", "bell", "aspect", "sample"}
+        assert {call.kind for call in calls} == kinds
+        for call in calls:
+            code = main(call.argv)
+            out, err = capsys.readouterr()
+            assert code == 0, (call.argv, err)
+            rows = checks.parse_table(out, call.expect.get("format", "csv"))
+            if call.kind != "sample":
+                checks.CHECKS[call.kind](rows, call.expect)
+                continue
+            log_path = Path(call.expect["log_path"])
+            readback = read_event_log(log_path)
+            chsh = empirical_chsh(readback) if call.expect["experiment"] == "bell" else None
+            freqs = empirical_frequencies(readback)
+            rewrite = log_path.with_suffix(".rewrite")
+            checks.check_sample(rows, call.expect, log_path.read_bytes(), readback, freqs, chsh, rewrite)
+
     def test_missing_out_is_config_error(self, tmp_path, capsys):
         payload = {
             "experiment": "whichway",
@@ -1108,6 +1140,24 @@ class TestParser:
         capsys.readouterr()
         assert main(["bell", "--config", config]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (5, "the command line must be a sequence of strings, got int"),
+            ([1], "command-line arguments must be strings, got int"),
+            (["whichway", "--config", 3], "command-line arguments must be strings, got int"),
+        ],
+        ids=["not-a-sequence", "int-token", "int-value"],
+    )
+    def test_junk_command_line_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: povmbell")
+        assert captured.err.endswith(f"povmbell: error: {message}\n")
 
     def test_spec_dataclass_defaults(self):
         spec = ExperimentSpec(kind="whichway")

@@ -142,7 +142,8 @@ class TestDerivedMeasurementsPassTheFullCheck:
     @given(angle_pairs(), st.lists(GAMMAS, max_size=64), st.integers(2, 2000))
     def test_dense_sweep_grid(self, angles, drawn, count):
         grid = np.concatenate([EDGE_GAMMAS, np.linspace(0.0, 1.0, count), drawn])
-        validate_effect_stack(whichway._effects(grid, *angles), WW_LABELS)
+        stacks = np.array([whichway._effects(gamma, *angles) for gamma in grid.tolist()])
+        validate_effect_stack(stacks, WW_LABELS)
         curve = martens_sweep(grid, *angles)
         assert curve.j_lambda.shape == grid.shape
 

@@ -265,7 +265,7 @@ def qubit_stacks(draw):
     kind = draw(st.sampled_from(kinds))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
-        return _effects(np.array(gamma), draw(ANGLES), draw(ANGLES))
+        return _effects(gamma, draw(ANGLES), draw(ANGLES))
     stack = draw(spectral_stacks(k=draw(st.integers(2, 4))))
     phase = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
     algebra, positivity = ALGEBRA + draw(OFFSETS), POSITIVITY + draw(OFFSETS)
@@ -335,7 +335,7 @@ def near_sharp_stacks(draw):
     kind = draw(st.sampled_from(["near", "whichway", "valid"]))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
-        return _effects(np.array(gamma), draw(ANGLES), draw(ANGLES))
+        return _effects(gamma, draw(ANGLES), draw(ANGLES))
     if kind == "valid":
         return draw(spectral_stacks())
     t = abs(ALGEBRA + draw(OFFSETS))
@@ -395,7 +395,7 @@ class TestQubitBranch:
     def test_a_valid_whichway_arm_never_reaches_the_array_path(self, monkeypatch):
         gammas = (*EDGE_GAMMAS, 0.3)
         # the branch classifies every such arm, sharp or not
-        assert all(_qubit_sharp(_effects(np.array(g), 0.4, 1.1).tolist()) is not None for g in gammas)
+        assert all(_qubit_sharp(_effects(g, 0.4, 1.1).tolist()) is not None for g in gammas)
         calls = []
         real = np.linalg.eigvalsh
 
@@ -408,7 +408,7 @@ class TestQubitBranch:
             build_whichway(WhichWayConfig(gamma, 0.4, 1.1))
         assert calls == []
         # the spy sees the array path
-        validate_effect_stack(_effects(np.array([0.3]), 0.4, 1.1), ("++", "+-", "-+", "--"))
+        validate_effect_stack(_effects(0.3, 0.4, 1.1)[None], ("++", "+-", "-+", "--"))
         assert calls == [(1, 4, 2, 2)]
 
 

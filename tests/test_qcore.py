@@ -17,6 +17,7 @@ from povmbell import (
     PAULI_Y,
     PAULI_Z,
     BellConfig,
+    ConfigError,
     DomainError,
     Effect,
     EventLog,
@@ -54,6 +55,7 @@ from povmbell import (
     validate_povm,
     write_event_log,
 )
+from povmbell import cli
 from povmbell.qcore import _as_array, as_angle, hermiticity_defect
 
 
@@ -439,6 +441,9 @@ JUNK = {
         lambda: NonidealityMatrix([[np.complex128(1.0), 0.0], [0.0, 1.0]]),
         DomainError,
     ),
+    # the front end's library calls
+    "resolve_state-unknown-name": (lambda: cli.resolve_state("bogus", 2), ConfigError),
+    "spec_to_dict-None": (lambda: cli.spec_to_dict(None), DomainError),
 }
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -101,6 +103,15 @@ class TestEventLog:
     def test_rejects_label_sets_the_format_cannot_hold(self, label_set):
         with pytest.raises(DomainError):
             EventLog("c", "g", 0, label_set, [])
+
+    def test_every_whitespace_code_point_in_a_label_is_refused(self):
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert len(spaces) == 29
+        for space in spaces:
+            for label in (f"a{space}b", f"{space}a", f"a{space}", space, space * 2):
+                message = f"^{re.escape(f'event label {label!r} contains whitespace')}$"
+                with pytest.raises(DomainError, match=message):
+                    EventLog("c", "g", 0, ("x", label), [])
 
     @pytest.mark.parametrize(
         ("config", "generator"),

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import random_pure, random_state, random_whichway_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_pure, random_state, random_whichway_config, whichway_effects_reference
 from povmbell import (
     WW_LABELS,
     BivariateWhichWay,
@@ -87,7 +91,7 @@ class TestBuildWhichway:
         rng = np.random.default_rng(305)
         gammas = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=10)])
         theta, theta_prime = 0.4, 2.3
-        stack = _effects(gammas, theta, theta_prime)
+        stack = whichway_effects_reference(gammas, theta, theta_prime)
         assert stack.shape == (12, 4, 2, 2)
         for gamma, effects in zip(gammas, stack):
             ww = build_whichway(WhichWayConfig(float(gamma), theta, theta_prime))
@@ -98,6 +102,54 @@ class TestBuildWhichway:
         for gamma in np.linspace(0.0, 1.0, 11):
             for delta in np.linspace(0.0, math.pi / 2, 9):
                 build_whichway(WhichWayConfig(float(gamma), delta, 0.0))
+
+
+# gammas and angles at the edges of what the kernel's arithmetic meets:
+# exact corners, the smallest normal and subnormal gammas, one ulp inside 1,
+# angles whose sine or cosine is tiny or negative
+KERNEL_GAMMAS = (0.0, 1.0, 1e-300, sys.float_info.min, 5e-324, 1e-16, 1.0 - 1e-16, 0.5, 0.37)
+KERNEL_ANGLES = (
+    0.0, math.pi / 2, math.pi / 4, 3.0, 1e-300, 5e-324, math.pi - 1e-12, math.pi, -1.0, 1e300, 2.3,
+    PolarizationAngle(1.7),
+)
+
+
+def assert_kernel_equals_reference(gamma, theta, theta_prime):
+    """The kernel's stack is the array build's, bit for bit.
+
+    For a subnormal gamma, a product gamma * E+(theta)[i, j] can underflow to
+    zero; numpy's complex multiply on FMA hardware then keeps the sign of the
+    exact product, where the scalar product rounds it first. There the
+    stacks are equal entry for entry (`np.array_equal`, under which only a
+    zero's sign can differ).
+    """
+    got = _effects(gamma, theta, theta_prime)
+    want = whichway_effects_reference(gamma, theta, theta_prime)
+    assert got.shape == (4, 2, 2) and got.dtype == np.complex128
+    assert not got.flags.writeable and got.base is None
+    if gamma == 0.0 or gamma >= sys.float_info.min:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestEffectKernel:
+    """`_effects` forms the stack from scalars; the array build is the reference."""
+
+    @pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
+    def test_equals_the_array_build_at_the_edges(self, gamma):
+        for theta in KERNEL_ANGLES:
+            for theta_prime in KERNEL_ANGLES:
+                assert_kernel_equals_reference(gamma, theta, theta_prime)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(KERNEL_GAMMAS) | st.floats(0.0, 1.0),
+        st.sampled_from(KERNEL_ANGLES) | st.floats(-1e6, 1e6),
+        st.sampled_from(KERNEL_ANGLES) | st.floats(-1e6, 1e6),
+    )
+    def test_equals_the_array_build(self, gamma, theta, theta_prime):
+        assert_kernel_equals_reference(gamma, theta, theta_prime)
 
 
 class TestJointDistribution:
