@@ -10,14 +10,15 @@ axiom-preserving operation (tensor product, convex combination) are proved
 in tests, not re-checked. A `Povm` keeps its effects as one frozen stack, so
 the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
 
-One qubit stack of shape (k, 2, 2), such as a which-way arm, is first
-checked in scalar Python, where numpy's per-call dispatch would cost more than
-the arithmetic on 4k numbers: hermiticity, the closed-form eigenvalues,
-completeness, and in `validate_povm` the sharpness residue. That branch
-only certifies: it returns a verdict when every quantity clears its tolerance
-by `_CERTAIN`, and never raises. Failing stacks, NaN or infinite entries,
-stacks within `_CERTAIN` of a tolerance, batches and d > 2 take the array
-path, which gives every error, message and deviation.
+`validate_povm` checks one qubit stack of shape (k, 2, 2), such as a
+which-way arm, first in scalar Python, where numpy's per-call dispatch would
+cost more than the arithmetic on 4k numbers: hermiticity, the closed-form
+eigenvalues, completeness and the sharpness residue, in `_qubit_class`. That
+verdict only certifies: it answers when every quantity clears its tolerance
+by `_CERTAIN`, and never raises. Failing stacks, NaN or infinite entries and
+stacks within `_CERTAIN` of a tolerance take the array path, as d > 2 stacks
+and every `validate_effect_stack` call do; it gives every error, message and
+deviation.
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ def _label_tuple(labels: object) -> tuple:
 _CERTAIN = 1e-13
 
 
-def _qubit_certified(rows: list) -> bool:
-    """True when the (k, 2, 2) effects `rows` (nested lists of complex) clear
-    hermiticity, eigenvalues in [0, 1] and completeness by `_CERTAIN` each.
+def _qubit_class(rows: list) -> type[Povm] | None:
+    """Pvm or Povm for the (k, 2, 2) effects `rows` (nested lists of complex)
+    when hermiticity, eigenvalues in [0, 1], completeness and the sharpness
+    residue of `validate_povm` each clear their tolerance by `_CERTAIN`.
 
-    False means "not shown", never "failed". Float and complex arithmetic and
+    None means "not shown", never "failed". Float and complex arithmetic and
     math.hypot give inf or NaN rather than raise, and every comparison is
     phrased so that NaN fails it; a NaN or infinite entry reaches the sums.
     """
@@ -167,34 +169,28 @@ def _qubit_certified(rows: list) -> bool:
             and 2.0 * abs(d.imag) <= algebra
             and math.hypot(b.real - c.real, b.imag + c.imag) <= algebra
         ):
-            return False
+            return None
         # eigenvalues of the Hermitian matrix of the lower triangle, which is
         # what eigvalsh reads: (a + d)/2 -+ hypot((a - d)/2, |c|)
         mean = (a.real + d.real) / 2.0
         radius = math.hypot((a.real - d.real) / 2.0, c.real, c.imag)
         if not (mean - radius >= low and mean + radius <= high):
-            return False
+            return None
         s00 += a
         s01 += b
         s10 += c
         s11 += d
-    return (
+    if not (
         math.hypot(s00.real - 1.0, s00.imag) <= algebra
         and math.hypot(s01.real, s01.imag) <= algebra
         and math.hypot(s10.real, s10.imag) <= algebra
         and math.hypot(s11.real - 1.0, s11.imag) <= algebra
-    )
-
-
-def _qubit_sharp(rows: list) -> bool | None:
-    """Whether the checked (k, 2, 2) effects `rows` form a Pvm, when the
-    sharpness residue of `validate_povm` clears atol_algebra by `_CERTAIN`;
-    None when it lies within `_CERTAIN` of it. Checked entries have size
-    about 1 at most, so no product or `abs` here can overflow."""
-    tol = DEFAULT_POLICY.atol_algebra
+    ):
+        return None
+    # the checked entries have size about 1 at most: no product overflows.
+    # The diagonal blocks first: an unsharp effect is rarely idempotent
     worst = 0.0
     k = len(rows)
-    # the diagonal blocks first: an unsharp effect is rarely idempotent
     for offset in range(k):
         for i in range(k - offset):
             (a, b), (c, d) = rows[i]
@@ -204,10 +200,10 @@ def _qubit_sharp(rows: list) -> bool | None:
             if not offset:
                 p00, p01, p10, p11 = p00 - a, p01 - b, p10 - c, p11 - d
             residue = max(abs(p00), abs(p01), abs(p10), abs(p11))
-            if residue > tol + _CERTAIN:
-                return False
+            if residue > DEFAULT_POLICY.atol_algebra + _CERTAIN:
+                return Povm
             worst = max(worst, residue)
-    return True if worst <= tol - _CERTAIN else None
+    return Pvm if worst <= algebra else None
 
 
 def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
@@ -221,9 +217,7 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     first offending effect (batch entries and effects in input order) and
     carries that effect's deviation, or the failing measurement's
     completeness defect. An effect with a NaN or infinite entry fails the
-    hermiticity check. Returns None when every measurement passes. One
-    (k, 2, 2) stack that clears every check by a margin returns from the
-    scalar branch (see the module docstring) without reaching the arrays.
+    hermiticity check. Returns None when every measurement passes.
     """
     effects = _as_array(stack, np.complex128, "effect stack")
     if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
@@ -232,8 +226,6 @@ def validate_effect_stack(stack: object, labels: Sequence[str]) -> None:
     labels = _label_tuple(labels)
     if k == 0 or len(labels) != k:
         raise ShapeMismatchError(f"got {len(labels)} labels for {k} effects")
-    if effects.ndim == 3 and dim == 2 and _qubit_certified(effects.tolist()):
-        return
 
     def first(failing: np.ndarray) -> tuple[int, ...]:
         # index of the first True of `failing`, in C order over its axes
@@ -285,20 +277,22 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
 
     The one checked constructor of a measurement from caller effects:
     `stack[i]` is the effect labeled `labels[i]`, and the labels must be
-    unique (DomainError). The axioms are checked by one
-    `validate_effect_stack` call; returns a Pvm when the measurement is
-    sharp (every effect idempotent, distinct effects mutually orthogonal,
-    all within atol_algebra), otherwise a plain Povm. A qubit stack whose
-    residue clears atol_algebra by a margin is classified in scalar Python.
+    unique (DomainError). Returns a Pvm when the measurement is sharp (every
+    effect idempotent, distinct effects mutually orthogonal, all within
+    atol_algebra), otherwise a plain Povm. A qubit stack that clears every
+    tolerance by a margin is certified and classified in one scalar pass
+    (see the module docstring); any other stack is checked by
+    `validate_effect_stack` and classified by the array residue.
     """
     effects = _as_array(stack, np.complex128, "effect stack", 3, frozen=True)
     labels = _label_tuple(labels)
     if len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
+    if effects.shape[1:] == (2, 2) and len(effects) == len(labels):
+        cls = _qubit_class(effects.tolist())
+        if cls is not None:
+            return cls(stack=effects, labels=labels)
     validate_effect_stack(effects, labels)
-    sharp = _qubit_sharp(effects.tolist()) if effects.shape[1] == 2 else None
-    if sharp is not None:
-        return (Pvm if sharp else Povm)(stack=effects, labels=labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
     # means E_i E_i - E_i = 0 (diagonal blocks) and E_i E_j = 0 for i < j.
@@ -382,6 +376,9 @@ def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) ->
         raise ShapeMismatchError(
             f"effect shape {effects.shape[-2:]} does not match state dimension {dim}"
         )
+    labels = _label_tuple(labels)
+    if len(labels) != effects.shape[-3]:
+        raise ShapeMismatchError(f"got {len(labels)} labels for {effects.shape[-3]} effects")
     if state.is_pure:
         vec = state.vector
         values = np.einsum("i,...ij,j->...", vec.conj(), effects, vec)

@@ -97,13 +97,17 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
     The builtin `float` gives a Python float by `float()`; a numpy dtype (or
     None, numpy's choice) an array, of `ndim` dimensions if given. Ragged
     input raises ShapeMismatchError; entries that are not numbers, and complex
-    numpy values where `dtype` is real, DomainError (inside a list, only where
-    numpy's ComplexWarning is an error). A `frozen` array is read-only: a
+    values where `dtype` is real (a list is read by numpy's choice first, so
+    that a nested one shows), DomainError. A `frozen` array is read-only: a
     read-only array of `dtype` that owns its memory passes through, anything
     else is copied; no caller write reaches it.
     """
     if dtype is np.float64 or dtype is float:
-        if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind == "c":
+        if dtype is np.float64 and not isinstance(values, (np.ndarray, np.generic)):
+            values = _as_array(values, None, what, frozen=frozen)  # keeps nested complex values complex
+        if isinstance(values, (np.ndarray, np.generic)) and (
+            values.dtype.kind == "c" or values.dtype.kind == "O" and any(map(np.iscomplexobj, values.flat))
+        ):
             raise DomainError(f"{what} must be real, got complex values")
     try:
         if dtype is float:
@@ -141,9 +145,12 @@ def as_matrix(values: object) -> ComplexMatrix:
 
 
 def identity(dim: int) -> ComplexMatrix:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DomainError(f"dimension must be a positive integer, got {dim!r}")
-    return as_matrix(np.eye(dim))
+    try:
+        return as_matrix(np.eye(dim))
+    except ValueError:  # more entries than one numpy array can hold
+        raise DomainError(f"dimension {dim!r} is too large for one array") from None
 
 
 def hermiticity_defect(mat: object) -> float:

@@ -21,7 +21,7 @@ found it sharp: P^2 - P = (cos^2 + sin^2 - 1) P is rounding dust, so its
 projectors classify as `Pvm` at every finite angle.
 
 The tests here run the full `validate_effect_stack` on what those paths
-build or stand for, and pin that the paths themselves do not.
+build or stand for, and pin that the paths themselves call no `validate_povm`.
 """
 
 from __future__ import annotations
@@ -162,20 +162,20 @@ class TestDerivedMeasurementsPassTheFullCheck:
 
 
 class TestRuntimeChecks:
-    """Only POVMs handed to the caller reach `validate_effect_stack`."""
+    """Only POVMs handed to the caller reach `validate_povm`."""
 
     @pytest.fixture
     def checked_shapes(self, monkeypatch):
         shapes = []
-        real = measurement.validate_effect_stack
+        real = measurement.validate_povm
 
         def spy(stack, labels, **kwargs):
             shapes.append(np.shape(stack))
             return real(stack, labels, **kwargs)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("povmbell") and getattr(module, "validate_effect_stack", None) is real:
-                monkeypatch.setattr(module, "validate_effect_stack", spy)
+            if name.startswith("povmbell") and getattr(module, "validate_povm", None) is real:
+                monkeypatch.setattr(module, "validate_povm", spy)
         return shapes
 
     @pytest.fixture

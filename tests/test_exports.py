@@ -10,8 +10,9 @@ class, called with junk, returns or raises a `PovmBellError`. The checks run
 against one fixed table of tolerances (`DEFAULT_POLICY`), so no callable
 takes a tolerance argument. No linter is assumed, so an `ast` walk stands in
 for an unused-import check; another finds caller input converted anywhere
-but `qcore._as_array`. Every function the benchmark's tracer wraps must
-exist, or `--trace 1` fails.
+but `qcore._as_array`, and a third the scalar qubit POVM verdict named
+anywhere but in `measurement.validate_povm`. Every function the
+benchmark's tracer wraps must exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
 re-exports is the one `sampler` defines and `cli` imports. The README's
 Library example runs as written and prints what its comment shows.
@@ -280,6 +281,60 @@ def test_conversion_check_finds_raw_conversions():
         "f: np.array(x)",
         "f: np.asarray(y, dtype=float)",
         "__post_init__: float(self.theta)",
+    ]
+
+
+# the scalar qubit POVM verdict, whose one caller is `validate_povm`
+VERDICT = "_qubit_class"
+
+
+def verdict_references(source: str) -> list[str]:
+    """`function: reference` for each name, attribute, import or string in
+    `source` that is the scalar verdict, outside `validate_povm`; code
+    outside any function counts as `<module>`."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = (
+                getattr(child, "id", None),
+                getattr(child, "attr", None),
+                child.name if isinstance(child, ast.alias) else None,
+                child.value if isinstance(child, ast.Constant) else None,
+            )
+            if VERDICT in names and owner != "validate_povm":
+                found.append(f"{owner}: {ast.unparse(child)}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_only_validate_povm_reaches_the_scalar_verdict(path):
+    assert callable(getattr(povmbell.measurement, VERDICT))
+    assert verdict_references(path.read_text()) == []
+
+
+def test_verdict_check_finds_other_callers():
+    source = (
+        "from .measurement import _qubit_class as verdict\n"
+        "CHECK = measurement._qubit_class\n"
+        "def validate_povm(stack):\n"
+        "    return _qubit_class(stack.tolist())\n"
+        "def validate_effect_stack(stack):\n"
+        "    def inner():\n"
+        "        return getattr(measurement, '_qubit_class')\n"
+        "    return _qubit_class(stack.tolist())\n"
+    )
+    assert verdict_references(source) == [
+        "<module>: _qubit_class as verdict",
+        "<module>: measurement._qubit_class",
+        "inner: '_qubit_class'",
+        "validate_effect_stack: _qubit_class",
     ]
 
 

@@ -1,10 +1,11 @@
 """Unit tests for POVM validation and Born-rule distributions, and for the
-scalar qubit branch of the validation against the array path."""
+scalar qubit verdict of `validate_povm` against the array path."""
 
 from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from povmbell import (
     projector_from_angle,
     validate_povm,
 )
-from povmbell.measurement import _qubit_sharp, validate_effect_stack
+from povmbell import measurement
+from povmbell.measurement import _qubit_class, validate_effect_stack
 from povmbell.whichway import _effects
 from test_derived_povms import EDGE_GAMMAS
 
@@ -220,9 +222,9 @@ class TestStackedValidation:
             validate_effect_stack(np.stack([np.eye(2)]), ("a", "b"))
 
 
-# Stacks for the scalar qubit branch of validate_effect_stack and
-# validate_povm: quantities at each tolerance, 1e-14 to 1e-9 inside or
-# outside it, around which the branch must defer to the array path.
+# Stacks for the scalar qubit verdict of validate_povm: quantities at each
+# tolerance, 1e-14 to 1e-9 inside or outside it, around which the verdict
+# must defer to the array path.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=1000)
 ALGEBRA, POSITIVITY = DEFAULT_POLICY.atol_algebra, DEFAULT_POLICY.atol_positivity
 OFFSETS = st.one_of(
@@ -295,6 +297,10 @@ def qubit_stacks(draw):
         shift = (target - eigs[i]) * np.outer(vecs[:, i], vecs[:, i].conj())
         stack[0] += shift
         stack[1:] -= shift / (len(stack) - 1)
+        if draw(st.booleans()):
+            # the others equal: for k > 2 each moves by a (k - 1)th of the
+            # shift, within tolerance, so effect 0 alone fails
+            stack[1:] = (np.eye(2) - stack[0]) / (len(stack) - 1)
     elif kind == "complete":  # a Hermitian excess of size `algebra`
         if draw(st.booleans()):
             i = draw(st.integers(0, 1))
@@ -312,16 +318,24 @@ def qubit_stacks(draw):
     return stack
 
 
-def outcome(call):
-    """What a check does: None, or the error's class, message and deviation (NaN as a string)."""
+def outcome(stack, labels):
+    """What `validate_povm` does: the class it returns, or the error's class,
+    message and deviation (NaN as a string)."""
     try:
-        call()
+        return type(validate_povm(stack, labels))
     except PovmBellError as exc:
         deviation = exc.deviation
         if deviation is not None and math.isnan(deviation):
             deviation = "nan"
         return type(exc), str(exc), deviation
-    return None
+
+
+def array_outcome(stack, labels):
+    """`outcome` with the scalar verdict showing nothing, so that the array path decides."""
+    with mock.patch.object(measurement, "_qubit_class", return_value=None) as verdict:
+        found = outcome(stack, labels)
+    assert verdict.call_count == 1
+    return found
 
 
 @st.composite
@@ -359,16 +373,13 @@ def residue(stack):
 
 
 class TestQubitBranch:
-    """The scalar qubit branch gives the verdict of the array path, or defers to it."""
+    """The scalar qubit verdict gives the verdict of the array path, or defers to it."""
 
     @PROPERTY
     @given(qubit_stacks())
     def test_agrees_with_the_array_path(self, stack):
         labels = labels_for(stack)
-        # a batch of one measurement takes the array path
-        assert outcome(lambda: validate_effect_stack(stack, labels)) == outcome(
-            lambda: validate_effect_stack(stack[None], labels)
-        )
+        assert outcome(stack, labels) == array_outcome(stack, labels)
 
     @settings(PROPERTY, max_examples=400)
     @given(near_sharp_stacks())
@@ -387,15 +398,13 @@ class TestQubitBranch:
         first = np.array([[0.25, r - 8e-13], [r, 0.25]])
         stack = np.array([first, np.eye(2) - first])
         with pytest.raises(NotPositiveError, match="'a'"):
-            validate_effect_stack(stack, ("a", "b"))
-        assert outcome(lambda: validate_effect_stack(stack, ("a", "b"))) == outcome(
-            lambda: validate_effect_stack(stack[None], ("a", "b"))
-        )
+            validate_povm(stack, ("a", "b"))
+        assert outcome(stack, ("a", "b")) == array_outcome(stack, ("a", "b"))
 
     def test_a_valid_whichway_arm_never_reaches_the_array_path(self, monkeypatch):
         gammas = (*EDGE_GAMMAS, 0.3)
-        # the branch classifies every such arm, sharp or not
-        assert all(_qubit_sharp(_effects(g, 0.4, 1.1).tolist()) is not None for g in gammas)
+        # the verdict classifies every such arm, sharp or not
+        assert {_qubit_class(_effects(g, 0.4, 1.1).tolist()) for g in gammas} == {Pvm, Povm}
         calls = []
         real = np.linalg.eigvalsh
 
@@ -407,9 +416,9 @@ class TestQubitBranch:
         for gamma in gammas:
             build_whichway(WhichWayConfig(gamma, 0.4, 1.1))
         assert calls == []
-        # the spy sees the array path
-        validate_effect_stack(_effects(0.3, 0.4, 1.1)[None], ("++", "+-", "-+", "--"))
-        assert calls == [(1, 4, 2, 2)]
+        # the spy sees the array path, which a direct call takes
+        validate_effect_stack(_effects(0.3, 0.4, 1.1), ("++", "+-", "-+", "--"))
+        assert calls == [(4, 2, 2)]
 
 
 class TestPolarizationPvm:

@@ -21,6 +21,7 @@ from povmbell import (
     DomainError,
     Effect,
     EventLog,
+    InvariantViolationError,
     NonidealityMatrix,
     OutcomeDistribution,
     PolarizationAngle,
@@ -333,6 +334,7 @@ class TestIdentity:
 
 STATE = StateDescriptor.pure([1.0, 0.0])
 RAGGED = [[1.0], [0.0, 1.0]]
+NON_REAL_PAIR = np.array([np.eye(2), [[1j, 0.0], [0.0, 0.0]]])
 # junk caller input to array- and number-valued parameters, with the error
 # the boundary gives it: ragged input is a shape fault, anything that is not
 # a number a domain fault; numpy and the builtins would raise bare errors
@@ -343,6 +345,8 @@ JUNK = {
     "as_matrix-ragged": (lambda: as_matrix(RAGGED), ShapeMismatchError),
     "identity-string": (lambda: identity("a"), DomainError),
     "identity-float": (lambda: identity(2.5), DomainError),
+    "identity-bool": (lambda: identity(True), DomainError),
+    "identity-beyond-numpy": (lambda: identity(2**70), DomainError),
     "angle-string": (lambda: PolarizationAngle("a"), DomainError),
     "angle-huge-int": (lambda: PolarizationAngle(10**400), DomainError),
     "as_angle-None": (lambda: as_angle(None), DomainError),
@@ -357,6 +361,9 @@ JUNK = {
     "validate_povm-ragged": (lambda: validate_povm([RAGGED, RAGGED], ["a", "b"]), ShapeMismatchError),
     "validate_povm-unhashable-labels": (lambda: validate_povm(np.eye(2)[None], [["a"]]), DomainError),
     "born_values-ragged": (lambda: born_values(STATE, [RAGGED], ["a"]), ShapeMismatchError),
+    # the second effect gives a non-real value, which its missing label would name
+    "born_values-too-few-labels": (lambda: born_values(STATE, NON_REAL_PAIR, ["a"]), ShapeMismatchError),
+    "born_values-None-labels": (lambda: born_values(STATE, NON_REAL_PAIR, None), DomainError),
     "distribution-strings": (lambda: OutcomeDistribution(("a", "b"), ["x", "y"]), DomainError),
     "from_values-ragged": (
         lambda: OutcomeDistribution.from_values(("a", "b"), [[0.5], [0.5, 0.0]]),
@@ -436,9 +443,14 @@ JUNK = {
         DomainError,
     ),
     "distribution-complex-probs": (lambda: OutcomeDistribution(("a", "b"), np.array([0.5j, 0.5])), DomainError),
-    # numpy's ComplexWarning, which the test run makes an error
+    # numpy complex values nested in a list, which a cast to float64 would
+    # take the real part of (see also the test with warnings ignored below)
     "nonideality-nested-complex": (
         lambda: NonidealityMatrix([[np.complex128(1.0), 0.0], [0.0, 1.0]]),
+        DomainError,
+    ),
+    "from_values-nested-complex": (
+        lambda: OutcomeDistribution.from_values(("a", "b"), [np.complex128(0.5 + 1j), 0.5]),
         DomainError,
     ),
     # the front end's library calls
@@ -473,6 +485,17 @@ class TestInputBoundary:
                 OutcomeDistribution(("a", "b"), np.array([0.5j, 0.5]))
             with pytest.raises(DomainError, match="^gamma must be real, got complex values$"):
                 WhichWayConfig(np.complex128(0.5), 0.0, 0.0)
+            # inside a list too, once or among objects, where numpy's cast
+            # to float64 would warn and keep the real part
+            with pytest.raises(DomainError, match="^probabilities must be real, got complex values$"):
+                OutcomeDistribution.from_values(("a", "b"), [np.complex128(0.5 + 1j), 0.5])
+            with pytest.raises(DomainError, match="^probabilities must be real, got complex values$"):
+                OutcomeDistribution.from_values(("a", "b"), [None, np.complex64(0.5)])
+
+    def test_none_in_a_real_list_still_reads_as_nan(self):
+        with pytest.raises(InvariantViolationError, match="sum to nan"):
+            OutcomeDistribution.from_values(("a", "b"), [None, 0.5])
+        assert np.isnan(_as_array([None, 0.5], np.float64, "widths")[0])
 
     def test_object_errors_name_the_type_with_its_article(self):
         with pytest.raises(DomainError, match="^log must be an EventLog, got NoneType$"):
