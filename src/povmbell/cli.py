@@ -9,11 +9,11 @@ is the text `json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
 A runner returns its column names and its rows in batches; `render_csv` and
 `render_json` turn one batch into text with one %-format call, and each
 batch is written before the next is made. Every command but `martens-sweep`
-has one batch of one row. `martens-sweep` evaluates, formats and writes its
-grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every grid
-value and the angle before the first byte is written, and the tradeoff is a
-closed form of them that checks nothing more, so no check can stop a sweep
-once it has begun to write.
+has one batch of one row. `martens-sweep` evaluates (by the kernel
+`infometrics._curve_columns`), formats and writes its grid SWEEP_CHUNK points
+at a time. `spec_from_dict` has checked every grid value and the angle before
+the first byte is written, and the kernel checks nothing more, so no check
+can stop a sweep once it has begun to write.
 
 A plain command line, a subcommand and then flag-value pairs, each flag one
 of --config, --out, --format, --seed, --n spelled out in full, is read by
@@ -58,7 +58,7 @@ from .bell import (
     singlet_state,
 )
 from .errors import ConfigError, DomainError, PovmBellError
-from .infometrics import MartensCurve, martens_check, martens_sweep
+from .infometrics import _curve_columns, martens_bound, martens_check
 from .measurement import OutcomeDistribution, born_probabilities
 from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type
 from .sampler import (
@@ -433,19 +433,11 @@ def run_whichway(spec: ExperimentSpec) -> Table:
 
 
 def run_martens_sweep(spec: ExperimentSpec) -> Table:
-    """The tradeoff curve in batches of SWEEP_CHUNK rows, each evaluated when it is read."""
-    grid, delta = spec.gamma_grid, math.radians(spec.delta_deg)
+    """The tradeoff curve in batches of SWEEP_CHUNK rows, each chunk's `_curve_columns` made when read."""
+    grid, bound = spec.gamma_grid, martens_bound(math.radians(spec.delta_deg), 0.0)
     pieces = (grid[start : start + SWEEP_CHUNK] for start in range(0, grid.size, SWEEP_CHUNK))
-    batches = (_sweep_rows(piece, martens_sweep(piece, delta, 0.0)) for piece in pieces)
+    batches = (_curve_columns(piece, bound).T for piece in pieces)
     return ["gamma", "j_lambda", "j_mu", "bound", "slack"], batches
-
-
-def _sweep_rows(gammas: np.ndarray, curve: MartensCurve) -> np.ndarray:
-    """The rows of one chunk of a sweep table, one column a field."""
-    rows = np.empty((gammas.size, 5))
-    for i, column in enumerate((gammas, curve.j_lambda, curve.j_mu, curve.bound, curve.slack)):
-        rows[:, i] = column
-    return rows
 
 
 def run_bell(spec: ExperimentSpec) -> Table:

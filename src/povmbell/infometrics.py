@@ -10,11 +10,12 @@ relation bounds products of standard deviations and is logically independent
 of that measurement-quality tradeoff.
 
 The tradeoff is a closed form of the checked transmissivities and angles:
-no POVM and no nonideality matrix is formed for it, so a sweep checks its
-inputs and nothing after them. The tests prove that the which-way effects
-behind it are POVMs for every gamma in [0, 1] (`tests/test_derived_povms.py`)
-and that its entropies are `row_entropy` of the which-way nonideality
-matrices, bit for bit (`tests/test_infometrics.py`).
+no POVM and no nonideality matrix is formed for it. One unchecked kernel,
+`_curve_columns`, fills a grid's columns in one block, for `martens_sweep`
+and for each chunk of the CLI sweep's grid, both checked first. The tests
+prove that the which-way effects behind it are POVMs for every gamma in
+[0, 1] (`tests/test_derived_povms.py`) and that its entropies are
+`row_entropy` of the which-way nonideality matrices, bit for bit.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class MartensReport:
 
 @dataclass(frozen=True, eq=False)
 class MartensCurve(ArrayRecord):
-    """Entropic tradeoff over a grid of transmissivities; arrays follow the grid."""
+    """Entropic tradeoff over a grid of transmissivities; its arrays follow the grid, read-only."""
 
     j_lambda: np.ndarray
     j_mu: np.ndarray
@@ -124,20 +125,31 @@ class MartensCurve(ArrayRecord):
     satisfied: np.ndarray
 
 
-def _whichway_row_entropy(r: np.ndarray) -> np.ndarray:
-    """`row_entropy` of [[1 - r, 0], [r, 1]] for each r of an array in [0, 1], in closed form.
+def _curve_columns(grid: np.ndarray, bound: float) -> np.ndarray:
+    """The columns gamma, j_lambda, j_mu, bound, slack of a grid in [0, 1], in one (5, n) block.
 
-    lambda is that matrix at r = 1 - gamma, mu at r = gamma. Its first row
-    has at most one nonzero entry and contributes 0; its second row gives
-      J(r) = -(r ln(r / (r + 1)) + ln(1 / (r + 1))) / 2,  with 0 ln 0 = 0,
-    by the operations `row_entropy` makes on that row, in its order, so each
-    value is its value bit for bit. No J is negative, as both terms are r >= 0
-    times the log of a ratio at most 1; that none exceeds ln 2 the tests prove.
+    j_lambda = J(1 - gamma) and j_mu = J(gamma), where `row_entropy` of
+    [[1 - r, 0], [r, 1]] (whose first row gives 0) is, with 0 ln 0 = 0,
+      J(r) = -(r ln(r / (r + 1)) + ln(1 / (r + 1))) / 2,
+    made by its operations in its order (-(x)/2 as x/(-2), the same double),
+    so bit for bit. No J is negative: each term is r >= 0 times the log of a
+    ratio at most 1. Unchecked: `martens_sweep` or `spec_from_dict` checks the grid.
     """
-    total = r + 1.0
-    # r = 0 contributes 0 ln 0 = 0: its ratio is left at 1, whose log is 0
-    ratio = np.divide(r, total, out=np.ones_like(r), where=r > 0.0)
-    return -(r * np.log(ratio) + np.log(1.0 / total)) / 2 + 0.0  # never -0.0
+    block = np.empty((5, grid.size))
+    _, j_lambda, j_mu, bounds, slack = block
+    block[0:3:2] = grid  # gamma, and r = gamma for j_mu
+    np.subtract(1.0, grid, out=j_lambda)  # r = 1 - gamma for j_lambda
+    r = block[1:3]
+    # one log of r / (r + 1) and 1 / (r + 1); the ratio of r = 0 stays 1, so 0 ln 0 = 0
+    ratio, total = logs = np.ones((2, 2, grid.size))
+    np.divide(r, np.add(r, 1.0, out=total), out=ratio, where=r > 0.0)
+    np.divide(1.0, total, out=total)
+    np.log(logs, out=logs)
+    np.add(np.multiply(r, ratio, out=ratio), total, out=r)
+    np.add(np.divide(r, -2.0, out=r), 0.0, out=r)  # never -0.0
+    bounds.fill(bound)
+    np.subtract(np.add(j_lambda, j_mu, out=slack), bound, out=slack)
+    return block
 
 
 def martens_sweep(
@@ -149,9 +161,9 @@ def martens_sweep(
 
     The grid must be nonempty and 1-D (ShapeMismatchError), every point in
     [0, 1] (DomainError names the first that is not). The entropies and
-    slacks are closed forms of gamma, computed as arrays over the grid by
-    the operations `martens_check` makes on one point; nothing is checked
-    after the inputs.
+    slacks are closed forms of gamma, computed by `_curve_columns` over the
+    grid by the operations `martens_check` makes on one point; nothing is
+    checked after the inputs. The curve's arrays are read-only.
     """
     grid = _as_array(gammas, np.float64, "gamma grid")
     if grid.ndim != 1 or grid.size == 0:
@@ -160,24 +172,20 @@ def martens_sweep(
     if not inside.all():
         raise DomainError(f"gamma must lie in [0, 1], got {float(grid[~inside][0])!r}")
     bound = martens_bound(theta, theta_prime)
-    j_lambda, j_mu = _whichway_row_entropy(np.stack((1.0 - grid, grid)))
-    slack = j_lambda + j_mu - bound
-    return MartensCurve(
-        j_lambda=j_lambda,
-        j_mu=j_mu,
-        bound=bound,
-        slack=slack,
-        satisfied=slack >= -DEFAULT_POLICY.atol_positivity,
-    )
+    block = _curve_columns(grid, bound)
+    block.setflags(write=False)
+    satisfied = block[4] >= -DEFAULT_POLICY.atol_positivity
+    satisfied.setflags(write=False)
+    return MartensCurve(j_lambda=block[1], j_mu=block[2], bound=bound, slack=block[4], satisfied=satisfied)
 
 
 def martens_check(whichway: BivariateWhichWay) -> MartensReport:
     """Evaluate j_lambda + j_mu >= bound for one which-way configuration.
 
-    The sweep's `_whichway_row_entropy` at r = 1 - gamma and r = gamma, by
-    its operations on Python floats and its four logs in one np.log call,
-    so each value is the sweep's bit for bit. The which-way POVM was
-    validated when it was built.
+    The entropies of the sweep's `_curve_columns` at r = 1 - gamma and
+    r = gamma, by its operations on Python floats and its four logs in one
+    np.log call, so each value is the sweep's bit for bit. The which-way
+    POVM was validated when it was built.
     """
     config = _of_type(whichway, BivariateWhichWay, "whichway").config
     bound = martens_bound(config.theta, config.theta_prime)

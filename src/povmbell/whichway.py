@@ -210,10 +210,10 @@ class NonidealityMatrix(ArrayRecord):
         return self.entries @ probs
 
 
-def _closed_form(rows: list[list[float]]) -> NonidealityMatrix:
-    """A NonidealityMatrix of `rows`, checking nothing: `marginals_and_nonideality`
-    builds them from a checked gamma, and the tests prove them column-stochastic."""
-    entries = _as_array(rows, np.float64, "nonideality matrix", frozen=True)
+def _closed_form(entries: np.ndarray) -> NonidealityMatrix:
+    """A NonidealityMatrix of the float64 `entries`, frozen here and unchecked: built from a
+    checked gamma by `marginals_and_nonideality`, and column-stochastic by the tests."""
+    entries.setflags(write=False)
     matrix = object.__new__(NonidealityMatrix)
     object.__setattr__(matrix, "entries", entries)
     return matrix
@@ -234,8 +234,8 @@ def marginals_and_nonideality(
     random states, and that the public constructor accepts both matrices.
     """
     gamma = _of_type(whichway, BivariateWhichWay, "whichway").config.gamma
-    lam = _closed_form([[gamma, 0.0], [1.0 - gamma, 1.0]])
-    mu = _closed_form([[1.0 - gamma, 0.0], [gamma, 1.0]])
+    lam = _closed_form(np.array([[gamma, 0.0], [1.0 - gamma, 1.0]]))
+    mu = _closed_form(np.array([[1.0 - gamma, 0.0], [gamma, 1.0]]))
     return lam, mu
 
 

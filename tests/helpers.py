@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from povmbell import Povm, StateDescriptor, cli, identity, martens_sweep, projector_from_angle, validate_povm
+from povmbell import Povm, StateDescriptor, cli, identity, martens_bound, projector_from_angle, validate_povm
 from povmbell.bell import BellConfig
 from povmbell.whichway import WhichWayConfig
 
@@ -165,17 +165,33 @@ def render_json_reference(spec, rows) -> str:
     return json.dumps({"config": cli.spec_to_dict(spec), "rows": clean_rows}, indent=2) + "\n"
 
 
+def curve_rows_reference(gammas, bound: float) -> np.ndarray:
+    """Reference sweep rows: numpy arrays over a float64 array of gammas in [0, 1].
+
+    The array build that the column kernel `povmbell.infometrics._curve_columns`
+    replaced: the entropies J(1 - gamma) and J(gamma) of a stack of both r
+    rows, the slack, and then the rows (gamma, j_lambda, j_mu, bound, slack)
+    of shape (n, 5), one column a field. The kernel's columns, transposed,
+    must be these rows bit for bit.
+    """
+    g = np.asarray(gammas, dtype=np.float64)
+    r = np.stack((1.0 - g, g))
+    total = r + 1.0
+    # r = 0 contributes 0 ln 0 = 0: its ratio is left at 1, whose log is 0
+    ratio = np.divide(r, total, out=np.ones_like(r), where=r > 0.0)
+    j_lambda, j_mu = -(r * np.log(ratio) + np.log(1.0 / total)) / 2 + 0.0  # never -0.0
+    slack = j_lambda + j_mu - bound
+    rows = np.empty((g.size, 5))
+    for i, column in enumerate((g, j_lambda, j_mu, bound, slack)):
+        rows[:, i] = column
+    return rows
+
+
 def martens_sweep_rows(spec) -> tuple[list[str], list[dict]]:
-    """Reference sweep table: the whole grid in one `martens_sweep`, one dict a row."""
-    grid = np.asarray(spec.gamma_grid).tolist()
-    curve = martens_sweep(grid, math.radians(spec.delta_deg), 0.0)
-    rows = [
-        {"gamma": gamma, "j_lambda": j_lambda, "j_mu": j_mu, "bound": curve.bound, "slack": slack}
-        for gamma, j_lambda, j_mu, slack in zip(
-            grid, curve.j_lambda.tolist(), curve.j_mu.tolist(), curve.slack.tolist()
-        )
-    ]
-    return ["gamma", "j_lambda", "j_mu", "bound", "slack"], rows
+    """Reference sweep table: the whole grid's `curve_rows_reference`, one dict a row."""
+    columns = ["gamma", "j_lambda", "j_mu", "bound", "slack"]
+    rows = curve_rows_reference(spec.gamma_grid, martens_bound(math.radians(spec.delta_deg), 0.0))
+    return columns, [dict(zip(columns, row)) for row in rows.tolist()]
 
 
 def reference_table(spec) -> str:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, sampler
+from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics, sampler
 from povmbell.cli import (
     SWEEP_CHUNK,
     ExperimentSpec,
@@ -626,6 +626,49 @@ class TestSweepStreaming:
         assert main(["martens-sweep", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [1, 2, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 2 * SWEEP_CHUNK + 3])
+    def test_table_bytes_are_the_reference_at_the_chunk_edges(self, tmp_path, capsys, count, fmt):
+        # a range, and a list of the corners, the smallest subnormal, about the
+        # smallest normal, a tiny normal and the last float below 1
+        edges = [0.0, 1.0, 0.5, 5e-324, 2.2e-308, 1e-300, math.nextafter(1.0, 0.0)]
+        out = tmp_path / "table"
+        for grid in ({"start": 0.0, "stop": 1.0, "count": count}, (edges * count)[:count]):
+            config = write_config(tmp_path, {"delta_deg": 36.0, "gamma_grid": grid, "format": fmt})
+            plain = ["martens-sweep", "--config", config]
+            # a JSON table's config block names its --out
+            for argv in (plain, [*plain, "--out", str(out)]):
+                expected = reference_table(cli.resolve_spec(build_parser().parse_args(argv))).encode("utf-8")
+                assert main(argv) == 0
+                captured = capsys.readouterr()
+                written = out.read_bytes() if "--out" in argv else captured.out.encode("utf-8")
+                assert (written, captured.err) == (expected, "")
+
+    def test_one_kernel_call_a_chunk_and_no_checked_sweep(self, tmp_path, monkeypatch):
+        sizes, sweeps = [], []
+        real_kernel, real_sweep = infometrics._curve_columns, infometrics.martens_sweep
+
+        def kernel_spy(grid, bound):
+            sizes.append(grid.size)
+            return real_kernel(grid, bound)
+
+        def sweep_spy(*args):
+            sweeps.append(args)
+            return real_sweep(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("povmbell"):
+                spies = (("_curve_columns", real_kernel, kernel_spy), ("martens_sweep", real_sweep, sweep_spy))
+                for attr, real, spy in spies:
+                    if getattr(module, attr, None) is real:
+                        monkeypatch.setattr(module, attr, spy)
+        out = tmp_path / "table.csv"
+        config = self.sweep_config(tmp_path, 2 * SWEEP_CHUNK + 3)
+        assert main(["martens-sweep", "--config", config, "--out", str(out)]) == 0
+        assert sizes == [SWEEP_CHUNK, SWEEP_CHUNK, 3]
+        assert sweeps == []
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 2 * SWEEP_CHUNK + 3
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_memory_is_the_grid_plus_a_chunk(self, tmp_path, fmt):

@@ -286,12 +286,15 @@ def test_conversion_check_finds_raw_conversions():
 
 # the scalar qubit POVM verdict, whose one caller is `validate_povm`
 VERDICT = "_qubit_class"
+# the unchecked Martens curve kernel, whose callers check its grid first
+KERNEL, KERNEL_CALLERS = "_curve_columns", ("martens_sweep", "run_martens_sweep")
 
 
-def verdict_references(source: str) -> list[str]:
+def private_references(source: str, name: str, owners: tuple[str, ...]) -> list[str]:
     """`function: reference` for each name, attribute, import or string in
-    `source` that is the scalar verdict, outside `validate_povm`; code
-    outside any function counts as `<module>`."""
+    `source` that is `name`, outside the functions `owners`; code outside any
+    function counts as `<module>`. An import that binds `name` to itself is
+    let through: every use of that binding is a reference."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -299,13 +302,15 @@ def verdict_references(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
+            if isinstance(child, ast.alias) and child.name == name and child.asname is None:
+                continue
             names = (
                 getattr(child, "id", None),
                 getattr(child, "attr", None),
                 child.name if isinstance(child, ast.alias) else None,
                 child.value if isinstance(child, ast.Constant) else None,
             )
-            if VERDICT in names and owner != "validate_povm":
+            if name in names and owner not in owners:
                 found.append(f"{owner}: {ast.unparse(child)}")
             visit(child, owner)
 
@@ -316,7 +321,7 @@ def verdict_references(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
 def test_only_validate_povm_reaches_the_scalar_verdict(path):
     assert callable(getattr(povmbell.measurement, VERDICT))
-    assert verdict_references(path.read_text()) == []
+    assert private_references(path.read_text(), VERDICT, ("validate_povm",)) == []
 
 
 def test_verdict_check_finds_other_callers():
@@ -330,11 +335,40 @@ def test_verdict_check_finds_other_callers():
         "        return getattr(measurement, '_qubit_class')\n"
         "    return _qubit_class(stack.tolist())\n"
     )
-    assert verdict_references(source) == [
+    assert private_references(source, VERDICT, ("validate_povm",)) == [
         "<module>: _qubit_class as verdict",
         "<module>: measurement._qubit_class",
         "inner: '_qubit_class'",
         "validate_effect_stack: _qubit_class",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_checked_sweeps_reach_the_curve_kernel(path):
+    assert callable(getattr(povmbell.infometrics, KERNEL))
+    assert private_references(path.read_text(), KERNEL, KERNEL_CALLERS) == []
+
+
+def test_kernel_check_finds_other_callers():
+    source = (
+        "from .infometrics import _curve_columns\n"
+        "from .infometrics import _curve_columns as columns\n"
+        "def martens_sweep(grid):\n"
+        "    return _curve_columns(grid, 0.0)\n"
+        "def run_martens_sweep(spec):\n"
+        "    return (_curve_columns(piece, 0.0).T for piece in spec)\n"
+        "def run_whichway(spec):\n"
+        "    return infometrics._curve_columns(spec, 0.0)\n"
+        "def martens_check(whichway):\n"
+        "    def inner():\n"
+        "        return getattr(infometrics, '_curve_columns')\n"
+        "    return _curve_columns(whichway, 0.0)\n"
+    )
+    assert private_references(source, KERNEL, KERNEL_CALLERS) == [
+        "<module>: _curve_columns as columns",
+        "run_whichway: infometrics._curve_columns",
+        "inner: '_curve_columns'",
+        "martens_check: _curve_columns",
     ]
 
 

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_state
+from helpers import curve_rows_reference, random_hermitian, random_state
 from povmbell import (
     PAULI_X,
     PAULI_Y,
@@ -24,7 +26,7 @@ from povmbell import (
     polarization_pvm,
     row_entropy,
 )
-from povmbell.infometrics import martens_sweep
+from povmbell.infometrics import _curve_columns, martens_sweep
 
 LN2 = math.log(2.0)
 
@@ -270,6 +272,59 @@ class TestClosedFormEntropies:
         assert np.all(np.diff(curve.j_lambda) <= dust)
         assert np.all(np.diff(curve.j_mu) >= -dust)
         assert (curve.j_lambda[0], curve.j_mu[0], curve.j_lambda[-1], curve.j_mu[-1]) == (LN2, 0.0, 0.0, LN2)
+
+
+# grid values at the corners of the kernel: both ends, the middle, the
+# smallest subnormal, about the smallest normal, a tiny normal and the last
+# float below 1
+KERNEL_EDGES = (0.0, 1.0, 0.5, 5e-324, 2.2e-308, 1e-300, math.nextafter(1.0, 0.0))
+# analyzer separations: parallel, unbiased, perpendicular, negative, beyond pi
+KERNEL_DELTAS = (0.0, math.pi / 4, math.pi / 2, -0.7, 4.0)
+
+
+def kernel_grids():
+    """Each edge value alone, all of them, and random grids salted with them."""
+    rng = np.random.default_rng(411)
+    grids = [np.array([value]) for value in KERNEL_EDGES] + [np.array(KERNEL_EDGES)]
+    for size in (2, 3, 30, 257):
+        grid = rng.uniform(0.0, 1.0, size)
+        grid[rng.integers(0, size, size // 2)] = rng.choice(KERNEL_EDGES, size // 2)
+        grids.append(grid)
+    return grids
+
+
+class TestCurveKernel:
+    """`_curve_columns` is the array build of `curve_rows_reference`, bit for bit."""
+
+    @pytest.mark.parametrize("delta", KERNEL_DELTAS)
+    def test_columns_are_the_reference_rows_bitwise(self, delta):
+        bound = martens_bound(delta, 0.0)
+        for grid in kernel_grids():
+            block = _curve_columns(grid, bound)
+            assert block.shape == (5, grid.size) and block.dtype == np.float64
+            # tobytes: the sign of every zero counts too
+            assert block.T.tobytes() == curve_rows_reference(grid, bound).tobytes()
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(
+        st.lists(st.sampled_from(KERNEL_EDGES) | st.floats(0.0, 1.0), min_size=1, max_size=64),
+        st.floats(-10.0, 10.0),
+    )
+    def test_columns_are_the_reference_rows_for_drawn_grids(self, gammas, delta):
+        grid, bound = np.array(gammas), martens_bound(delta, 0.0)
+        assert _curve_columns(grid, bound).T.tobytes() == curve_rows_reference(grid, bound).tobytes()
+
+    def test_the_curve_is_the_kernel_read_only(self):
+        grid = np.array(KERNEL_EDGES)
+        curve = martens_sweep(grid, math.pi / 5, 0.0)
+        rows = curve_rows_reference(grid, curve.bound)
+        for i, name in ((1, "j_lambda"), (2, "j_mu"), (4, "slack")):
+            assert getattr(curve, name).tobytes() == np.ascontiguousarray(rows[:, i]).tobytes()
+        assert curve.bound == rows[0, 3]
+        for name in ("j_lambda", "j_mu", "slack", "satisfied"):
+            array = getattr(curve, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
 
 class TestHeisenbergCheck:

@@ -338,20 +338,67 @@ def array_outcome(stack, labels):
     return found
 
 
+def lone_entry_stack(t, theta=math.pi / 6, phase=1.0, lower=False):
+    """Three qubit effects whose largest sharpness residue entry is one
+    off-diagonal entry of the block (0, 1), of size about t lone_entry_size(theta).
+
+    With P the projector on u = (cos theta, sin theta), v = (-sin theta,
+    cos theta) and N = |u><v| + |v><u|, the effects are
+      A = P + t (I - N),   B = (I - P) - t I,   C = t N,
+    the PVM (P, I - P, 0) moved by t: Hermitian and complete, each eigenvalue
+    within about t of [0, 1], so valid for t far below atol_positivity. To
+    first order in t, A B = t (I - 2P - |u><v|), whose upper-right entry is
+    -t (sin 2 theta + cos^2 theta); for theta in [0.2, 1] that is at least
+    1.3 times every other entry of every block, the diagonal ones included.
+    In the unrotated basis (theta = 0) it ties with C's own block, which
+    repeats the off-diagonal t of N. The stack is (A, B, C), so the entry is
+    the upper right of block (0, 1), or, `lower`, (B, A, C), whose block
+    (0, 1) is B A = (A B)^H, with the entry in its lower left. A diagonal
+    unitary of `phase` makes the entries complex and keeps their sizes.
+    """
+    u = np.array([math.cos(theta), math.sin(theta)])
+    v = np.array([-math.sin(theta), math.cos(theta)])
+    proj, swap, one = np.outer(u, u), np.outer(u, v) + np.outer(v, u), np.eye(2)
+    effects = [proj + t * (one - swap), one - proj - t * one, t * swap]
+    if lower:
+        effects[:2] = effects[1::-1]
+    twist = np.diag([1.0, phase])
+    return np.array([twist @ e @ twist.conj() for e in effects])
+
+
+def lone_entry_size(theta):
+    """The first-order size, per unit t, of the lone residue entry of a `lone_entry_stack`."""
+    return math.sin(2 * theta) + math.cos(theta) ** 2
+
+
+# offsets that keep the eigenvalues of a `lone_entry_stack` with its residue
+# near atol_algebra far inside atol_positivity
+LONE_OFFSETS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-14.0, -11.0)),
+)
+
+
 @st.composite
 def near_sharp_stacks(draw):
     """Valid qubit stacks whose sharpness residue is about atol_algebra, or any valid one.
 
     Effect 0 has eigenvalues (1 - t, 0) and effect 1 (t, 1) in one basis,
     so the residue of both E_0^2 - E_0 and E_0 E_1 is about t; zero effects
-    may be added. Otherwise a which-way stack, with gammas in the band too.
+    may be added. Or a `lone_entry_stack`, whose residue sits in one
+    off-diagonal entry of one block alone. Otherwise a which-way stack, with
+    gammas in the band too.
     """
-    kind = draw(st.sampled_from(["near", "whichway", "valid"]))
+    kind = draw(st.sampled_from(["near", "lone", "whichway", "valid"]))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
         return _effects(gamma, draw(ANGLES), draw(ANGLES))
     if kind == "valid":
         return draw(spectral_stacks())
+    if kind == "lone":
+        theta, phase = draw(st.floats(0.2, 1.0)), np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        t = abs(ALGEBRA + draw(LONE_OFFSETS)) / lone_entry_size(theta)
+        return lone_entry_stack(t, theta, phase, draw(st.booleans()))
     t = abs(ALGEBRA + draw(OFFSETS))
     basis = draw(spectral_stacks(k=2))[0]  # a projector or a generic effect of one drawn basis
     _, vecs = np.linalg.eigh(basis)
@@ -362,14 +409,20 @@ def near_sharp_stacks(draw):
     return np.array(effects)
 
 
-def residue(stack):
-    """Sharpness residue, one 2x2 product at a time: max over i <= j of |E_i E_j - [i == j] E_i|."""
+def residue_entries(stack):
+    """|E_i E_j - [i == j] E_i| entry by entry for i <= j, keyed (i, j, row, column)."""
     k = len(stack)
-    return max(
-        float(np.abs(stack[i] @ stack[j] - (stack[i] if i == j else 0.0)).max())
+    return {
+        (i, j, r, c): float(value)
         for i in range(k)
         for j in range(i, k)
-    )
+        for (r, c), value in np.ndenumerate(np.abs(stack[i] @ stack[j] - (stack[i] if i == j else 0.0)))
+    }
+
+
+def residue(stack):
+    """Sharpness residue, one 2x2 product at a time: max over i <= j of |E_i E_j - [i == j] E_i|."""
+    return max(residue_entries(stack).values())
 
 
 class TestQubitBranch:
@@ -390,6 +443,38 @@ class TestQubitBranch:
         # branch's margin, may round to either side between 2x2 and 8x8 products
         if abs(worst - ALGEBRA) > 1e-15:
             assert got is (Pvm if worst <= ALGEBRA else Povm)
+
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper-right", "lower-left"])
+    @pytest.mark.parametrize("t, expected", [(0.8e-12, Povm), (0.5e-12, Pvm)])
+    def test_the_residue_reads_each_off_diagonal_entry_of_a_block(self, t, expected, lower):
+        # 1.62 t in one entry of block (0, 1); no other entry reaches 0.87 t.
+        # Povm: 1.29e-12 against atol_algebra + _CERTAIN = 1.1e-12, with the
+        # rest below atol_algebra - _CERTAIN, so a residue without that entry
+        # says Pvm. Pvm: 0.81e-12, which the residue must find below the margin
+        stack = lone_entry_stack(t, lower=lower)
+        entries = residue_entries(stack)
+        top = entries.pop((0, 1, 1, 0) if lower else (0, 1, 0, 1))
+        assert top == pytest.approx(lone_entry_size(math.pi / 6) * t, rel=1e-3)
+        assert max(entries.values()) < 0.87 * t
+        assert _qubit_class(stack.tolist()) is expected
+        assert outcome(stack, labels_for(stack)) == array_outcome(stack, labels_for(stack)) == expected
+
+    @settings(PROPERTY, max_examples=300)
+    @given(st.floats(0.2, 1.0), LONE_OFFSETS, st.floats(0.0, 2 * math.pi), st.booleans())
+    def test_the_verdict_reads_the_lone_entry_of_drawn_stacks(self, theta, offset, alpha, lower):
+        t = abs(ALGEBRA + offset) / lone_entry_size(theta)
+        stack = lone_entry_stack(t, theta, np.exp(1j * alpha), lower)
+        entries = residue_entries(stack)
+        assert max(entries, key=entries.get) == ((0, 1, 1, 0) if lower else (0, 1, 0, 1))
+        worst, got = max(entries.values()), _qubit_class(stack.tolist())
+        # 1e-15 of rounding between the 2x2 products here and the verdict's
+        margin = measurement._CERTAIN + 1e-15
+        if worst > ALGEBRA + margin:
+            assert got is Povm
+        elif worst < ALGEBRA - margin:
+            assert got is Pvm
+        else:  # within the margin the array path decides
+            assert got is None or got is (Povm if worst > ALGEBRA else Pvm)
 
     def test_eigenvalues_come_from_the_lower_triangle(self):
         # the lower triangle puts an eigenvalue of each effect 4e-13 beyond
