@@ -110,6 +110,13 @@ def _joint_effects(arm1: np.ndarray, arm2: np.ndarray) -> np.ndarray:
     return joint.reshape(arm1.shape[0] * arm2.shape[0], 16, 4, 4)
 
 
+def _joint_povm(arm1: Povm, arm2: Povm) -> Povm:
+    """The 16-effect POVM of two checked arms, for `build_bell` and the CLI's bell `sample`."""
+    joint = _joint_effects(arm1.stack[None], arm2.stack[None])[0]
+    cls = Pvm if isinstance(arm1, Pvm) and isinstance(arm2, Pvm) else Povm
+    return cls(stack=joint, labels=QUAD_LABELS)
+
+
 def build_bell(config: BellConfig) -> QuadrivariateBell:
     """Tensor the two arm POVMs into one 16-effect POVM.
 
@@ -119,9 +126,7 @@ def build_bell(config: BellConfig) -> QuadrivariateBell:
     """
     arm1 = build_whichway(_of_type(config, BellConfig, "config").arm1).povm
     arm2 = build_whichway(config.arm2).povm
-    joint = _joint_effects(arm1.stack[None], arm2.stack[None])[0]
-    cls = Pvm if isinstance(arm1, Pvm) and isinstance(arm2, Pvm) else Povm
-    return QuadrivariateBell(config=config, povm=cls(stack=joint, labels=QUAD_LABELS))
+    return QuadrivariateBell(config=config, povm=_joint_povm(arm1, arm2))
 
 
 def quad_distribution(bell: QuadrivariateBell) -> OutcomeDistribution:

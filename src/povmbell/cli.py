@@ -9,7 +9,10 @@ is the text `json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
 A runner returns its column names and its rows in batches; `render_csv` and
 `render_json` turn one batch into text with one %-format call, and each
 batch is written before the next is made. Every command but `martens-sweep`
-has one batch of one row. `martens-sweep` evaluates (by the kernel
+has one batch of one row. The one-row runners form each which-way arm once,
+by the arm kernel `_arm` (`whichway._effects`, checked by `validate_povm`),
+and reduce it to cells within the call, with no intermediate records.
+`martens-sweep` evaluates (by the kernel
 `infometrics._curve_columns`), formats and writes its grid SWEEP_CHUNK points
 at a time. `spec_from_dict` has checked every grid value and the angle before
 the first byte is written, and the kernel checks nothing more, so no check
@@ -47,20 +50,20 @@ import numpy as np
 
 from .bell import (
     CHSH_PAIRS,
+    CHSH_SIGNS,
     QUAD_LABELS,
-    BellConfig,
     ChshReport,
-    QuadrivariateBell,
-    build_bell,
+    _combine,
+    _joint_effects,
+    _joint_povm,
     chsh_aspect,
     chsh_report_from_distribution,
-    quad_distribution,
     singlet_state,
 )
 from .errors import ConfigError, DomainError, PovmBellError
-from .infometrics import _curve_columns, martens_bound, martens_check
-from .measurement import OutcomeDistribution, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type
+from .infometrics import _curve_columns, _martens_point, martens_bound
+from .measurement import OutcomeDistribution, Povm, born_probabilities, born_values, validate_povm
+from .qcore import ArrayRecord, StateDescriptor, _as_array, _Made, _of_type, as_angle
 from .sampler import (
     _MAX_SEED,
     _config_sha256,
@@ -70,15 +73,7 @@ from .sampler import (
     sample,
     write_event_log,
 )
-from .whichway import (
-    WW_LABELS,
-    BivariateWhichWay,
-    WhichWayConfig,
-    build_whichway,
-    joint_distribution,
-    marginals_and_nonideality,
-    marginals_from_distribution,
-)
+from .whichway import WW_LABELS, _effects
 
 __all__ = [
     "KINDS",
@@ -111,8 +106,8 @@ _NAMED_STATES: dict[str, StateDescriptor] = {
 class ExperimentSpec(ArrayRecord):
     """Validated, JSON-round-trippable description of one CLI experiment.
 
-    `gamma_grid` is a read-only float64 array, the range form already
-    expanded; specs compare by value (see `ArrayRecord`).
+    `gamma_grid` is a read-only float64 array (a copy of a caller's), the
+    range form already expanded; specs compare by value (see `ArrayRecord`).
     """
 
     kind: str
@@ -133,6 +128,12 @@ class ExperimentSpec(ArrayRecord):
     seed: int | None = None
     out: str | None = None
     format: str = "csv"
+
+    def __post_init__(self) -> None:
+        if type(self.gamma_grid) is _Made:  # the grid `spec_from_dict` made and froze
+            self.__dict__["gamma_grid"] = self.gamma_grid.array
+        elif self.gamma_grid is not None:
+            self.__dict__["gamma_grid"] = _as_array(self.gamma_grid, np.float64, "gamma grid", frozen=True)
 
 
 _ALL_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
@@ -229,7 +230,7 @@ def _named_state(name: str) -> StateDescriptor:
     return _NAMED_STATES[name]
 
 
-def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
+def _grid_field(name: str, value: object, dim: int | None = None) -> _Made:
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "count"}:
             raise ConfigError(name, 'range form needs exactly "start", "stop", "count"')
@@ -246,7 +247,7 @@ def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
     else:
         raise ConfigError(name, "must be a list of values or a start/stop/count object")
     grid.setflags(write=False)
-    return grid
+    return _Made(grid)
 
 
 # field name -> its check, called as check(name, value, state dimension)
@@ -326,18 +327,22 @@ def resolve_state(
     largest component into [0.5, 1), so normalization neither underflows
     nor overflows for any finite input. A power-of-two scale is exact, so
     it leaves the normalized state of every list that normalized before
-    unchanged, bit for bit.
+    unchanged, bit for bit. Any other payload raises ConfigError, as do
+    amplitudes that are all zero or not all finite.
     """
     if isinstance(state, str):
         descriptor = _named_state(state)
     else:
-        peak = max(max(abs(re), abs(im)) for re, im in state)
-        exponent = math.frexp(peak)[1]
-        amps = np.array(
-            [complex(math.ldexp(re, -exponent), math.ldexp(im, -exponent)) for re, im in state]
-        )
-        norm = float(np.linalg.norm(amps))
-        descriptor = StateDescriptor.pure(amps / norm)
+        try:
+            peak = max(max(abs(re), abs(im)) for re, im in state)
+            scale = -math.frexp(peak)[1]
+            amps = np.array([complex(math.ldexp(re, scale), math.ldexp(im, scale)) for re, im in state])
+            norm = float(np.linalg.norm(amps))
+        except (TypeError, ValueError, OverflowError):  # no (re, im) pairs of numbers
+            norm = math.nan
+        if not 0.0 < norm < math.inf:  # or the zero vector, or a NaN or infinite amplitude
+            raise ConfigError("state", f"must be a name or finite amplitude pairs, not all zero: {state!r}")
+        descriptor = StateDescriptor.pure(_Made(amps / norm))
     if descriptor.dim != expected_dim:
         raise ConfigError(
             "state", f"state has dimension {descriptor.dim}, this experiment needs {expected_dim}"
@@ -349,34 +354,28 @@ def _slug(label: str) -> str:
     return label.replace("+", "p").replace("-", "m").replace(",", "_").replace("'", "p")
 
 
-# the column names of the probability and correlation cells, by label
-_P_COLUMNS = {label: f"p_{_slug(label)}" for label in (*WW_LABELS, *QUAD_LABELS)}
+# the probability columns of each label set, in label order, and the correlation columns
+_P_COLUMNS = {labels: [f"p_{_slug(label)}" for label in labels] for labels in (WW_LABELS, QUAD_LABELS)}
 _E_COLUMNS = {f"{a},{b}": f"E_{_slug(f'{a},{b}')}" for a, b in CHSH_PAIRS}
 
 
 def _state_text(state: str | tuple[tuple[float, float], ...]) -> str:
     if isinstance(state, str):
         return state
-    return json.dumps([[re, im] for re, im in state], separators=(",", ":"))
+    # the text json.dumps writes of finite floats, with separators (",", ":")
+    return "[" + ",".join(f"[{re!r},{im!r}]" for re, im in state) + "]"
 
 
-def _whichway_config(gamma: float, theta_deg: float, theta_prime_deg: float) -> WhichWayConfig:
-    return WhichWayConfig(gamma, math.radians(theta_deg), math.radians(theta_prime_deg))
+def _arm(gamma: float, theta_deg: float, theta_prime_deg: float) -> tuple:
+    """The which-way POVM of one arm of a checked spec and its two angles, each reduced once:
+    `whichway._effects`, checked by `validate_povm` as `build_whichway` checks it."""
+    theta, theta_prime = as_angle(math.radians(theta_deg)), as_angle(math.radians(theta_prime_deg))
+    return validate_povm(_effects(gamma, theta, theta_prime), WW_LABELS), theta, theta_prime
 
 
-def _whichway_from_spec(spec: ExperimentSpec) -> tuple[BivariateWhichWay, StateDescriptor]:
-    config = _whichway_config(spec.gamma, spec.theta_deg, spec.theta_prime_deg)
-    return build_whichway(config), resolve_state(spec.state, 2)
-
-
-def _bell_from_spec(spec: ExperimentSpec) -> QuadrivariateBell:
-    state = resolve_state(spec.state, 4)
-    config = BellConfig(
-        arm1=_whichway_config(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg),
-        arm2=_whichway_config(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg),
-        state=state,
-    )
-    return build_bell(config)
+def _bell_arms(spec: ExperimentSpec) -> tuple[Povm, Povm]:
+    arm1 = _arm(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg)[0]
+    return arm1, _arm(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg)[0]
 
 
 # A runner returns a table: its column names and an iterable of row batches.
@@ -408,27 +407,19 @@ def _chsh_cells(report: ChshReport) -> dict:
 
 
 def run_whichway(spec: ExperimentSpec) -> Table:
-    whichway, state = _whichway_from_spec(spec)
-    dist = joint_distribution(whichway, state)
-    marg_d, marg_dprime = marginals_from_distribution(dist)
-    lam, mu = marginals_and_nonideality(whichway)
-    report = martens_check(whichway)
-    row = _config_cells(spec)
-    for label, p in dist.as_dict().items():
-        row[_P_COLUMNS[label]] = p
-    row["marg_d_plus"] = float(marg_d[0])
-    row["marg_d_minus"] = float(marg_d[1])
-    row["marg_dprime_plus"] = float(marg_dprime[0])
-    row["marg_dprime_minus"] = float(marg_dprime[1])
-    for name, matrix in (("lambda", lam), ("mu", mu)):
-        for i in range(2):
-            for j in range(2):
-                row[f"{name}_{i}{j}"] = float(matrix.entries[i, j])
-    row["j_lambda"] = report.j_lambda
-    row["j_mu"] = report.j_mu
-    row["martens_bound"] = report.bound
-    row["martens_slack"] = report.slack
-    row["martens_satisfied"] = report.satisfied
+    """The cells `joint_distribution`, `marginals_from_distribution`, `marginals_and_nonideality`
+    and `martens_check` give, by their operations on the one checked arm, with no record between."""
+    povm, theta, theta_prime = _arm(spec.gamma, spec.theta_deg, spec.theta_prime_deg)
+    values = born_values(resolve_state(spec.state, 2), povm.stack, WW_LABELS)
+    pp, pm, mp, mm = probs = OutcomeDistribution.from_values(WW_LABELS, values).probs.tolist()
+    row, gamma = _config_cells(spec), spec.gamma
+    row.update(zip(_P_COLUMNS[WW_LABELS], probs))
+    row.update(marg_d_plus=pp + pm, marg_d_minus=mp + mm, marg_dprime_plus=pp + mp, marg_dprime_minus=pm + mm)
+    # lambda = [[gamma, 0], [1 - gamma, 1]] and mu = [[1 - gamma, 0], [gamma, 1]], row by row
+    row.update(lambda_00=gamma, lambda_01=0.0, lambda_10=1.0 - gamma, lambda_11=1.0)
+    row.update(mu_00=1.0 - gamma, mu_01=0.0, mu_10=gamma, mu_11=1.0)
+    martens = ("j_lambda", "j_mu", "martens_bound", "martens_slack", "martens_satisfied")
+    row.update(zip(martens, _martens_point(gamma, theta, theta_prime)))
     return _one_row(row)
 
 
@@ -441,12 +432,15 @@ def run_martens_sweep(spec: ExperimentSpec) -> Table:
 
 
 def run_bell(spec: ExperimentSpec) -> Table:
-    bell = _bell_from_spec(spec)
-    dist = quad_distribution(bell)
+    """The row of one joint run: the Born values of the two checked arms' tensor
+    product, and their CHSH statistics, as `chsh_single_run` gives them."""
+    state = resolve_state(spec.state, 4)
+    arm1, arm2 = _bell_arms(spec)
+    values = born_values(state, _joint_effects(arm1.stack[None], arm2.stack[None])[0], QUAD_LABELS)
+    probs = OutcomeDistribution.from_values(QUAD_LABELS, values).probs
     row = _config_cells(spec)
-    for label, p in dist.as_dict().items():
-        row[_P_COLUMNS[label]] = p
-    row.update(_chsh_cells(chsh_report_from_distribution(dist)))
+    row.update(zip(_P_COLUMNS[QUAD_LABELS], probs.tolist()))
+    row.update(_chsh_cells(_combine((probs @ CHSH_SIGNS).tolist())))
     return _one_row(row)
 
 
@@ -466,12 +460,11 @@ def run_sample(spec: ExperimentSpec) -> Table:
     if spec.out is None:
         raise ConfigError("out", "sample needs an output path for the event log")
     if spec.experiment == "whichway":
-        whichway, state = _whichway_from_spec(spec)
-        povm = whichway.povm
+        povm = _arm(spec.gamma, spec.theta_deg, spec.theta_prime_deg)[0]
+        state = resolve_state(spec.state, 2)
     else:
-        bell = _bell_from_spec(spec)
-        povm = bell.povm
-        state = bell.config.state
+        state = resolve_state(spec.state, 4)
+        povm = _joint_povm(*_bell_arms(spec))
     payload = spec_to_dict(spec)
     payload.pop("out", None)  # presentation only, must not change log bytes
     payload.pop("format", None)
@@ -492,8 +485,7 @@ def run_sample(spec: ExperimentSpec) -> Table:
     }
     for label in povm.labels:
         row[f"freq_{_slug(label)}"] = freqs[label]
-    for label, p in analytic.as_dict().items():
-        row[_P_COLUMNS[label]] = p
+    row.update(zip(_P_COLUMNS[povm.labels], analytic.probs.tolist()))
     if log.count:
         row["max_abs_deviation"] = max(abs(freqs[l] - analytic.prob(l)) for l in povm.labels)
     else:
@@ -600,11 +592,13 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
         elif type(value) is int or (type(value) is float and math.isfinite(value)):
             # the text json.dumps writes for an int or a finite float
             yield f'    "{name}": {value!r}' + end
+        elif isinstance(value, tuple):
+            # a state's amplitude pairs as json's indented (pure-Python) encoder writes finite floats
+            pairs = ",\n".join(f"      [\n        {re!r},\n        {im!r}\n      ]" for re, im in value)
+            yield f'    "{name}": [\n' + pairs + "\n    ]" + end
         else:
-            # only the amplitude list of a state spans lines; the other
-            # values take json's faster path for unindented text
-            text = json.dumps(value, indent=2 if isinstance(value, tuple) else None)
-            yield f'    "{name}": ' + text.replace("\n", "\n    ") + end
+            # a string, which json's C encoder writes for unindented text
+            yield f'    "{name}": ' + json.dumps(value) + end
     yield "  },\n"
 
 

@@ -179,24 +179,27 @@ def martens_sweep(
     return MartensCurve(j_lambda=block[1], j_mu=block[2], bound=bound, slack=block[4], satisfied=satisfied)
 
 
-def martens_check(whichway: BivariateWhichWay) -> MartensReport:
-    """Evaluate j_lambda + j_mu >= bound for one which-way configuration.
-
-    The entropies of the sweep's `_curve_columns` at r = 1 - gamma and
-    r = gamma, by its operations on Python floats and its four logs in one
-    np.log call, so each value is the sweep's bit for bit. The which-way
-    POVM was validated when it was built.
-    """
-    config = _of_type(whichway, BivariateWhichWay, "whichway").config
-    bound = martens_bound(config.theta, config.theta_prime)
-    rs = (1.0 - config.gamma, config.gamma)
+def _martens_point(gamma: float, theta: PolarizationAngle, theta_prime: PolarizationAngle) -> tuple:
+    """The fields of the `MartensReport` of a checked gamma, for `martens_check` and the CLI's
+    `whichway` row: the entropies of the sweep's `_curve_columns` at r = 1 - gamma and
+    r = gamma, by its operations on Python floats and its four logs in one np.log call,
+    so each value is the sweep's bit for bit."""
+    bound = martens_bound(theta, theta_prime)
+    rs = (1.0 - gamma, gamma)
     totals = [r + 1.0 for r in rs]
     # r = 0 contributes 0 ln 0 = 0: its ratio is 1, whose log is 0
     ratios = [r / total if r > 0.0 else 1.0 for r, total in zip(rs, totals)]
     logs = np.log([*ratios, 1.0 / totals[0], 1.0 / totals[1]]).tolist()
     j_lambda, j_mu = (-(r * logs[i] + logs[2 + i]) / 2 + 0.0 for i, r in enumerate(rs))
     slack = j_lambda + j_mu - bound
-    return MartensReport(j_lambda, j_mu, bound, slack, slack >= -DEFAULT_POLICY.atol_positivity)
+    return j_lambda, j_mu, bound, slack, slack >= -DEFAULT_POLICY.atol_positivity
+
+
+def martens_check(whichway: BivariateWhichWay) -> MartensReport:
+    """Evaluate j_lambda + j_mu >= bound for one which-way configuration, by
+    `_martens_point`. The which-way POVM was validated when it was built."""
+    config = _of_type(whichway, BivariateWhichWay, "whichway").config
+    return MartensReport(*_martens_point(config.gamma, config.theta, config.theta_prime))
 
 
 class HeisenbergCheck(NamedTuple):

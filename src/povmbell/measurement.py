@@ -44,6 +44,7 @@ from .qcore import (
     PolarizationAngle,
     StateDescriptor,
     _as_array,
+    _Made,
     _of_type,
     as_matrix,
     identity,
@@ -291,7 +292,7 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     if effects.shape[1:] == (2, 2) and len(effects) == len(labels):
         cls = _qubit_class(effects.tolist())
         if cls is not None:
-            return cls(stack=effects, labels=labels)
+            return cls(stack=_Made(effects), labels=labels)
     validate_effect_stack(effects, labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
@@ -304,7 +305,7 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     block_of = np.arange(k * dim) // dim
     residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
     cls = Pvm if residue.max() <= DEFAULT_POLICY.atol_algebra else Povm
-    return cls(stack=effects, labels=labels)
+    return cls(stack=_Made(effects), labels=labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,8 +348,7 @@ class OutcomeDistribution(ArrayRecord):
                 f"probabilities sum to {total!r}; must equal 1 within {tol}"
             )
         probs = np.clip(probs, 0.0, 1.0)
-        probs = probs / probs.sum()
-        return cls(labels=labels, probs=probs)
+        return cls(labels=labels, probs=_Made(probs / probs.sum()))
 
     def prob(self, label: str) -> float:
         for lbl, p in zip(self.labels, self.probs):

@@ -91,6 +91,15 @@ class ArrayRecord:
         return True
 
 
+class _Made:
+    """An array the library has just made, so marked by its call site: no caller holds it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 def _as_array(values: object, dtype: object, what: str, ndim: int | None = None, *, frozen: bool = False):
     """The one conversion of caller input: `values` as `dtype`, naming `what` in errors.
 
@@ -99,12 +108,16 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
     input raises ShapeMismatchError; entries that are not numbers, and complex
     values where `dtype` is real (a list is read by numpy's choice first, so
     that a nested one shows), DomainError. A `frozen` array is read-only: a
-    read-only array of `dtype` that owns its memory passes through, anything
-    else is copied; no caller write reaches it.
+    copy of a caller array, so no caller write reaches it, or a `_Made` array
+    of `dtype`, frozen in place.
     """
+    made = type(values) is _Made
+    if made:
+        values = values.array
     if dtype is np.float64 or dtype is float:
         if dtype is np.float64 and not isinstance(values, (np.ndarray, np.generic)):
-            values = _as_array(values, None, what, frozen=frozen)  # keeps nested complex values complex
+            # keeps nested complex values complex; a frozen one is the library's own copy
+            values, made = _as_array(values, None, what, frozen=frozen), True
         if isinstance(values, (np.ndarray, np.generic)) and (
             values.dtype.kind == "c" or values.dtype.kind == "O" and any(map(np.iscomplexobj, values.flat))
         ):
@@ -114,13 +127,8 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
             return float(values)
         if not frozen:
             array = np.asarray(values, dtype=dtype)
-        elif (
-            isinstance(values, np.ndarray) and values.dtype == dtype
-            and not values.flags.writeable and values.base is None  # a view's base may be writable
-        ):
-            array = values
         else:
-            array = np.array(values, dtype=dtype)
+            array = values if made and values.dtype == dtype else np.array(values, dtype=dtype)
             array.setflags(write=False)
     except (TypeError, ValueError, OverflowError, _ComplexWarning) as exc:
         if "inhomogeneous" in str(exc):
@@ -140,7 +148,7 @@ def _of_type(value: object, cls: type, what: str):
 
 
 def as_matrix(values: object) -> ComplexMatrix:
-    """`values` as an immutable complex128 matrix, copied unless `_as_array` may keep it."""
+    """`values` as an immutable complex128 matrix, a copy of a caller array."""
     return _as_array(values, np.complex128, "matrix", 2, frozen=True)
 
 

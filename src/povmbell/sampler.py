@@ -37,7 +37,7 @@ import numpy as np
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
 from .errors import ConfigError, DomainError
 from .measurement import OutcomeDistribution, Povm, _label_tuple, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type
+from .qcore import ArrayRecord, StateDescriptor, _as_array, _Made, _of_type
 
 __all__ = [
     "GENERATOR_NAME",
@@ -106,8 +106,8 @@ class EventLog(ArrayRecord):
     (the CLI stores canonical config JSON there); `label_set` is the POVM's
     full outcome alphabet in effect order, which may include labels that
     never occurred. The events are held as `indices`, a read-only array of
-    positions in `label_set` with dtype `_index_dtype(len(label_set))`; an
-    index array that is writable, differently typed or a view is copied.
+    positions in `label_set` with dtype `_index_dtype(len(label_set))`; a
+    caller's index array is copied, one `sample` or `read_event_log` made is kept.
     `events` derives the tuple of labels from it.
 
     Raises DomainError for a seed that is not an integer (Python or numpy,
@@ -142,7 +142,9 @@ class EventLog(ArrayRecord):
             raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
         if array.size and not 0 <= array.min() <= array.max() < len(label_set):
             raise DomainError(f"event indices must lie in [0, {len(label_set)})")
-        array = _as_array(array, _index_dtype(len(label_set)), "event indices", frozen=True)
+        # the marked array of `sample` or `read_event_log` stays marked
+        kept = self.indices if type(self.indices) is _Made else array
+        array = _as_array(kept, _index_dtype(len(label_set)), "event indices", frozen=True)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "indices", array)
@@ -359,9 +361,8 @@ def read_event_log(path: str | Path) -> EventLog:
             block = fh.read(LOG_CHUNK * shortest)
     if filled != count:
         raise ConfigError("log", f"header count {count} does not match {filled} events")
-    indices.setflags(write=False)
     try:
-        return EventLog(header["config"], header["generator"], seed, labels, indices)
+        return EventLog(header["config"], header["generator"], seed, labels, _Made(indices))
     except DomainError as exc:
         raise ConfigError("log", f"event log header: {exc}") from None
 
@@ -415,14 +416,13 @@ def sample(
         u = rng.random(out=variates[: len(part)])
         for edge in cdf[:-1].tolist():
             part += u >= edge
-    indices.setflags(write=False)
     descriptor = config_descriptor or f"povm(dim={povm.dim},labels={','.join(labels)})"
     return EventLog(
         config=descriptor,
         generator=GENERATOR_NAME,
         seed=int(seed),
         label_set=labels,
-        indices=indices,
+        indices=_Made(indices),
     )
 
 

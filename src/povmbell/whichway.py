@@ -12,11 +12,11 @@ The measured marginal in each branch is a column-stochastic smearing of the
 ideal sharp measurement along that branch's axis; `marginals_and_nonideality`
 returns those smearing matrices. One scalar kernel, `_effects`, forms the
 four effects of one transmissivity from Python floats and complex numbers
-into one frozen (4, 2, 2) stack: `build_whichway` checks it with
-`validate_povm`, and `chsh_aspect` forms the gamma = 1 and gamma = 0
-corners with it, unchecked. The smearing matrices are closed forms of
-gamma, and `infometrics` evaluates their row entropies in closed form,
-without forming them.
+into one frozen (4, 2, 2) stack: `build_whichway` and the CLI's arm kernel
+`cli._arm` check it with `validate_povm`, and `chsh_aspect` forms the
+gamma = 1 and gamma = 0 corners with it, unchecked. The smearing matrices
+are closed forms of gamma, and `infometrics` evaluates their row entropies
+in closed form, without forming them.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def _effects(
     every gamma in [0, 1]. Formed from scalars, the stack is the numpy array
     build's bit for bit (see `_weighted_projector`), which the tests keep as
     the reference. Neither gamma nor the stack is checked here:
-    `build_whichway` checks the POVM it hands out, and the tests prove the
-    stacks of the paths that reduce them to numbers
+    `build_whichway` and `cli._arm` check the arms they form, and the tests
+    prove the stacks of the paths that reduce them to numbers
     (`tests/test_derived_povms.py`).
     """
     t00, t01, t10, t11 = _weighted_projector(gamma, theta)

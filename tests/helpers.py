@@ -14,7 +14,29 @@ import math
 
 import numpy as np
 
-from povmbell import Povm, StateDescriptor, cli, identity, martens_bound, projector_from_angle, validate_povm
+from povmbell import (
+    Povm,
+    StateDescriptor,
+    born_probabilities,
+    build_bell,
+    build_whichway,
+    chsh_aspect,
+    chsh_report_from_distribution,
+    cli,
+    empirical_chsh,
+    empirical_frequencies,
+    identity,
+    joint_distribution,
+    marginals_and_nonideality,
+    marginals_from_distribution,
+    martens_bound,
+    martens_check,
+    projector_from_angle,
+    quad_distribution,
+    sample,
+    validate_povm,
+    write_event_log,
+)
 from povmbell.bell import BellConfig
 from povmbell.whichway import WhichWayConfig
 
@@ -194,18 +216,132 @@ def martens_sweep_rows(spec) -> tuple[list[str], list[dict]]:
     return columns, [dict(zip(columns, row)) for row in rows.tolist()]
 
 
+def state_text_reference(state) -> str:
+    """The state cell of a one-row table: the name, or the amplitude pairs as `json.dumps` writes them.
+
+    The text the CLI wrote before it formatted each amplitude by `repr`. The
+    config block of a JSON table, whose amplitude list the CLI also writes by
+    `repr` now, is `render_json_reference`'s `json.dumps` of the whole table.
+    """
+    if isinstance(state, str):
+        return state
+    return json.dumps([[re, im] for re, im in state], separators=(",", ":"))
+
+
+def _arm_config(gamma, theta_deg, theta_prime_deg) -> WhichWayConfig:
+    return WhichWayConfig(gamma, math.radians(theta_deg), math.radians(theta_prime_deg))
+
+
+def _bell_config(spec) -> BellConfig:
+    state = cli.resolve_state(spec.state, 4)
+    arm1 = _arm_config(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg)
+    return BellConfig(arm1, _arm_config(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg), state)
+
+
+def _p_cells(dist) -> dict:
+    return {f"p_{cli._slug(label)}": p for label, p in dist.as_dict().items()}
+
+
+def config_cells_reference(spec) -> dict:
+    fields = cli._EXPERIMENTS[spec.kind][0]
+    cell = {"state": state_text_reference(spec.state)}
+    return {name: cell[name] if name in cell else getattr(spec, name) for name in fields}
+
+
+def whichway_row_reference(spec) -> dict:
+    """The `whichway` row by the layered path the CLI's one arm kernel replaced:
+    `build_whichway`, `joint_distribution`, `marginals_from_distribution`,
+    `marginals_and_nonideality` and `martens_check`, each on its records."""
+    whichway = build_whichway(_arm_config(spec.gamma, spec.theta_deg, spec.theta_prime_deg))
+    dist = joint_distribution(whichway, cli.resolve_state(spec.state, 2))
+    marg_d, marg_dprime = marginals_from_distribution(dist)
+    lam, mu = marginals_and_nonideality(whichway)
+    report = martens_check(whichway)
+    row = {**config_cells_reference(spec), **_p_cells(dist)}
+    row["marg_d_plus"] = float(marg_d[0])
+    row["marg_d_minus"] = float(marg_d[1])
+    row["marg_dprime_plus"] = float(marg_dprime[0])
+    row["marg_dprime_minus"] = float(marg_dprime[1])
+    for name, matrix in (("lambda", lam), ("mu", mu)):
+        for i in range(2):
+            for j in range(2):
+                row[f"{name}_{i}{j}"] = float(matrix.entries[i, j])
+    row["j_lambda"] = report.j_lambda
+    row["j_mu"] = report.j_mu
+    row["martens_bound"] = report.bound
+    row["martens_slack"] = report.slack
+    row["martens_satisfied"] = report.satisfied
+    return row
+
+
+def bell_row_reference(spec) -> dict:
+    """The `bell` row by the layered path: `BellConfig`, `build_bell`, `quad_distribution`
+    and `chsh_report_from_distribution`."""
+    dist = quad_distribution(build_bell(_bell_config(spec)))
+    report = chsh_report_from_distribution(dist)
+    return {**config_cells_reference(spec), **_p_cells(dist), **cli._chsh_cells(report)}
+
+
+def aspect_row_reference(spec) -> dict:
+    angles = (spec.theta1_deg, spec.theta1_prime_deg, spec.theta2_deg, spec.theta2_prime_deg)
+    report = chsh_aspect(cli.resolve_state(spec.state, 4), *map(math.radians, angles))
+    return {**config_cells_reference(spec), **cli._chsh_cells(report)}
+
+
+def sample_row_reference(spec) -> dict:
+    """The `sample` summary row, its event log written again to `spec.out`: the POVM
+    by `build_whichway`, or `build_bell` of two arms, then the library's `sample`,
+    `write_event_log`, `empirical_frequencies` and `empirical_chsh`."""
+    if spec.experiment == "whichway":
+        povm = build_whichway(_arm_config(spec.gamma, spec.theta_deg, spec.theta_prime_deg)).povm
+        state = cli.resolve_state(spec.state, 2)
+    else:
+        config = _bell_config(spec)
+        povm, state = build_bell(config).povm, config.state
+    payload = {k: v for k, v in cli.spec_to_dict(spec).items() if k not in ("out", "format")}
+    descriptor = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    analytic = born_probabilities(state, povm)
+    log = sample(povm, state, spec.n_events, spec.seed, config_descriptor=descriptor)
+    write_event_log(log, spec.out)
+    freqs = empirical_frequencies(log)
+    row = {
+        "experiment": spec.experiment,
+        "n_events": log.count,
+        "seed": log.seed,
+        "generator": log.generator,
+        "config_sha256": hashlib.sha256(descriptor.encode("utf-8")).hexdigest(),
+        "log_path": spec.out,
+    }
+    row.update((f"freq_{cli._slug(label)}", freqs[label]) for label in povm.labels)
+    row.update(_p_cells(analytic))
+    deviations = [abs(freqs[label] - analytic.prob(label)) for label in povm.labels]
+    row["max_abs_deviation"] = max(deviations) if log.count else None
+    if spec.experiment == "bell":
+        row["s_analytic"] = chsh_report_from_distribution(analytic).s_value
+        row["s_empirical"] = empirical_chsh(log).s_value if log.count else None
+    return row
+
+
+# kind -> the reference row of its one-row command
+ROW_REFERENCES = {
+    "whichway": whichway_row_reference,
+    "bell": bell_row_reference,
+    "aspect": aspect_row_reference,
+    "sample": sample_row_reference,
+}
+
+
 def reference_table(spec) -> str:
     """The table `povmbell.cli.main` must write for a valid spec, by the references.
 
-    A sweep is evaluated by `martens_sweep_rows`; a one-row command by its
-    runner, whose one row is handed over as a dict. A sample runner writes
-    its event log again, to the same bytes.
+    A sweep is evaluated by `martens_sweep_rows`, a one-row command by its
+    entry of ROW_REFERENCES. A sample reference writes its event log again.
     """
     if spec.kind == "sweep-martens":
         columns, rows = martens_sweep_rows(spec)
     else:
-        columns, batches = cli._RUNNERS[spec.kind](spec)
-        rows = [dict(zip(columns, row)) for batch in batches for row in batch]
+        row = ROW_REFERENCES[spec.kind](spec)
+        columns, rows = list(row), [row]
     if spec.format == "csv":
         return render_csv_reference(columns, rows)
     return render_json_reference(spec, rows)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
+from test_derived_povms import EDGE_GAMMAS
 from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics, sampler
 from povmbell.cli import (
     SWEEP_CHUNK,
@@ -405,9 +406,9 @@ VALID_FIELDS = {
 }
 
 
-def valid_states(dim):
+def valid_states(dim, amplitudes=AMPLITUDES):
     names = sorted(name for name, state in cli._NAMED_STATES.items() if state.dim == dim)
-    entry = st.one_of(AMPLITUDES, st.lists(AMPLITUDES, min_size=2, max_size=2))
+    entry = st.one_of(amplitudes, st.lists(amplitudes, min_size=2, max_size=2))
     amplitudes = st.lists(entry, min_size=dim, max_size=dim).filter(
         lambda amps: any(x != 0.0 for a in amps for x in (a if isinstance(a, list) else [a]))
     )
@@ -521,6 +522,75 @@ def test_table_bytes_match_the_per_row_reference(command, size, data):
             assert table.read_bytes() == expected
         else:
             assert out.getvalue().encode("utf-8") == expected
+
+
+# amplitudes whose text and scaling the one-row commands must keep: a
+# negative zero, the smallest subnormal, a huge value and JSON integers
+EDGE_AMPLITUDES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, 0, 1, -3, 2**53]), AMPLITUDES)
+# angles in degrees, negative and beyond a turn, that each arm reduces modulo 180
+WIDE_ANGLES = st.one_of(
+    st.sampled_from([-720.0, -45.0, -5e-324, 360.0, 361.5, 725.25, 1e6]), st.floats(-1e4, 1e4), VALID_ANGLES
+)
+
+
+@st.composite
+def one_row_configs(draw, experiment):
+    """A whichway or bell config of edge values: EDGE_GAMMAS and -0.0, which the range
+    check lets through, wide angles, named or listed states."""
+    fields, dim = cli._EXPERIMENTS[experiment]
+    gammas = st.one_of(st.sampled_from((-0.0, *EDGE_GAMMAS)), st.floats(0.0, 1.0))
+    payload = {}
+    for name in fields:
+        if name == "state":
+            payload[name] = draw(valid_states(dim, EDGE_AMPLITUDES), label=name)
+        else:
+            payload[name] = draw(gammas if name.startswith("gamma") else WIDE_ANGLES, label=name)
+    return payload
+
+
+@pytest.mark.parametrize("command, experiment", [(c, c) for c in ("whichway", "bell")] + [
+    ("sample", e) for e in cli._SAMPLE_EXPERIMENTS
+])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_row_bytes_match_the_layered_reference(command, experiment, data):
+    """The one arm kernel writes the bytes of the layered path it replaced.
+
+    The table, on stdout or by `--out`, and a sample's event log are those of
+    `helpers.ROW_REFERENCES`, which build the arms by `build_whichway` and
+    `build_bell`, and write the state cell by `json.dumps`.
+    """
+    payload = data.draw(one_row_configs(experiment), label="config")
+    if command == "sample":
+        payload.update(experiment=experiment, seed=data.draw(st.integers(0, 2**64 - 1), label="seed"))
+        payload["n_events"] = data.draw(st.sampled_from([0, 1, 500]) | st.integers(0, 3000), label="n")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        target = Path(tmp) / ("events.log" if command == "sample" else "table.txt")
+        argv = [command, "--config", str(config)]
+        for field, value in (("format", data.draw(st.sampled_from(["csv", "json"]))), ("out", str(target))):
+            where = data.draw(st.sampled_from(["config", "flag", "none"]), label=field)
+            if where == "none" and (field == "format" or command != "sample"):
+                continue
+            if where == "config":
+                payload[field] = value
+            else:
+                argv += [f"--{field}", value]
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (0, "")
+        written = target.read_bytes() if target.exists() else None
+        spec = cli.resolve_spec(build_parser().parse_args(argv))
+        expected = reference_table(spec).encode("utf-8")
+        if command == "sample":
+            assert out.getvalue().encode("utf-8") == expected
+            assert written == target.read_bytes()  # the reference wrote the log again
+        elif spec.out is None:
+            assert (out.getvalue().encode("utf-8"), written) == (expected, None)
+        else:
+            assert (out.getvalue(), written) == ("", expected)
 
 
 GOLDEN_BELL = {

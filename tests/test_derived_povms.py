@@ -2,12 +2,15 @@
 
 The library checks the POVM axioms where a POVM object reaches the caller:
 `validate_povm`, `build_whichway` (so each arm of
-`build_bell`) and `polarization_pvm`. Effects formed from checked scalars
+`build_bell`) and `polarization_pvm`. The CLI's `whichway`, `bell` and
+`sample` commands check each arm they form with `validate_povm` too, and
+reduce it within one call. Effects formed from checked scalars
 (gammas, angles) and reduced to numbers inside one call are not checked at
 run time:
 
-* `build_bell` tensors two checked arms, and a tensor product of POVMs is a
-  POVM, sharp exactly when both factors are;
+* `build_bell`, and the CLI's `bell` and bell `sample`, tensor two checked
+  arms, and a tensor product of POVMs is a POVM, sharp exactly when both
+  factors are;
 * `chsh_aspect` tensors the which-way effects of each arm at gamma = 1 and
   gamma = 0, and returns only the four correlations;
 * `martens_sweep` and `martens_check` form no effects and no nonideality
@@ -161,8 +164,11 @@ class TestDerivedMeasurementsPassTheFullCheck:
         assert 0.0 <= martens_bound(*angles) <= math.log(2.0)
 
 
+ANGLES_DEG = {"theta1_deg": 0.0, "theta1_prime_deg": 45.0, "theta2_deg": 22.5, "theta2_prime_deg": 67.5}
+
+
 class TestRuntimeChecks:
-    """Only POVMs handed to the caller reach `validate_povm`."""
+    """Only POVMs handed to the caller, and the arms of the CLI's one-row commands, reach `validate_povm`."""
 
     @pytest.fixture
     def checked_shapes(self, monkeypatch):
@@ -228,3 +234,24 @@ class TestRuntimeChecks:
         arm = WhichWayConfig(0.6, 0.2, 1.1)
         build_bell(BellConfig(arm1=arm, arm2=arm, state=singlet_state()))
         assert checked_shapes == [(4, 2, 2), (4, 2, 2)]
+
+    @pytest.mark.parametrize(
+        "command, fields, checked",
+        [
+            ("whichway", {"gamma": 0.3, "theta_deg": 10.0, "theta_prime_deg": 55.0, "state": "H"}, 1),
+            ("bell", {"gamma1": 0.6, "gamma2": 1.0, **ANGLES_DEG, "state": "singlet"}, 2),
+            ("aspect", {**ANGLES_DEG, "state": "singlet"}, 0),
+            ("sample", {"experiment": "whichway", "gamma": 0.3, "theta_deg": 10.0, "theta_prime_deg": 55.0,
+                        "state": [1, 0], "n_events": 5, "seed": 1}, 1),
+            ("sample", {"experiment": "bell", "gamma1": 0.6, "gamma2": 0.0, **ANGLES_DEG, "state": "singlet",
+                        "n_events": 5, "seed": 1}, 2),
+        ],
+    )
+    def test_the_one_row_commands_check_each_arm_once(
+        self, checked_shapes, tmp_path, command, fields, checked
+    ):
+        # the runners reduce each arm within one call, and check it as build_whichway does
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(fields))
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert checked_shapes == [(4, 2, 2)] * checked

@@ -10,9 +10,10 @@ class, called with junk, returns or raises a `PovmBellError`. The checks run
 against one fixed table of tolerances (`DEFAULT_POLICY`), so no callable
 takes a tolerance argument. No linter is assumed, so an `ast` walk stands in
 for an unused-import check; another finds caller input converted anywhere
-but `qcore._as_array`, and a third the scalar qubit POVM verdict named
-anywhere but in `measurement.validate_povm`. Every function the
-benchmark's tracer wraps must exist, or `--trace 1` fails.
+but `qcore._as_array`, a third the scalar qubit POVM verdict named
+anywhere but in `measurement.validate_povm`, and two more the unchecked
+sweep and which-way arm kernels named outside their checked callers.
+Every function the benchmark's tracer wraps must exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
 re-exports is the one `sampler` defines and `cli` imports. The README's
 Library example runs as written and prints what its comment shows.
@@ -21,8 +22,11 @@ Library example runs as written and prints what its comment shows.
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import os
 import pkgutil
 import re
@@ -37,7 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import povmbell
-from povmbell import PovmBellError
+from povmbell import PovmBellError, cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(povmbell.__path__))
 # the command-line front end is reached as `povmbell.cli`; importing the
@@ -372,6 +376,42 @@ def test_kernel_check_finds_other_callers():
     ]
 
 
+# the unchecked which-way arm kernel: `build_whichway` and the CLI's one arm
+# kernel `_arm` check the stack it forms, and the tests prove the Aspect corners
+ARM_KERNEL, ARM_KERNEL_CALLERS = "_effects", ("build_whichway", "chsh_aspect", "_arm")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_checked_arms_reach_the_arm_kernel(path):
+    assert callable(getattr(povmbell.whichway, ARM_KERNEL))
+    assert private_references(path.read_text(), ARM_KERNEL, ARM_KERNEL_CALLERS) == []
+
+
+def test_arm_kernel_check_finds_other_callers():
+    source = (
+        "from .whichway import _effects\n"
+        "from .whichway import _effects as arm\n"
+        "def build_whichway(config):\n"
+        "    return validate_povm(_effects(config.gamma, 0.0, 0.0), WW_LABELS)\n"
+        "def chsh_aspect(state):\n"
+        "    return [whichway._effects(gamma, 0.0, 0.0) for gamma in (1.0, 0.0)]\n"
+        "def _arm(gamma, theta_deg, theta_prime_deg):\n"
+        "    return validate_povm(_effects(gamma, 0.0, 0.0), WW_LABELS)\n"
+        "def run_whichway(spec):\n"
+        "    return whichway._effects(spec.gamma, 0.0, 0.0)\n"
+        "def build_bell(config):\n"
+        "    def inner():\n"
+        "        return getattr(whichway, '_effects')\n"
+        "    return _effects(config.gamma, 0.0, 0.0)\n"
+    )
+    assert private_references(source, ARM_KERNEL, ARM_KERNEL_CALLERS) == [
+        "<module>: _effects as arm",
+        "run_whichway: whichway._effects",
+        "inner: '_effects'",
+        "build_bell: _effects",
+    ]
+
+
 def traced_functions() -> tuple[str, ...]:
     """`FUNCTIONS` of `perfbench/tracer.py`, run from its source (no bytecode is written)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -509,7 +549,20 @@ EXPORTED_CALLABLES = sorted(
 CODEC = {"read_event_log", "write_event_log"}
 
 
-def junk_call(value, data) -> tuple[list, dict]:
+# the front end's functions and classes, and values of their parameters'
+# names; a config of the plausible command line is written by the test class
+FRONT_END_CALLABLES = sorted(name for name in cli.__all__ if callable(getattr(cli, name)))
+FRONT_END_PLAUSIBLE = {
+    **PLAUSIBLE,
+    "argv": (["whichway", "--config", "whichway.json"],),
+    "expected_dim": (2, 4),
+    "payload": ({"kind": "aspect", **dict.fromkeys(("theta1_deg", "theta1_prime_deg", "theta2_deg"), 0.0),
+                 "theta2_prime_deg": 45.0, "state": "singlet"},),
+    "spec": (cli.spec_from_dict({"kind": "sweep-martens", "delta_deg": 30.0, "gamma_grid": [0.5]}),),
+}
+
+
+def junk_call(value, data, plausible_values=PLAUSIBLE) -> tuple[list, dict]:
     """Arguments for `value`: junk in one drawn parameter, or in none, values
     of its name before it, values or junk after it; each optional parameter
     passed or not."""
@@ -521,7 +574,7 @@ def junk_call(value, data) -> tuple[list, dict]:
     target = data.draw(st.integers(0, len(parameters)), label="junk at")
     args, kwargs = [], {}
     for i, p in enumerate(parameters):
-        plausible = st.sampled_from(PLAUSIBLE[p.name]) if p.name in PLAUSIBLE else JUNK_ARGUMENT
+        plausible = st.sampled_from(plausible_values[p.name]) if p.name in plausible_values else JUNK_ARGUMENT
         if i == target:
             argument = JUNK_ARGUMENT
         else:
@@ -534,13 +587,16 @@ def junk_call(value, data) -> tuple[list, dict]:
 
 
 class TestJunkInput:
-    """Every export, called with junk, returns or raises a PovmBellError. The
-    front end `cli` is left out: its contract is the process's exit code."""
+    """Every export, called with junk, returns or raises a PovmBellError. So
+    does every function of the front end `cli` but `main`, whose contract is
+    the process's exit code: it returns one, or argparse raises SystemExit(2)."""
 
     @pytest.fixture(scope="class", autouse=True)
     def scratch_directory(self, tmp_path_factory):
         home = os.getcwd()
         os.chdir(tmp_path_factory.mktemp("junk"))
+        whichway = {"gamma": 0.3, "theta_deg": 10.0, "theta_prime_deg": 50.0, "state": [0.6, [0.0, 0.8]]}
+        Path("whichway.json").write_text(json.dumps(whichway), encoding="utf-8")
         yield
         os.chdir(home)
 
@@ -556,3 +612,22 @@ class TestJunkInput:
             pass
         except OSError:
             assert name in CODEC, f"{name} raised OSError"
+
+    @pytest.mark.parametrize("name", FRONT_END_CALLABLES)
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_front_end_returns_or_raises_a_package_error(self, name, data):
+        value = getattr(cli, name)
+        args, kwargs = junk_call(value, data, FRONT_END_PLAUSIBLE)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                returned = value(*args, **kwargs)
+        except PovmBellError:
+            assert name != "main", "main let a package error through"
+        except OSError:
+            assert name in CODEC, f"{name} raised OSError"
+        except SystemExit as exc:
+            assert (name, exc.code) == ("main", 2)
+        else:
+            if name == "main":
+                assert returned in (0, 2, 3, 4)

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, random_pure
+from helpers import random_density, random_hermitian, random_pure, whichway_effects_reference
 from povmbell import (
     DEFAULT_POLICY,
     PAULI_X,
@@ -56,7 +58,8 @@ from povmbell import (
     validate_povm,
     write_event_log,
 )
-from povmbell import cli
+from povmbell import WW_LABELS, cli
+from povmbell.cli import ExperimentSpec
 from povmbell.qcore import _as_array, as_angle, hermiticity_defect
 
 
@@ -78,8 +81,8 @@ class TestAsMatrix:
             m[0, 0] = 9.0
 
     def test_copies_input(self):
-        # a read-only array of the record's dtype that owns its memory is kept;
-        # anything else is copied, so no write to the caller's arrays reaches it
+        # every caller array is copied, so no write to it reaches the record:
+        # a read-only one that owns its memory too, which its owner can reopen
         sources = {
             as_matrix: np.eye(2, dtype=np.complex128),
             lambda a: Povm(a, ("a",)).stack: np.eye(2, dtype=np.complex128)[None].copy(),
@@ -89,12 +92,12 @@ class TestAsMatrix:
         for held, source in sources.items():
             frozen = source.copy()
             frozen.setflags(write=False)
-            assert held(frozen) is frozen
             writable, other_dtype, base = source.copy(), source.real.astype(np.float32), source.copy()
             view = base[...]  # read-only, but its base is not
             view.setflags(write=False)
-            for src, writer in ((writable, writable), (other_dtype, other_dtype), (view, base)):
+            for src, writer in ((frozen, frozen), (writable, writable), (other_dtype, other_dtype), (view, base)):
                 kept = held(src)
+                writer.setflags(write=True)
                 writer.flat[0] = 5.0
                 assert kept.flat[0] == 1.0 and not kept.flags.writeable
 
@@ -103,6 +106,58 @@ class TestAsMatrix:
             as_matrix([1, 2, 3])
         with pytest.raises(ShapeMismatchError):
             as_matrix(np.zeros((2, 2, 2)))
+
+
+def _caller_forms(values: np.ndarray) -> dict:
+    """A caller array of `values` in each form a record must copy, with the
+    array a write to it goes through: writable, read-only and owning its
+    memory (which its owner may reopen), and a read-only view of a writable base."""
+    owning, base = values.copy(), values.copy()
+    owning.setflags(write=False)
+    view = base[...]
+    view.setflags(write=False)
+    return {"writable": (values.copy(),) * 2, "read-only": (owning, owning), "view": (view, base)}
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def record_inputs(draw):
+    """(name, build, values): a record's constructor from one caller array of its own dtype, and the array."""
+    p, angle = draw(UNIT), draw(st.floats(-10.0, 10.0))
+    effects = whichway_effects_reference(p, angle, 2.0 * angle)
+    sharp = whichway_effects_reference(draw(st.sampled_from([0.0, 1.0])), angle, 2.0 * angle)
+    amps = np.array([math.cos(angle), math.sin(angle) * 1j])
+    cases = {
+        "Povm": (lambda a: validate_povm(a, WW_LABELS).stack, effects),
+        "Pvm": (lambda a: validate_povm(a, WW_LABELS).stack, sharp),
+        "Effect": (lambda a: Effect(a, "e").matrix, effects[1]),
+        "OutcomeDistribution": (lambda a: OutcomeDistribution(("a", "b"), a).probs, np.array([p, 1.0 - p])),
+        "NonidealityMatrix": (lambda a: NonidealityMatrix(a).entries, np.array([[p, 0.0], [1.0 - p, 1.0]])),
+        "StateDescriptor.pure": (lambda a: StateDescriptor.pure(a).vector, amps),
+        "StateDescriptor.density": (lambda a: StateDescriptor.density(a).matrix, np.outer(amps, amps.conj())),
+        "EventLog": (lambda a: EventLog("c", "g", 0, ("a", "b"), a).indices, np.array(draw(
+            st.lists(st.integers(0, 1), max_size=8)), dtype=np.uint8)),
+        "ExperimentSpec": (lambda a: ExperimentSpec("sweep-martens", gamma_grid=a).gamma_grid, np.array(
+            draw(st.lists(UNIT, min_size=1, max_size=8)))),
+    }
+    name = draw(st.sampled_from(sorted(cases)))
+    return (name, *cases[name])
+
+
+class TestNoCallerWriteReachesARecord:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(record_inputs(), st.sampled_from(["writable", "read-only", "view"]))
+    def test_writes_to_the_caller_arrays_leave_the_record(self, record, form):
+        name, build, values = record
+        caller, writer = _caller_forms(values)[form]
+        held = build(caller)
+        assert held.dtype == values.dtype and not held.flags.writeable, name
+        kept = held.tobytes()
+        writer.setflags(write=True)
+        writer[...] = 7
+        assert held.tobytes() == kept, name
 
 
 class TestMatmul:
@@ -455,6 +510,8 @@ JUNK = {
     ),
     # the front end's library calls
     "resolve_state-unknown-name": (lambda: cli.resolve_state("bogus", 2), ConfigError),
+    "resolve_state-None": (lambda: cli.resolve_state(None, 2), ConfigError),
+    "resolve_state-empty": (lambda: cli.resolve_state([], 2), ConfigError),
     "spec_to_dict-None": (lambda: cli.spec_to_dict(None), DomainError),
 }
 
