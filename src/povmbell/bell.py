@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
 from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
-from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor, _of_type, as_angle
+from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor, _of_type, _trusted, as_angle
 from .whichway import WW_LABELS, WhichWayConfig, _effects, build_whichway
 
 __all__ = [
@@ -113,8 +113,9 @@ def _joint_effects(arm1: np.ndarray, arm2: np.ndarray) -> np.ndarray:
 def _joint_povm(arm1: Povm, arm2: Povm) -> Povm:
     """The 16-effect POVM of two checked arms, for `build_bell` and the CLI's bell `sample`."""
     joint = _joint_effects(arm1.stack[None], arm2.stack[None])[0]
+    joint.setflags(write=False)
     cls = Pvm if isinstance(arm1, Pvm) and isinstance(arm2, Pvm) else Povm
-    return cls(stack=joint, labels=QUAD_LABELS)
+    return _trusted(cls, stack=joint, labels=QUAD_LABELS)
 
 
 def build_bell(config: BellConfig) -> QuadrivariateBell:

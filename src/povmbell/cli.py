@@ -63,7 +63,7 @@ from .bell import (
 from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import _curve_columns, _martens_point, martens_bound
 from .measurement import OutcomeDistribution, Povm, born_probabilities, born_values, validate_povm
-from .qcore import ArrayRecord, StateDescriptor, _as_array, _Made, _of_type, as_angle
+from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type, _trusted, as_angle
 from .sampler import (
     _MAX_SEED,
     _config_sha256,
@@ -130,9 +130,7 @@ class ExperimentSpec(ArrayRecord):
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if type(self.gamma_grid) is _Made:  # the grid `spec_from_dict` made and froze
-            self.__dict__["gamma_grid"] = self.gamma_grid.array
-        elif self.gamma_grid is not None:
+        if self.gamma_grid is not None:
             self.__dict__["gamma_grid"] = _as_array(self.gamma_grid, np.float64, "gamma grid", frozen=True)
 
 
@@ -230,7 +228,7 @@ def _named_state(name: str) -> StateDescriptor:
     return _NAMED_STATES[name]
 
 
-def _grid_field(name: str, value: object, dim: int | None = None) -> _Made:
+def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "count"}:
             raise ConfigError(name, 'range form needs exactly "start", "stop", "count"')
@@ -247,7 +245,7 @@ def _grid_field(name: str, value: object, dim: int | None = None) -> _Made:
     else:
         raise ConfigError(name, "must be a list of values or a start/stop/count object")
     grid.setflags(write=False)
-    return _Made(grid)
+    return grid
 
 
 # field name -> its check, called as check(name, value, state dimension)
@@ -269,7 +267,7 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
     The fields are checked in the order of _OPTIONAL_FIELDS and then of the
     experiment's row in _EXPERIMENTS. A null field counts as absent where
     its default is null. Every error is a ConfigError naming the offending
-    field.
+    field. The checked fields make the spec without the constructor's copy.
     """
     if not isinstance(payload, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -296,7 +294,7 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
             kwargs[name] = _CHECKS[name](name, value, dim)
         elif name in fields or name in required:
             raise ConfigError(name, "required for this experiment kind")
-    return ExperimentSpec(**kwargs)
+    return _trusted(ExperimentSpec, **{**_DEFAULTS, **kwargs})
 
 
 def _spec_items(spec: ExperimentSpec) -> list[tuple[str, object]]:
@@ -342,7 +340,7 @@ def resolve_state(
             norm = math.nan
         if not 0.0 < norm < math.inf:  # or the zero vector, or a NaN or infinite amplitude
             raise ConfigError("state", f"must be a name or finite amplitude pairs, not all zero: {state!r}")
-        descriptor = StateDescriptor.pure(_Made(amps / norm))
+        descriptor = StateDescriptor.pure(amps / norm)
     if descriptor.dim != expected_dim:
         raise ConfigError(
             "state", f"state has dimension {descriptor.dim}, this experiment needs {expected_dim}"

@@ -34,6 +34,7 @@ from .qcore import (
     StateDescriptor,
     _as_array,
     _of_type,
+    _trusted,
     as_angle,
     as_matrix,
     expectation,
@@ -116,13 +117,20 @@ class MartensReport:
 
 @dataclass(frozen=True, eq=False)
 class MartensCurve(ArrayRecord):
-    """Entropic tradeoff over a grid of transmissivities; its arrays follow the grid, read-only."""
+    """Entropic tradeoff over a grid of transmissivities; its arrays follow the grid,
+    read-only copies of a caller's (float64, `satisfied` boolean), and are not checked."""
 
     j_lambda: np.ndarray
     j_mu: np.ndarray
     bound: float
     slack: np.ndarray
     satisfied: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("j_lambda", "j_mu", "slack", "satisfied"):
+            dtype = np.bool_ if name == "satisfied" else np.float64
+            self.__dict__[name] = _as_array(getattr(self, name), dtype, name, frozen=True)
+        self.__dict__["bound"] = _as_array(self.bound, float, "bound")
 
 
 def _curve_columns(grid: np.ndarray, bound: float) -> np.ndarray:
@@ -176,7 +184,8 @@ def martens_sweep(
     block.setflags(write=False)
     satisfied = block[4] >= -DEFAULT_POLICY.atol_positivity
     satisfied.setflags(write=False)
-    return MartensCurve(j_lambda=block[1], j_mu=block[2], bound=bound, slack=block[4], satisfied=satisfied)
+    _, j_lambda, j_mu, _, slack = block
+    return _trusted(MartensCurve, j_lambda=j_lambda, j_mu=j_mu, bound=bound, slack=slack, satisfied=satisfied)
 
 
 def _martens_point(gamma: float, theta: PolarizationAngle, theta_prime: PolarizationAngle) -> tuple:

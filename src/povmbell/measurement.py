@@ -1,13 +1,13 @@
 """Generalized measurements: effects, POVM/PVM validation, Born-rule distributions.
 
 A measurement is a labeled collection of positive operators (effects) summing
-to the identity. Every measurement built from caller input passes through
-`validate_povm`, which takes one (k, d, d) effect stack and its labels and
-returns the sharper `Pvm` type for mutually orthogonal projectors;
-`validate_effect_stack` checks the axioms, on whole batches of shape
-(..., k, d, d) too. Measurements derived from checked ones by an
-axiom-preserving operation (tensor product, convex combination) are proved
-in tests, not re-checked. A `Povm` keeps its effects as one frozen stack, so
+to the identity. Every measurement built from caller input, by `Povm(...)`
+and `Pvm(...)` too, passes through `validate_povm`, which takes one (k, d, d)
+effect stack and its labels and returns the sharper `Pvm` type for mutually
+orthogonal projectors; `validate_effect_stack` checks the axioms, on whole
+batches of shape (..., k, d, d) too. Measurements derived from checked ones
+by an axiom-preserving operation (tensor product, convex combination) are
+proved in tests, not re-checked. A `Povm` keeps its effects as one frozen stack, so
 the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
 
 `validate_povm` checks one qubit stack of shape (k, 2, 2), such as a
@@ -44,8 +44,8 @@ from .qcore import (
     PolarizationAngle,
     StateDescriptor,
     _as_array,
-    _Made,
     _of_type,
+    _trusted,
     as_matrix,
     identity,
     projector_from_angle,
@@ -88,24 +88,21 @@ class Effect(ArrayRecord):
 class Povm(ArrayRecord):
     """A validated positive-operator-valued measure.
 
-    Build via validate_povm(). The effects are held as one frozen (k, d, d)
-    complex `stack`, in the order of `labels`; `effects`, `effect(label)`,
-    `len` and iteration present it as Effect objects, the view acceptance
-    criterion 09 reads.
+    `Povm(stack, labels)` checks its effects by `validate_povm` (`Pvm(...)`
+    of unsharp ones raises DomainError) and holds them as one frozen copied
+    (k, d, d) complex `stack`, in the order of `labels` (strings); `effects`,
+    `effect(label)`, `len` and iteration present it as Effect objects, the
+    view acceptance criterion 09 reads.
     """
 
     stack: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        stack = _as_array(self.stack, np.complex128, "effect stack", frozen=True)
-        labels = tuple(str(label) for label in _label_tuple(self.labels))
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] != len(labels):
-            raise ShapeMismatchError(
-                f"effect stack of shape {stack.shape} does not fit {len(labels)} labels"
-            )
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "labels", labels)
+        checked = validate_povm(self.stack, self.labels)
+        if isinstance(self, Pvm) and not isinstance(checked, Pvm):
+            raise DomainError("a Pvm needs mutually orthogonal projectors; these effects are unsharp")
+        self.__dict__.update(stack=checked.stack, labels=checked.labels)
 
     @property
     def dim(self) -> int:
@@ -292,7 +289,7 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     if effects.shape[1:] == (2, 2) and len(effects) == len(labels):
         cls = _qubit_class(effects.tolist())
         if cls is not None:
-            return cls(stack=_Made(effects), labels=labels)
+            return _trusted(cls, stack=effects, labels=tuple(map(str, labels)))
     validate_effect_stack(effects, labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
@@ -305,7 +302,7 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     block_of = np.arange(k * dim) // dim
     residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
     cls = Pvm if residue.max() <= DEFAULT_POLICY.atol_algebra else Povm
-    return cls(stack=_Made(effects), labels=labels)
+    return _trusted(cls, stack=effects, labels=tuple(map(str, labels)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +317,7 @@ class OutcomeDistribution(ArrayRecord):
         probs = _as_array(self.probs, np.float64, "probabilities", 1, frozen=True)
         if probs.shape[0] != len(labels):
             raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(labels)} labels")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
+        self.__dict__.update(labels=labels, probs=probs)
 
     @classmethod
     def from_values(cls, labels: object, values: object) -> "OutcomeDistribution":
@@ -347,8 +343,12 @@ class OutcomeDistribution(ArrayRecord):
             raise InvariantViolationError(
                 f"probabilities sum to {total!r}; must equal 1 within {tol}"
             )
+        if probs.ndim != 1 or probs.shape[0] != len(labels):
+            cls(labels, probs)  # raises the constructor's ShapeMismatchError, after the value checks
         probs = np.clip(probs, 0.0, 1.0)
-        return cls(labels=labels, probs=_Made(probs / probs.sum()))
+        probs /= probs.sum()
+        probs.setflags(write=False)
+        return _trusted(cls, labels=labels, probs=probs)
 
     def prob(self, label: str) -> float:
         for lbl, p in zip(self.labels, self.probs):

@@ -91,13 +91,13 @@ class ArrayRecord:
         return True
 
 
-class _Made:
-    """An array the library has just made, so marked by its call site: no caller holds it."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
+def _trusted(cls: type, **fields: object):
+    """A `cls` record of `fields` as given, past its constructor's checks and copies: the
+    one unchecked path to a record, for the call sites `tests/test_exports.py` names, each
+    of which made and checked every field itself (arrays frozen, held by no caller)."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def _as_array(values: object, dtype: object, what: str, ndim: int | None = None, *, frozen: bool = False):
@@ -107,13 +107,11 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
     None, numpy's choice) an array, of `ndim` dimensions if given. Ragged
     input raises ShapeMismatchError; entries that are not numbers, and complex
     values where `dtype` is real (a list is read by numpy's choice first, so
-    that a nested one shows), DomainError. A `frozen` array is read-only: a
-    copy of a caller array, so no caller write reaches it, or a `_Made` array
-    of `dtype`, frozen in place.
+    that a nested one shows), DomainError. A `frozen` array is read-only and
+    this function's own: a copy of a caller array, so no caller write reaches
+    it, or the array it made from a list, which it does not copy again.
     """
-    made = type(values) is _Made
-    if made:
-        values = values.array
+    made = False
     if dtype is np.float64 or dtype is float:
         if dtype is np.float64 and not isinstance(values, (np.ndarray, np.generic)):
             # keeps nested complex values complex; a frozen one is the library's own copy

@@ -37,7 +37,7 @@ import numpy as np
 from .bell import QUAD_LABELS, ChshReport, chsh_report_from_distribution
 from .errors import ConfigError, DomainError
 from .measurement import OutcomeDistribution, Povm, _label_tuple, born_probabilities
-from .qcore import ArrayRecord, StateDescriptor, _as_array, _Made, _of_type
+from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type, _trusted
 
 __all__ = [
     "GENERATOR_NAME",
@@ -98,6 +98,34 @@ def _index_dtype(n_labels: int) -> np.dtype:
     return np.min_scalar_type(max(n_labels - 1, 0))
 
 
+def _log_fields(config: str, generator: str, seed: int, label_set: Sequence[str], indices: object) -> dict:
+    """The fields of an EventLog by name, checked; the indices as an array, not copied.
+
+    Raises DomainError for a seed that is not an integer (Python or numpy,
+    not bool), for a label set the log format cannot round-trip (see
+    `_check_label_set`), for a `config` or `generator` that is no one-line
+    UTF-8 string without trailing whitespace, or for indices that are not a
+    1-D integer array of positions in the label set (so labels given in
+    place of indices); ShapeMismatchError for ragged indices.
+    """
+    # the header stores the seed as a decimal integer, which reads back as int
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"event log seed must be an integer, got {seed!r}")
+    label_set = _check_label_set(label_set)
+    for name, text in (("config", config), ("generator", generator)):
+        # one header line each; refusing trailing whitespace makes the reader
+        # refuse a line that an editor or a "\r\n" conversion appended it to
+        if not isinstance(text, str) or "\n" in text or text != text.rstrip():
+            raise DomainError(f"event log {name} must be a line of text without trailing whitespace, got {text!r}")
+        _require_utf8(f"event log {name}", text)
+    array = _as_array(indices, None, "event indices")
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
+    if array.size and not 0 <= array.min() <= array.max() < len(label_set):
+        raise DomainError(f"event indices must lie in [0, {len(label_set)})")
+    return {"config": config, "generator": generator, "seed": int(seed), "label_set": label_set, "indices": array}
+
+
 @dataclass(frozen=True, eq=False)
 class EventLog(ArrayRecord):
     """An ordered record of sampled outcomes plus the settings behind it.
@@ -106,16 +134,10 @@ class EventLog(ArrayRecord):
     (the CLI stores canonical config JSON there); `label_set` is the POVM's
     full outcome alphabet in effect order, which may include labels that
     never occurred. The events are held as `indices`, a read-only array of
-    positions in `label_set` with dtype `_index_dtype(len(label_set))`; a
-    caller's index array is copied, one `sample` or `read_event_log` made is kept.
-    `events` derives the tuple of labels from it.
-
-    Raises DomainError for a seed that is not an integer (Python or numpy,
-    not bool; it is stored as an int), for indices that are not a 1-D
-    integer array of positions in the label set (so labels given in place
-    of indices), for a label set the log format cannot round-trip (see
-    `_check_label_set`), or a `config` or `generator` that is no one-line UTF-8
-    string without trailing whitespace; ShapeMismatchError for ragged indices.
+    positions in `label_set` with dtype `_index_dtype(len(label_set))`. The
+    constructor checks its fields by `_log_fields` and copies the caller's
+    index array; `sample` and `read_event_log` run the same check and keep
+    the array they made. `events` derives the tuple of labels from it.
     """
 
     config: str
@@ -125,29 +147,10 @@ class EventLog(ArrayRecord):
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        # the header stores the seed as a decimal integer, which reads back as int
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise DomainError(f"event log seed must be an integer, got {self.seed!r}")
-        label_set = _check_label_set(self.label_set)
-        for name, text in (("config", self.config), ("generator", self.generator)):
-            # one header line each; refusing trailing whitespace makes the reader
-            # refuse a line that an editor or a "\r\n" conversion appended it to
-            if not isinstance(text, str) or "\n" in text or text != text.rstrip():
-                raise DomainError(
-                    f"event log {name} must be a line of text without trailing whitespace, got {text!r}"
-                )
-            _require_utf8(f"event log {name}", text)
-        array = _as_array(self.indices, None, "event indices")
-        if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
-            raise DomainError(f"event indices must be a 1-D integer array, got {array.dtype} {array.shape}")
-        if array.size and not 0 <= array.min() <= array.max() < len(label_set):
-            raise DomainError(f"event indices must lie in [0, {len(label_set)})")
-        # the marked array of `sample` or `read_event_log` stays marked
-        kept = self.indices if type(self.indices) is _Made else array
-        array = _as_array(kept, _index_dtype(len(label_set)), "event indices", frozen=True)
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "indices", array)
+        fields = _log_fields(self.config, self.generator, self.seed, self.label_set, self.indices)
+        dtype = _index_dtype(len(fields["label_set"]))
+        fields["indices"] = _as_array(fields["indices"], dtype, "event indices", frozen=True)
+        self.__dict__.update(fields)
 
     @property
     def count(self) -> int:
@@ -361,8 +364,9 @@ def read_event_log(path: str | Path) -> EventLog:
             block = fh.read(LOG_CHUNK * shortest)
     if filled != count:
         raise ConfigError("log", f"header count {count} does not match {filled} events")
+    indices.setflags(write=False)
     try:
-        return EventLog(header["config"], header["generator"], seed, labels, _Made(indices))
+        return _trusted(EventLog, **_log_fields(header["config"], header["generator"], seed, labels, indices))
     except DomainError as exc:
         raise ConfigError("log", f"event log header: {exc}") from None
 
@@ -417,13 +421,8 @@ def sample(
         for edge in cdf[:-1].tolist():
             part += u >= edge
     descriptor = config_descriptor or f"povm(dim={povm.dim},labels={','.join(labels)})"
-    return EventLog(
-        config=descriptor,
-        generator=GENERATOR_NAME,
-        seed=int(seed),
-        label_set=labels,
-        indices=_Made(indices),
-    )
+    indices.setflags(write=False)
+    return _trusted(EventLog, **_log_fields(descriptor, GENERATOR_NAME, seed, labels, indices))
 
 
 def empirical_frequencies(log: EventLog) -> dict[str, float]:

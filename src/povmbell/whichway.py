@@ -35,6 +35,7 @@ from .qcore import (
     StateDescriptor,
     _as_array,
     _of_type,
+    _trusted,
     as_angle,
 )
 
@@ -210,15 +211,6 @@ class NonidealityMatrix(ArrayRecord):
         return self.entries @ probs
 
 
-def _closed_form(entries: np.ndarray) -> NonidealityMatrix:
-    """A NonidealityMatrix of the float64 `entries`, frozen here and unchecked: built from a
-    checked gamma by `marginals_and_nonideality`, and column-stochastic by the tests."""
-    entries.setflags(write=False)
-    matrix = object.__new__(NonidealityMatrix)
-    object.__setattr__(matrix, "entries", entries)
-    return matrix
-
-
 def marginals_and_nonideality(
     whichway: BivariateWhichWay,
 ) -> tuple[NonidealityMatrix, NonidealityMatrix]:
@@ -234,9 +226,11 @@ def marginals_and_nonideality(
     random states, and that the public constructor accepts both matrices.
     """
     gamma = _of_type(whichway, BivariateWhichWay, "whichway").config.gamma
-    lam = _closed_form(np.array([[gamma, 0.0], [1.0 - gamma, 1.0]]))
-    mu = _closed_form(np.array([[1.0 - gamma, 0.0], [gamma, 1.0]]))
-    return lam, mu
+    lam = np.array([[gamma, 0.0], [1.0 - gamma, 1.0]])
+    mu = np.array([[1.0 - gamma, 0.0], [gamma, 1.0]])
+    lam.setflags(write=False)
+    mu.setflags(write=False)
+    return _trusted(NonidealityMatrix, entries=lam), _trusted(NonidealityMatrix, entries=mu)
 
 
 def certainty_check(whichway: BivariateWhichWay, state: StateDescriptor) -> float:

@@ -38,6 +38,7 @@ from povmbell import (
     write_event_log,
 )
 from povmbell.bell import BellConfig
+from povmbell.qcore import _trusted
 from povmbell.whichway import WhichWayConfig
 
 
@@ -75,6 +76,15 @@ def random_povm(rng: np.random.Generator, dim: int, n_effects: int) -> Povm:
     effects = [inv_sqrt @ raw @ inv_sqrt for raw in raws]
     stack = [(m + m.conj().T) / 2.0 for m in effects]
     return validate_povm(stack, [f"e{i}" for i in range(n_effects)])
+
+
+def unchecked_povm(stack, labels) -> Povm:
+    """A Povm of `stack` and `labels` that no check has passed, by the library's
+    private trusted path: the one stand-in for tests that need a measurement's
+    labels and dimension but not valid effects (the public `Povm` checks them)."""
+    stack = np.array(stack, dtype=np.complex128)
+    stack.setflags(write=False)
+    return _trusted(Povm, stack=stack, labels=tuple(labels))
 
 
 def random_angle(rng: np.random.Generator) -> float:

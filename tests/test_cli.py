@@ -1689,9 +1689,19 @@ class TestEventLogRoundTrip:
 
 class TestEventLogMemory:
     def test_peak_is_the_index_array_plus_a_chunk(self, tmp_path):
+        self.check_peaks(tmp_path, 10**6)
+
+    def test_a_copy_of_the_indices_would_show(self, tmp_path):
+        # a second index array of n bytes breaks a bound only when n is above
+        # its chunk allowance, so at this size the bounds also pin that
+        # `sample` and `read_event_log` keep the array they made
+        assert 10**7 > 80 * LOG_CHUNK
+        self.check_peaks(tmp_path, 10**7)
+
+    @staticmethod
+    def check_peaks(tmp_path, n):
         # tracemalloc counts bytes allocated, so this is deterministic; it
         # checks memory, not time
-        n = 10**6
         bell = build_bell(
             BellConfig(
                 arm1=WhichWayConfig(0.4, 0.0, math.pi / 4),

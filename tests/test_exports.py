@@ -412,6 +412,59 @@ def test_arm_kernel_check_finds_other_callers():
     ]
 
 
+# the one unchecked path to a record, and the call sites that made and checked
+# every field of the record they build with it
+TRUSTED = "_trusted"
+TRUSTED_CALLERS = (
+    "validate_povm",
+    "from_values",
+    "_joint_povm",
+    "marginals_and_nonideality",
+    "martens_sweep",
+    "sample",
+    "read_event_log",
+    "spec_from_dict",
+)
+
+
+def trusted_path_breaches(source: str) -> list[str]:
+    """References to the trusted path outside its named callers, then every
+    `__new__` outside the path itself: the only way around a record's constructor."""
+    return private_references(source, TRUSTED, TRUSTED_CALLERS) + private_references(source, "__new__", (TRUSTED,))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_named_call_sites_build_unchecked_records(path):
+    assert callable(getattr(povmbell.qcore, TRUSTED))
+    assert trusted_path_breaches(path.read_text()) == []
+
+
+def test_trusted_path_check_finds_other_callers():
+    source = (
+        "from .qcore import _trusted\n"
+        "from .qcore import _trusted as trusted\n"
+        "def _trusted(cls, **fields):\n"
+        "    record = object.__new__(cls)\n"
+        "    return record\n"
+        "def validate_povm(stack, labels):\n"
+        "    return _trusted(Povm, stack=stack, labels=labels)\n"
+        "def build_whichway(config):\n"
+        "    return qcore._trusted(BivariateWhichWay, config=config)\n"
+        "def polarization_pvm(theta):\n"
+        "    def inner():\n"
+        "        return getattr(qcore, '_trusted')\n"
+        "    return object.__new__(Pvm)\n"
+        "FACTORY = getattr(object, '__new__')\n"
+    )
+    assert trusted_path_breaches(source) == [
+        "<module>: _trusted as trusted",
+        "build_whichway: qcore._trusted",
+        "inner: '_trusted'",
+        "polarization_pvm: object.__new__",
+        "<module>: '__new__'",
+    ]
+
+
 def traced_functions() -> tuple[str, ...]:
     """`FUNCTIONS` of `perfbench/tracer.py`, run from its source (no bytecode is written)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -27,6 +27,7 @@ from povmbell import (
     Pvm,
     ShapeMismatchError,
     StateDescriptor,
+    WW_LABELS,
     WhichWayConfig,
     born_probabilities,
     build_whichway,
@@ -660,6 +661,29 @@ class TestNonFinite:
     def test_distribution_with_non_finite_value_rejected(self, values):
         with pytest.raises(InvariantViolationError):
             OutcomeDistribution.from_values(("a", "b"), values)
+
+
+class TestCheckedConstructors:
+    """`Povm(...)` and `Pvm(...)` run `validate_povm` on their fields."""
+
+    def test_an_effect_outside_zero_one_is_refused(self):
+        # on the state (0, 1) its Born values would read {a: 0, b: 1}
+        with pytest.raises(NotPositiveError):
+            Pvm(np.array([np.diag([1.5, 0]), np.diag([-0.5, 1])]), ("a", "b"))
+        with pytest.raises(NotPositiveError):
+            Povm(np.array([np.diag([1.5, 0]), np.diag([-0.5, 1])]), ("a", "b"))
+
+    def test_a_pvm_needs_sharp_effects(self):
+        arm = build_whichway(WhichWayConfig(0.3, 0.0, math.pi / 4)).povm
+        assert type(arm) is Povm and Povm(arm.stack, WW_LABELS) == arm
+        with pytest.raises(DomainError, match="Pvm"):
+            Pvm(arm.stack, WW_LABELS)
+        pvm = polarization_pvm(0.3)
+        assert Pvm(pvm.stack, pvm.labels) == pvm  # and a Povm of it is not (TestArrayEquality)
+
+    def test_labels_are_held_as_strings(self):
+        assert Povm(np.eye(2)[None], (1,)).labels == ("1",)
+        assert validate_povm(np.eye(3)[None], (1,)).labels == ("1",)  # the array path too
 
 
 class TestArrayEquality:

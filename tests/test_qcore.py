@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, random_pure, whichway_effects_reference
+from helpers import random_density, random_hermitian, random_pure, unchecked_povm, whichway_effects_reference
 from povmbell import (
     DEFAULT_POLICY,
     PAULI_X,
@@ -24,11 +24,13 @@ from povmbell import (
     Effect,
     EventLog,
     InvariantViolationError,
+    MartensCurve,
     NonidealityMatrix,
     OutcomeDistribution,
     PolarizationAngle,
     Povm,
     PovmBellError,
+    Pvm,
     ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
@@ -122,6 +124,13 @@ def _caller_forms(values: np.ndarray) -> dict:
 UNIT = st.floats(0.0, 1.0)
 
 
+def _curve_holding(field: str, values: np.ndarray) -> MartensCurve:
+    """A MartensCurve of `values` in `field` and zeros in its other array fields."""
+    zeros = np.zeros(len(values))
+    arrays = {"j_lambda": zeros, "j_mu": zeros, "slack": zeros, "satisfied": zeros >= 0.0, field: values}
+    return MartensCurve(bound=0.0, **arrays)
+
+
 @st.composite
 def record_inputs(draw):
     """(name, build, values): a record's constructor from one caller array of its own dtype, and the array."""
@@ -129,9 +138,12 @@ def record_inputs(draw):
     effects = whichway_effects_reference(p, angle, 2.0 * angle)
     sharp = whichway_effects_reference(draw(st.sampled_from([0.0, 1.0])), angle, 2.0 * angle)
     amps = np.array([math.cos(angle), math.sin(angle) * 1j])
+    column = np.array(draw(st.lists(UNIT, min_size=1, max_size=8)))
     cases = {
         "Povm": (lambda a: validate_povm(a, WW_LABELS).stack, effects),
         "Pvm": (lambda a: validate_povm(a, WW_LABELS).stack, sharp),
+        "Povm(...)": (lambda a: Povm(a, WW_LABELS).stack, effects),
+        "Pvm(...)": (lambda a: Pvm(a, WW_LABELS).stack, sharp),
         "Effect": (lambda a: Effect(a, "e").matrix, effects[1]),
         "OutcomeDistribution": (lambda a: OutcomeDistribution(("a", "b"), a).probs, np.array([p, 1.0 - p])),
         "NonidealityMatrix": (lambda a: NonidealityMatrix(a).entries, np.array([[p, 0.0], [1.0 - p, 1.0]])),
@@ -139,8 +151,12 @@ def record_inputs(draw):
         "StateDescriptor.density": (lambda a: StateDescriptor.density(a).matrix, np.outer(amps, amps.conj())),
         "EventLog": (lambda a: EventLog("c", "g", 0, ("a", "b"), a).indices, np.array(draw(
             st.lists(st.integers(0, 1), max_size=8)), dtype=np.uint8)),
-        "ExperimentSpec": (lambda a: ExperimentSpec("sweep-martens", gamma_grid=a).gamma_grid, np.array(
-            draw(st.lists(UNIT, min_size=1, max_size=8)))),
+        "ExperimentSpec": (lambda a: ExperimentSpec("sweep-martens", gamma_grid=a).gamma_grid, column),
+        **{
+            f"MartensCurve.{field}": (lambda a, field=field: getattr(_curve_holding(field, a), field), column)
+            for field in ("j_lambda", "j_mu", "slack")
+        },
+        "MartensCurve.satisfied": (lambda a: _curve_holding("satisfied", a).satisfied, column >= 0.5),
     }
     name = draw(st.sampled_from(sorted(cases)))
     return (name, *cases[name])
@@ -488,7 +504,7 @@ JUNK = {
     "read_event_log-nul-path": (lambda: read_event_log("a\0b"), DomainError),
     "sample-array-descriptor": (
         lambda: sample(
-            Povm(np.zeros((1, 1, 1)), ("a",)),
+            unchecked_povm(np.zeros((1, 1, 1)), ("a",)),
             None,
             1,
             1,

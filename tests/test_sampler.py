@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_pure
+from helpers import random_pure, unchecked_povm
 from povmbell import (
     GENERATOR_NAME,
     LOG_CHUNK,
@@ -18,7 +18,6 @@ from povmbell import (
     DomainError,
     EventLog,
     OutcomeDistribution,
-    Povm,
     ShapeMismatchError,
     StateDescriptor,
     WhichWayConfig,
@@ -370,6 +369,6 @@ class TestDrawReference:
         probs = np.asarray(DRAW_CASES[case], dtype=np.float64)
         labels = tuple(f"o{i}" for i in range(len(probs)))
         # with a distribution given, `sample` reads the POVM's labels and dim, not its effects
-        povm = Povm(np.zeros((len(labels), 1, 1)), labels)
+        povm = unchecked_povm(np.zeros((len(labels), 1, 1)), labels)
         log = sample(povm, None, n, 11, distribution=OutcomeDistribution(labels, probs))
         assert np.array_equal(log.indices, reference_indices(probs, n, 11))
