@@ -6,17 +6,28 @@ contract, 4 I/O failure. Floats in CSV output are rendered with 17
 significant digits so a round-trip through text loses nothing; JSON output
 is the text `json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
 
-A runner returns its column names and its rows in batches; `render_csv` and
-`render_json` turn one batch into text with one %-format call, and each
-batch is written before the next is made. Every command but `martens-sweep`
-has one batch of one row. The one-row runners form each which-way arm once,
-by the arm kernel `_arm` (`whichway._effects`, checked by `validate_povm`),
-and reduce it to cells within the call, with no intermediate records.
-`martens-sweep` evaluates (by the kernel
-`infometrics._curve_columns`), formats and writes its grid SWEEP_CHUNK points
-at a time. `spec_from_dict` has checked every grid value and the angle before
-the first byte is written, and the kernel checks nothing more, so no check
-can stop a sweep once it has begun to write.
+`resolve_spec` reads a config file in one unbuffered binary read and
+decodes it as UTF-8, turning each CR LF and then each lone CR into LF as
+text mode does, so that every message of `json.loads` names the line and
+column a text-mode read would. `spec_from_dict` checks a `gamma_grid` list
+whose entries are all floats in [0, 1] as a whole; any other list is checked
+entry by entry, which names the first faulty entry.
+
+A runner returns its column names and its rows in batches; `render_csv`
+and `render_json` turn one batch into text with one %-format call, and each
+batch is written before the next is made. The %-template of a row comes
+from a small cache keyed on the cell specs (and the columns, for JSON).
+The sweep's `bound` column holds one float: its template is cached with
+that column left open, and each batch formats the float into it once,
+instead of once a row. Every command but `martens-sweep` has one batch of
+one row. The one-row runners form each which-way arm once, by the arm
+kernel `_arm` (`whichway._effects`, checked by `validate_povm`), and reduce
+it to cells within the call, with no intermediate records. `martens-sweep`
+evaluates (by the kernel `infometrics._curve_columns`), formats and writes
+its grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every
+grid value and the angle before the first byte is written, and the kernel
+checks nothing more, so no check can stop a sweep once it has begun to
+write.
 
 A plain command line, a subcommand and then flag-value pairs, each flag one
 of --config, --out, --format, --seed, --n spelled out in full, is read by
@@ -134,8 +145,8 @@ class ExperimentSpec(ArrayRecord):
             self.__dict__["gamma_grid"] = _as_array(self.gamma_grid, np.float64, "gamma grid", frozen=True)
 
 
-_ALL_FIELDS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+_ALL_FIELDS = frozenset(_DEFAULTS)
 # fields every kind accepts; a sample needs its seed and n_events
 _OPTIONAL_FIELDS = ("out", "format", "n_events", "seed")
 _BELL_ANGLES = ("theta1_deg", "theta1_prime_deg", "theta2_deg", "theta2_prime_deg")
@@ -147,6 +158,11 @@ _EXPERIMENTS: dict[str, tuple[tuple[str, ...], int | None]] = {
     "bell": (("gamma1", "gamma2", *_BELL_ANGLES, "state"), 4),
     "aspect": ((*_BELL_ANGLES, "state"), 4),
 }
+# (kind, experiment) -> the fields a config of it may hold
+_ALLOWED = {
+    (e, e): frozenset({"kind", *_OPTIONAL_FIELDS, *fields}) for e, (fields, _) in _EXPERIMENTS.items()
+}
+_ALLOWED.update({("sample", e): _ALLOWED[e, e] | {"experiment"} for e in _SAMPLE_EXPERIMENTS})
 
 
 def _float_field(
@@ -241,6 +257,10 @@ def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
             raise ConfigError(name, "grid must not be empty")
         if len(value) > _MAX_GRID:
             raise ConfigError(name, f"grid must hold at most {_MAX_GRID} values, got {len(value)}")
+        # checked whole when every entry is a float in [0, 1] (NaN fails the test); any
+        # other list goes entry by entry, so the first faulty entry is named
+        if all(type(g) is float and 0.0 <= g <= 1.0 for g in value):
+            return _as_array(value, np.float64, name, frozen=True)
         grid = np.array([_float_field(name, g, lo=0.0, hi=1.0, entry=i) for i, g in enumerate(value)])
     else:
         raise ConfigError(name, "must be a list of values or a start/stop/count object")
@@ -272,9 +292,8 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
     if not isinstance(payload, dict):
         raise ConfigError("config", "top level must be a JSON object")
     kind = _choice_field("kind", payload.get("kind"), choices=KINDS)
-    unknown = sorted(set(payload) - _ALL_FIELDS)
-    if unknown:
-        raise ConfigError(unknown[0], "unknown field")
+    if not _ALL_FIELDS.issuperset(payload):
+        raise ConfigError(min(set(payload) - _ALL_FIELDS), "unknown field")
     kwargs: dict = {"kind": kind}
     experiment, required = kind, ()
     if kind == "sample":
@@ -282,9 +301,9 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
         kwargs["experiment"] = experiment
         required = ("n_events", "seed")
     fields, dim = _EXPERIMENTS[experiment]
-    misplaced = sorted(set(payload) - {*kwargs, *_OPTIONAL_FIELDS, *fields})
-    if misplaced:
-        name = misplaced[0]
+    allowed = _ALLOWED[kind, experiment]
+    if not allowed.issuperset(payload):
+        name = min(set(payload) - allowed)
         if kind == "sample" and any(name in _EXPERIMENTS[e][0] for e in _SAMPLE_EXPERIMENTS):
             raise ConfigError(name, f"not a field of a {experiment} sample")
         raise ConfigError(name, f"not a field of experiment kind {kind!r}")
@@ -299,7 +318,7 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
 
 def _spec_items(spec: ExperimentSpec) -> list[tuple[str, object]]:
     """(name, value) of the fields of a spec that are set, in declaration order."""
-    items = ((field.name, getattr(spec, field.name)) for field in dataclasses.fields(ExperimentSpec))
+    items = ((name, getattr(spec, name)) for name in _DEFAULTS)
     return [(name, value) for name, value in items if value is not None]
 
 
@@ -378,13 +397,15 @@ def _bell_arms(spec: ExperimentSpec) -> tuple[Povm, Povm]:
 
 # A runner returns a table: its column names and an iterable of row batches.
 # A batch is a sequence of rows, each a tuple of cells in column order, or a
-# 2-D float array with one row per table row.
-Table = tuple[list[str], Iterable]
+# 2-D float array with one row per table row. The sweep's table adds the
+# index of its `bound` column, which holds one float in every row, so that
+# float is formatted once a batch (see `_batch`).
+Table = tuple[tuple[str, ...], Iterable] | tuple[tuple[str, ...], Iterable, int]
 
 
 def _one_row(row: dict) -> Table:
     """The table of a one-row command: one batch holding the row's cells."""
-    return list(row), [[tuple(row.values())]]
+    return tuple(row), [[tuple(row.values())]]
 
 
 def _config_cells(spec: ExperimentSpec) -> dict:
@@ -422,11 +443,12 @@ def run_whichway(spec: ExperimentSpec) -> Table:
 
 
 def run_martens_sweep(spec: ExperimentSpec) -> Table:
-    """The tradeoff curve in batches of SWEEP_CHUNK rows, each chunk's `_curve_columns` made when read."""
+    """The tradeoff curve in batches of SWEEP_CHUNK rows, each chunk's `_curve_columns` made when
+    read; its column 3, `bound`, holds one float."""
     grid, bound = spec.gamma_grid, martens_bound(math.radians(spec.delta_deg), 0.0)
     pieces = (grid[start : start + SWEEP_CHUNK] for start in range(0, grid.size, SWEEP_CHUNK))
     batches = (_curve_columns(piece, bound).T for piece in pieces)
-    return ["gamma", "j_lambda", "j_mu", "bound", "slack"], batches
+    return ("gamma", "j_lambda", "j_mu", "bound", "slack"), batches, 3
 
 
 def run_bell(spec: ExperimentSpec) -> Table:
@@ -532,43 +554,70 @@ def _csv_cell(value: object) -> str:
     return text
 
 
-def _batch(rows: Sequence, float_spec: str, text: Callable[[object], str]) -> tuple[list[str], tuple]:
-    """The %-specs of a batch's columns and its cells in row order, for one %-format.
+def _batch(
+    rows: Sequence,
+    float_spec: str,
+    text: Callable[[object], str],
+    columns: tuple[str, ...] | None = None,
+    constant: int | None = None,
+) -> tuple[str, tuple]:
+    """The %-template of one row of a batch and the batch's cells in row order, for one %-format.
 
     Float cells are formatted by `float_spec`; every other cell is made text
     by `text` and goes under "%s". A float array holds float cells only;
-    in a sequence of rows, every row has the cell types of the first.
+    in a sequence of rows, every row has the cell types of the first. The
+    template is `_row_template`'s, of `columns` if given. A `constant` column
+    (an index) holds the same float in every row: the first row's is
+    formatted once into the template, and the column's cells are left out.
     """
     if isinstance(rows, np.ndarray):
-        return [float_spec] * rows.shape[1], tuple(rows.ravel().tolist())
-    floats = [isinstance(cell, float) for cell in rows[0]]
-    specs = [float_spec if is_float else "%s" for is_float in floats]
-    cells = (cell if is_float else text(cell) for row in rows for cell, is_float in zip(row, floats))
-    return specs, tuple(cells)
+        specs, cells = (float_spec,) * rows.shape[1], rows.ravel().tolist()
+    else:
+        floats = [isinstance(cell, float) for cell in rows[0]]
+        specs = tuple([float_spec if is_float else "%s" for is_float in floats])
+        cells = [cell if is_float else text(cell) for row in rows for cell, is_float in zip(row, floats)]
+    template = _row_template(specs, columns, constant)
+    if constant is not None:
+        template %= (specs[constant] % cells[constant]).replace("%", "%%")
+        del cells[constant :: len(specs)]
+    return template, tuple(cells)
 
 
-def render_csv(rows: Sequence) -> str:
+@functools.lru_cache(maxsize=64)
+def _row_template(specs: tuple[str, ...], columns: tuple[str, ...] | None, constant: int | None) -> str:
+    """The %-template of one row: its specs as a CSV line, or, given the
+    columns, as one object of a JSON "rows" list. With a `constant` column,
+    a template of that template: the column's spec is "%s", for its one
+    text, and every other "%" is doubled."""
+    if constant is not None:
+        specs = tuple("%s" if i == constant else spec.replace("%", "%%") for i, spec in enumerate(specs))
+    if columns is None:
+        return ",".join(specs) + "\n"
+    # column names are identifiers, which JSON writes between plain quotes
+    fields = ",\n".join(f'      "{name}": {spec}' for name, spec in zip(columns, specs))
+    return "    {\n" + fields + "\n    }"
+
+
+def render_csv(rows: Sequence, constant: int | None = None) -> str:
     """The CSV lines of a batch of rows, made by one %-format call.
 
     Floats get 17 significant digits ("%.17g", the same text as
     format(x, ".17g")), so a round trip through text loses nothing; the
     lines are those `csv.writer` with lineterminator "\n" writes.
     """
-    specs, cells = _batch(rows, "%.17g", _csv_cell)
-    return ((",".join(specs) + "\n") * len(rows)) % cells
+    template, cells = _batch(rows, "%.17g", _csv_cell, None, constant)
+    return (template * len(rows)) % cells
 
 
-def render_json(columns: Sequence[str], rows: Sequence) -> str:
+def render_json(columns: tuple[str, ...], rows: Sequence, constant: int | None = None) -> str:
     """A batch of rows as the objects of the "rows" list of a JSON table, joined by ",\n".
 
     The text `json.dumps(..., indent=2)` makes of them, by one %-format
     call: floats by "%r", the float repr that json writes, other cells by
     `json.dumps`.
     """
-    specs, cells = _batch(rows, "%r", json.dumps)
-    # column names are identifiers, which JSON writes between plain quotes
-    fields = ",\n".join(f'      "{name}": {spec}' for name, spec in zip(columns, specs))
-    return ",\n".join(["    {\n" + fields + "\n    }"] * len(rows)) % cells
+    template, cells = _batch(rows, "%r", json.dumps, columns, constant)
+    return ",\n".join([template] * len(rows)) % cells
 
 
 def _json_head(spec: ExperimentSpec) -> Iterator[str]:
@@ -600,25 +649,27 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
     yield "  },\n"
 
 
-def _table_text(spec: ExperimentSpec, columns: list[str], batches: Iterable) -> Iterator[str]:
+def _table_text(
+    spec: ExperimentSpec, columns: tuple[str, ...], batches: Iterable, constant: int | None = None
+) -> Iterator[str]:
     """The text of a table in pieces: the frame of its format, and one piece per batch."""
     if spec.format == "csv":
         yield ",".join(columns) + "\n"
         for rows in batches:
-            yield render_csv(rows)
+            yield render_csv(rows, constant)
         return
     yield from _json_head(spec)
     yield '  "rows": [\n'
     separator = ""
     for rows in batches:
-        yield separator + render_json(columns, rows)
+        yield separator + render_json(columns, rows, constant)
         separator = ",\n"
     yield "\n  ]\n}\n"
 
 
-def _emit(spec: ExperimentSpec, columns: list[str], batches: Iterable) -> None:
+def _emit(spec: ExperimentSpec, table: Table) -> None:
     """Write a table piece by piece, each batch before the next is made."""
-    text = _table_text(spec, columns, batches)
+    text = _table_text(spec, *table)
     # the sample command's --out is claimed by the event log; its summary
     # always goes to stdout
     destination = None if spec.kind == "sample" else spec.out
@@ -699,10 +750,19 @@ def _fast_args(argv: list) -> argparse.Namespace | None:
     return argparse.Namespace(**fields)
 
 
+def _config_text(path: str) -> str:
+    """The text of a config file as `open(path, encoding="utf-8").read()` gives it, by one
+    unbuffered read: UTF-8, with "\\r\\n" and then each lone "\\r" read as "\\n"."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.readall().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(_config_text(args.config))
     except OSError as exc:
         raise ConfigError("config", f"cannot read {args.config!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -734,8 +794,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _main_parser().parse_args(argv)
     try:
         spec = resolve_spec(args)
-        columns, batches = _RUNNERS[spec.kind](spec)
-        _emit(spec, columns, batches)
+        _emit(spec, _RUNNERS[spec.kind](spec))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -274,22 +274,25 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     """Check the POVM axioms on one (k, d, d) effect stack and classify it.
 
     The one checked constructor of a measurement from caller effects:
-    `stack[i]` is the effect labeled `labels[i]`, and the labels must be
-    unique (DomainError). Returns a Pvm when the measurement is sharp (every
-    effect idempotent, distinct effects mutually orthogonal, all within
-    atol_algebra), otherwise a plain Povm. A qubit stack that clears every
+    `stack[i]` is the effect labeled `labels[i]`, and the labels, which the
+    measurement keeps as strings, must be unique as strings (DomainError).
+    Returns a Pvm when the measurement is sharp (every effect idempotent,
+    distinct effects mutually orthogonal, all within atol_algebra),
+    otherwise a plain Povm. A qubit stack that clears every
     tolerance by a margin is certified and classified in one scalar pass
     (see the module docstring); any other stack is checked by
     `validate_effect_stack` and classified by the array residue.
     """
     effects = _as_array(stack, np.complex128, "effect stack", 3, frozen=True)
     labels = _label_tuple(labels)
-    if len(set(labels)) != len(labels):
+    # unique as the strings the measurement keeps: 1 and "1" are one label
+    names = tuple(map(str, labels))
+    if len(set(names)) != len(names):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
     if effects.shape[1:] == (2, 2) and len(effects) == len(labels):
         cls = _qubit_class(effects.tolist())
         if cls is not None:
-            return _trusted(cls, stack=effects, labels=tuple(map(str, labels)))
+            return _trusted(cls, stack=effects, labels=names)
     validate_effect_stack(effects, labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
@@ -302,21 +305,23 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     block_of = np.arange(k * dim) // dim
     residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
     cls = Pvm if residue.max() <= DEFAULT_POLICY.atol_algebra else Povm
-    return _trusted(cls, stack=effects, labels=tuple(map(str, labels)))
+    return _trusted(cls, stack=effects, labels=names)
 
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution(ArrayRecord):
-    """Probabilities over a fixed ordered label set; sums to one."""
+    """Probabilities over a fixed ordered label set; sums to one.
+
+    `OutcomeDistribution(labels, probs)` runs the checks of `from_values`
+    and raises its errors, and keeps the probabilities as given, in a frozen
+    copy; only `from_values` clamps and renormalizes them.
+    """
 
     labels: tuple[str, ...]
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = _label_tuple(self.labels)
-        probs = _as_array(self.probs, np.float64, "probabilities", 1, frozen=True)
-        if probs.shape[0] != len(labels):
-            raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(labels)} labels")
+        labels, probs = _checked_distribution(self.labels, self.probs, frozen=True)
         self.__dict__.update(labels=labels, probs=probs)
 
     @classmethod
@@ -327,24 +332,11 @@ class OutcomeDistribution(ArrayRecord):
         -DEFAULT_POLICY.atol_positivity or a total off from 1 by more than
         that tolerance are treated as genuine contract violations, not noise;
         so is any NaN or infinite value, which makes the total NaN or infinite.
+        Values of any shape but one per label raise ShapeMismatchError, after
+        the value checks.
         """
-        labels = _label_tuple(labels)
-        if not labels or len(set(labels)) != len(labels):
-            raise DomainError(f"outcome labels must be nonempty and unique, got {list(labels)}")
-        probs = _as_array(values, np.float64, "probabilities")
-        tol = DEFAULT_POLICY.atol_positivity
-        lowest = float(probs.min(initial=0.0))  # no values: the total check fails
-        if lowest < -tol:
-            raise InvariantViolationError(
-                f"probability {lowest!r} is negative beyond tolerance {tol}"
-            )
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= tol:  # a NaN total fails too
-            raise InvariantViolationError(
-                f"probabilities sum to {total!r}; must equal 1 within {tol}"
-            )
-        if probs.ndim != 1 or probs.shape[0] != len(labels):
-            cls(labels, probs)  # raises the constructor's ShapeMismatchError, after the value checks
+        labels, probs = _checked_distribution(labels, values, frozen=False)
+        # a new array: no write to the caller's values reaches it
         probs = np.clip(probs, 0.0, 1.0)
         probs /= probs.sum()
         probs.setflags(write=False)
@@ -358,6 +350,28 @@ class OutcomeDistribution(ArrayRecord):
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.labels, self.probs.tolist()))
+
+
+def _checked_distribution(labels: object, values: object, *, frozen: bool) -> tuple[tuple, np.ndarray]:
+    """The labels and the probabilities of a distribution, checked in the order and with the
+    errors `OutcomeDistribution.from_values` gives; the probabilities as `_as_array` makes
+    them, `frozen` or not."""
+    labels = _label_tuple(labels)
+    if not labels or len(set(labels)) != len(labels):
+        raise DomainError(f"outcome labels must be nonempty and unique, got {list(labels)}")
+    probs = _as_array(values, np.float64, "probabilities", frozen=frozen)
+    tol = DEFAULT_POLICY.atol_positivity
+    lowest = float(probs.min(initial=0.0))  # no values: the total check fails
+    if lowest < -tol:
+        raise InvariantViolationError(f"probability {lowest!r} is negative beyond tolerance {tol}")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= tol:  # a NaN total fails too
+        raise InvariantViolationError(f"probabilities sum to {total!r}; must equal 1 within {tol}")
+    if probs.ndim != 1:
+        raise ShapeMismatchError(f"probabilities must be 1-D, got ndim={probs.ndim}")
+    if probs.shape[0] != len(labels):
+        raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(labels)} labels")
+    return labels, probs
 
 
 def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) -> np.ndarray:

@@ -111,6 +111,8 @@ def _as_array(values: object, dtype: object, what: str, ndim: int | None = None,
     this function's own: a copy of a caller array, so no caller write reaches
     it, or the array it made from a list, which it does not copy again.
     """
+    if dtype is float and type(values) is float:
+        return values  # what float() returns of it
     made = False
     if dtype is np.float64 or dtype is float:
         if dtype is np.float64 and not isinstance(values, (np.ndarray, np.generic)):

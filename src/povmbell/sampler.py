@@ -389,8 +389,10 @@ def sample(
     edge added into the index array: `np.searchsorted(cdf, u, side="right")`,
     as u < 1. A chunk takes 9 bytes an event of working memory. n = 0 yields
     an empty log. A caller holding the Born distribution of `povm` in `state`
-    passes it as `distribution`, with the POVM's labels in the POVM's order
-    and finite, nonnegative probabilities.
+    passes it as `distribution`, with the POVM's labels in the POVM's order.
+    Its constructor has checked that it is finite and sums to one within
+    tolerance; a probability below zero, which that tolerance lets through,
+    is refused here (DomainError), as a cdf that falls has no inverse.
     """
     _of_type(povm, Povm, "povm")
     _of_type(config_descriptor, str, "config descriptor")

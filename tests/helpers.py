@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from povmbell import (
+    OutcomeDistribution,
     Povm,
     StateDescriptor,
     born_probabilities,
@@ -85,6 +86,15 @@ def unchecked_povm(stack, labels) -> Povm:
     stack = np.array(stack, dtype=np.complex128)
     stack.setflags(write=False)
     return _trusted(Povm, stack=stack, labels=tuple(labels))
+
+
+def unchecked_distribution(labels, probs) -> OutcomeDistribution:
+    """An OutcomeDistribution of `labels` and `probs` as given, which no check has passed,
+    by the library's private trusted path: the one stand-in for tests that need a
+    distribution off the simplex, which the public constructor refuses."""
+    probs = np.array(probs, dtype=np.float64)
+    probs.setflags(write=False)
+    return _trusted(OutcomeDistribution, labels=tuple(labels), probs=probs)
 
 
 def random_angle(rng: np.random.Generator) -> float:

@@ -271,6 +271,51 @@ class TestSpecValidation:
         assert info.value.field == "format"
 
 
+class TestListGrid:
+    # a faulty entry's JSON text -> the message after "gamma_grid: entry <i> "
+    FAULTY = {
+        "true": "must be a number, got True",
+        '"x"': "must be a number, got 'x'",
+        "[0.5]": "must be a number, got [0.5]",
+        "NaN": "must be finite",
+        "Infinity": "must be finite",
+        "-1e-300": "must lie in [0.0, 1.0], got -1e-300",
+        "1.0000000000000002": "must lie in [0.0, 1.0], got 1.0000000000000002",
+        "2": "must lie in [0.0, 1.0], got 2.0",
+        "1" + "0" * 400: "is an integer too large in magnitude for a float",
+    }
+
+    @pytest.mark.parametrize("at", [0, 17])
+    @pytest.mark.parametrize("entry", list(FAULTY), ids=lambda entry: entry[:20])
+    def test_faulty_entry_is_named(self, entry, at):
+        entries = ["0.25"] * 20
+        entries[at] = entry
+        text = '{"kind": "sweep-martens", "delta_deg": 30.0, "gamma_grid": [' + ",".join(entries) + "]}"
+        payload = json.loads(text)  # NaN and Infinity as json reads its literals
+        with pytest.raises(ConfigError) as info:
+            spec_from_dict(payload)
+        assert str(info.value) == f"gamma_grid: entry {at} {self.FAULTY[entry]}"
+
+    def test_edge_entries_keep_their_bytes(self, tmp_path, capsys):
+        # -0.0 and the least subnormal stay themselves; the JSON ints 0 and 1 read as floats
+        path = tmp_path / "grid.json"
+        path.write_text('{"delta_deg": 30.0, "gamma_grid": [-0.0, 5e-324, 0, 1, 0.5, 1e-300]}')
+        assert main(["martens-sweep", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "gamma,j_lambda,j_mu,bound,slack\n"
+            "-0,0.69314718055994529,0,0.28768207245178079,0.4054651081081645\n"
+            "4.9406564584124654e-324,0.69314718055994529,1.8379242025294371e-321,0.28768207245178079,"
+            "0.4054651081081645\n"
+            "0,0.69314718055994529,0,0.28768207245178079,0.4054651081081645\n"
+            "1,0,0.69314718055994529,0.28768207245178079,0.4054651081081645\n"
+            "0.5,0.47738562622110969,0.47738562622110969,0.28768207245178079,0.6670891799904386\n"
+            "1e-300,0.69314718055994529,3.4538776394910684e-298,0.28768207245178079,0.4054651081081645\n"
+        )
+        assert main(["martens-sweep", "--config", str(path), "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "8e4a19f91c3ce30effd99843579d665abfaf907d9268cedefac318da9bd61f9e"
+
+
 class TestOversizedIntegers:
     BIG = 10**400
 
@@ -310,6 +355,47 @@ class TestUnreadableConfig:
         path.write_bytes(content)
         assert main(["whichway", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: config: ")
+
+    # one config a line: a syntax error on line 3 after "\r\n" or lone "\r" line ends
+    # (read as "\n", as text mode reads them), and a raw "\r" inside a string
+    LINES = ('{', '  "gamma": 0.5,', '  "theta_deg": 0.0 "theta_prime_deg": 45.0,', '  "state": "H"', '}')
+    NOT_JSON = "is not valid JSON: "
+    LINE_3 = NOT_JSON + "Expecting ',' delimiter: line 3 column 20 (char 37)"
+    MESSAGES = {
+        "crlf": ("\r\n".join(LINES).encode(), LINE_3),
+        "cr": ("\r".join(LINES).encode(), LINE_3),
+        "bom": (
+            b'\xef\xbb\xbf{"gamma": 0.5}',
+            NOT_JSON + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        "utf8-early": (
+            b'{"state": "\xff"}',
+            NOT_JSON + "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+        ),
+        "utf8-late": (
+            b"{" + b" " * 9000 + b'"state": "\xc3"}',
+            NOT_JSON + "'utf-8' codec can't decode byte 0xc3 in position 9011: invalid continuation byte",
+        ),
+        "empty": (b"", NOT_JSON + "Expecting value: line 1 column 1 (char 0)"),
+        "raw-cr": (
+            b'{\n  "gamma": 0.5,\n  "state": "H\rV"\n}',
+            NOT_JSON + "Invalid control character at: line 3 column 14 (char 31)",
+        ),
+        "dir": (None, "[Errno 21] Is a directory: 'dir'"),
+        "missing": (None, "[Errno 2] No such file or directory: 'missing'"),
+    }
+
+    @pytest.mark.parametrize("name", list(MESSAGES))
+    def test_pinned_message(self, tmp_path, capsys, monkeypatch, name):
+        content, message = self.MESSAGES[name]
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+        elif name == "dir":
+            (tmp_path / name).mkdir()
+        assert main(["whichway", "--config", name]) == 2
+        where = f"{name!r} " if content is not None else f"cannot read {name!r}: "
+        assert capsys.readouterr().err == f"config error: config: {where}{message}\n"
 
     @pytest.mark.parametrize("out", ["a\x00b", "\ud800.csv"], ids=["nul", "lone-surrogate"])
     def test_out_path_the_os_cannot_take_is_2(self, tmp_path, capsys, out):

@@ -92,6 +92,14 @@ class TestValidatePovm:
         with pytest.raises(DomainError):
             validate_povm([half, half], ["x", "x"])
 
+    def test_labels_equal_as_strings_rejected(self):
+        # a measurement keeps its labels as strings, where 1 and "1" are one label;
+        # the message shows the labels as given
+        for dim in (2, 3):
+            sharp = np.stack([np.diag([1.0] + [0.0] * (dim - 1)), np.diag([0.0] + [1.0] * (dim - 1))])
+            with pytest.raises(DomainError, match=r"unique, got \[1, '1'\]"):
+                validate_povm(sharp, (1, "1"))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             validate_povm([np.eye(2), np.zeros((3, 3))], ["a", "b"])
@@ -623,6 +631,40 @@ class TestOutcomeDistribution:
         # as_dict would keep one of the two probabilities
         with pytest.raises(DomainError, match="nonempty and unique"):
             OutcomeDistribution.from_values(("a", "a"), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        ("labels", "values"),
+        [
+            (("+", "-"), [0.7, 0.7]),
+            (("a", "b"), [-1e-6, 1.0 + 1e-6]),
+            (("a", "b"), [np.nan, 1.0]),
+            (("a", "a"), [0.5, 0.5]),
+            ((), []),
+            (("a", "b"), [[0.5, 0.5]]),
+            (("a", "b"), [1.0]),
+            (("a", "b"), ["x", "y"]),
+            (None, [1.0]),
+        ],
+        ids=["sum-1.4", "negative", "nan", "duplicate", "empty", "2-d", "count", "strings", "no-labels"],
+    )
+    def test_constructor_raises_the_errors_of_from_values(self, labels, values):
+        with pytest.raises(PovmBellError) as want:
+            OutcomeDistribution.from_values(labels, values)
+        with pytest.raises(PovmBellError) as got:
+            OutcomeDistribution(labels, values)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_constructor_keeps_the_values_as_given(self):
+        # in-tolerance values come back bit for bit; only from_values clamps and renormalizes
+        for values in ([-5e-11, 1.0 + 5e-11], [0.25 + 1e-11, 0.75], [0.1] * 10):
+            labels = tuple(f"o{i}" for i in range(len(values)))
+            made = OutcomeDistribution(labels, np.array(values))
+            assert made.probs.tobytes() == np.array(values).tobytes() and made.labels == labels
+            assert not made.probs.flags.writeable
+            normalized = OutcomeDistribution.from_values(labels, values)
+            again = OutcomeDistribution(normalized.labels, normalized.probs)
+            assert again.probs.tobytes() == normalized.probs.tobytes()
+            assert normalized.probs.min() >= 0.0
 
 
 class TestNonFinite:

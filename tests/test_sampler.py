@@ -10,13 +10,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_pure, unchecked_povm
+from helpers import random_pure, unchecked_distribution, unchecked_povm
 from povmbell import (
     GENERATOR_NAME,
     LOG_CHUNK,
     BellConfig,
     DomainError,
     EventLog,
+    InvariantViolationError,
     OutcomeDistribution,
     ShapeMismatchError,
     StateDescriptor,
@@ -235,14 +236,31 @@ class TestSample:
 
     def test_rejects_non_finite_distribution(self):
         pvm = polarization_pvm(0.0)
-        bad = OutcomeDistribution(pvm.labels, np.array([np.nan, 1.0]))
+        bad = unchecked_distribution(pvm.labels, [np.nan, 1.0])
         with pytest.raises(DomainError):
             sample(pvm, StateDescriptor.pure([1.0, 0.0]), 10, 0, distribution=bad)
+
+    def test_a_distribution_off_one_is_refused_before_sampling(self):
+        # it used to be drawn from as if renormalized: frequencies {+: 0.693, -: 0.307}
+        with pytest.raises(InvariantViolationError, match="sum to 1.4"):
+            sample(
+                polarization_pvm(0.0),
+                StateDescriptor.pure([1, 0]),
+                1000,
+                1,
+                distribution=OutcomeDistribution(("+", "-"), [0.7, 0.7]),
+            )
+
+    def test_rejects_negative_dust_the_constructor_lets_through(self):
+        pvm = polarization_pvm(0.0)
+        dust = OutcomeDistribution(pvm.labels, [-5e-11, 1.0 + 5e-11])
+        with pytest.raises(DomainError, match="nonnegative"):
+            sample(pvm, StateDescriptor.pure([1.0, 0.0]), 10, 3, distribution=dust)
 
     def test_rejects_negative_probabilities(self):
         # a cdf that falls has no inverse; edge counting and searchsorted would disagree on it
         ww = build_whichway(STANDARD_WW)
-        bad = OutcomeDistribution(ww.povm.labels, [0.7, -0.4, 0.2, 0.5])
+        bad = unchecked_distribution(ww.povm.labels, [0.7, -0.4, 0.2, 0.5])
         with pytest.raises(DomainError, match="nonnegative"):
             sample(ww.povm, StateDescriptor.pure([1.0, 0.0]), 10, 3, distribution=bad)
 
@@ -360,6 +378,8 @@ DRAW_CASES = {
     "sum-just-below-1": [0.1] * 10,  # sums to 1 - 2**-53
     "sum-0.9": [0.3, 0.3, 0.3],
 }
+# off the simplex: the public constructor refuses it, so its test builds it unchecked
+OFF_SIMPLEX = {"sum-0.9"}
 
 
 class TestDrawReference:
@@ -370,5 +390,6 @@ class TestDrawReference:
         labels = tuple(f"o{i}" for i in range(len(probs)))
         # with a distribution given, `sample` reads the POVM's labels and dim, not its effects
         povm = unchecked_povm(np.zeros((len(labels), 1, 1)), labels)
-        log = sample(povm, None, n, 11, distribution=OutcomeDistribution(labels, probs))
+        made = unchecked_distribution if case in OFF_SIMPLEX else OutcomeDistribution
+        log = sample(povm, None, n, 11, distribution=made(labels, probs))
         assert np.array_equal(log.indices, reference_indices(probs, n, 11))
