@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .measurement import OutcomeDistribution, Povm, Pvm, born_probabilities, born_values
+from .measurement import OutcomeDistribution, Povm, Pvm, _born, _probabilities, born_probabilities
 from .qcore import DEFAULT_POLICY, PolarizationAngle, StateDescriptor, _of_type, _trusted, as_angle
-from .whichway import WW_LABELS, WhichWayConfig, _effects, build_whichway
+from .whichway import WW_LABELS, WhichWayConfig, _effect_rows, build_whichway
 
 __all__ = [
     "QUAD_LABELS",
@@ -177,19 +177,23 @@ class ChshReport:
     s_symmetric_max: float
 
 
-def _combine(values: list[float]) -> ChshReport:
+def _chsh(values: list[float]) -> tuple[float, bool, float]:
+    """The CHSH kernel: `s_value`, `violates` and `s_symmetric_max` of the four
+    correlations `values`, in CHSH_PAIRS order."""
+    a, b, c, d = values
     # canonical combination puts the minus on the (D1, D2') term
-    s_value = values[0] - values[1] + values[2] + values[3]
-    s_symmetric_max = 0.0
-    for minus_at in range(4):
-        signed = sum(-v if i == minus_at else v for i, v in enumerate(values))
-        s_symmetric_max = max(s_symmetric_max, abs(signed))
+    s_value = a - b + c + d
+    # the largest |sum| of the four with one sign flipped
+    signed = (sum((-a, b, c, d)), sum((a, -b, c, d)), sum((a, b, -c, d)), sum((a, b, c, -d)))
+    s_symmetric_max = max(0.0, *map(abs, signed))
+    return s_value, abs(s_value) > 2.0 + DEFAULT_POLICY.atol_positivity, s_symmetric_max
+
+
+def _combine(values: list[float]) -> ChshReport:
+    s_value, violates, s_symmetric_max = _chsh(values)
     correlations = {f"{a},{b}": v for (a, b), v in zip(CHSH_PAIRS, values)}
     return ChshReport(
-        correlations=correlations,
-        s_value=s_value,
-        violates=abs(s_value) > 2.0 + DEFAULT_POLICY.atol_positivity,
-        s_symmetric_max=s_symmetric_max,
+        correlations=correlations, s_value=s_value, violates=violates, s_symmetric_max=s_symmetric_max
     )
 
 
@@ -225,28 +229,28 @@ def chsh_aspect(
     angles (0, 45, 22.5, 67.5 degrees) reaches |s_value| = 2*sqrt(2).
 
     The corners tensor each arm's which-way effects at gamma = 1 and
-    gamma = 0, formed by `whichway._effects` from the checked angles. They
-    are reduced to the four correlations here and never handed out, so they
-    are not checked at run time; the tests prove them POVMs
-    (`tests/test_derived_povms.py`). Their four Born rows get the checks of
-    `OutcomeDistribution.from_values` in one batch; if any fails, the rows
-    go through `from_values` one by one, which raises its own error.
+    gamma = 0, formed by `whichway._effect_rows` from the checked angles.
+    They are reduced to the four correlations by `_aspect_correlations` and
+    never handed out, so they are not checked at run time; the tests prove
+    them POVMs (`tests/test_derived_povms.py`).
     """
     if _of_type(state, StateDescriptor, "state").dim != 4:
         raise ShapeMismatchError(f"two-photon state must have dimension 4, got {state.dim}")
     angles = [as_angle(theta) for theta in (theta1, theta1_prime, theta2, theta2_prime)]
+    return _combine(_aspect_correlations(state, angles))
+
+
+def _aspect_correlations(state: StateDescriptor, angles: list[PolarizationAngle]) -> list[float]:
+    """The kernel of `chsh_aspect`: the four pooled correlations of a two-photon state at the
+    angles (theta1, theta1', theta2, theta2'), in CHSH_PAIRS order. The four corners' Born
+    rows get the checks of `OutcomeDistribution.from_values` in one batch, by the kernels
+    `_born` and `_probabilities`; the first row that fails raises."""
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
-    arms = [np.array([_effects(gamma, *pair) for gamma in (1.0, 0.0)]) for pair in (angles[:2], angles[2:])]
-    values = born_values(state, _joint_effects(*arms), QUAD_LABELS)
-    tol = DEFAULT_POLICY.atol_positivity
-    if not (values.min() >= -tol and (np.abs(values.sum(axis=1) - 1.0) <= tol).all()):  # NaN fails
-        for row in values:
-            OutcomeDistribution.from_values(QUAD_LABELS, row)
-    # the clip and renormalization of `from_values`, row by row
-    probs = np.clip(values, 0.0, 1.0)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return _combine([float(probs[c] @ CHSH_SIGNS[:, c]) for c in range(4)])
+    pairs = (angles[:2], angles[2:])
+    arms = np.array([[_effect_rows(gamma, *pair) for gamma in (1.0, 0.0)] for pair in pairs])
+    probs = _probabilities(_born(state, _joint_effects(*arms), QUAD_LABELS))
+    return [float(probs[c] @ CHSH_SIGNS[:, c]) for c in range(4)]
 
 
 def singlet_state() -> StateDescriptor:

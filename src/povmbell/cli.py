@@ -10,8 +10,20 @@ is the text `json.dumps(..., indent=2)` makes of {"config": ..., "rows": [...]}.
 decodes it as UTF-8, turning each CR LF and then each lone CR into LF as
 text mode does, so that every message of `json.loads` names the line and
 column a text-mode read would. `spec_from_dict` checks a `gamma_grid` list
-whose entries are all floats in [0, 1] as a whole; any other list is checked
-entry by entry, which names the first faulty entry.
+whose entries are all floats in [0, 1], and an amplitude list whose entries
+are all [re, im] pairs of finite floats, as a whole; any other list is
+checked entry by entry, which names the first faulty entry.
+
+The boundary checks end with the spec: `spec_from_dict` checks every field
+a config gives. The runners then hand the library's private kernels only
+what the library made: the arm kernel `_arm` forms each which-way arm by
+`whichway._effect_rows` and certifies the entries by `_qubit_class`, or
+else checks the stack by `_povm_class`, as `validate_povm` does; `_born` and
+`_probabilities` give the Born values and their checked distribution, as
+`born_values` and `OutcomeDistribution.from_values` do; `bell._chsh` and
+`bell._aspect_correlations` give the CHSH cells. Their labels are the
+constants WW_LABELS and QUAD_LABELS, checked once by a test
+(`tests/test_derived_povms.py`), not at each call.
 
 A runner returns its column names and its rows in batches; `render_csv`
 and `render_json` turn one batch into text with one %-format call, and each
@@ -21,8 +33,10 @@ The sweep's `bound` column holds one float: its template is cached with
 that column left open, and each batch formats the float into it once,
 instead of once a row. Every command but `martens-sweep` has one batch of
 one row. The one-row runners form each which-way arm once, by the arm
-kernel `_arm` (`whichway._effects`, checked by `validate_povm`), and reduce
-it to cells within the call, with no intermediate records. `martens-sweep`
+kernel `_arm`, and reduce it to cells within the call, with no intermediate
+records. The "config" block of a JSON table is one %-format of a template
+cached per signature: its field names, value kinds and number of amplitude
+pairs. `martens-sweep`
 evaluates (by the kernel `infometrics._curve_columns`), formats and writes
 its grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every
 grid value and the angle before the first byte is written, and the kernel
@@ -63,18 +77,23 @@ from .bell import (
     CHSH_PAIRS,
     CHSH_SIGNS,
     QUAD_LABELS,
-    ChshReport,
-    _combine,
+    _aspect_correlations,
+    _chsh,
     _joint_effects,
     _joint_povm,
-    chsh_aspect,
-    chsh_report_from_distribution,
     singlet_state,
 )
 from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import _curve_columns, _martens_point, martens_bound
-from .measurement import OutcomeDistribution, Povm, born_probabilities, born_values, validate_povm
-from .qcore import ArrayRecord, StateDescriptor, _as_array, _of_type, _trusted, as_angle
+from .measurement import (
+    Povm,
+    _born,
+    _povm_class,
+    _probabilities,
+    _qubit_class,
+    born_probabilities,
+)
+from .qcore import ArrayRecord, PolarizationAngle, StateDescriptor, _as_array, _of_type, _trusted, as_angle
 from .sampler import (
     _MAX_SEED,
     _config_sha256,
@@ -84,7 +103,7 @@ from .sampler import (
     sample,
     write_event_log,
 )
-from .whichway import WW_LABELS, _effects
+from .whichway import WW_LABELS, _effect_rows
 
 __all__ = [
     "KINDS",
@@ -226,16 +245,26 @@ def _state_field(name: str, value: object, dim: int) -> str | tuple[tuple[float,
     if isinstance(value, list):
         if len(value) != dim:
             raise ConfigError(name, f"amplitude list must have length {dim}, got {len(value)}")
-        amplitudes: list[tuple[float, float]] = []
-        for i, item in enumerate(value):
-            parts = item if isinstance(item, list) else (item, 0.0)
-            if len(parts) != 2:
-                raise ConfigError(name, f"entry {i} must be a number or a [re, im] pair")
-            amplitudes.append(tuple(_float_field(name, x, entry=i) for x in parts))
+        # checked whole when every entry is a [re, im] pair of finite floats; any other
+        # list goes entry by entry, which names the first faulty entry
+        if all(map(_finite_pair, value)):
+            amplitudes = [tuple(item) for item in value]
+        else:
+            amplitudes = []
+            for i, item in enumerate(value):
+                parts = item if isinstance(item, list) else (item, 0.0)
+                if len(parts) != 2:
+                    raise ConfigError(name, f"entry {i} must be a number or a [re, im] pair")
+                amplitudes.append(tuple(_float_field(name, x, entry=i) for x in parts))
         if not any(re != 0.0 or im != 0.0 for re, im in amplitudes):
             raise ConfigError(name, "amplitude list must not be the zero vector")
         return tuple(amplitudes)
     raise ConfigError(name, "must be a state name or an amplitude list")
+
+
+def _finite_pair(item: object) -> bool:
+    """Whether `item` is a list of two finite floats (NaN and the infinities are not)."""
+    return type(item) is list and len(item) == 2 and all(type(x) is float and abs(x) < math.inf for x in item)
 
 
 def _named_state(name: str) -> StateDescriptor:
@@ -317,9 +346,9 @@ def spec_from_dict(payload: object) -> ExperimentSpec:
 
 
 def _spec_items(spec: ExperimentSpec) -> list[tuple[str, object]]:
-    """(name, value) of the fields of a spec that are set, in declaration order."""
-    items = ((name, getattr(spec, name)) for name in _DEFAULTS)
-    return [(name, value) for name, value in items if value is not None]
+    """(name, value) of the fields of a spec that are set, in declaration order: the order
+    in which its constructor, and `spec_from_dict` from _DEFAULTS, fill its __dict__."""
+    return [(name, value) for name, value in vars(spec).items() if value is not None]
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -371,9 +400,10 @@ def _slug(label: str) -> str:
     return label.replace("+", "p").replace("-", "m").replace(",", "_").replace("'", "p")
 
 
-# the probability columns of each label set, in label order, and the correlation columns
+# the probability columns of each label set, in label order, and the correlation columns in
+# CHSH_PAIRS order
 _P_COLUMNS = {labels: [f"p_{_slug(label)}" for label in labels] for labels in (WW_LABELS, QUAD_LABELS)}
-_E_COLUMNS = {f"{a},{b}": f"E_{_slug(f'{a},{b}')}" for a, b in CHSH_PAIRS}
+_E_COLUMNS = tuple(f"E_{_slug(f'{a},{b}')}" for a, b in CHSH_PAIRS)
 
 
 def _state_text(state: str | tuple[tuple[float, float], ...]) -> str:
@@ -383,16 +413,24 @@ def _state_text(state: str | tuple[tuple[float, float], ...]) -> str:
     return "[" + ",".join(f"[{re!r},{im!r}]" for re, im in state) + "]"
 
 
-def _arm(gamma: float, theta_deg: float, theta_prime_deg: float) -> tuple:
-    """The which-way POVM of one arm of a checked spec and its two angles, each reduced once:
-    `whichway._effects`, checked by `validate_povm` as `build_whichway` checks it."""
+def _arm(
+    gamma: float, theta_deg: float, theta_prime_deg: float
+) -> tuple[np.ndarray, type[Povm], PolarizationAngle, PolarizationAngle]:
+    """The which-way arm of a checked spec: its frozen effect stack, its class and its two
+    angles, each made once. The complex entries `whichway._effect_rows` forms are certified
+    by `_qubit_class` before they become one array, as `validate_povm` certifies a qubit
+    stack; where that verdict does not answer, `_povm_class` checks the stack, and raises."""
     theta, theta_prime = as_angle(math.radians(theta_deg)), as_angle(math.radians(theta_prime_deg))
-    return validate_povm(_effects(gamma, theta, theta_prime), WW_LABELS), theta, theta_prime
+    rows = _effect_rows(gamma, theta, theta_prime)
+    stack = np.array(rows)
+    stack.setflags(write=False)
+    return stack, _qubit_class(rows) or _povm_class(stack, WW_LABELS), theta, theta_prime
 
 
-def _bell_arms(spec: ExperimentSpec) -> tuple[Povm, Povm]:
-    arm1 = _arm(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg)[0]
-    return arm1, _arm(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg)[0]
+def _arm_povm(gamma: float, theta_deg: float, theta_prime_deg: float) -> Povm:
+    """The arm of `_arm` as the checked Povm that `sample` takes."""
+    stack, cls, _, _ = _arm(gamma, theta_deg, theta_prime_deg)
+    return _trusted(cls, stack=stack, labels=WW_LABELS)
 
 
 # A runner returns a table: its column names and an iterable of row batches.
@@ -416,21 +454,20 @@ def _config_cells(spec: ExperimentSpec) -> dict:
     }
 
 
-def _chsh_cells(report: ChshReport) -> dict:
-    """The trailing cells of a bell or aspect row: its correlations and CHSH values."""
-    cells: dict = {_E_COLUMNS[key]: value for key, value in report.correlations.items()}
-    cells["s_value"] = report.s_value
-    cells["violates"] = report.violates
-    cells["s_symmetric_max"] = report.s_symmetric_max
+def _chsh_cells(values: list[float]) -> dict:
+    """The trailing cells of a bell or aspect row: its four correlations, in CHSH_PAIRS
+    order, and their CHSH values by the kernel `bell._chsh`."""
+    cells = dict(zip(_E_COLUMNS, values))
+    cells["s_value"], cells["violates"], cells["s_symmetric_max"] = _chsh(values)
     return cells
 
 
 def run_whichway(spec: ExperimentSpec) -> Table:
     """The cells `joint_distribution`, `marginals_from_distribution`, `marginals_and_nonideality`
-    and `martens_check` give, by their operations on the one checked arm, with no record between."""
-    povm, theta, theta_prime = _arm(spec.gamma, spec.theta_deg, spec.theta_prime_deg)
-    values = born_values(resolve_state(spec.state, 2), povm.stack, WW_LABELS)
-    pp, pm, mp, mm = probs = OutcomeDistribution.from_values(WW_LABELS, values).probs.tolist()
+    and `martens_check` give, by their kernels on the one checked arm, with no record between."""
+    stack, _, theta, theta_prime = _arm(spec.gamma, spec.theta_deg, spec.theta_prime_deg)
+    probs = _probabilities(_born(resolve_state(spec.state, 2), stack, WW_LABELS)).tolist()
+    pp, pm, mp, mm = probs
     row, gamma = _config_cells(spec), spec.gamma
     row.update(zip(_P_COLUMNS[WW_LABELS], probs))
     row.update(marg_d_plus=pp + pm, marg_d_minus=mp + mm, marg_dprime_plus=pp + mp, marg_dprime_minus=pm + mm)
@@ -455,36 +492,32 @@ def run_bell(spec: ExperimentSpec) -> Table:
     """The row of one joint run: the Born values of the two checked arms' tensor
     product, and their CHSH statistics, as `chsh_single_run` gives them."""
     state = resolve_state(spec.state, 4)
-    arm1, arm2 = _bell_arms(spec)
-    values = born_values(state, _joint_effects(arm1.stack[None], arm2.stack[None])[0], QUAD_LABELS)
-    probs = OutcomeDistribution.from_values(QUAD_LABELS, values).probs
+    arm1 = _arm(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg)[0]
+    arm2 = _arm(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg)[0]
+    probs = _probabilities(_born(state, _joint_effects(arm1[None], arm2[None])[0], QUAD_LABELS))
     row = _config_cells(spec)
     row.update(zip(_P_COLUMNS[QUAD_LABELS], probs.tolist()))
-    row.update(_chsh_cells(_combine((probs @ CHSH_SIGNS).tolist())))
+    row.update(_chsh_cells((probs @ CHSH_SIGNS).tolist()))
     return _one_row(row)
 
 
 def run_aspect(spec: ExperimentSpec) -> Table:
+    """The row of the four pooled runs, as `chsh_aspect` gives them."""
     state = resolve_state(spec.state, 4)
-    report = chsh_aspect(
-        state,
-        math.radians(spec.theta1_deg),
-        math.radians(spec.theta1_prime_deg),
-        math.radians(spec.theta2_deg),
-        math.radians(spec.theta2_prime_deg),
-    )
-    return _one_row({**_config_cells(spec), **_chsh_cells(report)})
+    angles = [as_angle(math.radians(getattr(spec, name))) for name in _BELL_ANGLES]
+    return _one_row({**_config_cells(spec), **_chsh_cells(_aspect_correlations(state, angles))})
 
 
 def run_sample(spec: ExperimentSpec) -> Table:
     if spec.out is None:
         raise ConfigError("out", "sample needs an output path for the event log")
     if spec.experiment == "whichway":
-        povm = _arm(spec.gamma, spec.theta_deg, spec.theta_prime_deg)[0]
+        povm = _arm_povm(spec.gamma, spec.theta_deg, spec.theta_prime_deg)
         state = resolve_state(spec.state, 2)
     else:
         state = resolve_state(spec.state, 4)
-        povm = _joint_povm(*_bell_arms(spec))
+        arm1 = _arm_povm(spec.gamma1, spec.theta1_deg, spec.theta1_prime_deg)
+        povm = _joint_povm(arm1, _arm_povm(spec.gamma2, spec.theta2_deg, spec.theta2_prime_deg))
     payload = spec_to_dict(spec)
     payload.pop("out", None)  # presentation only, must not change log bytes
     payload.pop("format", None)
@@ -494,7 +527,8 @@ def run_sample(spec: ExperimentSpec) -> Table:
         povm, state, spec.n_events, spec.seed, config_descriptor=descriptor, distribution=analytic
     )
     write_event_log(log, spec.out)
-    freqs = empirical_frequencies(log)
+    # the frequencies and the Born probabilities in the order of povm.labels
+    freqs, probs = list(empirical_frequencies(log).values()), analytic.probs.tolist()
     row: dict = {
         "experiment": spec.experiment,
         "n_events": log.count,
@@ -503,22 +537,16 @@ def run_sample(spec: ExperimentSpec) -> Table:
         "config_sha256": _config_sha256(descriptor),
         "log_path": spec.out,
     }
-    for label in povm.labels:
-        row[f"freq_{_slug(label)}"] = freqs[label]
-    row.update(zip(_P_COLUMNS[povm.labels], analytic.probs.tolist()))
-    if log.count:
-        row["max_abs_deviation"] = max(abs(freqs[l] - analytic.prob(l)) for l in povm.labels)
-    else:
-        row["max_abs_deviation"] = None
+    row.update(zip([f"freq_{_slug(label)}" for label in povm.labels], freqs))
+    row.update(zip(_P_COLUMNS[povm.labels], probs))
+    row["max_abs_deviation"] = max(abs(f - p) for f, p in zip(freqs, probs)) if log.count else None
     if spec.experiment == "bell":
-        row["s_analytic"] = chsh_report_from_distribution(analytic).s_value
+        row["s_analytic"] = _chsh((analytic.probs @ CHSH_SIGNS).tolist())[0]
         row["s_empirical"] = None
         if log.count:
             # the frequencies as a distribution, as empirical_chsh forms them
-            empirical = OutcomeDistribution.from_values(
-                povm.labels, [freqs[label] for label in povm.labels]
-            )
-            row["s_empirical"] = chsh_report_from_distribution(empirical).s_value
+            empirical = _probabilities(np.array(freqs))
+            row["s_empirical"] = _chsh((empirical @ CHSH_SIGNS).tolist())[0]
     return _one_row(row)
 
 
@@ -624,29 +652,58 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
     """The opening of a JSON table through its "config" block, in pieces.
 
     The block holds `spec_to_dict(spec)`, as `json.dumps(..., indent=2)`
-    nests it; a grid is written SWEEP_CHUNK values at a time.
+    nests it, made by one %-format of the cached template of its signature
+    (see `_head_template`); a grid is written SWEEP_CHUNK values at a time,
+    between the parts of the template before and after it.
     """
-    yield '{\n  "config": {\n'
-    items = _spec_items(spec)
-    for i, (name, value) in enumerate(items):
-        end = ",\n" if i + 1 < len(items) else "\n"
-        if name == "gamma_grid":
-            yield f'    "{name}": [\n'
-            for start in range(0, len(value), SWEEP_CHUNK):
-                values = value[start : start + SWEEP_CHUNK].tolist()
-                yield (",\n" if start else "") + "      " + ",\n      ".join(map(repr, values))
-            yield "\n    ]" + end
-        elif type(value) is int or (type(value) is float and math.isfinite(value)):
+    signature, cells, grid = [], [], None
+    for name, value in _spec_items(spec):
+        if type(value) is float and math.isfinite(value) or type(value) is int:
             # the text json.dumps writes for an int or a finite float
-            yield f'    "{name}": {value!r}' + end
+            signature.append((name, "%r"))
+            cells.append(value)
         elif isinstance(value, tuple):
-            # a state's amplitude pairs as json's indented (pure-Python) encoder writes finite floats
-            pairs = ",\n".join(f"      [\n        {re!r},\n        {im!r}\n      ]" for re, im in value)
-            yield f'    "{name}": [\n' + pairs + "\n    ]" + end
+            # a state's amplitude pairs, each float as json's indented (pure-Python) encoder writes it
+            signature.append((name, len(value)))
+            cells += [part for pair in value for part in pair]
+        elif name == "gamma_grid":
+            signature.append((name, None))
+            grid, split = value, len(cells)
         else:
             # a string, which json's C encoder writes for unindented text
-            yield f'    "{name}": ' + json.dumps(value) + end
-    yield "  },\n"
+            signature.append((name, "%s"))
+            cells.append(json.dumps(value))
+    before, after = _head_template(tuple(signature))
+    if grid is None:
+        yield before % tuple(cells)
+        return
+    yield before % tuple(cells[:split])
+    for start in range(0, len(grid), SWEEP_CHUNK):
+        values = grid[start : start + SWEEP_CHUNK].tolist()
+        yield (",\n" if start else "") + "      " + ",\n      ".join(map(repr, values))
+    yield after % tuple(cells[split:])
+
+
+@functools.lru_cache(maxsize=64)
+def _head_template(signature: tuple) -> tuple[str, str]:
+    """The %-template of a JSON "config" block whose fields have `signature`, (name, kind)
+    each: the kind "%r" for a number, "%s" for the text `json.dumps` made, the number of
+    pairs of an amplitude list, or None for the grid. With a grid, the parts before and
+    after its values; else the block and ""."""
+    parts, lines = [], ['{\n  "config": {\n']
+    for i, (name, kind) in enumerate(signature):
+        end = ",\n" if i + 1 < len(signature) else "\n"
+        if kind is None:
+            parts.append("".join(lines) + f'    "{name}": [\n')
+            lines = ["\n    ]" + end]
+        elif type(kind) is int:
+            pairs = ",\n".join(["      [\n        %r,\n        %r\n      ]"] * kind)
+            lines.append(f'    "{name}": [\n' + pairs + "\n    ]" + end)
+        else:
+            lines.append(f'    "{name}": {kind}' + end)
+    lines.append("  },\n")
+    parts.append("".join(lines))
+    return (*parts, "") if len(parts) == 1 else tuple(parts)
 
 
 def _table_text(

@@ -16,9 +16,19 @@ cost more than the arithmetic on 4k numbers: hermiticity, the closed-form
 eigenvalues, completeness and the sharpness residue, in `_qubit_class`. That
 verdict only certifies: it answers when every quantity clears its tolerance
 by `_CERTAIN`, and never raises. Failing stacks, NaN or infinite entries and
-stacks within `_CERTAIN` of a tolerance take the array path, as d > 2 stacks
-and every `validate_effect_stack` call do; it gives every error, message and
-deviation.
+stacks within `_CERTAIN` of a tolerance take the array path `_povm_class`,
+as d > 2 stacks do; it runs `validate_effect_stack`, which gives every error,
+message and deviation, and classifies by the sharpness residue.
+
+Each public check is a boundary part, which converts and checks caller
+arguments (types, shapes, labels), and a private kernel, which does the
+arithmetic and the numeric checks: `validate_povm` ends at `_qubit_class`
+and `_povm_class`, `born_values` at `_born` (the einsum and its
+imaginary-residue check), and `OutcomeDistribution.from_values` at
+`_probabilities` (the negativity and total checks of each distribution,
+then the clamp and the renormalization). The CLI's arm kernel and one-row
+runners call the kernels on stacks and values the library made, labeled by
+constants a test checks once.
 """
 
 from __future__ import annotations
@@ -289,10 +299,17 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     names = tuple(map(str, labels))
     if len(set(names)) != len(names):
         raise DomainError(f"outcome labels must be unique, got {list(labels)}")
+    cls = None
     if effects.shape[1:] == (2, 2) and len(effects) == len(labels):
         cls = _qubit_class(effects.tolist())
-        if cls is not None:
-            return _trusted(cls, stack=effects, labels=names)
+    return _trusted(cls or _povm_class(effects, labels), stack=effects, labels=names)
+
+
+def _povm_class(effects: np.ndarray, labels: tuple) -> type[Povm]:
+    """The array path of `validate_povm`: Pvm or Povm for a (k, d, d) complex stack and its
+    labels, checked by `validate_effect_stack`, which raises every error, then classified by
+    the sharpness residue. `validate_povm` and the CLI's arm kernel take it where the
+    scalar verdict `_qubit_class` does not answer."""
     validate_effect_stack(effects, labels)
     # one product holds every E_i E_j: rows stacks the effects vertically,
     # cols side by side, so block (i, j) of rows @ cols is E_i E_j. Sharp
@@ -304,8 +321,7 @@ def validate_povm(stack: object, labels: Sequence[str]) -> Povm:
     blocks[np.arange(k), np.arange(k)] -= effects
     block_of = np.arange(k * dim) // dim
     residue = np.abs(products) * (block_of[:, None] <= block_of)  # zero below the diagonal blocks
-    cls = Pvm if residue.max() <= DEFAULT_POLICY.atol_algebra else Povm
-    return _trusted(cls, stack=effects, labels=names)
+    return Pvm if residue.max() <= DEFAULT_POLICY.atol_algebra else Povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +337,10 @@ class OutcomeDistribution(ArrayRecord):
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        labels, probs = _checked_distribution(self.labels, self.probs, frozen=True)
+        labels = _distribution_labels(self.labels)
+        probs = _as_array(self.probs, np.float64, "probabilities", frozen=True)
+        _check_values(probs, None)
+        _check_shape(probs, labels)
         self.__dict__.update(labels=labels, probs=probs)
 
     @classmethod
@@ -333,14 +352,14 @@ class OutcomeDistribution(ArrayRecord):
         that tolerance are treated as genuine contract violations, not noise;
         so is any NaN or infinite value, which makes the total NaN or infinite.
         Values of any shape but one per label raise ShapeMismatchError, after
-        the value checks.
+        the value checks. One value per label goes to the kernel `_probabilities`.
         """
-        labels, probs = _checked_distribution(labels, values, frozen=False)
-        # a new array: no write to the caller's values reaches it
-        probs = np.clip(probs, 0.0, 1.0)
-        probs /= probs.sum()
-        probs.setflags(write=False)
-        return _trusted(cls, labels=labels, probs=probs)
+        labels = _distribution_labels(labels)
+        values = _as_array(values, np.float64, "probabilities")
+        if values.ndim != 1 or len(values) != len(labels):
+            _check_values(values, None)  # the value errors come first
+            _check_shape(values, labels)
+        return _trusted(cls, labels=labels, probs=_probabilities(values))
 
     def prob(self, label: str) -> float:
         for lbl, p in zip(self.labels, self.probs):
@@ -352,26 +371,50 @@ class OutcomeDistribution(ArrayRecord):
         return dict(zip(self.labels, self.probs.tolist()))
 
 
-def _checked_distribution(labels: object, values: object, *, frozen: bool) -> tuple[tuple, np.ndarray]:
-    """The labels and the probabilities of a distribution, checked in the order and with the
-    errors `OutcomeDistribution.from_values` gives; the probabilities as `_as_array` makes
-    them, `frozen` or not."""
+def _distribution_labels(labels: object) -> tuple:
     labels = _label_tuple(labels)
     if not labels or len(set(labels)) != len(labels):
         raise DomainError(f"outcome labels must be nonempty and unique, got {list(labels)}")
-    probs = _as_array(values, np.float64, "probabilities", frozen=frozen)
+    return labels
+
+
+def _check_values(values: np.ndarray, axis: int | None) -> None:
+    """The value checks of a distribution: all of `values` as one (`axis` None), or each
+    row of a batch along the last axis (`axis` -1). InvariantViolationError for the first
+    distribution that holds a value below -atol_positivity, or else whose total is off
+    from 1 by more than that tolerance (a NaN total too). A distribution's total is taken
+    only once its lowest value has passed, so -inf never meets +inf in a sum."""
     tol = DEFAULT_POLICY.atol_positivity
-    lowest = float(probs.min(initial=0.0))  # no values: the total check fails
-    if lowest < -tol:
-        raise InvariantViolationError(f"probability {lowest!r} is negative beyond tolerance {tol}")
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= tol:  # a NaN total fails too
-        raise InvariantViolationError(f"probabilities sum to {total!r}; must equal 1 within {tol}")
+    # the lowest value of every distribution at once, then each total; NaN fails either test
+    if values.min(initial=0.0) >= -tol:
+        totals = values.sum(axis=axis, keepdims=True).ravel().tolist()
+        if all(abs(total - 1.0) <= tol for total in totals):
+            return
+    for row in [values] if axis is None else values.reshape(-1, values.shape[-1]):
+        lowest = float(row.min(initial=0.0))
+        if lowest < -tol:
+            raise InvariantViolationError(f"probability {lowest!r} is negative beyond tolerance {tol}")
+        total = float(row.sum())
+        if not abs(total - 1.0) <= tol:
+            raise InvariantViolationError(f"probabilities sum to {total!r}; must equal 1 within {tol}")
+
+
+def _check_shape(probs: np.ndarray, labels: tuple) -> None:
     if probs.ndim != 1:
         raise ShapeMismatchError(f"probabilities must be 1-D, got ndim={probs.ndim}")
     if probs.shape[0] != len(labels):
         raise ShapeMismatchError(f"got {probs.shape} probabilities for {len(labels)} labels")
-    return labels, probs
+
+
+def _probabilities(values: np.ndarray) -> np.ndarray:
+    """The kernel of `from_values`: the distributions of a float64 array of shape (..., k),
+    one along its last axis, each checked by `_check_values`, then clamped to [0, 1] and
+    renormalized, as a new frozen array. The caller made `values` and knows its shape."""
+    _check_values(values, -1)
+    probs = values.clip(0.0, 1.0)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs.setflags(write=False)
+    return probs
 
 
 def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) -> np.ndarray:
@@ -382,7 +425,8 @@ def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) ->
     otherwise. Values of validated effects are real up to rounding; an
     imaginary part beyond atol_positivity means the inputs broke contract,
     and raises InvariantViolationError naming the first such effect (batch
-    entries and effects in input order).
+    entries and effects in input order). The checks of the arguments end
+    here; the einsum and the residue check are the kernel `_born`.
     """
     effects = _as_array(stack, np.complex128, "effect stack")
     dim = _of_type(state, StateDescriptor, "state").dim
@@ -393,17 +437,27 @@ def born_values(state: StateDescriptor, stack: object, labels: Sequence[str]) ->
     labels = _label_tuple(labels)
     if len(labels) != effects.shape[-3]:
         raise ShapeMismatchError(f"got {len(labels)} labels for {effects.shape[-3]} effects")
+    return _born(state, effects, labels)
+
+
+def _born(state: StateDescriptor, effects: np.ndarray, labels: tuple) -> np.ndarray:
+    """The kernel of `born_values`: the real Born values of a complex stack of shape
+    (..., k, d, d) that matches the state's dimension, its k effects labeled by
+    `labels`, and the imaginary-residue check."""
     if state.is_pure:
         vec = state.vector
         values = np.einsum("i,...ij,j->...", vec.conj(), effects, vec)
     else:
         values = np.einsum("ji,...ij->...", state.matrix, effects)
-    non_real = np.abs(values.imag) > DEFAULT_POLICY.atol_positivity
-    if non_real.any():
-        at = np.unravel_index(int(np.argmax(non_real)), non_real.shape)
-        raise InvariantViolationError(
-            f"effect {labels[at[-1]]!r} produced non-real probability {complex(values[at])!r}"
-        )
+    residue = np.abs(values.imag)
+    # one reduction screens every residue; a NaN residue fails the screen, not the check
+    if not residue.max(initial=0.0) <= DEFAULT_POLICY.atol_positivity:
+        non_real = residue > DEFAULT_POLICY.atol_positivity
+        if non_real.any():
+            at = np.unravel_index(int(np.argmax(non_real)), non_real.shape)
+            raise InvariantViolationError(
+                f"effect {labels[at[-1]]!r} produced non-real probability {complex(values[at])!r}"
+            )
     return values.real
 
 

@@ -26,6 +26,7 @@ that decoder refuses, take the line-by-line path, with the same bytes and errors
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -75,9 +76,18 @@ def _check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
     The format stores the labels space-separated on one header line and one
     event label per line, and only header lines start with '#', so the labels
     must be nonempty, unique, free of whitespace, encodable as UTF-8 and must
-    not start with '#'; the set must hold at least one label.
+    not start with '#'; the set must hold at least one label. A set whose
+    labels are all exactly `str` is checked once and remembered: only there
+    does equality of two sets mean equal label text, as (1,), (1.0,) and
+    (True,) are equal tuples.
     """
     labels = _label_tuple(label_set)
+    if all(type(label) is str for label in labels):
+        return _checked_str_labels(labels)
+    return _checked_labels(labels)
+
+
+def _checked_labels(labels: tuple) -> tuple:
     if not labels:
         raise DomainError("an event log needs at least one label")
     for label in labels:
@@ -91,6 +101,10 @@ def _check_label_set(label_set: Sequence[str]) -> tuple[str, ...]:
     if len(set(labels)) != len(labels):
         raise DomainError(f"event labels must be unique, got {list(labels)}")
     return labels
+
+
+# a label set of exact strings the format can hold, checked once (a refused set raises again)
+_checked_str_labels = functools.lru_cache(maxsize=64)(_checked_labels)
 
 
 def _index_dtype(n_labels: int) -> np.dtype:
@@ -242,15 +256,13 @@ def _read_header(fh: BinaryIO) -> dict[str, str]:
     return header
 
 
-def _read_fixed_width(fh: BinaryIO, lines: list[bytes], indices: np.ndarray) -> bool:
-    """Fill `indices` from a body of len(indices) rows of w-byte label lines,
-    LOG_CHUNK rows at a time. A column that is one byte in every label line
-    (the line break, say) must hold that byte; each other column maps through
-    a 256-entry table to its byte's digit, or one more digit for "not in this
-    column", and the digits' mixed-radix code indexes a table of label
-    indices (-1: no label). Returns False, `indices` partly filled, if the
-    code table would exceed LOG_CHUNK or a row is no label line."""
-    width = len(lines[0])
+@functools.lru_cache(maxsize=16)
+def _decode_plan(lines: tuple[bytes, ...]) -> tuple | None:
+    """The table lookups that decode a body of w-byte label `lines`: the columns that are
+    one byte in every line, as (column, byte); each other column and its 256-entry table
+    from a byte to its digit, or one more digit for "not in this column"; and the table
+    of label indices by the digits' mixed-radix code (-1: no label). None if the code
+    table would exceed LOG_CHUNK. Made once per label set; its arrays are read-only."""
     code_dtype = np.min_scalar_type(LOG_CHUNK - 1)  # every code is below LOG_CHUNK
     fixed, varying, codes, size = [], [], [0] * len(lines), 1
     for column, column_bytes in enumerate(zip(*lines)):
@@ -260,14 +272,32 @@ def _read_fixed_width(fh: BinaryIO, lines: list[bytes], indices: np.ndarray) -> 
             continue
         stride, size = size, size * (len(present) + 1)
         if size > LOG_CHUNK:
-            return False
+            return None
         digits = {byte: digit * stride for digit, byte in enumerate(present)}
         codes = [code + digits[byte] for code, byte in zip(codes, column_bytes)]
         lut = np.full(256, len(present) * stride, dtype=code_dtype)
         lut[present] = list(digits.values())
+        lut.setflags(write=False)
         varying.append((column, lut))
     table = np.full(size, -1, dtype=np.min_scalar_type(-len(lines)))
     table[codes] = np.arange(len(lines))
+    table.setflags(write=False)
+    return tuple(fixed), tuple(varying), table
+
+
+def _read_fixed_width(fh: BinaryIO, lines: tuple[bytes, ...], indices: np.ndarray) -> bool:
+    """Fill `indices` from a body of len(indices) rows of w-byte label lines,
+    LOG_CHUNK rows at a time, by the lookups of `_decode_plan`. A column that is
+    one byte in every label line (the line break, say) must hold that byte; each
+    other column maps through its table to a digit, and the digits' code indexes
+    the table of label indices. Returns False, `indices` partly filled, if the
+    code table would exceed LOG_CHUNK or a row is no label line."""
+    plan = _decode_plan(lines)
+    if plan is None:
+        return False
+    fixed, varying, table = plan
+    width = len(lines[0])
+    code_dtype = np.min_scalar_type(LOG_CHUNK - 1)
     for start in range(0, len(indices), LOG_CHUNK):
         rows = min(LOG_CHUNK, len(indices) - start)
         block = fh.read(rows * width)
@@ -321,7 +351,7 @@ def read_event_log(path: str | Path) -> EventLog:
         if count < 0:
             raise ConfigError("log", f"header count must be nonnegative, got {count}")
         labels = header["labels"].split(" ")
-        lines = [label.encode("utf-8") + b"\n" for label in labels]
+        lines = tuple(label.encode("utf-8") + b"\n" for label in labels)
         position = {line[:-1]: i for i, line in enumerate(lines)}
         # every event takes at least its shortest label plus a line break
         shortest = min(map(len, lines))

@@ -10,11 +10,12 @@ together and the "++" effect is the zero operator.
 
 The measured marginal in each branch is a column-stochastic smearing of the
 ideal sharp measurement along that branch's axis; `marginals_and_nonideality`
-returns those smearing matrices. One scalar kernel, `_effects`, forms the
-four effects of one transmissivity from Python floats and complex numbers
-into one frozen (4, 2, 2) stack: `build_whichway` and the CLI's arm kernel
-`cli._arm` check it with `validate_povm`, and `chsh_aspect` forms the
-gamma = 1 and gamma = 0 corners with it, unchecked. The smearing matrices
+returns those smearing matrices. One scalar kernel, `_effect_rows`, forms
+the four effects of one transmissivity as nested lists of Python complex
+numbers: `build_whichway` checks them with `validate_povm`, the CLI's arm
+kernel `cli._arm` certifies them before it makes their frozen stack, and
+`chsh_aspect` forms the gamma = 1 and gamma = 0 corners from them,
+unchecked. The smearing matrices
 are closed forms of gamma, and `infometrics` evaluates their row entropies
 in closed form, without forming them.
 """
@@ -95,12 +96,12 @@ def _weighted_projector(weight: float, theta: float | PolarizationAngle) -> tupl
     return w * (c * c_bar), w * (c * s_bar), w * (s * c_bar), w * (s * s_bar)
 
 
-def _effects(
+def _effect_rows(
     gamma: float,
     theta: float | PolarizationAngle,
     theta_prime: float | PolarizationAngle,
-) -> np.ndarray:
-    """The which-way effects of one transmissivity gamma in [0, 1], as a frozen (4, 2, 2) stack.
+) -> list:
+    """The which-way effects of one transmissivity gamma in [0, 1], as (4, 2, 2) nested lists of complex.
 
     The four effects in WW_LABELS order:
       ++ : 0                            (both branches firing is impossible)
@@ -111,9 +112,9 @@ def _effects(
     combination of projectors, so positivity holds for every gamma in [0, 1].
     Every effect is affine in gamma, E(gamma) = gamma E(1) + (1-gamma) E(0),
     and the axioms survive convex combination, so the stack is a POVM for
-    every gamma in [0, 1]. Formed from scalars, the stack is the numpy array
-    build's bit for bit (see `_weighted_projector`), which the tests keep as
-    the reference. Neither gamma nor the stack is checked here:
+    every gamma in [0, 1]. Formed from scalars, the entries are the numpy
+    array build's bit for bit (see `_weighted_projector`), which the tests
+    keep as the reference. Neither gamma nor the effects are checked here:
     `build_whichway` and `cli._arm` check the arms they form, and the tests
     prove the stacks of the paths that reduce them to numbers
     (`tests/test_derived_povms.py`).
@@ -121,25 +122,21 @@ def _effects(
     t00, t01, t10, t11 = _weighted_projector(gamma, theta)
     r00, r01, r10, r11 = _weighted_projector(1.0 - gamma, theta_prime)
     # the rest of the identity, (I - transmitted) - reflected entry by entry
-    stack = np.array(
-        [
-            [[0j, 0j], [0j, 0j]],
-            [[t00, t01], [t10, t11]],
-            [[r00, r01], [r10, r11]],
-            [[1 + 0j - t00 - r00, 0j - t01 - r01], [0j - t10 - r10, 1 + 0j - t11 - r11]],
-        ]
-    )
-    stack.setflags(write=False)
-    return stack
+    return [
+        [[0j, 0j], [0j, 0j]],
+        [[t00, t01], [t10, t11]],
+        [[r00, r01], [r10, r11]],
+        [[1 + 0j - t00 - r00, 0j - t01 - r01], [0j - t10 - r10, 1 + 0j - t11 - r11]],
+    ]
 
 
 def build_whichway(config: WhichWayConfig) -> BivariateWhichWay:
-    """Construct and validate the 4-effect which-way POVM (see `_effects`).
+    """Construct and validate the 4-effect which-way POVM (see `_effect_rows`).
 
     The config checked its gamma when it was made.
     """
     _of_type(config, WhichWayConfig, "config")
-    effects = _effects(config.gamma, config.theta, config.theta_prime)
+    effects = _effect_rows(config.gamma, config.theta, config.theta_prime)
     return BivariateWhichWay(config=config, povm=validate_povm(effects, WW_LABELS))
 
 

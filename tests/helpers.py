@@ -125,7 +125,7 @@ def random_bell_config(
 def whichway_effects_reference(gammas, theta, theta_prime) -> np.ndarray:
     """Reference which-way effects: numpy arrays over a float64 array of gammas.
 
-    The array build that the scalar kernel `povmbell.whichway._effects`
+    The array build that the scalar kernel `povmbell.whichway._effect_rows`
     replaced, of shape gammas.shape + (4, 2, 2): the effects of every gamma
     in WW_LABELS order. The kernel must give each gamma's stack bit for bit.
     """
@@ -268,6 +268,13 @@ def config_cells_reference(spec) -> dict:
     return {name: cell[name] if name in cell else getattr(spec, name) for name in fields}
 
 
+def _chsh_cells_reference(report) -> dict:
+    """The correlation and CHSH cells of a bell or aspect row, read off a `ChshReport`."""
+    cells = {f"E_{cli._slug(pair)}": value for pair, value in report.correlations.items()}
+    cells.update(s_value=report.s_value, violates=report.violates, s_symmetric_max=report.s_symmetric_max)
+    return cells
+
+
 def whichway_row_reference(spec) -> dict:
     """The `whichway` row by the layered path the CLI's one arm kernel replaced:
     `build_whichway`, `joint_distribution`, `marginals_from_distribution`,
@@ -299,13 +306,13 @@ def bell_row_reference(spec) -> dict:
     and `chsh_report_from_distribution`."""
     dist = quad_distribution(build_bell(_bell_config(spec)))
     report = chsh_report_from_distribution(dist)
-    return {**config_cells_reference(spec), **_p_cells(dist), **cli._chsh_cells(report)}
+    return {**config_cells_reference(spec), **_p_cells(dist), **_chsh_cells_reference(report)}
 
 
 def aspect_row_reference(spec) -> dict:
     angles = (spec.theta1_deg, spec.theta1_prime_deg, spec.theta2_deg, spec.theta2_prime_deg)
     report = chsh_aspect(cli.resolve_state(spec.state, 4), *map(math.radians, angles))
-    return {**config_cells_reference(spec), **cli._chsh_cells(report)}
+    return {**config_cells_reference(spec), **_chsh_cells_reference(report)}
 
 
 def sample_row_reference(spec) -> dict:

@@ -411,7 +411,7 @@ class TestChshAspect:
         rng = np.random.default_rng(seed)
         state = random_pure(rng, 4) if pure else random_density(rng, 4)
         rows = []
-        real = bell.born_values
+        real = bell._born
 
         def spy(*args):
             values = real(*args)
@@ -419,7 +419,7 @@ class TestChshAspect:
             return values
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bell, "born_values", spy)
+            patch.setattr(bell, "_born", spy)
             report = chsh_aspect(state, t1, t1p, t2, t2p)
         want = [
             float(OutcomeDistribution.from_values(QUAD_LABELS, row).probs @ CHSH_SIGNS[:, c])
@@ -439,7 +439,7 @@ class TestChshAspect:
         ],
     )
     def test_corrupted_corner_raises_as_from_values(self, monkeypatch, corrupt):
-        real = bell.born_values
+        real = bell._born
         seen = []
 
         def corrupted(*args):
@@ -449,7 +449,7 @@ class TestChshAspect:
             seen.append(values)
             return values
 
-        monkeypatch.setattr(bell, "born_values", corrupted)
+        monkeypatch.setattr(bell, "_born", corrupted)
         with pytest.raises(PovmBellError) as caught:
             chsh_aspect(singlet_state(), 0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
         (values,) = seen
@@ -467,13 +467,13 @@ class TestInvalidArmStacks:
     def test_same_error_type_as_build_whichway(self, monkeypatch, error):
         from povmbell import whichway
 
-        original = whichway._effects
+        original = whichway._effect_rows
 
         def broken(gamma, theta, theta_prime):
-            return ARM_CORRUPTIONS[error](original(gamma, theta, theta_prime))
+            return ARM_CORRUPTIONS[error](np.array(original(gamma, theta, theta_prime))).tolist()
 
-        # build_whichway, so every arm of build_bell, builds its effects here
-        monkeypatch.setattr(whichway, "_effects", broken)
+        # build_whichway, so every arm of build_bell, forms its effects here
+        monkeypatch.setattr(whichway, "_effect_rows", broken)
         arm = WhichWayConfig(0.6, 0.2, 1.1)
         with pytest.raises(error):
             build_whichway(arm)

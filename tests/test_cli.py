@@ -21,8 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table, write_event_log_per_line
+from test_bell import ARM_CORRUPTIONS
 from test_derived_povms import EDGE_GAMMAS
-from povmbell import LOG_CHUNK, ConfigError, EventLog, InvariantViolationError, cli, infometrics, sampler
+from povmbell import (
+    LOG_CHUNK,
+    ConfigError,
+    EventLog,
+    InvariantViolationError,
+    cli,
+    infometrics,
+    sampler,
+    whichway,
+)
 from povmbell.cli import (
     SWEEP_CHUNK,
     ExperimentSpec,
@@ -35,7 +45,7 @@ from povmbell.cli import (
     write_event_log,
 )
 from povmbell.bell import QUAD_LABELS, BellConfig, build_bell, singlet_state
-from povmbell.measurement import polarization_pvm
+from povmbell.measurement import polarization_pvm, validate_povm
 from povmbell.sampler import empirical_chsh, empirical_frequencies, sample
 from povmbell.whichway import WW_LABELS, WhichWayConfig
 from povmbell.qcore import StateDescriptor
@@ -314,6 +324,62 @@ class TestListGrid:
         assert main(["martens-sweep", "--config", str(path), "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "8e4a19f91c3ce30effd99843579d665abfaf907d9268cedefac318da9bd61f9e"
+
+
+class TestListedState:
+    """An amplitude list of [re, im] pairs of finite floats is checked whole; any other list
+    entry by entry, which names the first faulty entry with the texts pinned here."""
+
+    # a faulty entry's JSON text -> the message after "state: entry <i> "
+    FAULTY = {
+        "true": "must be a number, got True",
+        '"x"': "must be a number, got 'x'",
+        "null": "must be a number, got None",
+        "[0.5, 0.1, 0.2]": "must be a number or a [re, im] pair",
+        "[0.5]": "must be a number or a [re, im] pair",
+        "[true, 0.1]": "must be a number, got True",
+        '[0.5, "y"]': "must be a number, got 'y'",
+        "NaN": "must be finite",
+        "Infinity": "must be finite",
+        "[NaN, 0.1]": "must be finite",
+        "[0.5, -Infinity]": "must be finite",
+        "[1" + "0" * 400 + ", 0.0]": "is an integer too large in magnitude for a float",
+    }
+
+    @staticmethod
+    def bell_payload(entries):
+        text = '{"kind": "bell", "gamma1": 0.5, "gamma2": 0.5, "theta1_deg": 0, "theta1_prime_deg": 0,'
+        text += ' "theta2_deg": 0, "theta2_prime_deg": 0, "state": [' + ",".join(entries) + "]}"
+        return json.loads(text)  # NaN and Infinity as json reads its literals
+
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("entry", list(FAULTY), ids=lambda entry: entry[:20])
+    def test_faulty_entry_is_named(self, entry, at):
+        entries = ["[0.5, 0.25]"] * 4
+        entries[at] = entry
+        with pytest.raises(ConfigError) as info:
+            spec_from_dict(self.bell_payload(entries))
+        assert str(info.value) == f"state: entry {at} {self.FAULTY[entry]}"
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_a_bare_number_is_a_real_amplitude(self, at):
+        entries = ["[0.5, 0.25]"] * 4
+        entries[at] = "0.5"
+        state = spec_from_dict(self.bell_payload(entries)).state
+        assert state[at] == (0.5, 0.0) and type(state[at][1]) is float
+        assert state[3 - at] == (0.5, 0.25)
+
+    def test_float_pairs_are_kept_as_given(self):
+        pairs = [[-0.0, 5e-324], [1e300, -1e-300], [0.5, 0.25], [0.0, 0.0]]
+        state = spec_from_dict(self.bell_payload([json.dumps(pair) for pair in pairs])).state
+        assert state == tuple(map(tuple, pairs))
+        assert math.copysign(1.0, state[0][0]) == -1.0
+        assert all(type(part) is float for pair in state for part in pair)
+
+    def test_the_zero_vector_is_refused_either_way(self):
+        for entries in (["[0.0, -0.0]"] * 4, ["0", "[0.0, 0.0]", "0.0", "[0, 0]"]):
+            with pytest.raises(ConfigError, match="state: amplitude list must not be the zero vector"):
+                spec_from_dict(self.bell_payload(entries))
 
 
 class TestOversizedIntegers:
@@ -634,17 +700,18 @@ def one_row_configs(draw, experiment):
     return payload
 
 
-@pytest.mark.parametrize("command, experiment", [(c, c) for c in ("whichway", "bell")] + [
+@pytest.mark.parametrize("command, experiment", [(c, c) for c in ("whichway", "bell", "aspect")] + [
     ("sample", e) for e in cli._SAMPLE_EXPERIMENTS
 ])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_one_row_bytes_match_the_layered_reference(command, experiment, data):
-    """The one arm kernel writes the bytes of the layered path it replaced.
+    """The kernel runners write the bytes of the layered path they replaced.
 
     The table, on stdout or by `--out`, and a sample's event log are those of
     `helpers.ROW_REFERENCES`, which build the arms by `build_whichway` and
-    `build_bell`, and write the state cell by `json.dumps`.
+    `build_bell`, the Aspect row by `chsh_aspect`, the CHSH cells from a
+    `ChshReport`, and write the state cell by `json.dumps`.
     """
     payload = data.draw(one_row_configs(experiment), label="config")
     if command == "sample":
@@ -929,6 +996,64 @@ class TestWhichwayCommand:
         assert main(["whichway", "--config", config, "--out", str(out)]) == 0
         row = parse_csv(out.read_text(encoding="utf-8"))[0]
         assert float(row["p_pm"]) == pytest.approx(0.5, abs=1e-15)
+
+
+class TestArmKernel:
+    """The arm kernel `cli._arm` answers as `validate_povm` does for the stack it forms:
+    by the scalar verdict on the entries, or else by the array path, which raises."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 5e-324, 0.3, 1.0 - 2**-53, 1.0])
+    def test_stack_and_class_are_those_of_validate_povm(self, gamma):
+        stack, cls, theta, theta_prime = cli._arm(gamma, 10.0, -55.0)
+        povm = validate_povm(whichway._effect_rows(gamma, theta, theta_prime), WW_LABELS)
+        assert cls is type(povm)
+        assert np.array_equal(stack, povm.stack) and not stack.flags.writeable
+        assert (theta.theta, theta_prime.theta) == (math.radians(10.0), math.radians(-55.0) % math.pi)
+
+    def test_without_the_verdict_the_array_path_answers(self, monkeypatch, tmp_path):
+        arms = [(gamma, 10.0, 55.0) for gamma in (0.0, 0.3, 1.0)]
+        expected = [cli._arm(*arm)[1] for arm in arms]
+        commands = {
+            "whichway": WW_PAYLOAD,
+            "bell": BELL_PAYLOAD,
+            "sample": {**WW_PAYLOAD, "experiment": "whichway", "n_events": 50, "seed": 3},
+        }
+
+        def run_all():
+            outputs = []
+            for command, payload in commands.items():
+                out, err = io.StringIO(), io.StringIO()
+                argv = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                outputs.append((code, out.getvalue(), err.getvalue(), (tmp_path / "o").read_bytes()))
+            return outputs
+
+        before = run_all()
+        monkeypatch.setattr(cli, "_qubit_class", lambda rows: None)
+        assert [cli._arm(*arm)[1] for arm in arms] == expected
+        assert run_all() == before
+
+    @pytest.mark.parametrize("error", list(ARM_CORRUPTIONS))
+    @pytest.mark.parametrize("command", ["whichway", "bell", "sample"])
+    def test_a_broken_arm_exits_3_with_the_array_path_message(
+        self, monkeypatch, tmp_path, capsys, command, error
+    ):
+        original = cli._effect_rows
+
+        def broken(gamma, theta, theta_prime):
+            return ARM_CORRUPTIONS[error](np.array(original(gamma, theta, theta_prime))).tolist()
+
+        monkeypatch.setattr(cli, "_effect_rows", broken)
+        with pytest.raises(error) as expected:
+            validate_povm(broken(0.5, 0.0, 0.25 * math.pi), WW_LABELS)
+        payload = {"whichway": WW_PAYLOAD, "bell": BELL_PAYLOAD}.get(command)
+        if payload is None:
+            payload = {**WW_PAYLOAD, "experiment": "whichway", "n_events": 5, "seed": 1}
+        argv = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"invariant violation: {expected.value}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestMartensSweepCommand:

@@ -3,8 +3,9 @@
 The library checks the POVM axioms where a POVM object reaches the caller:
 `validate_povm`, `build_whichway` (so each arm of
 `build_bell`) and `polarization_pvm`. The CLI's `whichway`, `bell` and
-`sample` commands check each arm they form with `validate_povm` too, and
-reduce it within one call. Effects formed from checked scalars
+`sample` commands check each arm they form too, by the arm kernel `cli._arm`
+(the scalar verdict of `validate_povm`, or its array path), and reduce it
+within one call. Effects formed from checked scalars
 (gammas, angles) and reduced to numbers inside one call are not checked at
 run time:
 
@@ -56,7 +57,7 @@ from povmbell import (
     validate_effect_stack,
     validate_povm,
 )
-from povmbell import bell, cli, infometrics, measurement, whichway
+from povmbell import bell, cli, infometrics, measurement, sampler, whichway
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -126,14 +127,14 @@ class TestDerivedMeasurementsPassTheFullCheck:
         rng = np.random.default_rng(seed)
         state = random_pure(rng, 4) if pure else random_density(rng, 4)
         seen = []
-        real = bell.born_values
+        real = bell._born
 
-        def spy(state, stack, labels, **kwargs):
+        def spy(state, stack, labels):
             seen.append(stack)
-            return real(state, stack, labels, **kwargs)
+            return real(state, stack, labels)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bell, "born_values", spy)
+            patch.setattr(bell, "_born", spy)
             chsh_aspect(state, *angles1, *angles2)
         (corners,) = seen
         assert corners.shape == (4, 16, 4, 4)
@@ -145,7 +146,7 @@ class TestDerivedMeasurementsPassTheFullCheck:
     @given(angle_pairs(), st.lists(GAMMAS, max_size=64), st.integers(2, 2000))
     def test_dense_sweep_grid(self, angles, drawn, count):
         grid = np.concatenate([EDGE_GAMMAS, np.linspace(0.0, 1.0, count), drawn])
-        stacks = np.array([whichway._effects(gamma, *angles) for gamma in grid.tolist()])
+        stacks = np.array([whichway._effect_rows(gamma, *angles) for gamma in grid.tolist()])
         validate_effect_stack(stacks, WW_LABELS)
         curve = martens_sweep(grid, *angles)
         assert curve.j_lambda.shape == grid.shape
@@ -164,24 +165,50 @@ class TestDerivedMeasurementsPassTheFullCheck:
         assert 0.0 <= martens_bound(*angles) <= math.log(2.0)
 
 
+def test_the_constant_label_sets_pass_every_label_check():
+    """WW_LABELS and QUAD_LABELS, which the one-row runners hand to the kernels without a
+    check, pass every check of labels, and match the stacks and sign table they label."""
+    for labels, k in ((WW_LABELS, 4), (QUAD_LABELS, 16)):
+        assert type(labels) is tuple and len(labels) == k and all(type(label) is str for label in labels)
+        assert measurement._distribution_labels(labels) == labels
+        assert sampler._check_label_set(labels) == labels
+        assert cli._P_COLUMNS[labels] == [f"p_{cli._slug(label)}" for label in labels]
+    assert QUAD_LABELS == tuple(f"{a},{b}" for a in WW_LABELS for b in WW_LABELS)
+    arm = np.array(whichway._effect_rows(0.3, 0.1, 1.2))
+    assert arm.shape == (4, 2, 2) and arm.dtype == complex
+    assert validate_povm(arm, WW_LABELS).labels == WW_LABELS
+    joint = bell._joint_effects(arm[None], arm[None])
+    assert joint.shape == (1, 16, 4, 4)
+    assert validate_povm(joint[0], QUAD_LABELS).labels == QUAD_LABELS
+    assert bell.CHSH_SIGNS.shape == (16, 4) and len(cli._E_COLUMNS) == len(bell.CHSH_PAIRS) == 4
+
+
 ANGLES_DEG = {"theta1_deg": 0.0, "theta1_prime_deg": 45.0, "theta2_deg": 22.5, "theta2_prime_deg": 67.5}
 
 
 class TestRuntimeChecks:
-    """Only POVMs handed to the caller, and the arms of the CLI's one-row commands, reach `validate_povm`."""
+    """Only POVMs handed to the caller reach `validate_povm`, and only the arms of the CLI's
+    one-row commands reach the arm kernel's certificate."""
 
     @pytest.fixture
     def checked_shapes(self, monkeypatch):
+        """The effect shape of each POVM check: each `validate_povm` call, and each arm whose
+        entries the CLI's arm kernel hands to the scalar verdict."""
         shapes = []
-        real = measurement.validate_povm
+        real, verdict = measurement.validate_povm, cli._qubit_class
 
         def spy(stack, labels, **kwargs):
             shapes.append(np.shape(stack))
             return real(stack, labels, **kwargs)
 
+        def verdict_spy(rows):
+            shapes.append(np.shape(rows))
+            return verdict(rows)
+
         for name, module in list(sys.modules.items()):
             if name.startswith("povmbell") and getattr(module, "validate_povm", None) is real:
                 monkeypatch.setattr(module, "validate_povm", spy)
+        monkeypatch.setattr(cli, "_qubit_class", verdict_spy)
         return shapes
 
     @pytest.fixture

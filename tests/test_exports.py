@@ -11,8 +11,9 @@ against one fixed table of tolerances (`DEFAULT_POLICY`), so no callable
 takes a tolerance argument. No linter is assumed, so an `ast` walk stands in
 for an unused-import check; another finds caller input converted anywhere
 but `qcore._as_array`, a third the scalar qubit POVM verdict named
-anywhere but in `measurement.validate_povm`, and two more the unchecked
-sweep and which-way arm kernels named outside their checked callers.
+anywhere but in `measurement.validate_povm` and the CLI's arm kernel, and
+more the private kernels (the unchecked sweep and which-way arm kernels,
+and the kernels of the one-row commands) named outside their callers.
 Every function the benchmark's tracer wraps must exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
 re-exports is the one `sampler` defines and `cli` imports. The README's
@@ -324,8 +325,9 @@ def private_references(source: str, name: str, owners: tuple[str, ...]) -> list[
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
 def test_only_validate_povm_reaches_the_scalar_verdict(path):
+    # and the CLI's arm kernel, which certifies the entries of the arm it forms
     assert callable(getattr(povmbell.measurement, VERDICT))
-    assert private_references(path.read_text(), VERDICT, ("validate_povm",)) == []
+    assert private_references(path.read_text(), VERDICT, ("validate_povm", "_arm")) == []
 
 
 def test_verdict_check_finds_other_callers():
@@ -376,9 +378,9 @@ def test_kernel_check_finds_other_callers():
     ]
 
 
-# the unchecked which-way arm kernel: `build_whichway` and the CLI's one arm
-# kernel `_arm` check the stack it forms, and the tests prove the Aspect corners
-ARM_KERNEL, ARM_KERNEL_CALLERS = "_effects", ("build_whichway", "chsh_aspect", "_arm")
+# the unchecked which-way arm kernel: `build_whichway` and the CLI's arm kernel
+# `_arm` check the effects it forms, and the tests prove the Aspect corners
+ARM_KERNEL, ARM_KERNEL_CALLERS = "_effect_rows", ("build_whichway", "_arm", "_aspect_correlations")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
@@ -389,26 +391,71 @@ def test_only_the_checked_arms_reach_the_arm_kernel(path):
 
 def test_arm_kernel_check_finds_other_callers():
     source = (
-        "from .whichway import _effects\n"
-        "from .whichway import _effects as arm\n"
+        "from .whichway import _effect_rows\n"
+        "from .whichway import _effect_rows as arm\n"
         "def build_whichway(config):\n"
-        "    return validate_povm(_effects(config.gamma, 0.0, 0.0), WW_LABELS)\n"
-        "def chsh_aspect(state):\n"
-        "    return [whichway._effects(gamma, 0.0, 0.0) for gamma in (1.0, 0.0)]\n"
+        "    return validate_povm(_effect_rows(config.gamma, 0.0, 0.0), WW_LABELS)\n"
+        "def _aspect_correlations(state, angles):\n"
+        "    return [whichway._effect_rows(gamma, 0.0, 0.0) for gamma in (1.0, 0.0)]\n"
         "def _arm(gamma, theta_deg, theta_prime_deg):\n"
-        "    return validate_povm(_effects(gamma, 0.0, 0.0), WW_LABELS)\n"
+        "    return _qubit_class(_effect_rows(gamma, 0.0, 0.0))\n"
         "def run_whichway(spec):\n"
-        "    return whichway._effects(spec.gamma, 0.0, 0.0)\n"
+        "    return whichway._effect_rows(spec.gamma, 0.0, 0.0)\n"
         "def build_bell(config):\n"
         "    def inner():\n"
-        "        return getattr(whichway, '_effects')\n"
-        "    return _effects(config.gamma, 0.0, 0.0)\n"
+        "        return getattr(whichway, '_effect_rows')\n"
+        "    return _effect_rows(config.gamma, 0.0, 0.0)\n"
     )
     assert private_references(source, ARM_KERNEL, ARM_KERNEL_CALLERS) == [
-        "<module>: _effects as arm",
-        "run_whichway: whichway._effects",
-        "inner: '_effects'",
-        "build_bell: _effects",
+        "<module>: _effect_rows as arm",
+        "run_whichway: whichway._effect_rows",
+        "inner: '_effect_rows'",
+        "build_bell: _effect_rows",
+    ]
+
+
+# The private kernels of the one-row commands: kernel -> (its module, the only
+# functions that may name it). Each is reached from its checked public entry,
+# and from the runners that hand it values the library made: the array path
+# of the POVM check (`_povm_class`), the Born einsum and its residue check
+# (`_born`), the value checks, clamp and renormalization of a distribution
+# (`_probabilities`), the CHSH values (`_chsh`) and the four pooled Aspect
+# correlations (`_aspect_correlations`).
+PRIVATE_KERNELS = {
+    "_povm_class": ("measurement", ("validate_povm", "_arm")),
+    "_born": ("measurement", ("born_values", "_aspect_correlations", "run_whichway", "run_bell")),
+    "_probabilities": (
+        "measurement",
+        ("from_values", "_aspect_correlations", "run_whichway", "run_bell", "run_sample"),
+    ),
+    "_chsh": ("bell", ("_combine", "_chsh_cells", "run_sample")),
+    "_aspect_correlations": ("bell", ("chsh_aspect", "run_aspect")),
+}
+
+
+@pytest.mark.parametrize("kernel", PRIVATE_KERNELS)
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_named_callers_reach_each_kernel(path, kernel):
+    module, callers = PRIVATE_KERNELS[kernel]
+    assert callable(getattr(importlib.import_module(f"povmbell.{module}"), kernel))
+    assert private_references(path.read_text(), kernel, callers) == []
+
+
+@pytest.mark.parametrize("kernel", PRIVATE_KERNELS)
+def test_each_kernel_check_finds_other_callers(kernel):
+    module, callers = PRIVATE_KERNELS[kernel]
+    source = f"from .{module} import {kernel}\nfrom .{module} import {kernel} as alias\n"
+    source += "".join(f"def {caller}(x):\n    return {kernel}(x)\n" for caller in callers)
+    source += (
+        "def stranger(x):\n"
+        "    def inner():\n"
+        f"        return getattr({module}, '{kernel}')\n"
+        f"    return {module}.{kernel}(x)\n"
+    )
+    assert private_references(source, kernel, callers) == [
+        f"<module>: {kernel} as alias",
+        f"inner: '{kernel}'",
+        f"stranger: {module}.{kernel}",
     ]
 
 
@@ -424,6 +471,8 @@ TRUSTED_CALLERS = (
     "sample",
     "read_event_log",
     "spec_from_dict",
+    # the checked Povm `sample` takes, of the stack and class the arm kernel `_arm` checked
+    "_arm_povm",
 )
 
 

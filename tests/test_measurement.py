@@ -22,6 +22,7 @@ from povmbell import (
     NotHermitianError,
     NotPositiveError,
     OutcomeDistribution,
+    PAULI_Y,
     Povm,
     PovmBellError,
     Pvm,
@@ -38,7 +39,7 @@ from povmbell import (
 )
 from povmbell import measurement
 from povmbell.measurement import _qubit_class, validate_effect_stack
-from povmbell.whichway import _effects
+from povmbell.whichway import _effect_rows
 from test_derived_povms import EDGE_GAMMAS
 
 
@@ -276,7 +277,7 @@ def qubit_stacks(draw):
     kind = draw(st.sampled_from(kinds))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
-        return _effects(gamma, draw(ANGLES), draw(ANGLES))
+        return np.array(_effect_rows(gamma, draw(ANGLES), draw(ANGLES)))
     stack = draw(spectral_stacks(k=draw(st.integers(2, 4))))
     phase = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
     algebra, positivity = ALGEBRA + draw(OFFSETS), POSITIVITY + draw(OFFSETS)
@@ -401,7 +402,7 @@ def near_sharp_stacks(draw):
     kind = draw(st.sampled_from(["near", "lone", "whichway", "valid"]))
     if kind == "whichway":
         gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
-        return _effects(gamma, draw(ANGLES), draw(ANGLES))
+        return np.array(_effect_rows(gamma, draw(ANGLES), draw(ANGLES)))
     if kind == "valid":
         return draw(spectral_stacks())
     if kind == "lone":
@@ -498,7 +499,7 @@ class TestQubitBranch:
     def test_a_valid_whichway_arm_never_reaches_the_array_path(self, monkeypatch):
         gammas = (*EDGE_GAMMAS, 0.3)
         # the verdict classifies every such arm, sharp or not
-        assert {_qubit_class(_effects(g, 0.4, 1.1).tolist()) for g in gammas} == {Pvm, Povm}
+        assert {_qubit_class(_effect_rows(g, 0.4, 1.1)) for g in gammas} == {Pvm, Povm}
         calls = []
         real = np.linalg.eigvalsh
 
@@ -511,7 +512,7 @@ class TestQubitBranch:
             build_whichway(WhichWayConfig(gamma, 0.4, 1.1))
         assert calls == []
         # the spy sees the array path, which a direct call takes
-        validate_effect_stack(_effects(0.3, 0.4, 1.1), ("++", "+-", "-+", "--"))
+        validate_effect_stack(_effect_rows(0.3, 0.4, 1.1), ("++", "+-", "-+", "--"))
         assert calls == [(4, 2, 2)]
 
 
@@ -665,6 +666,89 @@ class TestOutcomeDistribution:
             again = OutcomeDistribution(normalized.labels, normalized.probs)
             assert again.probs.tobytes() == normalized.probs.tobytes()
             assert normalized.probs.min() >= 0.0
+
+
+class TestKernels:
+    """The kernels behind `born_values` and `OutcomeDistribution.from_values` give the values
+    and the errors of their public entries; the messages are pinned here."""
+
+    LABELS = tuple(f"o{i}" for i in range(16))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_probabilities_are_from_values_row_by_row(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        values = rng.random((rows, 16))
+        values[0, 3] = 0.0
+        values /= values.sum(axis=1, keepdims=True)
+        values += rng.uniform(-5e-12, 5e-12, values.shape)  # dust to clamp and renormalize
+        values[0, 3] = -0.0  # a sign the clamp keeps
+        got = measurement._probabilities(values)
+        assert not got.flags.writeable
+        for row, probs in zip(values, got):
+            assert probs.tobytes() == OutcomeDistribution.from_values(self.LABELS, row).probs.tobytes()
+            assert measurement._probabilities(row).tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([-1e-6, 1.0 + 1e-6], "probability -1e-06 is negative beyond tolerance 1e-10"),
+            ([0.7, 0.7], "probabilities sum to 1.4; must equal 1 within 1e-10"),
+            ([np.nan, 1.0], "probabilities sum to nan; must equal 1 within 1e-10"),
+            ([np.inf, -np.inf], "probability -inf is negative beyond tolerance 1e-10"),
+            ([np.inf, 0.0], "probabilities sum to inf; must equal 1 within 1e-10"),
+            ([-np.inf, np.nan], "probabilities sum to nan; must equal 1 within 1e-10"),
+        ],
+    )
+    def test_value_errors_are_pinned(self, values, message):
+        checks = (
+            lambda: OutcomeDistribution.from_values(("a", "b"), values),
+            lambda: OutcomeDistribution(("a", "b"), values),
+            lambda: measurement._probabilities(np.array(values)),
+            lambda: measurement._probabilities(np.array([[0.5, 0.5], values])),
+        )
+        for check in checks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # -inf never meets +inf in a sum
+                with pytest.raises(InvariantViolationError) as info:
+                    check()
+            assert str(info.value) == message
+
+    def test_a_batch_raises_for_its_first_failing_row(self):
+        rows = np.array([[0.5, 0.5], [0.7, 0.7], [-1e-6, 1.0 + 1e-6], [np.nan, 1.0]])
+        with pytest.raises(InvariantViolationError, match=r"^probabilities sum to 1.4;"):
+            measurement._probabilities(rows)
+        with pytest.raises(InvariantViolationError, match=r"^probability -1e-06 is negative"):
+            measurement._probabilities(rows[2:])
+
+    def test_born_kernel_is_born_values(self):
+        rng = np.random.default_rng(711)
+        for dim, k in ((2, 4), (4, 16), (3, 2)):
+            povm = random_povm(rng, dim, k)
+            state = random_state(rng, dim)
+            want = measurement.born_values(state, povm.stack, povm.labels)
+            assert measurement._born(state, povm.stack, povm.labels).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_born_kernel_raises_the_residue_error(self, pure):
+        # a non-Hermitian entry gives an imaginary Born value; batch entry 1, effect "b" fails first
+        stack = np.array([[np.eye(2) / 2, np.eye(2) / 2]] * 3, dtype=complex)
+        stack[1, 1, 0, 1] = stack[2, 0, 0, 1] = 1e-3 + 1e-3j
+        rho = np.eye(2) / 2 + 0.1 * PAULI_Y
+        state = StateDescriptor.pure([0.6, 0.8]) if pure else StateDescriptor.density(rho)
+        with pytest.raises(InvariantViolationError) as want:
+            measurement.born_values(state, stack, ("a", "b"))
+        with pytest.raises(InvariantViolationError) as got:
+            measurement._born(state, stack, ("a", "b"))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("effect 'b' produced non-real probability")
+
+    def test_a_nan_residue_alone_is_let_through_as_before(self):
+        # NaN is no "residue beyond tolerance": the distribution checks refuse it next
+        stack = np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex)
+        stack[0, 0, 1] = complex(0.0, np.nan)
+        values = measurement._born(StateDescriptor.pure([0.6, 0.8]), stack, ("a", "b"))
+        assert np.isnan(values[0])
 
 
 class TestNonFinite:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import random_pure, unchecked_distribution, unchecked_povm
+from povmbell import sampler
 from povmbell import (
     GENERATOR_NAME,
     LOG_CHUNK,
@@ -160,6 +161,47 @@ class TestEventLog:
         assert log != EventLog("c", "g", 0, ("a", "b"), [0])
         with pytest.raises(TypeError):
             hash(log)
+
+
+class TestRememberedChecks:
+    """A label set of exact strings is checked once, and a log's decode plan made once."""
+
+    @pytest.mark.parametrize("label, shown", [(1, "1"), (1.0, "1.0"), (True, "True")])
+    def test_equal_tuples_of_other_labels_are_checked_each_time(self, label, shown):
+        # (1,), (1.0,) and (True,) equal the tuple of no str label, so none reuses a check
+        assert sampler._check_label_set(("1",)) == ("1",)
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"^event labels must be nonempty strings, got {shown}$"):
+                sampler._check_label_set((label,))
+            with pytest.raises(DomainError):
+                EventLog("c", GENERATOR_NAME, 0, (label,), [0])
+
+    def test_a_refused_set_of_strings_is_refused_again(self):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="contains whitespace"):
+                sampler._check_label_set(["a b", "c"])
+
+    def test_a_str_subclass_is_checked_each_time(self):
+        class Label(str):
+            pass
+
+        before = sampler._checked_str_labels.cache_info().currsize
+        assert sampler._check_label_set((Label("x"),)) == ("x",)
+        assert sampler._checked_str_labels.cache_info().currsize == before
+
+    def test_the_decode_plan_is_made_once_per_label_set(self, tmp_path):
+        log = sample(build_bell(STANDARD_BELL).povm, singlet_state(), 300, 5)
+        path = tmp_path / "events.log"
+        sampler.write_event_log(log, path)
+        sampler._decode_plan.cache_clear()
+        assert sampler.read_event_log(path) == log
+        assert sampler.read_event_log(path) == log
+        info = sampler._decode_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        lines = tuple(label.encode() + b"\n" for label in log.label_set)
+        fixed, varying, table = sampler._decode_plan(lines)
+        assert not table.flags.writeable
+        assert all(not lut.flags.writeable for _, lut in varying)
 
 
 class TestSample:
