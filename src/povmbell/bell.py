@@ -248,7 +248,15 @@ def _aspect_correlations(state: StateDescriptor, angles: list[PolarizationAngle]
     # gammas (1, 0) on each arm give the corners (1, 1), (1, 0), (0, 1), (0, 0)
     # in that order; corner c has only the detectors of CHSH_PAIRS[c] live
     pairs = (angles[:2], angles[2:])
-    arms = np.array([[_effect_rows(gamma, *pair) for gamma in (1.0, 0.0)] for pair in pairs])
+    entries = [
+        z
+        for pair in pairs
+        for gamma in (1.0, 0.0)
+        for effect in _effect_rows(gamma, *pair)
+        for line in effect
+        for z in line
+    ]
+    arms = np.array(entries, dtype=complex).reshape(2, 2, 4, 2, 2)
     probs = _probabilities(_born(state, _joint_effects(*arms), QUAD_LABELS))
     return [float(probs[c] @ CHSH_SIGNS[:, c]) for c in range(4)]
 

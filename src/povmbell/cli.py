@@ -17,13 +17,20 @@ checked entry by entry, which names the first faulty entry.
 The boundary checks end with the spec: `spec_from_dict` checks every field
 a config gives. The runners then hand the library's private kernels only
 what the library made: the arm kernel `_arm` forms each which-way arm by
-`whichway._effect_rows` and certifies the entries by `_qubit_class`, or
-else checks the stack by `_povm_class`, as `validate_povm` does; `_born` and
-`_probabilities` give the Born values and their checked distribution, as
-`born_values` and `OutcomeDistribution.from_values` do; `bell._chsh` and
+`whichway._effect_rows` and certifies the entries by the axiom certificate
+`_qubit_certificate`, or else checks the stack by `validate_effect_stack`.
+`whichway` and `bell` reduce their arms to numbers and need no class; only
+`sample`, which hands its arms to the sampler as a `Povm`, classifies them
+too, by `_qubit_class`, or else `_povm_class`, as `validate_povm` does.
+Each arm is certified once. `_born` and `_probabilities` give the Born
+values and their checked distribution, as `born_values` and
+`OutcomeDistribution.from_values` do; `bell._chsh` and
 `bell._aspect_correlations` give the CHSH cells. Their labels are the
 constants WW_LABELS and QUAD_LABELS, checked once by a test
-(`tests/test_derived_povms.py`), not at each call.
+(`tests/test_derived_povms.py`), not at each call. `resolve_state` checks a
+listed state where it normalizes it: `qcore._pure_state` runs the
+finiteness and unit-norm checks of `StateDescriptor.pure` on the array
+without converting or copying it again.
 
 A runner returns its column names and its rows in batches; `render_csv`
 and `render_json` turn one batch into text with one %-format call, and each
@@ -36,7 +43,9 @@ one row. The one-row runners form each which-way arm once, by the arm
 kernel `_arm`, and reduce it to cells within the call, with no intermediate
 records. The "config" block of a JSON table is one %-format of a template
 cached per signature: its field names, value kinds and number of amplitude
-pairs. `martens-sweep`
+pairs. JSON cells that are not floats take the text of `_json_text`, which
+is json's own for each value. A table on stdout is flushed within the call,
+so that a failed write is an i/o error (exit 4). `martens-sweep`
 evaluates (by the kernel `infometrics._curve_columns`), formats and writes
 its grid SWEEP_CHUNK points at a time. `spec_from_dict` has checked every
 grid value and the angle before the first byte is written, and the kernel
@@ -67,8 +76,10 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -86,14 +97,25 @@ from .bell import (
 from .errors import ConfigError, DomainError, PovmBellError
 from .infometrics import _curve_columns, _martens_point, martens_bound
 from .measurement import (
+    OutcomeDistribution,
     Povm,
     _born,
     _povm_class,
     _probabilities,
+    _qubit_certificate,
     _qubit_class,
-    born_probabilities,
+    validate_effect_stack,
 )
-from .qcore import ArrayRecord, PolarizationAngle, StateDescriptor, _as_array, _of_type, _trusted, as_angle
+from .qcore import (
+    ArrayRecord,
+    PolarizationAngle,
+    StateDescriptor,
+    _as_array,
+    _of_type,
+    _pure_state,
+    _trusted,
+    as_angle,
+)
 from .sampler import (
     _MAX_SEED,
     _config_sha256,
@@ -280,7 +302,7 @@ def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
         start = _float_field("start", value["start"], lo=0.0, hi=1.0)
         stop = _float_field("stop", value["stop"], lo=0.0, hi=1.0)
         count = _int_field("count", value["count"], lo=1, hi=_MAX_GRID)
-        grid = np.linspace(start, stop, count)
+        grid = _linspace(start, stop, count)
     elif isinstance(value, list):
         if not value:
             raise ConfigError(name, "grid must not be empty")
@@ -294,6 +316,26 @@ def _grid_field(name: str, value: object, dim: int | None = None) -> np.ndarray:
     else:
         raise ConfigError(name, "must be a list of values or a start/stop/count object")
     grid.setflags(write=False)
+    return grid
+
+
+def _linspace(start: float, stop: float, count: int) -> np.ndarray:
+    """`np.linspace(start, stop, count)` bit for bit, for Python floats and a count >= 1:
+    its steps on its arange, without its argument handling."""
+    grid = np.arange(count, dtype=np.float64)
+    delta, div = stop - start, count - 1
+    if div:
+        step = delta / div
+        if step == 0:  # the step underflows: linspace divides first, then scales
+            grid /= div
+            grid *= delta
+        else:
+            grid *= step
+    else:
+        grid *= delta
+    grid += start
+    if div:
+        grid[-1] = stop
     return grid
 
 
@@ -388,7 +430,7 @@ def resolve_state(
             norm = math.nan
         if not 0.0 < norm < math.inf:  # or the zero vector, or a NaN or infinite amplitude
             raise ConfigError("state", f"must be a name or finite amplitude pairs, not all zero: {state!r}")
-        descriptor = StateDescriptor.pure(amps / norm)
+        descriptor = _pure_state(amps / norm)
     if descriptor.dim != expected_dim:
         raise ConfigError(
             "state", f"state has dimension {descriptor.dim}, this experiment needs {expected_dim}"
@@ -403,6 +445,7 @@ def _slug(label: str) -> str:
 # the probability columns of each label set, in label order, and the correlation columns in
 # CHSH_PAIRS order
 _P_COLUMNS = {labels: [f"p_{_slug(label)}" for label in labels] for labels in (WW_LABELS, QUAD_LABELS)}
+_FREQ_COLUMNS = {labels: [f"freq_{_slug(label)}" for label in labels] for labels in (WW_LABELS, QUAD_LABELS)}
 _E_COLUMNS = tuple(f"E_{_slug(f'{a},{b}')}" for a, b in CHSH_PAIRS)
 
 
@@ -414,22 +457,31 @@ def _state_text(state: str | tuple[tuple[float, float], ...]) -> str:
 
 
 def _arm(
-    gamma: float, theta_deg: float, theta_prime_deg: float
-) -> tuple[np.ndarray, type[Povm], PolarizationAngle, PolarizationAngle]:
-    """The which-way arm of a checked spec: its frozen effect stack, its class and its two
-    angles, each made once. The complex entries `whichway._effect_rows` forms are certified
-    by `_qubit_class` before they become one array, as `validate_povm` certifies a qubit
-    stack; where that verdict does not answer, `_povm_class` checks the stack, and raises."""
+    gamma: float, theta_deg: float, theta_prime_deg: float, *, classify: bool = False
+) -> tuple[np.ndarray, type[Povm] | None, PolarizationAngle, PolarizationAngle]:
+    """The which-way arm of a checked spec: its frozen effect stack, its class (None unless
+    `classify`) and its two angles, each made once. The complex entries
+    `whichway._effect_rows` forms are certified by the axiom certificate `_qubit_certificate`
+    before they become one array; where it does not answer, `validate_effect_stack` checks
+    the stack, and raises. The one-row runners need no class. With `classify`, the arm is
+    certified and classified as `validate_povm` does it, by `_qubit_class`, or else by
+    `_povm_class`, which raises; each arm is certified once either way."""
     theta, theta_prime = as_angle(math.radians(theta_deg)), as_angle(math.radians(theta_prime_deg))
     rows = _effect_rows(gamma, theta, theta_prime)
-    stack = np.array(rows)
+    # one flat list and a reshape: numpy need not discover the shape of the nested lists
+    entries = [z for effect in rows for line in effect for z in line]
+    stack = np.array(entries, dtype=complex).reshape(4, 2, 2)
     stack.setflags(write=False)
-    return stack, _qubit_class(rows) or _povm_class(stack, WW_LABELS), theta, theta_prime
+    if classify:
+        return stack, _qubit_class(rows) or _povm_class(stack, WW_LABELS), theta, theta_prime
+    if not _qubit_certificate(rows):
+        validate_effect_stack(stack, WW_LABELS)
+    return stack, None, theta, theta_prime
 
 
 def _arm_povm(gamma: float, theta_deg: float, theta_prime_deg: float) -> Povm:
-    """The arm of `_arm` as the checked Povm that `sample` takes."""
-    stack, cls, _, _ = _arm(gamma, theta_deg, theta_prime_deg)
+    """The arm of `_arm`, classified, as the checked Povm that `sample` takes."""
+    stack, cls, _, _ = _arm(gamma, theta_deg, theta_prime_deg, classify=True)
     return _trusted(cls, stack=stack, labels=WW_LABELS)
 
 
@@ -479,10 +531,14 @@ def run_whichway(spec: ExperimentSpec) -> Table:
     return _one_row(row)
 
 
+# the reference axis of a sweep's bound, made once
+_ANGLE_0 = as_angle(0.0)
+
+
 def run_martens_sweep(spec: ExperimentSpec) -> Table:
     """The tradeoff curve in batches of SWEEP_CHUNK rows, each chunk's `_curve_columns` made when
     read; its column 3, `bound`, holds one float."""
-    grid, bound = spec.gamma_grid, martens_bound(math.radians(spec.delta_deg), 0.0)
+    grid, bound = spec.gamma_grid, martens_bound(math.radians(spec.delta_deg), _ANGLE_0)
     pieces = (grid[start : start + SWEEP_CHUNK] for start in range(0, grid.size, SWEEP_CHUNK))
     batches = (_curve_columns(piece, bound).T for piece in pieces)
     return ("gamma", "j_lambda", "j_mu", "bound", "slack"), batches, 3
@@ -522,13 +578,15 @@ def run_sample(spec: ExperimentSpec) -> Table:
     payload.pop("out", None)  # presentation only, must not change log bytes
     payload.pop("format", None)
     descriptor = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    analytic = born_probabilities(state, povm)
+    # the Born distribution of the checked stack, by the kernels, in the order of its constant labels
+    analytic = _probabilities(_born(state, povm.stack, povm.labels))
+    distribution = _trusted(OutcomeDistribution, labels=povm.labels, probs=analytic)
     log = sample(
-        povm, state, spec.n_events, spec.seed, config_descriptor=descriptor, distribution=analytic
+        povm, state, spec.n_events, spec.seed, config_descriptor=descriptor, distribution=distribution
     )
     write_event_log(log, spec.out)
     # the frequencies and the Born probabilities in the order of povm.labels
-    freqs, probs = list(empirical_frequencies(log).values()), analytic.probs.tolist()
+    freqs, probs = list(empirical_frequencies(log).values()), analytic.tolist()
     row: dict = {
         "experiment": spec.experiment,
         "n_events": log.count,
@@ -537,11 +595,11 @@ def run_sample(spec: ExperimentSpec) -> Table:
         "config_sha256": _config_sha256(descriptor),
         "log_path": spec.out,
     }
-    row.update(zip([f"freq_{_slug(label)}" for label in povm.labels], freqs))
+    row.update(zip(_FREQ_COLUMNS[povm.labels], freqs))
     row.update(zip(_P_COLUMNS[povm.labels], probs))
     row["max_abs_deviation"] = max(abs(f - p) for f, p in zip(freqs, probs)) if log.count else None
     if spec.experiment == "bell":
-        row["s_analytic"] = _chsh((analytic.probs @ CHSH_SIGNS).tolist())[0]
+        row["s_analytic"] = _chsh((analytic @ CHSH_SIGNS).tolist())[0]
         row["s_empirical"] = None
         if log.count:
             # the frequencies as a distribution, as empirical_chsh forms them
@@ -626,6 +684,12 @@ def _row_template(specs: tuple[str, ...], columns: tuple[str, ...] | None, const
     return "    {\n" + fields + "\n    }"
 
 
+@functools.lru_cache(maxsize=64)
+def _csv_header(columns: tuple[str, ...]) -> str:
+    """The header line of a CSV table of `columns`."""
+    return ",".join(columns) + "\n"
+
+
 def render_csv(rows: Sequence, constant: int | None = None) -> str:
     """The CSV lines of a batch of rows, made by one %-format call.
 
@@ -637,14 +701,31 @@ def render_csv(rows: Sequence, constant: int | None = None) -> str:
     return (template * len(rows)) % cells
 
 
+def _json_text(value: object) -> str:
+    """The text `json.dumps` writes of a value that is not a float: the constants of None,
+    True and False, a str by `encode_basestring_ascii` (the function json.dumps applies to
+    one) and an int by its repr, as json.dumps writes each; anything else by json.dumps."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
 def render_json(columns: tuple[str, ...], rows: Sequence, constant: int | None = None) -> str:
     """A batch of rows as the objects of the "rows" list of a JSON table, joined by ",\n".
 
     The text `json.dumps(..., indent=2)` makes of them, by one %-format
     call: floats by "%r", the float repr that json writes, other cells by
-    `json.dumps`.
+    `_json_text`.
     """
-    template, cells = _batch(rows, "%r", json.dumps, columns, constant)
+    template, cells = _batch(rows, "%r", _json_text, columns, constant)
     return ",\n".join([template] * len(rows)) % cells
 
 
@@ -653,8 +734,9 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
 
     The block holds `spec_to_dict(spec)`, as `json.dumps(..., indent=2)`
     nests it, made by one %-format of the cached template of its signature
-    (see `_head_template`); a grid is written SWEEP_CHUNK values at a time,
-    between the parts of the template before and after it.
+    (see `_head_template`), its strings by `_json_text`; a grid is written
+    SWEEP_CHUNK values at a time, between the parts of the template before
+    and after it.
     """
     signature, cells, grid = [], [], None
     for name, value in _spec_items(spec):
@@ -670,9 +752,9 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
             signature.append((name, None))
             grid, split = value, len(cells)
         else:
-            # a string, which json's C encoder writes for unindented text
+            # a string, as json writes one whether it indents or not
             signature.append((name, "%s"))
-            cells.append(json.dumps(value))
+            cells.append(_json_text(value))
     before, after = _head_template(tuple(signature))
     if grid is None:
         yield before % tuple(cells)
@@ -687,7 +769,7 @@ def _json_head(spec: ExperimentSpec) -> Iterator[str]:
 @functools.lru_cache(maxsize=64)
 def _head_template(signature: tuple) -> tuple[str, str]:
     """The %-template of a JSON "config" block whose fields have `signature`, (name, kind)
-    each: the kind "%r" for a number, "%s" for the text `json.dumps` made, the number of
+    each: the kind "%r" for a number, "%s" for the text `_json_text` made, the number of
     pairs of an amplitude list, or None for the grid. With a grid, the parts before and
     after its values; else the block and ""."""
     parts, lines = [], ['{\n  "config": {\n']
@@ -711,7 +793,7 @@ def _table_text(
 ) -> Iterator[str]:
     """The text of a table in pieces: the frame of its format, and one piece per batch."""
     if spec.format == "csv":
-        yield ",".join(columns) + "\n"
+        yield _csv_header(columns)
         for rows in batches:
             yield render_csv(rows, constant)
         return
@@ -731,10 +813,31 @@ def _emit(spec: ExperimentSpec, table: Table) -> None:
     # always goes to stdout
     destination = None if spec.kind == "sample" else spec.out
     if destination is None:
-        sys.stdout.writelines(text)
+        try:
+            sys.stdout.writelines(text)
+            # flushed here, so that a failed write is this call's i/o error
+            sys.stdout.flush()
+        except OSError:
+            _drop_stdout()
+            raise
     else:
         with open(destination, "w", encoding="utf-8") as fh:
             fh.writelines(text)
+
+
+def _drop_stdout() -> None:
+    """Point the file descriptor of a standard output whose write failed at the null
+    device, so that the interpreter's flush at exit writes what is still buffered there
+    instead of failing on it again (which prints a second error and exits 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):  # a stream with no descriptor is left as it is
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,11 @@ the Born rule (`born_values`) is one einsum over it or over a batch of stacks.
 
 `validate_povm` checks one qubit stack of shape (k, 2, 2), such as a
 which-way arm, first in scalar Python, where numpy's per-call dispatch would
-cost more than the arithmetic on 4k numbers: hermiticity, the closed-form
-eigenvalues, completeness and the sharpness residue, in `_qubit_class`. That
-verdict only certifies: it answers when every quantity clears its tolerance
-by `_CERTAIN`, and never raises. Failing stacks, NaN or infinite entries and
+cost more than the arithmetic on 4k numbers, by the verdict `_qubit_class`:
+the axiom certificate `_qubit_certificate` (hermiticity, the closed-form
+eigenvalues, completeness), then the sharpness residue that classifies. Both
+only certify: they answer when every quantity clears its tolerance by
+`_CERTAIN`, and never raise. Failing stacks, NaN or infinite entries and
 stacks within `_CERTAIN` of a tolerance take the array path `_povm_class`,
 as d > 2 stacks do; it runs `validate_effect_stack`, which gives every error,
 message and deviation, and classifies by the sharpness residue.
@@ -28,7 +29,10 @@ imaginary-residue check), and `OutcomeDistribution.from_values` at
 `_probabilities` (the negativity and total checks of each distribution,
 then the clamp and the renormalization). The CLI's arm kernel and one-row
 runners call the kernels on stacks and values the library made, labeled by
-constants a test checks once.
+constants a test checks once. An arm that is reduced to numbers within one
+call needs no class: the arm kernel runs the certificate alone, or else
+`validate_effect_stack`; only the arm of a `Povm` that is handed on (to the
+sampler) is classified too.
 """
 
 from __future__ import annotations
@@ -157,12 +161,12 @@ def _label_tuple(labels: object) -> tuple:
 _CERTAIN = 1e-13
 
 
-def _qubit_class(rows: list) -> type[Povm] | None:
-    """Pvm or Povm for the (k, 2, 2) effects `rows` (nested lists of complex)
-    when hermiticity, eigenvalues in [0, 1], completeness and the sharpness
-    residue of `validate_povm` each clear their tolerance by `_CERTAIN`.
+def _qubit_certificate(rows: list) -> bool:
+    """Whether the (k, 2, 2) effects `rows` (nested lists of complex) clear the
+    tolerances of hermiticity, eigenvalues in [0, 1] and completeness of
+    `validate_effect_stack` each by `_CERTAIN`.
 
-    None means "not shown", never "failed". Float and complex arithmetic and
+    False means "not shown", never "failed". Float and complex arithmetic and
     math.hypot give inf or NaN rather than raise, and every comparison is
     phrased so that NaN fails it; a NaN or infinite entry reaches the sums.
     """
@@ -177,26 +181,34 @@ def _qubit_class(rows: list) -> type[Povm] | None:
             and 2.0 * abs(d.imag) <= algebra
             and math.hypot(b.real - c.real, b.imag + c.imag) <= algebra
         ):
-            return None
+            return False
         # eigenvalues of the Hermitian matrix of the lower triangle, which is
         # what eigvalsh reads: (a + d)/2 -+ hypot((a - d)/2, |c|)
         mean = (a.real + d.real) / 2.0
         radius = math.hypot((a.real - d.real) / 2.0, c.real, c.imag)
         if not (mean - radius >= low and mean + radius <= high):
-            return None
+            return False
         s00 += a
         s01 += b
         s10 += c
         s11 += d
-    if not (
+    return (
         math.hypot(s00.real - 1.0, s00.imag) <= algebra
         and math.hypot(s01.real, s01.imag) <= algebra
         and math.hypot(s10.real, s10.imag) <= algebra
         and math.hypot(s11.real - 1.0, s11.imag) <= algebra
-    ):
+    )
+
+
+def _qubit_class(rows: list) -> type[Povm] | None:
+    """Pvm or Povm for the (k, 2, 2) effects `rows` (nested lists of complex)
+    when `_qubit_certificate` certifies them and the sharpness residue of
+    `validate_povm` clears its tolerance by `_CERTAIN`; None means "not shown"."""
+    if not _qubit_certificate(rows):
         return None
-    # the checked entries have size about 1 at most: no product overflows.
+    # the certified entries have size about 1 at most: no product overflows.
     # The diagonal blocks first: an unsharp effect is rarely idempotent
+    algebra = DEFAULT_POLICY.atol_algebra - _CERTAIN
     worst = 0.0
     k = len(rows)
     for offset in range(k):

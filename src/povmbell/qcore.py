@@ -201,9 +201,9 @@ class StateDescriptor:
     kept as frozen numpy arrays; `expectation` dispatches on which one is set.
     Two states are equal when they have the same representation and equal
     arrays per `np.array_equal`; like `ArrayRecord`s they are unhashable.
+    A pure state of an array the library made takes `_pure_state` instead.
     """
 
-    __slots__ = ("_vector", "_matrix")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, vector: object | None = None, matrix: object | None = None):
@@ -213,15 +213,7 @@ class StateDescriptor:
             vec = _as_array(vector, np.complex128, "pure state", frozen=True)
             if vec.ndim != 1 or vec.size == 0:
                 raise ShapeMismatchError("pure state must be a nonempty 1-D amplitude vector")
-            if not np.all(np.isfinite(vec)):
-                raise DomainError("pure state amplitudes must be finite")
-            norm_sq = float(np.real(np.vdot(vec, vec)))
-            if abs(norm_sq - 1.0) > DEFAULT_POLICY.atol_algebra:
-                raise DomainError(
-                    f"pure state squared norm is {norm_sq!r}; must equal 1 "
-                    f"within {DEFAULT_POLICY.atol_algebra}"
-                )
-            self._vector: ComplexMatrix | None = vec
+            self._vector: ComplexMatrix | None = _unit_vector(vec)
             self._matrix: ComplexMatrix | None = None
         else:
             rho = as_matrix(matrix)
@@ -291,6 +283,27 @@ class StateDescriptor:
     def __repr__(self) -> str:
         kind = "pure" if self.is_pure else "density"
         return f"StateDescriptor({kind}, dim={self.dim})"
+
+
+def _unit_vector(vec: np.ndarray) -> np.ndarray:
+    """`vec`, a nonempty 1-D complex128 array, once its amplitudes are finite and its
+    squared norm is 1 within atol_algebra; DomainError otherwise."""
+    if not np.isfinite(vec).all():
+        raise DomainError("pure state amplitudes must be finite")
+    norm_sq = float(np.vdot(vec, vec).real)
+    if abs(norm_sq - 1.0) > DEFAULT_POLICY.atol_algebra:
+        raise DomainError(
+            f"pure state squared norm is {norm_sq!r}; must equal 1 within {DEFAULT_POLICY.atol_algebra}"
+        )
+    return vec
+
+
+def _pure_state(vector: np.ndarray) -> StateDescriptor:
+    """The pure state of `vector`, a nonempty 1-D complex128 array that the library made
+    and hands over, frozen here: the finiteness and unit-norm checks of
+    `StateDescriptor.pure`, without its conversion and copy."""
+    vector.setflags(write=False)
+    return _trusted(StateDescriptor, _vector=_unit_vector(vector), _matrix=None)
 
 
 def expectation(state: StateDescriptor, op: object) -> complex:

@@ -204,21 +204,32 @@ def write_event_log(log: EventLog, path: str | Path) -> None:
     """Write an event log: the version line, the header, one label per line.
 
     The header is written once, then the events LOG_CHUNK at a time, each
-    chunk as one take of rows from a table of the label lines: an `S{w}` array
-    of their bytes if every line is w bytes long, else an object array, joined.
+    chunk as one take of rows from the label-line table of `_encode_plan`,
+    written as it is if the table is an `S{w}` array, else joined.
     A `log` that is no EventLog, or a `path` that is no file name, raises DomainError.
     """
     sha = _config_sha256(_of_type(log, EventLog, "log").config)
-    values = (log.config, sha, log.generator, log.seed, " ".join(log.label_set), log.count)
+    labels, table = _encode_plan(log.label_set)
+    values = (log.config, sha, log.generator, log.seed, labels, log.count)
     header = "".join(f"# {key}={value}\n" for key, value in zip(_HEADER_KEYS, values))
-    lines = [label.encode("utf-8") + b"\n" for label in log.label_set]
-    widths = {len(line) for line in lines}
-    table = np.array(lines, dtype=f"S{widths.pop()}" if len(widths) == 1 else object)
     with open(_file_path(path), "wb") as fh:
         fh.write((_LOG_VERSION_LINE + header).encode("utf-8"))
         for start in range(0, log.count, LOG_CHUNK):
             rows = table.take(log.indices[start : start + LOG_CHUNK])
-            fh.write(b"".join(rows.tolist()) if table.dtype == object else rows.tobytes())
+            fh.write(b"".join(rows.tolist()) if table.dtype == object else rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _encode_plan(label_set: tuple[str, ...]) -> tuple[str, np.ndarray]:
+    """The `labels` header value of a label set and the table of its label lines (each
+    label's UTF-8 bytes and "\n", in label order) that `write_event_log` takes rows from:
+    an `S{w}` array if every line is w bytes long, else an object array. Made once per
+    label set, whose labels `EventLog` has checked to be strings; the table is read-only."""
+    lines = [label.encode("utf-8") + b"\n" for label in label_set]
+    widths = {len(line) for line in lines}
+    table = np.array(lines, dtype=f"S{widths.pop()}" if len(widths) == 1 else object)
+    table.setflags(write=False)
+    return " ".join(label_set), table
 
 
 def _header_int(header: dict[str, str], key: str) -> int:

@@ -8,6 +8,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import random
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -26,6 +29,7 @@ from test_derived_povms import EDGE_GAMMAS
 from povmbell import (
     LOG_CHUNK,
     ConfigError,
+    DomainError,
     EventLog,
     InvariantViolationError,
     cli,
@@ -324,6 +328,41 @@ class TestListGrid:
         assert main(["martens-sweep", "--config", str(path), "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "8e4a19f91c3ce30effd99843579d665abfaf907d9268cedefac318da9bd61f9e"
+
+
+class TestRangeGrid:
+    """The range form of a grid is `np.linspace(start, stop, count)` bit for bit."""
+
+    def test_the_lean_linspace_is_numpys_bit_for_bit(self):
+        rng = random.Random(26)
+        edges = (0.0, 1.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53)
+        cases = [(a, b, n) for a in edges for b in edges for n in (1, 2, 3, 7, 1000)]
+        for _ in range(10_000):
+            start = rng.choice(edges) if rng.random() < 0.2 else rng.random()
+            stop = start if rng.random() < 0.1 else rng.choice(edges) if rng.random() < 0.2 else rng.random()
+            cases.append((start, stop, rng.choice((1, 2, rng.randint(1, 50), rng.randint(1, 5000)))))
+        assert any(a == b for a, b, _ in cases) and any(a > b for a, b, _ in cases)
+        for start, stop, count in cases:
+            grid = cli._linspace(start, stop, count)
+            assert grid.tobytes() == np.linspace(start, stop, count).tobytes(), (start, stop, count)
+
+    def test_a_range_grid_is_a_frozen_linspace(self):
+        spec = spec_from_dict({"kind": "sweep-martens", "delta_deg": 30.0,
+                               "gamma_grid": {"start": 1.0, "stop": 5e-324, "count": 4}})
+        assert spec.gamma_grid.tobytes() == np.linspace(1.0, 5e-324, 4).tobytes()
+        assert not spec.gamma_grid.flags.writeable
+
+
+class TestJsonText:
+    """JSON cells that are not floats are the text `json.dumps` writes of them."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, None, 0, 1, -7, 2**64 - 1, 10**300, "", "H", 'a"b\\c', "tab\tnew\nline\r", "\x00\x1f",
+         "é ∞ 😀", "runs/x.log", "\u2028"],
+    )
+    def test_each_value_is_written_as_json_dumps_writes_it(self, value):
+        assert cli._json_text(value) == json.dumps(value)
 
 
 class TestListedState:
@@ -951,6 +990,36 @@ class TestResolveState:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
+        ("norm", "message"),
+        [
+            (lambda amps: 1.0, "pure state squared norm is 0.5; must equal 1 within 1e-12"),
+            (lambda amps: 0.5, "pure state squared norm is 2.0; must equal 1 within 1e-12"),
+            (lambda amps: 5e-324, "pure state amplitudes must be finite"),
+        ],
+        ids=["short", "long", "overflow"],
+    )
+    def test_a_listed_state_keeps_the_state_checks(self, monkeypatch, capsys, tmp_path, norm, message):
+        # a listed state skips the constructor's conversion, not its checks: with the
+        # normalization broken, the unit-norm and finiteness checks raise their DomainError
+        pairs = ((0.5, 0.0), (0.0, 0.5))
+        assert resolve_state(pairs, 2).vector.tolist() == [0.7071067811865475 + 0j, 0.7071067811865475j]
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as raised:
+            resolve_state(pairs, 2)
+        assert str(raised.value) == message
+        config = write_config(tmp_path, dict(WW_PAYLOAD, state=[0.5, [0.0, 0.5]]))
+        with np.errstate(all="ignore"):  # the overflow of the broken normalization
+            assert main(["whichway", "--config", config]) == 3
+        assert capsys.readouterr() == ("", f"invariant violation: {message}\n")
+
+    def test_a_listed_state_owns_its_frozen_vector(self):
+        vector = resolve_state(((3.0, 0.0), (0.0, 4.0)), 2).vector
+        assert vector.dtype == np.complex128 and vector.shape == (2,)
+        assert vector.base is None and not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+
+    @pytest.mark.parametrize(
         ("extreme", "reference"),
         [([1e-200, 0], [1, 0]), ([1e300, 1e300], [1, 1])],
     )
@@ -1000,19 +1069,25 @@ class TestWhichwayCommand:
 
 class TestArmKernel:
     """The arm kernel `cli._arm` answers as `validate_povm` does for the stack it forms:
-    by the scalar verdict on the entries, or else by the array path, which raises."""
+    by the scalar axiom certificate on the entries (and, to classify, the scalar verdict),
+    or else by the array path, which raises."""
 
     @pytest.mark.parametrize("gamma", [0.0, 5e-324, 0.3, 1.0 - 2**-53, 1.0])
     def test_stack_and_class_are_those_of_validate_povm(self, gamma):
-        stack, cls, theta, theta_prime = cli._arm(gamma, 10.0, -55.0)
+        stack, cls, theta, theta_prime = cli._arm(gamma, 10.0, -55.0, classify=True)
         povm = validate_povm(whichway._effect_rows(gamma, theta, theta_prime), WW_LABELS)
         assert cls is type(povm)
         assert np.array_equal(stack, povm.stack) and not stack.flags.writeable
+        assert stack.tobytes() == povm.stack.tobytes()  # -0.0 kept where the nested build keeps it
         assert (theta.theta, theta_prime.theta) == (math.radians(10.0), math.radians(-55.0) % math.pi)
+        # without `classify`, the same stack and angles, certified, and no class
+        certified = cli._arm(gamma, 10.0, -55.0)
+        assert certified[0].tobytes() == stack.tobytes() and not certified[0].flags.writeable
+        assert certified[1] is None and certified[2:] == (theta, theta_prime)
 
     def test_without_the_verdict_the_array_path_answers(self, monkeypatch, tmp_path):
         arms = [(gamma, 10.0, 55.0) for gamma in (0.0, 0.3, 1.0)]
-        expected = [cli._arm(*arm)[1] for arm in arms]
+        expected = [cli._arm(*arm, classify=True)[1] for arm in arms]
         commands = {
             "whichway": WW_PAYLOAD,
             "bell": BELL_PAYLOAD,
@@ -1031,7 +1106,8 @@ class TestArmKernel:
 
         before = run_all()
         monkeypatch.setattr(cli, "_qubit_class", lambda rows: None)
-        assert [cli._arm(*arm)[1] for arm in arms] == expected
+        monkeypatch.setattr(cli, "_qubit_certificate", lambda rows: False)
+        assert [cli._arm(*arm, classify=True)[1] for arm in arms] == expected
         assert run_all() == before
 
     @pytest.mark.parametrize("error", list(ARM_CORRUPTIONS))
@@ -1201,7 +1277,7 @@ class TestSampleCommand:
         from povmbell import bell, cli, measurement, sampler, whichway
         from povmbell.sampler import empirical_chsh
 
-        calls = {"born_probabilities": 0, "empirical_frequencies": 0}
+        calls = {"_born": 0, "born_probabilities": 0, "empirical_frequencies": 0}
 
         def spy(module, name):
             original = getattr(module, name)
@@ -1214,6 +1290,7 @@ class TestSampleCommand:
                 if getattr(holder, name, None) is original:
                     monkeypatch.setattr(holder, name, counted)
 
+        spy(measurement, "_born")
         spy(measurement, "born_probabilities")
         spy(sampler, "empirical_frequencies")
         fields = BELL_PAYLOAD if experiment == "bell" else WW_PAYLOAD
@@ -1222,7 +1299,8 @@ class TestSampleCommand:
         )
         out = tmp_path / "events.log"
         assert main(["sample", "--config", config, "--out", str(out)]) == 0
-        assert calls == {"born_probabilities": 1, "empirical_frequencies": 1}
+        # the Born kernel once, on the checked stack; sample takes its distribution
+        assert calls == {"_born": 1, "born_probabilities": 0, "empirical_frequencies": 1}
         row = parse_csv(capsys.readouterr().out)[0]
         if experiment == "bell":
             s_empirical = empirical_chsh(read_event_log(out)).s_value
@@ -1439,6 +1517,25 @@ class TestExitCodes:
         config = write_config(tmp_path, WW_PAYLOAD)
         assert main(["whichway", "--config", config]) == 3
         assert "synthetic failure" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["whichway", "sample"])
+    def test_a_failed_buffered_stdout_is_4(self, tmp_path, command):
+        # with stdout block-buffered, as it is without PYTHONUNBUFFERED, the write fails at
+        # main's flush: one i/o error line, exit 4, and nothing left for the exit-time flush
+        if command == "whichway":
+            argv = [command, "--config", write_config(tmp_path, WW_PAYLOAD)]
+        else:
+            payload = {**WW_PAYLOAD, "experiment": "whichway", "n_events": 50, "seed": 1}
+            argv = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "events.log")]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "povmbell.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=60,
+            )
+        assert (result.returncode, result.stderr) == (4, "i/o error: [Errno 28] No space left on device\n")
 
     def test_unwritable_out_is_4(self, tmp_path, capsys):
         config = write_config(tmp_path, WW_PAYLOAD)

@@ -188,27 +188,32 @@ ANGLES_DEG = {"theta1_deg": 0.0, "theta1_prime_deg": 45.0, "theta2_deg": 22.5, "
 
 class TestRuntimeChecks:
     """Only POVMs handed to the caller reach `validate_povm`, and only the arms of the CLI's
-    one-row commands reach the arm kernel's certificate."""
+    one-row commands reach the arm kernel's certificate or verdict."""
 
     @pytest.fixture
     def checked_shapes(self, monkeypatch):
-        """The effect shape of each POVM check: each `validate_povm` call, and each arm whose
-        entries the CLI's arm kernel hands to the scalar verdict."""
+        """Each POVM check: the effect shape of each `validate_povm` call, and the name of the
+        check and the shape of each arm whose entries the CLI's arm kernel hands to the axiom
+        certificate or to the full verdict."""
         shapes = []
-        real, verdict = measurement.validate_povm, cli._qubit_class
+        real = measurement.validate_povm
 
         def spy(stack, labels, **kwargs):
             shapes.append(np.shape(stack))
             return real(stack, labels, **kwargs)
 
-        def verdict_spy(rows):
-            shapes.append(np.shape(rows))
-            return verdict(rows)
+        def arm_spy(name, check):
+            def counted(rows):
+                shapes.append((name, np.shape(rows)))
+                return check(rows)
+
+            return counted
 
         for name, module in list(sys.modules.items()):
             if name.startswith("povmbell") and getattr(module, "validate_povm", None) is real:
                 monkeypatch.setattr(module, "validate_povm", spy)
-        monkeypatch.setattr(cli, "_qubit_class", verdict_spy)
+        for name in ("_qubit_certificate", "_qubit_class"):
+            monkeypatch.setattr(cli, name, arm_spy(name, getattr(cli, name)))
         return shapes
 
     @pytest.fixture
@@ -277,8 +282,10 @@ class TestRuntimeChecks:
     def test_the_one_row_commands_check_each_arm_once(
         self, checked_shapes, tmp_path, command, fields, checked
     ):
-        # the runners reduce each arm within one call, and check it as build_whichway does
+        # the runners reduce each arm within one call and certify it, as build_whichway
+        # checks it; only sample, which hands a Povm to the sampler, also classifies it
         config = tmp_path / "config.json"
         config.write_text(json.dumps(fields))
         assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        assert checked_shapes == [(4, 2, 2)] * checked
+        check = "_qubit_class" if command == "sample" else "_qubit_certificate"
+        assert checked_shapes == [(check, (4, 2, 2))] * checked

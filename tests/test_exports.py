@@ -13,7 +13,8 @@ for an unused-import check; another finds caller input converted anywhere
 but `qcore._as_array`, a third the scalar qubit POVM verdict named
 anywhere but in `measurement.validate_povm` and the CLI's arm kernel, and
 more the private kernels (the unchecked sweep and which-way arm kernels,
-and the kernels of the one-row commands) named outside their callers.
+and the kernels of the one-row commands, the qubit axiom certificate among
+them) named outside their callers.
 Every function the benchmark's tracer wraps must exist, or `--trace 1` fails.
 Importing the library does not load the CLI, and the event-log codec it
 re-exports is the one `sampler` defines and `cli` imports. The README's
@@ -416,14 +417,20 @@ def test_arm_kernel_check_finds_other_callers():
 
 # The private kernels of the one-row commands: kernel -> (its module, the only
 # functions that may name it). Each is reached from its checked public entry,
-# and from the runners that hand it values the library made: the array path
-# of the POVM check (`_povm_class`), the Born einsum and its residue check
-# (`_born`), the value checks, clamp and renormalization of a distribution
-# (`_probabilities`), the CHSH values (`_chsh`) and the four pooled Aspect
-# correlations (`_aspect_correlations`).
+# and from the runners that hand it values the library made: the scalar axiom
+# certificate of a qubit stack (`_qubit_certificate`, the first half of the
+# verdict `_qubit_class`, which the arm kernel runs alone where no class is
+# needed), the array path of the POVM check (`_povm_class`), the Born einsum
+# and its residue check (`_born`), the value checks, clamp and renormalization
+# of a distribution (`_probabilities`), the CHSH values (`_chsh`) and the four
+# pooled Aspect correlations (`_aspect_correlations`).
 PRIVATE_KERNELS = {
+    "_qubit_certificate": ("measurement", ("_qubit_class", "_arm")),
     "_povm_class": ("measurement", ("validate_povm", "_arm")),
-    "_born": ("measurement", ("born_values", "_aspect_correlations", "run_whichway", "run_bell")),
+    "_born": (
+        "measurement",
+        ("born_values", "_aspect_correlations", "run_whichway", "run_bell", "run_sample"),
+    ),
     "_probabilities": (
         "measurement",
         ("from_values", "_aspect_correlations", "run_whichway", "run_bell", "run_sample"),
@@ -473,6 +480,12 @@ TRUSTED_CALLERS = (
     "spec_from_dict",
     # the checked Povm `sample` takes, of the stack and class the arm kernel `_arm` checked
     "_arm_povm",
+    # a pure state of the array `cli.resolve_state` normalized, after the constructor's
+    # finiteness and unit-norm checks, which `_pure_state` runs itself
+    "_pure_state",
+    # the Born distribution `sample` takes, which `run_sample` made by `_born` and
+    # `_probabilities` on the checked stack of the POVM it hands over, with its constant labels
+    "run_sample",
 )
 
 

@@ -38,7 +38,7 @@ from povmbell import (
     validate_povm,
 )
 from povmbell import measurement
-from povmbell.measurement import _qubit_class, validate_effect_stack
+from povmbell.measurement import _qubit_certificate, _qubit_class, validate_effect_stack
 from povmbell.whichway import _effect_rows
 from test_derived_povms import EDGE_GAMMAS
 
@@ -435,8 +435,37 @@ def residue(stack):
     return max(residue_entries(stack).values())
 
 
+@st.composite
+def whichway_rows(draw):
+    """The entries of a which-way arm at a random or corner gamma, as `_effect_rows` forms them."""
+    gamma = draw(st.sampled_from(EDGE_GAMMAS) | BAND_GAMMAS | st.floats(0.0, 1.0))
+    return _effect_rows(gamma, draw(ANGLES), draw(ANGLES))
+
+
 class TestQubitBranch:
     """The scalar qubit verdict gives the verdict of the array path, or defers to it."""
+
+    @settings(PROPERTY, max_examples=600)
+    @given(
+        qubit_stacks().map(np.ndarray.tolist)
+        | near_sharp_stacks().map(np.ndarray.tolist)
+        | whichway_rows()
+    )
+    def test_the_certificate_answers_where_the_verdict_does_and_is_never_wrong(self, rows):
+        # the verdict is the certificate, then the sharpness residue: where it answers,
+        # the certificate answered; and where the certificate answers, the array path passes
+        certified = _qubit_certificate(rows)
+        assert certified in (True, False)
+        if _qubit_class(rows) is not None:
+            assert certified
+        if certified:
+            validate_effect_stack(rows, labels_for(rows))
+
+    @settings(PROPERTY, max_examples=300)
+    @given(whichway_rows())
+    def test_the_certificate_answers_on_every_whichway_arm(self, rows):
+        # so the one-row commands never reach the array path on a valid arm
+        assert _qubit_certificate(rows)
 
     @PROPERTY
     @given(qubit_stacks())

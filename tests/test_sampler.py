@@ -164,7 +164,8 @@ class TestEventLog:
 
 
 class TestRememberedChecks:
-    """A label set of exact strings is checked once, and a log's decode plan made once."""
+    """A label set of exact strings is checked once, and a log's decode and encode plans
+    made once."""
 
     @pytest.mark.parametrize("label, shown", [(1, "1"), (1.0, "1.0"), (True, "True")])
     def test_equal_tuples_of_other_labels_are_checked_each_time(self, label, shown):
@@ -202,6 +203,23 @@ class TestRememberedChecks:
         fixed, varying, table = sampler._decode_plan(lines)
         assert not table.flags.writeable
         assert all(not lut.flags.writeable for _, lut in varying)
+
+    @pytest.mark.parametrize("labels", [None, ("a", "bb", "é")], ids=["bell", "mixed-widths"])
+    def test_the_encode_plan_is_made_once_per_label_set(self, tmp_path, labels):
+        log = sample(build_bell(STANDARD_BELL).povm, singlet_state(), 300, 5)
+        if labels is not None:
+            log = EventLog("c", GENERATOR_NAME, 1, labels, [0, 2, 1, 2, 0])
+        sampler._encode_plan.cache_clear()
+        for name in ("a.log", "b.log"):
+            sampler.write_event_log(log, tmp_path / name)
+        info = sampler._encode_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert (tmp_path / "a.log").read_bytes() == (tmp_path / "b.log").read_bytes()
+        assert sampler.read_event_log(tmp_path / "a.log") == log
+        text, table = sampler._encode_plan(log.label_set)
+        assert text == " ".join(log.label_set) and not table.flags.writeable
+        assert table.tolist() == [label.encode() + b"\n" for label in log.label_set]
+        assert (table.dtype == object) == (labels is not None)
 
 
 class TestSample:
